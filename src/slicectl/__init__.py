@@ -40,7 +40,6 @@ from .model import (
 )
 from .placement import (
     PlacementPlan,
-    PlacementPolicy,
     offered_capabilities,
     plan_placement,
     required_capabilities,
@@ -71,7 +70,6 @@ __all__ = [
     "Outcome",
     "PhysicalLink",
     "PlacementPlan",
-    "PlacementPolicy",
     "ResourceDemand",
     "Role",
     "RuleSet",

@@ -44,9 +44,7 @@ from .model import (
     make_slice_template,
 )
 from .placement import (
-    PlacementPolicy,
     Severity,
-    Solver,
     offered_capabilities,
     verify_plan,
 )
@@ -369,10 +367,7 @@ def _cmd_place_slice(args) -> CommandResult:
     with _locked(root):
         engine = _open_engine(root)
         _require_infra(engine)
-        policy = (
-            PlacementPolicy(solver=Solver(args.solver)) if args.solver else None
-        )
-        plan = engine.plan_slice(args.slice, policy)
+        plan = engine.plan_slice(args.slice)
         if not plan.feasible:
             return CommandResult(
                 1,
@@ -787,12 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute and verify a placement plan",
     )
     p.add_argument("slice", help="slice id")
-    p.add_argument(
-        "--solver",
-        choices=[solver.value for solver in Solver],
-        default=None,
-        help="placement solver (small instances always solve exactly)",
-    )
     p.add_argument("--out", default=None, help="plan output file")
     p.set_defaults(handler=_cmd_place_slice)
 

@@ -106,7 +106,7 @@ class Unreachable(SliceError):
 
 
 class PlanInvalid(SliceError):
-    """A placement plan fails structural validation."""
+    """A placement plan, or a slice to be planned, fails validation."""
 
 
 class PartialFailure(SliceError):

@@ -9,10 +9,9 @@ physical links.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 from .errors import (
     InsufficientCapacity,
@@ -98,8 +97,10 @@ class Infrastructure:
     links: dict[str, PhysicalLink] = field(default_factory=dict)
     allocations: dict[str, Allocation] = field(default_factory=dict)
     next_allocation_id: int = 1
-    _graph: nx.Graph | None = field(
-        default=None, compare=False, repr=False, init=False
+    # Shortest latencies from each source host already asked about; cleared
+    # whenever the topology changes.
+    _distances: dict[str, dict[str, float]] = field(
+        default_factory=dict, compare=False, repr=False, init=False
     )
 
     # -- construction ------------------------------------------------------
@@ -108,7 +109,7 @@ class Infrastructure:
         if host.id in self.hosts:
             raise ValueError(f"host {host.id!r} already exists")
         self.hosts[host.id] = host
-        self._graph = None
+        self._distances = {}
 
     def add_tenant(self, tenant: Tenant) -> None:
         if tenant.id in self.tenants:
@@ -134,7 +135,7 @@ class Infrastructure:
             if endpoint not in self.hosts:
                 raise ValueError(f"link {link.id!r} references unknown host")
         self.links[link.id] = link
-        self._graph = None
+        self._distances = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -156,30 +157,36 @@ class Infrastructure:
             raise UnknownEntity(f"unknown tenant {missing!r}")
         if ta.host == tb.host:
             return 0.0
-        graph = self._latency_graph()
-        try:
-            return float(
-                nx.shortest_path_length(graph, ta.host, tb.host, weight="latency")
-            )
-        except (nx.NodeNotFound, nx.NetworkXNoPath) as exc:
+        latency = self._distances_from(ta.host).get(tb.host)
+        if latency is None:
             raise Unreachable(
                 f"no physical path between tenants {a!r} and {b!r}"
-            ) from exc
+            )
+        return latency
 
-    def _latency_graph(self) -> nx.Graph:
-        if self._graph is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(self.hosts)
-            for link in self.links.values():
-                u, v = link.endpoints
-                # Parallel links: keep the faster one, Dijkstra never takes
-                # the slower.
-                if graph.has_edge(u, v):
-                    if graph[u][v]["latency"] <= link.latency:
-                        continue
-                graph.add_edge(u, v, latency=link.latency)
-            self._graph = graph
-        return self._graph
+    def _distances_from(self, source: str) -> dict[str, float]:
+        """Dijkstra from one host: latency to every host it reaches."""
+        if source in self._distances:
+            return self._distances[source]
+        neighbors: dict[str, dict[str, float]] = {h: {} for h in self.hosts}
+        for link in self.links.values():
+            u, v = link.endpoints
+            # Parallel links: keep the faster one, Dijkstra never takes the
+            # slower.
+            if link.latency < neighbors[u].get(v, float("inf")):
+                neighbors[u][v] = neighbors[v][u] = link.latency
+        distances: dict[str, float] = {}
+        frontier = [(0.0, source)]
+        while frontier:
+            distance, host = heapq.heappop(frontier)
+            if host in distances:
+                continue
+            distances[host] = distance
+            for neighbor, latency in neighbors[host].items():
+                if neighbor not in distances:
+                    heapq.heappush(frontier, (distance + latency, neighbor))
+        self._distances[source] = distances
+        return distances
 
     # -- allocation --------------------------------------------------------
 

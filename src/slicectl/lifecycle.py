@@ -51,7 +51,6 @@ from .model import (
 from .placement import (
     CapabilityRequirement,
     PlacementPlan,
-    PlacementPolicy,
     offered_capabilities,
     plan_placement,
     required_capabilities,
@@ -619,9 +618,7 @@ class Orchestrator:
         }
         return required_capabilities(slc, template, footprints)
 
-    def plan_slice(
-        self, slice_id: str, policy: PlacementPolicy | None = None
-    ) -> PlacementPlan:
+    def plan_slice(self, slice_id: str) -> PlacementPlan:
         """Pure planning over the current infrastructure snapshot; no audit."""
         infra = self._require_infra()
         slc = self.catalog.slices.get(slice_id)
@@ -631,7 +628,7 @@ class Orchestrator:
         offers = offered_capabilities(infra)
         if not offers:
             return PlacementPlan(slice_id, (), 0.0, False)
-        return plan_placement(slc, requirements, offers, infra, policy)
+        return plan_placement(slc, requirements, offers, infra)
 
     def _isolation_conflict(
         self, tenant_id: str, isolation: IsolationLevel

@@ -313,8 +313,9 @@ class NetworkSlice:
     """The slice aggregate: ordered services plus profile and derived SLA.
 
     chain_order states whether end-to-end traffic traverses the services in
-    list order; it selects the latency composition rule and the placement
-    objective.
+    list order; it selects the SLA latency composition rule (sum along a
+    chain, maximum otherwise). Placement minimises chain latency only, so
+    plan_placement rejects a slice without chain order.
     """
 
     id: str

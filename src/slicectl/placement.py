@@ -4,8 +4,9 @@ Requirements (demand, isolation, latency budget per service) are matched
 against offers (free tenant capacity) under the same-tenant rule: a service
 is never split, it lands on exactly one tenant. The objective is minimal
 end-to-end latency, the sum of inter-tenant hops between consecutive
-services in slice order. Small instances are solved exactly; larger ones
-fall back to the policy's solver. verify_plan re-checks every constraint
+services in slice order, so only chain-ordered slices can be planned.
+Instances of up to EXHAUSTIVE_MAX_PAIRS service-tenant pairs are solved
+exactly; larger ones greedily. verify_plan re-checks every constraint
 through a separate flat code path so solver defects cannot hide.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import MissingFootprint, PlanInvalid, Unreachable
 from .infra import Infrastructure, IsolationClass
@@ -28,14 +28,9 @@ from .model import (
 from .template import Severity
 
 
-class Objective(str, Enum):
-    MIN_LATENCY = "min_latency"
-
-
-class Solver(str, Enum):
-    EXHAUSTIVE = "exhaustive"
-    GREEDY = "greedy"
-
+# Up to this many service-tenant pairs the exact search is cheap; above it
+# the greedy solver runs, which may miss the optimum or a feasible plan.
+EXHAUSTIVE_MAX_PAIRS = 64
 
 VIOLATION_DUPLICATE = "duplicate_assignment"
 VIOLATION_MISSING = "missing_assignment"
@@ -97,24 +92,6 @@ class PlacementPlan:
             if assignment.service == service:
                 return assignment.tenant
         return None
-
-
-@dataclass(frozen=True)
-class PlacementPolicy:
-    objective: Objective = Objective.MIN_LATENCY
-    solver: Solver = Solver.GREEDY
-    # Below this many service-tenant pairs the search space is tiny and the
-    # exact solver is forced regardless of the configured solver.
-    exhaustive_threshold: int = 64
-    tie_break: str = "lexicographic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", Objective(self.objective))
-        object.__setattr__(self, "solver", Solver(self.solver))
-        if self.exhaustive_threshold <= 0:
-            raise ValueError("exhaustive_threshold must be > 0")
-        if self.tie_break != "lexicographic":
-            raise ValueError("only lexicographic tie-breaking is supported")
 
 
 @dataclass(frozen=True)
@@ -319,10 +296,17 @@ def plan_placement(
     requirements: list[CapabilityRequirement],
     offers: list[CapabilityOffer],
     infra: Infrastructure,
-    policy: PlacementPolicy | None = None,
 ) -> PlacementPlan:
-    """Compute a placement plan; infeasibility is a result, not an error."""
-    policy = policy or PlacementPolicy()
+    """Compute a placement plan; infeasibility is a result, not an error.
+
+    A slice without chain order raises PlanInvalid: its SLA takes the
+    maximum service latency, but the solver minimises the chain sum.
+    """
+    if not slice.chain_order:
+        raise PlanInvalid(
+            f"slice {slice.id!r} has no chain order; only chain-ordered"
+            " slices can be placed"
+        )
     if not requirements:
         raise ValueError("requirements must be non-empty")
     if not offers:
@@ -343,8 +327,7 @@ def plan_placement(
     limit = slice.profile.end_to_end_latency
     state = _SolverState(infra, offers_sorted)
 
-    pairs = len(ordered) * len(tenant_ids)
-    if pairs <= policy.exhaustive_threshold or policy.solver is Solver.EXHAUSTIVE:
+    if len(ordered) * len(tenant_ids) <= EXHAUSTIVE_MAX_PAIRS:
         result = _solve_exhaustive(ordered, tenant_ids, latency, limit, state)
     else:
         result = _solve_greedy(ordered, tenant_ids, latency, limit, state)

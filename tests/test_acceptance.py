@@ -31,8 +31,6 @@ from slicectl.model import (
 )
 from slicectl.placement import (
     VIOLATION_DUPLICATE,
-    PlacementPolicy,
-    Solver,
     offered_capabilities,
     plan_from_mapping,
     plan_placement,
@@ -112,10 +110,9 @@ def test_template_rule_boundaries(tmp_path):
     assert "forbidden-kind" in {f.rule_id for f in report.findings}
 
 
-def test_placement_matches_exhaustive_oracle():
+def test_placement_matches_exhaustive_oracle(monkeypatch):
     """On 200 random instances the solver's end-to-end latency equals the
     brute-force optimum exactly; greedy plans verify whenever feasible."""
-    greedy_policy = PlacementPolicy(solver=Solver.GREEDY, exhaustive_threshold=1)
     feasible = 0
     for index in range(200):
         rng = random.Random(20260817 + index)
@@ -144,7 +141,10 @@ def test_placement_matches_exhaustive_oracle():
         assert plan.e2e_latency == opt_latency, f"instance {index}"
         assert {a.service: a.tenant for a in plan.assignments} == opt_assignment
 
-        greedy = plan_placement(slc, requirements, offers, infra, greedy_policy)
+        # With no exact budget every instance goes to the greedy solver.
+        with monkeypatch.context() as patch:
+            patch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", 0)
+            greedy = plan_placement(slc, requirements, offers, infra)
         if greedy.feasible:
             ok, violations = verify_plan(
                 greedy, requirements, offers, infra, slice=slc

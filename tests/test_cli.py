@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 import scenario
+import slicectl
 from slicectl.cli import ENV_CATALOG, main, run
 from slicectl.store import load_audit, load_catalog
 
@@ -263,6 +268,19 @@ class TestWorkflow:
         assert placed.exit_code == 1
         assert "no feasible placement" in placed.summary
 
+    def test_unchained_slice_placement_is_refused(self, root, tmp_path):
+        seed_service(root, tmp_path)
+        doc = descriptor_doc()
+        doc["slice"]["chain_order"] = False
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(doc))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+        placed = run(["place-slice", "slice-p", "--catalog", str(root)])
+        assert placed.exit_code == 1
+        assert "PlanInvalid" in placed.summary
+        assert "chain order" in placed.summary
+        assert not (root / "plan-slice-p.yaml").exists()
+
     def test_place_slice_needs_an_inventory(self, root, tmp_path):
         template = tmp_path / "probe.yaml"
         template.write_text(scenario.minimal_template())
@@ -314,3 +332,16 @@ class TestDemo:
         events = load_audit(root / "audit.log")
         assert [e.sequence_no for e in events] == list(range(1, len(events) + 1))
         assert events[-1].action == "teardown_slice"
+
+
+def test_cli_import_leaves_networkx_out():
+    package_root = Path(slicectl.__file__).resolve().parent.parent
+    code = "import sys, slicectl.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.stdout.strip() == "False"

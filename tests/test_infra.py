@@ -136,6 +136,24 @@ class TestLatency:
         )
         assert infra.tenant_latency("tenant-orch", "tenant-dp") == 1.0
 
+    def test_new_hosts_join_the_cached_distances(self):
+        infra = build_testbed(orch_cp_ms=2.0, cp_dp_ms=3.0)
+        # Fills the distances cached for host-orch.
+        assert infra.tenant_latency("tenant-orch", "tenant-dp") == 5.0
+        infra.add_host(big_host("h-new"))
+        infra.add_tenant(small_tenant("t-new", "h-new"))
+        with pytest.raises(Unreachable):
+            infra.tenant_latency("tenant-orch", "t-new")
+        with pytest.raises(Unreachable):
+            infra.tenant_latency("t-new", "tenant-orch")
+        infra.add_link(
+            PhysicalLink(
+                id="l-new", endpoints=("host-dp", "h-new"), latency=0.5, bandwidth=1.0
+            )
+        )
+        assert infra.tenant_latency("tenant-orch", "t-new") == 5.5
+        assert infra.tenant_latency("t-new", "tenant-orch") == 5.5
+
     @given(data=st.data())
     def test_latency_matches_path_enumeration(self, data):
         """Dijkstra agrees with brute-force simple-path search exactly."""

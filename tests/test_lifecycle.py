@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -494,6 +495,23 @@ class TestSliceExecution:
         assert engine.infra.usage_snapshot() == baseline
         with pytest.raises(InvalidTransition, match="needs active"):
             engine.teardown_slice(Role.OPERATOR, "slice-a")
+
+    def test_unchained_slice_is_refused_by_planning(self):
+        # Without chain order the SLA takes the slowest service, while the
+        # solver would minimise the summed chain latency.
+        engine = scenario.slice_a_engine()
+        chained = engine.catalog.slices["slice-a"]
+        side_by_side = replace(
+            chained, id="slice-b", sla=None, chain_order=False
+        )
+        template = engine.catalog.slice_templates["slice-a"]
+        engine.create_slice(
+            Role.DESIGNER,
+            side_by_side,
+            replace(template, slice_id="slice-b"),
+        )
+        with pytest.raises(PlanInvalid, match="chain order"):
+            engine.plan_slice("slice-b")
 
     def test_operations_needing_infra_say_so(self):
         engine = Orchestrator()

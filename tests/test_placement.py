@@ -25,10 +25,9 @@ from slicectl.placement import (
     Assignment,
     CapabilityOffer,
     CapabilityRequirement,
+    EXHAUSTIVE_MAX_PAIRS,
     PlacementPlan,
-    PlacementPolicy,
     Severity,
-    Solver,
     VIOLATION_AFFINITY,
     VIOLATION_BUDGET,
     VIOLATION_DUPLICATE,
@@ -217,16 +216,57 @@ class TestPlanPlacement:
         # Both tenants fit everything at zero cost; the tie goes left.
         assert [a.tenant for a in plan.assignments] == ["t-a", "t-a"]
 
-    def test_greedy_solver_is_selectable_and_verifies(self):
+    def test_greedy_solver_is_selectable_and_verifies(self, monkeypatch):
+        monkeypatch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", 0)
         slc = two_service_slice()
         infra = tiny_infra({"t-a": 1, "t-b": 4}, links=[("t-a", "t-b", 1.0)])
         reqs = [requirement("svc-a"), requirement("svc-b")]
         offers = offered_capabilities(infra)
-        policy = PlacementPolicy(solver=Solver.GREEDY, exhaustive_threshold=1)
-        plan = plan_placement(slc, reqs, offers, infra, policy)
+        plan = plan_placement(slc, reqs, offers, infra)
         assert plan.feasible
         ok, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
         assert ok, violations
+
+    @pytest.mark.parametrize(
+        "n_services, n_tenants, solver",
+        [(4, 16, "exact"), (5, 13, "greedy")],
+    )
+    def test_exact_search_up_to_the_pair_limit(
+        self, n_services, n_tenants, solver
+    ):
+        # svc-0 fills t-a or t-b; t-c holds the rest and is 5 ms from t-a,
+        # 1 ms from t-b. Greedy puts svc-0 on the first tenant, t-a, and
+        # pays 5 ms; the optimum puts it on t-b and pays 1 ms. Tenants
+        # without quota pad the instance to the pair count.
+        pairs = n_services * n_tenants
+        assert pairs - EXHAUSTIVE_MAX_PAIRS == (0 if solver == "exact" else 1)
+        quotas = {"t-a": 10, "t-b": 10, "t-c": n_services - 1}
+        quotas.update({f"t-x{i:02}": 0 for i in range(n_tenants - 3)})
+        infra = tiny_infra(
+            quotas, links=[("t-a", "t-c", 5.0), ("t-b", "t-c", 1.0)]
+        )
+        services = [f"svc-{i}" for i in range(n_services)]
+        slc = NetworkSlice(
+            id="slice-t",
+            name="t",
+            customer="c",
+            provider="p",
+            services=services,
+            profile=ServiceProfile(
+                end_to_end_latency=10.0,
+                guaranteed_data_rate=50.0,
+                service_availability=0.99,
+            ),
+        )
+        reqs = [requirement("svc-0", vcpu=10)]
+        reqs += [requirement(s) for s in services[1:]]
+        plan = plan_placement(slc, reqs, offered_capabilities(infra), infra)
+        first, cost = ("t-b", 1.0) if solver == "exact" else ("t-a", 5.0)
+        assert plan.feasible
+        assert plan.e2e_latency == cost
+        assert [a.tenant for a in plan.assignments] == [first] + ["t-c"] * (
+            n_services - 1
+        )
 
     def test_testbed_fixture_demands_have_one_home(self):
         # Effective control-plane demand only fits tenant-cp, and the two
