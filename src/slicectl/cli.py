@@ -44,7 +44,9 @@ from .model import (
     make_slice_template,
 )
 from .placement import (
+    PlacementPlan,
     Severity,
+    Violation,
     offered_capabilities,
     verify_plan,
 )
@@ -53,7 +55,7 @@ from .store import (
     CATALOG_FILE,
     INVENTORY_FILE,
     FileAuditLog,
-    event_to_dict,
+    encode,
     load_audit,
     load_catalog,
     load_inventory,
@@ -362,36 +364,42 @@ def _cmd_create_slice(args) -> CommandResult:
     )
 
 
+def _plan_verified(
+    engine: Orchestrator, slice_id: str
+) -> tuple[PlacementPlan, list[Violation]]:
+    """Plan a slice and re-check a feasible plan with the verifier.
+
+    The verifier shares no code with the solver, so a plan that fails here
+    means the solver is wrong, not the input.
+    """
+    plan = engine.plan_slice(slice_id)
+    if not plan.feasible:
+        return plan, []
+    ok, violations = verify_plan(
+        plan,
+        engine.requirements_for(slice_id),
+        offered_capabilities(engine.infra),
+        engine.infra,
+        slice=engine.catalog.slices[slice_id],
+    )
+    if not ok:
+        codes = sorted(v.code for v in violations if v.severity is Severity.ERROR)
+        raise RuntimeError(f"solver produced a plan the verifier rejects: {codes}")
+    return plan, violations
+
+
 def _cmd_place_slice(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root):
         engine = _open_engine(root)
         _require_infra(engine)
-        plan = engine.plan_slice(args.slice)
+        plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
             return CommandResult(
                 1,
                 f"no feasible placement for {args.slice}",
                 {"slice": args.slice, "feasible": False},
                 args.json,
-            )
-        # Independent check: the verifier shares no code with the solver, so
-        # a plan that fails here means the solver is wrong, not the input.
-        requirements = engine.requirements_for(args.slice)
-        offers = offered_capabilities(engine.infra)
-        ok, violations = verify_plan(
-            plan,
-            requirements,
-            offers,
-            engine.infra,
-            slice=engine.catalog.slices[args.slice],
-        )
-        if not ok:
-            codes = sorted(
-                v.code for v in violations if v.severity is Severity.ERROR
-            )
-            raise RuntimeError(
-                f"solver produced a plan the verifier rejects: {codes}"
             )
         out = Path(args.out) if args.out else root / f"plan-{args.slice}.yaml"
         save_plan(plan, out)
@@ -532,7 +540,7 @@ def _cmd_audit(args) -> CommandResult:
     return CommandResult(
         0,
         "\n".join(lines),
-        {"events": [event_to_dict(e) for e in events]},
+        {"events": [encode(e) for e in events]},
         args.json,
     )
 
@@ -628,26 +636,10 @@ def _cmd_demo(args) -> CommandResult:
             yaml.safe_load(_fixture_text("slice_a.yaml")), engine
         )
         engine.create_slice(Role.DESIGNER, slc, template)
-        plan = engine.plan_slice(slc.id)
+        plan, _ = _plan_verified(engine, slc.id)
         if not plan.feasible:
             return CommandResult(
                 1, f"no feasible placement for {slc.id}", None, args.json
-            )
-        requirements = engine.requirements_for(slc.id)
-        offers = offered_capabilities(engine.infra)
-        ok, violations = verify_plan(
-            plan,
-            requirements,
-            offers,
-            engine.infra,
-            slice=engine.catalog.slices[slc.id],
-        )
-        if not ok:
-            codes = sorted(
-                v.code for v in violations if v.severity is Severity.ERROR
-            )
-            raise RuntimeError(
-                f"solver produced a plan the verifier rejects: {codes}"
             )
         record = engine.instantiate_slice(Role.OPERATOR, slc.id, plan)
         save_plan(plan, root / f"plan-{slc.id}.yaml")

@@ -10,6 +10,7 @@ physical links.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -145,6 +146,17 @@ class Infrastructure:
     def allocations_on(self, tenant_id: str) -> list[Allocation]:
         return [a for a in self.allocations.values() if a.tenant == tenant_id]
 
+    def held_by(self, tenant_id: str, *extra: ResourceDemand) -> ResourceDemand:
+        """What the tenant's live allocations (plus extra) hold in total.
+
+        Each field is summed in one step, exactly for integers and with a
+        single rounding for floats, so the total does not depend on the order
+        the allocations were made or released in.
+        """
+        demands = [a.demand.as_tuple() for a in self.allocations_on(tenant_id)]
+        demands.extend(d.as_tuple() for d in extra)
+        return ResourceDemand(*map(_exact_sum, zip(*demands)))
+
     def usage_snapshot(self) -> dict[str, ResourceDemand]:
         return {tid: t.used for tid, t in self.tenants.items()}
 
@@ -196,7 +208,8 @@ class Infrastructure:
         tenant = self.tenants.get(tenant_id)
         if tenant is None:
             raise UnknownEntity(f"unknown tenant {tenant_id!r}")
-        if not (tenant.used + demand).fits_within(tenant.quota):
+        used = self.held_by(tenant_id, demand)
+        if not used.fits_within(tenant.quota):
             raise InsufficientCapacity(
                 f"tenant {tenant_id!r} cannot hold {demand} for"
                 f" service {service_id!r}"
@@ -209,15 +222,20 @@ class Infrastructure:
         )
         self.next_allocation_id += 1
         self.allocations[allocation.id] = allocation
-        tenant.used = tenant.used + demand
+        tenant.used = used
         return allocation
 
     def release(self, allocation_id: str) -> None:
         allocation = self.allocations.pop(allocation_id, None)
         if allocation is None:
             raise UnknownAllocation(f"allocation {allocation_id!r} is not held")
-        tenant = self.tenants[allocation.tenant]
-        tenant.used = tenant.used - allocation.demand
+        self.tenants[allocation.tenant].used = self.held_by(allocation.tenant)
+
+
+def _exact_sum(values: tuple[float, ...]) -> float:
+    if all(isinstance(value, int) for value in values):
+        return sum(values)
+    return math.fsum(values)
 
 
 def build_testbed(

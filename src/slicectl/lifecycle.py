@@ -177,6 +177,13 @@ class AuditEvent:
     outcome: Outcome
 
 
+_STATE_ENUMS = {
+    ArtifactKind.VF: VfState,
+    ArtifactKind.SERVICE: ServiceState,
+    ArtifactKind.SLICE: SliceState,
+}
+
+
 @dataclass
 class LifecycleRecord:
     """Current state machine position of one artifact.
@@ -189,6 +196,11 @@ class LifecycleRecord:
     kind: ArtifactKind
     state: VfState | ServiceState | SliceState
     history: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        # "terminated" is a value of two state enums, so the kind decides.
+        self.kind = ArtifactKind(self.kind)
+        self.state = _STATE_ENUMS[self.kind](self.state)
 
 
 @dataclass

@@ -513,7 +513,9 @@ def verify_plan(
                             )
                         )
                         break
-                    e2e += hop
+                    # Compose as the slice SLA does: a sum along a chain,
+                    # the largest hop for services side by side.
+                    e2e = e2e + hop if slice.chain_order else max(e2e, hop)
                     budget = req_by_service[service_id].latency_budget
                     if hop > budget + EPSILON:
                         violations.append(

@@ -6,56 +6,41 @@ lines). Snapshots are written atomically (temp file, fsync, rename), so an
 interrupted save never corrupts the previous file. The audit file is the
 write-ahead record of the lifecycle engine; replay_states folds it back
 into lifecycle records.
+
+Catalog, inventory entities and audit events all go through one codec,
+encode/decode, driven by the dataclasses' type hints; decoding calls the
+constructors, so every invariant check runs on load. Plan documents are
+outside input and keep their own field-by-field reader in placement.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import tempfile
-from collections.abc import Iterable, Mapping
+import types
+import typing
+from collections.abc import Callable, Iterable, Mapping
+from enum import Enum
 from pathlib import Path
+from typing import Any, TypeVar
 
 import yaml
 
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
-from .infra import (
-    Allocation,
-    Host,
-    Infrastructure,
-    PhysicalLink,
-    Tenant,
-)
+from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
     ACTION_EFFECTS,
     CATALOG_VERSION,
-    ArtifactKind,
     AuditEvent,
     Catalog,
     LifecycleRecord,
     Outcome,
-    Role,
-    ServiceState,
-    SliceState,
-    VfState,
-)
-from .model import (
-    Customer,
-    FunctionComponent,
-    FunctionKind,
-    NetworkFunction,
-    NetworkService,
-    NetworkSlice,
-    ResourceDemand,
-    ServiceProfile,
-    ServiceRequirement,
-    Sla,
-    SliceProvider,
-    SliceTemplate,
-    VendorSoftwareProduct,
-    VirtualLink,
 )
 from .placement import PlacementPlan, plan_from_mapping, plan_to_mapping
 
@@ -63,11 +48,7 @@ CATALOG_FILE = "catalog.json"
 INVENTORY_FILE = "inventory.yaml"
 AUDIT_FILE = "audit.log"
 
-_STATE_ENUMS = {
-    ArtifactKind.VF: VfState,
-    ArtifactKind.SERVICE: ServiceState,
-    ArtifactKind.SLICE: SliceState,
-}
+T = TypeVar("T")
 
 
 # -- low-level file plumbing ------------------------------------------------
@@ -114,273 +95,126 @@ def _load_yaml(path: Path) -> object:
         raise IoFailure(f"{path}: invalid YAML{where}: {exc}") from exc
 
 
-# -- value codecs -------------------------------------------------------------
+# -- generic codec ------------------------------------------------------------
+#
+# Every persisted entity is a dataclass, and its type hints say how each field
+# maps to plain JSON/YAML data: an enum to its value, a frozenset to a sorted
+# list, a tuple or list to a list, a mapping to a dict, a nested dataclass to
+# a dict of its init fields. A converter is built once per type; None stands
+# for "store the value as it is" (str, int, float, bool).
+
+_Convert = Callable[[Any], Any] | None
 
 
-def _demand_to_dict(demand: ResourceDemand) -> dict:
-    return {
-        "vcpu": demand.vcpu,
-        "ram": demand.ram,
-        "storage": demand.storage,
-        "ports": demand.ports,
-    }
+def _item_type(tp: Any) -> Any:
+    """Element type of a homogeneous list, frozenset or tuple hint."""
+    kinds = {arg for arg in typing.get_args(tp) if arg is not Ellipsis}
+    if len(kinds) != 1:
+        raise TypeError(f"no codec for {tp!r}: elements of mixed types")
+    return kinds.pop()
 
 
-def _demand_from_dict(raw: Mapping) -> ResourceDemand:
-    return ResourceDemand(
-        vcpu=raw.get("vcpu", 0),
-        ram=raw.get("ram", 0),
-        storage=raw.get("storage", 0),
-        ports=raw.get("ports", 0),
-    )
+@functools.cache
+def _encoder(tp: Any) -> _Convert:
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = [
+            (f.name, _encoder(hints[f.name]))
+            for f in dataclasses.fields(tp)
+            if f.init
+        ]
+        return lambda obj: {
+            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+            for name, enc in fields
+        }
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return lambda member: member.value
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        # The value's own type picks the member: None, Sla, VfState, ...
+        def encode_member(value):
+            enc = _encoder(type(value))
+            return value if enc is None else enc(value)
+
+        return encode_member
+    if origin in (dict, Mapping):
+        enc = _encoder(typing.get_args(tp)[1])
+        if enc is None:
+            return dict
+        return lambda mapping: {key: enc(value) for key, value in mapping.items()}
+    if origin in (tuple, list, frozenset):
+        enc = _encoder(_item_type(tp))
+        arrange = sorted if origin is frozenset else list
+        return arrange if enc is None else lambda items: arrange(map(enc, items))
+    return None
 
 
-def _profile_to_dict(profile: ServiceProfile) -> dict:
-    return {
-        "end_to_end_latency": profile.end_to_end_latency,
-        "guaranteed_data_rate": profile.guaranteed_data_rate,
-        "service_availability": profile.service_availability,
-        "degree_of_isolation": profile.degree_of_isolation.value,
-        "coverage_area": profile.coverage_area,
-        "priority": profile.priority,
-        "user_density": profile.user_density,
-        "ue_speed": profile.ue_speed,
-        "charging_model": profile.charging_model,
-    }
+@functools.cache
+def _decoder(tp: Any) -> _Convert:
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = {
+            f.name: _decoder(hints[f.name]) for f in dataclasses.fields(tp) if f.init
+        }
+
+        def decode_fields(raw):
+            # Keys absent from the file take the field default; the
+            # constructor runs every __post_init__ check.
+            kwargs = {}
+            for name, value in raw.items():
+                if name in fields:
+                    dec = fields[name]
+                    kwargs[name] = value if dec is None else dec(value)
+            return tp(**kwargs)
+
+        return decode_fields
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        members = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        if len(members) > 1:
+            # Only another field can tell which member a raw value is, so
+            # the dataclass's __post_init__ coerces it.
+            return None
+        dec = _decoder(members[0])
+        if dec is None:
+            return None
+        return lambda raw: None if raw is None else dec(raw)
+    if origin in (dict, Mapping):
+        dec = _decoder(typing.get_args(tp)[1])
+        if dec is None:
+            return lambda raw: dict(raw.items())
+        return lambda raw: {key: dec(value) for key, value in raw.items()}
+    if origin in (tuple, list, frozenset):
+        dec = _decoder(_item_type(tp))
+
+        def decode_items(raw):
+            # A string or mapping would iterate, and decode as its characters
+            # or keys.
+            if not isinstance(raw, list):
+                raise TypeError(f"expected a list, got {type(raw).__name__}")
+            return origin(raw) if dec is None else origin(map(dec, raw))
+
+        return decode_items
+    return None
 
 
-def _profile_from_dict(raw: Mapping) -> ServiceProfile:
-    return ServiceProfile(
-        end_to_end_latency=raw["end_to_end_latency"],
-        guaranteed_data_rate=raw["guaranteed_data_rate"],
-        service_availability=raw["service_availability"],
-        degree_of_isolation=raw.get("degree_of_isolation", "shared"),
-        coverage_area=raw.get("coverage_area", ""),
-        priority=raw.get("priority", 0),
-        user_density=raw.get("user_density", 0.0),
-        ue_speed=raw.get("ue_speed", 0.0),
-        charging_model=raw.get("charging_model", ""),
-    )
+def encode(entity: Any) -> dict:
+    """Plain-data form of a dataclass instance, as stored on disk."""
+    return _encoder(type(entity))(entity)
 
 
-def _sla_to_dict(sla: Sla) -> dict:
-    return {
-        "slice_id": sla.slice_id,
-        "committed_latency": sla.committed_latency,
-        "committed_availability": sla.committed_availability,
-        "committed_data_rate": sla.committed_data_rate,
-        "penalties": sla.penalties,
-    }
+def decode(cls: type[T], raw: Any) -> T:
+    """Rebuild a cls instance from its plain-data form."""
+    return _decoder(cls)(raw)
 
 
-def _sla_from_dict(raw: Mapping) -> Sla:
-    return Sla(
-        slice_id=raw["slice_id"],
-        committed_latency=raw["committed_latency"],
-        committed_availability=raw["committed_availability"],
-        committed_data_rate=raw["committed_data_rate"],
-        penalties=raw.get("penalties", ""),
-    )
-
-
-# -- catalog codec ------------------------------------------------------------
-
-
-def catalog_to_dict(catalog: Catalog) -> dict:
-    return {
-        "version": catalog.version,
-        "customers": {
-            c.id: {
-                "id": c.id,
-                "name": c.name,
-                "description": c.description,
-                "category": c.category,
-            }
-            for c in catalog.customers.values()
-        },
-        "providers": {
-            p.id: {
-                "id": p.id,
-                "name": p.name,
-                "administrative_domains": sorted(p.administrative_domains),
-            }
-            for p in catalog.providers.values()
-        },
-        "vsps": {
-            v.id: {
-                "id": v.id,
-                "vendor_name": v.vendor_name,
-                "product_name": v.product_name,
-                "version": list(v.version),
-                "owned_resources": sorted(v.owned_resources),
-            }
-            for v in catalog.vsps.values()
-        },
-        "functions": {
-            f.id: {
-                "id": f.id,
-                "kind": f.kind.value,
-                "components": [
-                    {
-                        "name": comp.name,
-                        "compute_demand": _demand_to_dict(comp.compute_demand),
-                        "ports": list(comp.ports),
-                    }
-                    for comp in f.components
-                ],
-                "template_ref": f.template_ref,
-            }
-            for f in catalog.functions.values()
-        },
-        "services": {
-            s.id: {
-                "id": s.id,
-                "name": s.name,
-                "functions": list(s.functions),
-                "virtual_links": [
-                    {"name": link.name, "endpoints": sorted(link.endpoints)}
-                    for link in s.virtual_links
-                ],
-            }
-            for s in catalog.services.values()
-        },
-        "slices": {
-            s.id: {
-                "id": s.id,
-                "name": s.name,
-                "customer": s.customer,
-                "provider": s.provider,
-                "services": list(s.services),
-                "profile": _profile_to_dict(s.profile),
-                "sla": None if s.sla is None else _sla_to_dict(s.sla),
-                "chain_order": s.chain_order,
-            }
-            for s in catalog.slices.values()
-        },
-        "slice_templates": {
-            t.slice_id: {
-                "slice_id": t.slice_id,
-                "per_service_requirements": {
-                    service_id: {
-                        "latency_budget": req.latency_budget,
-                        "reliability": req.reliability,
-                        "data_rate": req.data_rate,
-                        "demand": _demand_to_dict(req.demand),
-                    }
-                    for service_id, req in t.per_service_requirements.items()
-                },
-                "template_refs": {
-                    service_id: list(refs)
-                    for service_id, refs in t.template_refs.items()
-                },
-            }
-            for t in catalog.slice_templates.values()
-        },
-        "records": {
-            r.subject: {
-                "subject": r.subject,
-                "kind": r.kind.value,
-                "state": r.state.value,
-                "history": list(r.history),
-            }
-            for r in catalog.records.values()
-        },
-        "template_blobs": dict(catalog.template_blobs),
-    }
-
-
-def catalog_from_dict(raw: Mapping) -> Catalog:
-    catalog = Catalog(version=raw["version"])
-    for key, entry in raw.get("customers", {}).items():
-        catalog.customers[key] = Customer(
-            id=entry["id"],
-            name=entry["name"],
-            description=entry.get("description", ""),
-            category=entry.get("category", ""),
-        )
-    for key, entry in raw.get("providers", {}).items():
-        catalog.providers[key] = SliceProvider(
-            id=entry["id"],
-            name=entry["name"],
-            administrative_domains=frozenset(entry["administrative_domains"]),
-        )
-    for key, entry in raw.get("vsps", {}).items():
-        catalog.vsps[key] = VendorSoftwareProduct(
-            id=entry["id"],
-            vendor_name=entry["vendor_name"],
-            product_name=entry["product_name"],
-            version=tuple(entry["version"]),
-            owned_resources=frozenset(entry.get("owned_resources", ())),
-        )
-    for key, entry in raw.get("functions", {}).items():
-        catalog.functions[key] = NetworkFunction(
-            id=entry["id"],
-            kind=FunctionKind(entry["kind"]),
-            components=tuple(
-                FunctionComponent(
-                    name=comp["name"],
-                    compute_demand=_demand_from_dict(comp["compute_demand"]),
-                    ports=tuple(comp.get("ports", ())),
-                )
-                for comp in entry["components"]
-            ),
-            template_ref=entry.get("template_ref"),
-        )
-    for key, entry in raw.get("services", {}).items():
-        catalog.services[key] = NetworkService(
-            id=entry["id"],
-            name=entry["name"],
-            functions=tuple(entry["functions"]),
-            virtual_links=tuple(
-                VirtualLink(
-                    name=link["name"], endpoints=frozenset(link["endpoints"])
-                )
-                for link in entry.get("virtual_links", ())
-            ),
-        )
-    for key, entry in raw.get("slices", {}).items():
-        sla_raw = entry.get("sla")
-        catalog.slices[key] = NetworkSlice(
-            id=entry["id"],
-            name=entry["name"],
-            customer=entry["customer"],
-            provider=entry["provider"],
-            services=tuple(entry["services"]),
-            profile=_profile_from_dict(entry["profile"]),
-            sla=None if sla_raw is None else _sla_from_dict(sla_raw),
-            chain_order=entry.get("chain_order", True),
-        )
-    for key, entry in raw.get("slice_templates", {}).items():
-        catalog.slice_templates[key] = SliceTemplate(
-            slice_id=entry["slice_id"],
-            per_service_requirements={
-                service_id: ServiceRequirement(
-                    latency_budget=req["latency_budget"],
-                    reliability=req["reliability"],
-                    data_rate=req["data_rate"],
-                    demand=_demand_from_dict(req.get("demand", {})),
-                )
-                for service_id, req in entry["per_service_requirements"].items()
-            },
-            template_refs={
-                service_id: tuple(refs)
-                for service_id, refs in entry.get("template_refs", {}).items()
-            },
-        )
-    for key, entry in raw.get("records", {}).items():
-        kind = ArtifactKind(entry["kind"])
-        catalog.records[key] = LifecycleRecord(
-            subject=entry["subject"],
-            kind=kind,
-            state=_STATE_ENUMS[kind](entry["state"]),
-            history=list(entry.get("history", ())),
-        )
-    catalog.template_blobs = dict(raw.get("template_blobs", {}))
-    return catalog
+# -- catalog ------------------------------------------------------------------
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    payload = json.dumps(catalog_to_dict(catalog), indent=2, sort_keys=True)
+    payload = json.dumps(encode(catalog), indent=2, sort_keys=True)
     _atomic_write(Path(path), payload + "\n")
 
 
@@ -402,8 +236,8 @@ def load_catalog(path: str | Path) -> Catalog:
             f" version {CATALOG_VERSION}"
         )
     try:
-        catalog = catalog_from_dict(raw)
-    except (KeyError, TypeError, ValueError, SliceError) as exc:
+        catalog = decode(Catalog, raw)
+    except (AttributeError, KeyError, TypeError, ValueError, SliceError) as exc:
         raise IoFailure(f"{path}: corrupt catalog: {exc}") from exc
     for digest, blob in catalog.template_blobs.items():
         actual = hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -415,93 +249,30 @@ def load_catalog(path: str | Path) -> Catalog:
     return catalog
 
 
-# -- inventory codec ----------------------------------------------------------
+# -- inventory ----------------------------------------------------------------
 
 
 def inventory_to_dict(infra: Infrastructure) -> dict:
-    return {
-        "hosts": [
-            {
-                "id": h.id,
-                "name": h.name,
-                "capacity": _demand_to_dict(h.capacity),
-                "site": h.site,
-                "isolation_class": h.isolation_class.value,
-            }
-            for h in sorted(infra.hosts.values(), key=lambda h: h.id)
-        ],
-        "tenants": [
-            {
-                "id": t.id,
-                "name": t.name,
-                "owner": t.owner,
-                "host": t.host,
-                "quota": _demand_to_dict(t.quota),
-                "used": _demand_to_dict(t.used),
-            }
-            for t in sorted(infra.tenants.values(), key=lambda t: t.id)
-        ],
-        "links": [
-            {
-                "id": link.id,
-                "endpoints": list(link.endpoints),
-                "latency": link.latency,
-                "bandwidth": link.bandwidth,
-            }
-            for link in sorted(infra.links.values(), key=lambda link: link.id)
-        ],
-        "allocations": [
-            {
-                "id": a.id,
-                "tenant": a.tenant,
-                "service": a.service,
-                "demand": _demand_to_dict(a.demand),
-            }
-            for a in sorted(infra.allocations.values(), key=lambda a: a.id)
-        ],
-        "next_allocation_id": infra.next_allocation_id,
+    """Each entity kind as a list sorted by id, then the allocation counter."""
+    by_id = operator.attrgetter("id")
+    layout: dict = {
+        kind: [encode(e) for e in sorted(getattr(infra, kind).values(), key=by_id)]
+        for kind in ("hosts", "tenants", "links", "allocations")
     }
+    layout["next_allocation_id"] = infra.next_allocation_id
+    return layout
 
 
 def inventory_from_dict(raw: Mapping) -> Infrastructure:
     infra = Infrastructure()
     for entry in raw.get("hosts", ()):
-        infra.add_host(
-            Host(
-                id=entry["id"],
-                name=entry["name"],
-                capacity=_demand_from_dict(entry["capacity"]),
-                site=entry.get("site", ""),
-                isolation_class=entry.get("isolation_class", "shared"),
-            )
-        )
+        infra.add_host(decode(Host, entry))
     for entry in raw.get("tenants", ()):
-        infra.add_tenant(
-            Tenant(
-                id=entry["id"],
-                name=entry["name"],
-                owner=entry["owner"],
-                host=entry["host"],
-                quota=_demand_from_dict(entry["quota"]),
-                used=_demand_from_dict(entry.get("used", {})),
-            )
-        )
+        infra.add_tenant(decode(Tenant, entry))
     for entry in raw.get("links", ()):
-        infra.add_link(
-            PhysicalLink(
-                id=entry["id"],
-                endpoints=tuple(entry["endpoints"]),
-                latency=entry["latency"],
-                bandwidth=entry["bandwidth"],
-            )
-        )
+        infra.add_link(decode(PhysicalLink, entry))
     for entry in raw.get("allocations", ()):
-        allocation = Allocation(
-            id=entry["id"],
-            tenant=entry["tenant"],
-            service=entry["service"],
-            demand=_demand_from_dict(entry["demand"]),
-        )
+        allocation = decode(Allocation, entry)
         if allocation.tenant not in infra.tenants:
             raise ValueError(
                 f"allocation {allocation.id!r} references unknown tenant"
@@ -523,15 +294,12 @@ def load_inventory(path: str | Path) -> Infrastructure:
         raise IoFailure(f"{path}: inventory root must be a mapping")
     try:
         infra = inventory_from_dict(raw)
-    except (KeyError, TypeError, ValueError, SliceError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, SliceError) as exc:
         raise IoFailure(f"{path}: corrupt inventory: {exc}") from exc
     # Conservation: the stored used vectors are redundant with the
     # allocation list; any disagreement means the snapshot is corrupt.
     for tenant in infra.tenants.values():
-        recomputed = ResourceDemand()
-        for allocation in infra.allocations.values():
-            if allocation.tenant == tenant.id:
-                recomputed = recomputed + allocation.demand
+        recomputed = infra.held_by(tenant.id)
         if recomputed != tenant.used:
             raise IoFailure(
                 f"{path}: tenant {tenant.id!r} used vector"
@@ -542,30 +310,6 @@ def load_inventory(path: str | Path) -> Infrastructure:
 
 
 # -- audit log ----------------------------------------------------------------
-
-
-def event_to_dict(event: AuditEvent) -> dict:
-    return {
-        "sequence_no": event.sequence_no,
-        "actor": event.actor.value,
-        "actor_id": event.actor_id,
-        "action": event.action,
-        "subject": event.subject,
-        "timestamp": event.timestamp,
-        "outcome": event.outcome.value,
-    }
-
-
-def event_from_dict(raw: Mapping) -> AuditEvent:
-    return AuditEvent(
-        sequence_no=raw["sequence_no"],
-        actor=Role(raw["actor"]),
-        actor_id=raw["actor_id"],
-        action=raw["action"],
-        subject=raw["subject"],
-        timestamp=raw["timestamp"],
-        outcome=Outcome(raw["outcome"]),
-    )
 
 
 class FileAuditLog:
@@ -591,7 +335,7 @@ class FileAuditLog:
             raise SequenceGap(
                 f"expected sequence {self._next}, got {event.sequence_no}"
             )
-        line = json.dumps(event_to_dict(event))
+        line = json.dumps(encode(event))
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
@@ -611,8 +355,8 @@ def load_audit(path: str | Path) -> list[AuditEvent]:
             continue
         try:
             raw = json.loads(line)
-            events.append(event_from_dict(raw))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            events.append(decode(AuditEvent, raw))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IoFailure(f"{path}:{lineno}: corrupt audit record: {exc}") from exc
     for position, event in enumerate(events, start=1):
         if event.sequence_no != position:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from slicectl.errors import MissingFootprint, PlanInvalid
@@ -475,6 +477,37 @@ class TestVerifyPlan:
         ok, codes = self.codes(plan)
         assert not ok
         assert VIOLATION_LATENCY_EXCEEDED in codes
+
+    def test_side_by_side_slice_takes_the_largest_hop(self):
+        # Three services on three tenants, 6 ms between neighbours: a chain
+        # would need 12 ms, side by side the slice needs 6 ms of its 10 ms.
+        chained = NetworkSlice(
+            id="slice-t",
+            name="t",
+            customer="c",
+            provider="p",
+            services=("svc-a", "svc-b", "svc-c"),
+            profile=ServiceProfile(10.0, 50.0, 0.99),
+        )
+        self.infra = tiny_infra(
+            {"t-a": 2, "t-b": 2, "t-c": 2},
+            links=[("t-a", "t-b", 6.0), ("t-b", "t-c", 6.0)],
+        )
+        self.offers = offered_capabilities(self.infra)
+        self.reqs = [requirement(s) for s in chained.services]
+        assignments = (
+            Assignment("svc-a", "t-a"),
+            Assignment("svc-b", "t-b"),
+            Assignment("svc-c", "t-c"),
+        )
+        self.slc = replace(chained, chain_order=False)
+        ok, codes = self.codes(PlacementPlan("slice-t", assignments, 6.0, True))
+        assert ok and codes == []
+        ok, codes = self.codes(PlacementPlan("slice-t", assignments, 12.0, True))
+        assert codes == [VIOLATION_LATENCY_MISMATCH]
+        self.slc = chained
+        ok, codes = self.codes(PlacementPlan("slice-t", assignments, 12.0, True))
+        assert codes == [VIOLATION_LATENCY_EXCEEDED]
 
     def test_unreachable_tenants_exceed_any_limit(self):
         self.infra = tiny_infra({"t-a": 2, "t-b": 2})

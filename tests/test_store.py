@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 import yaml
@@ -22,7 +23,7 @@ from slicectl.model import ResourceDemand
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
     FileAuditLog,
-    event_to_dict,
+    encode,
     load_audit,
     load_catalog,
     load_inventory,
@@ -32,6 +33,11 @@ from slicectl.store import (
     save_inventory,
     save_plan,
 )
+
+
+# catalog.json, inventory.yaml and audit.log as `slicectl demo slice-a`
+# wrote them before the generic codec replaced the per-type ones.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def active_engine():
@@ -102,12 +108,33 @@ class TestCatalogSnapshots:
         with pytest.raises(IoFailure, match="content hash"):
             load_catalog(path)
 
-    def test_corrupt_entity_payload(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw["slices"]["slice-a"].pop("profile"),
+            lambda raw: raw.update(customers=[]),
+            lambda raw: raw["functions"].update({"vf-core-cp": ["vf-core-cp"]}),
+            lambda raw: raw["slices"]["slice-a"].update(profile=[10.0]),
+            lambda raw: raw["records"]["slice-a"].update(state="certified"),
+            lambda raw: raw["providers"]["p-greyop"].update(
+                administrative_domains="core"
+            ),
+        ],
+        ids=[
+            "missing-field",
+            "list-for-map",
+            "list-for-entity",
+            "list-for-nested-entity",
+            "state-of-another-kind",
+            "string-for-list",
+        ],
+    )
+    def test_corrupt_entity_payload(self, tmp_path, damage):
         engine = scenario.slice_a_engine()
         path = tmp_path / "catalog.json"
         save_catalog(engine.catalog, path)
         raw = json.loads(path.read_text())
-        del raw["slices"]["slice-a"]["profile"]
+        damage(raw)
         path.write_text(json.dumps(raw))
         with pytest.raises(IoFailure, match="corrupt catalog"):
             load_catalog(path)
@@ -159,6 +186,49 @@ class TestInventorySnapshots:
         path.write_text(yaml.safe_dump(raw))
         with pytest.raises(IoFailure, match="does not equal the sum"):
             load_inventory(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw["hosts"][0].pop("capacity"),
+            lambda raw: raw["hosts"].append(["host-x"]),
+            lambda raw: raw["tenants"][0].update(quota=[1, 2]),
+        ],
+        ids=["missing-field", "list-for-entity", "list-for-nested-entity"],
+    )
+    def test_corrupt_entity_payload(self, tmp_path, damage):
+        path = tmp_path / "inventory.yaml"
+        save_inventory(build_testbed(), path)
+        raw = yaml.safe_load(path.read_text())
+        damage(raw)
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(IoFailure, match="corrupt inventory"):
+            load_inventory(path)
+
+    def test_fractional_usage_is_exact_after_release(self, tmp_path):
+        infra = build_testbed()
+        first = infra.allocate("tenant-cp", "svc-x", ResourceDemand(vcpu=0.1))
+        second = infra.allocate("tenant-cp", "svc-y", ResourceDemand(vcpu=0.2))
+        infra.release(first.id)
+        assert infra.tenants["tenant-cp"].used == ResourceDemand(vcpu=0.2)
+        path = tmp_path / "inventory.yaml"
+        save_inventory(infra, path)
+        assert load_inventory(path) == infra
+        infra.release(second.id)
+        assert infra.tenants["tenant-cp"].used == ResourceDemand()
+
+    def test_integer_usage_is_saved_as_integers(self, tmp_path):
+        infra = build_testbed()
+        infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
+        infra.allocate("tenant-cp", "svc-y", ResourceDemand(1, 512, 4, 1))
+        path = tmp_path / "inventory.yaml"
+        save_inventory(infra, path)
+        tenant = next(
+            t for t in yaml.safe_load(path.read_text())["tenants"]
+            if t["id"] == "tenant-cp"
+        )
+        assert tenant["used"] == {"vcpu": 3, "ram": 1536, "storage": 12, "ports": 3}
+        assert all(type(value) is int for value in tenant["used"].values())
 
     def test_yaml_syntax_errors_report_position(self, tmp_path):
         path = tmp_path / "inventory.yaml"
@@ -226,7 +296,7 @@ class TestAuditLog:
         path = tmp_path / "audit.log"
         with open(path, "w", encoding="utf-8") as handle:
             for seq in (1, 3):
-                handle.write(json.dumps(event_to_dict(event(seq))) + "\n")
+                handle.write(json.dumps(encode(event(seq))) + "\n")
         with pytest.raises(SequenceGap, match="expected sequence 2"):
             load_audit(path)
 
@@ -273,3 +343,22 @@ class TestPlanDocuments:
         path = tmp_path / "plan.yaml"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+
+def _rewrite_audit(source, target):
+    log = FileAuditLog(target)
+    for loaded in load_audit(source):
+        log.append(loaded)
+
+
+@pytest.mark.parametrize(
+    "name, rewrite",
+    [
+        ("catalog.json", lambda src, dst: save_catalog(load_catalog(src), dst)),
+        ("inventory.yaml", lambda src, dst: save_inventory(load_inventory(src), dst)),
+        ("audit.log", _rewrite_audit),
+    ],
+)
+def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
+    rewrite(GOLDEN / name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
