@@ -5,16 +5,29 @@ against offers (free tenant capacity) under the same-tenant rule: a service
 is never split, it lands on exactly one tenant. The objective is minimal
 end-to-end latency, the sum of inter-tenant hops between consecutive
 services in slice order, so only chain-ordered slices can be planned.
+
 Instances of up to EXHAUSTIVE_MAX_PAIRS service-tenant pairs are solved
-exactly; larger ones greedily. verify_plan re-checks every constraint
-through a separate flat code path so solver defects cannot hide.
+exactly, larger ones greedily; both solvers run on flat per-plan state
+addressed by index (_flat_state). The exact search is a branch and bound
+that tries the nearest tenant first and cuts a branch when its cost plus a
+lower bound on the hops still to come cannot beat the best plan found. The
+bound counts capacity: remaining services that cannot all stay on the
+current tenant must hop away at least once, and each further group that
+no tenant can hold together needs another hop. Among plans of exactly
+equal cost the one first in tenant-id order wins, whatever order the
+search meets them in. verify_plan re-checks every constraint through a
+separate flat code path so solver defects cannot hide.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import MissingFootprint, PlanInvalid, Unreachable
 from .infra import Infrastructure, IsolationClass
@@ -149,143 +162,262 @@ def offered_capabilities(infra: Infrastructure) -> list[CapabilityOffer]:
     return offers
 
 
-def _latency_table(
+def _latency_matrix(
     infra: Infrastructure, tenant_ids: list[str]
-) -> dict[tuple[str, str], float]:
-    table: dict[tuple[str, str], float] = {}
-    for a in tenant_ids:
-        for b in tenant_ids:
-            if a == b:
-                table[(a, b)] = 0.0
-                continue
-            if (b, a) in table:
-                table[(a, b)] = table[(b, a)]
-                continue
+) -> list[list[float]]:
+    """Tenant-to-tenant latency by index: 0 on the diagonal, inf where no
+    path exists, and each pair asked once, (b, a) mirroring (a, b)."""
+    size = len(tenant_ids)
+    rows = [[0.0] * size for _ in range(size)]
+    for i, a in enumerate(tenant_ids):
+        for j in range(i + 1, size):
             try:
-                table[(a, b)] = infra.tenant_latency(a, b)
+                hop = infra.tenant_latency(a, tenant_ids[j])
             except Unreachable:
-                table[(a, b)] = math.inf
-    return table
+                hop = math.inf
+            rows[i][j] = rows[j][i] = hop
+    return rows
 
 
-class _SolverState:
-    """Incremental feasibility bookkeeping for the search."""
-
-    def __init__(
-        self,
-        infra: Infrastructure,
-        offers: list[CapabilityOffer],
-    ):
-        self.infra = infra
-        self.free = {o.tenant: o.free for o in offers}
-        self.site = {o.tenant: o.site for o in offers}
-        self.host_class = {o.tenant: o.isolation_class for o in offers}
-        self.placed: dict[str, list[CapabilityRequirement]] = {
-            o.tenant: [] for o in offers
-        }
-        # Tenants already carrying live allocations are occupied by foreign
-        # services for isolation purposes.
-        self.occupied = {
-            o.tenant: bool(infra.allocations_on(o.tenant)) for o in offers
-        }
-
-    def admits(self, req: CapabilityRequirement, tenant: str) -> bool:
-        if req.affinity is not None and self.site[tenant] != req.affinity:
-            return False
-        if not req.demand.fits_within(self.free[tenant]):
-            return False
-        placed = self.placed[tenant]
-        if req.isolation is not IsolationLevel.SHARED:
-            if self.occupied[tenant] or placed:
-                return False
-        if any(p.isolation is not IsolationLevel.SHARED for p in placed):
-            return False
-        if req.isolation is IsolationLevel.DEDICATED_HOST:
-            host_id = self.infra.tenants[tenant].host
-            if self.host_class[tenant] is not IsolationClass.DEDICATED:
-                return False
-            if len(self.infra.tenants_on_host(host_id)) != 1:
-                return False
+def _admissible(
+    requirement: CapabilityRequirement,
+    offer: CapabilityOffer,
+    occupied: bool,
+    infra: Infrastructure,
+) -> bool:
+    """The checks no placement within the plan can change: affinity, and
+    for an exclusive service a tenant without foreign allocations and, on a
+    dedicated host, a dedicated host the tenant has to itself."""
+    if requirement.affinity is not None and offer.site != requirement.affinity:
+        return False
+    if requirement.isolation is IsolationLevel.SHARED:
         return True
+    if occupied:
+        return False
+    if requirement.isolation is IsolationLevel.DEDICATED_HOST:
+        if offer.isolation_class is not IsolationClass.DEDICATED:
+            return False
+        host_id = infra.tenants[offer.tenant].host
+        if len(infra.tenants_on_host(host_id)) != 1:
+            return False
+    return True
 
-    def place(self, req: CapabilityRequirement, tenant: str) -> None:
-        self.free[tenant] = self.free[tenant] - req.demand
-        self.placed[tenant].append(req)
 
-    def unplace(self, req: CapabilityRequirement, tenant: str) -> None:
-        self.free[tenant] = self.free[tenant] + req.demand
-        self.placed[tenant].pop()
+class _Flat(NamedTuple):
+    """The state both solvers run on, services s and tenants t by index.
+
+    Service s fits tenant t when admissible[s][t] holds, load[t] plus
+    demand[s] fits free[t] field by field, t holds no exclusive service of
+    this plan and, if s is exclusive, no service of it at all.
+
+    Loads are summed in chain order from zero, exactly as verify_plan sums
+    them, so the two agree on every float demand. Subtracting demands from
+    the free capacity instead rounds differently: 3.9 - 1.7 leaves room
+    for 2.2, while 1.7 + 2.2 exceeds 3.9.
+    """
+
+    free: list[tuple[float, float, float, float]]  # per tenant, from its offer
+    load: list[list[float]]  # per tenant, summed demand of this plan's services
+    placed: list[int]  # per tenant, how many of this plan's services
+    locked: list[bool]  # per tenant, holds an exclusive service of the plan
+    demand: list[tuple[float, float, float, float]]  # per service
+    exclusive: list[bool]  # per service, not of shared isolation
+    admissible: list[list[bool]]  # per service and tenant, see _admissible
+
+
+def _flat_state(
+    ordered: list[CapabilityRequirement],
+    offers: list[CapabilityOffer],
+    infra: Infrastructure,
+) -> _Flat:
+    # Tenants already carrying live allocations are occupied by foreign
+    # services for isolation purposes.
+    holders = {a.tenant for a in infra.allocations.values()}
+    occupied = [o.tenant in holders for o in offers]
+    return _Flat(
+        free=[o.free.as_tuple() for o in offers],
+        load=[[0, 0, 0, 0] for _ in offers],
+        placed=[0] * len(offers),
+        locked=[False] * len(offers),
+        demand=[r.demand.as_tuple() for r in ordered],
+        exclusive=[r.isolation is not IsolationLevel.SHARED for r in ordered],
+        admissible=[
+            [_admissible(r, o, busy, infra) for o, busy in zip(offers, occupied)]
+            for r in ordered
+        ],
+    )
+
+
+def _fit_columns(
+    demands: list[tuple[float, float, float, float]],
+) -> list[list[float]]:
+    """Per resource field, the running sums of these demands smallest first.
+
+    bisect_right(column, room) is then at least the number of the services
+    that fit together in that much room of the field. The sums are lowered
+    by a rounding allowance, so float demands are never counted out.
+    """
+    return [
+        [total - EPSILON * (1 + total) for total in accumulate(sorted(field))]
+        for field in zip(*demands)
+    ]
 
 
 def _solve_exhaustive(
     ordered: list[CapabilityRequirement],
-    tenant_ids: list[str],
-    latency: dict[tuple[str, str], float],
+    offers: list[CapabilityOffer],
+    infra: Infrastructure,
+    latency: list[list[float]],
     limit: float,
-    state: _SolverState,
-) -> tuple[list[str], float] | None:
-    """Depth-first search over assignment tuples in lexicographic tenant
-    order; the first optimum found is therefore the lexicographically
-    smallest one. Partial cost only grows, which justifies the pruning."""
-    best_tuple: list[str] | None = None
+) -> tuple[list[int], float] | None:
+    """Exact branch and bound over assignment tuples.
+
+    From the current tenant c, children are tried nearest-first. A node is
+    cut when its cost so far plus a lower bound on the hops still to come
+    exceeds the profile limit or the best cost found. The bound accounts
+    for capacity: if the remaining services cannot all fit on c, the chain
+    leaves c at least once, at no less than c's nearest other tenant; and
+    as no tenant can hold more than k of them, each further run of k
+    services needs one more hop, at no less than the smallest latency
+    between two distinct tenants (0 when two tenants share a host). What
+    still fits on c, and k, are counted per resource field from the
+    remaining demands, smallest first.
+
+    Ties: the result is the minimum cost and, among exactly equal costs,
+    the tuple that comes first in tenant order, which is what a depth-first
+    search in tenant order returns. A node whose bound equals the best cost
+    is therefore cut only when its prefix sorts after the best tuple's. A
+    positive bound is a float sum that rounding may put an ulp above the
+    hops it stands for, so it is lowered by EPSILON before the tests.
+    """
+    size = len(offers)
+    leaf = len(ordered) - 1
+    free, load, placed, locked, demand, exclusive, admissible = _flat_state(
+        ordered, offers, infra
+    )
+    nearest = [
+        min((hop for t, hop in enumerate(row) if t != c), default=math.inf)
+        for c, row in enumerate(latency)
+    ]
+    any_hop = min(nearest)
+    # Reachable tenants from each tenant, nearest first, ties in tenant order.
+    by_distance = [
+        sorted((t for t in range(size) if row[t] < math.inf), key=row.__getitem__)
+        for row in latency
+    ]
+    columns = [_fit_columns(demand[index:]) for index in range(leaf + 1)]
+    # The most services from each index on that one tenant could hold, on
+    # the capacity free before the search; it only shrinks with the index.
+    most = [
+        max(min(map(bisect_right, fields, room)) for room in free)
+        for fields in columns
+    ]
+    if not most[-1]:
+        return None  # the last service fits on no tenant
+    ceiling = limit + EPSILON
+    origin = [0.0] * size
+    best: list[int] = []
     best_cost = math.inf
-    chosen: list[str] = []
+    chosen: list[int] = []
 
-    def descend(index: int, partial: float) -> None:
-        nonlocal best_tuple, best_cost
-        if partial > limit + EPSILON:
-            return
-        if best_tuple is not None and partial >= best_cost:
-            return
-        if index == len(ordered):
-            best_tuple = list(chosen)
-            best_cost = partial
-            return
-        req = ordered[index]
-        for tenant in tenant_ids:
-            if not state.admits(req, tenant):
+    def descend(depth: int, current: int, partial: float) -> None:
+        nonlocal best, best_cost
+        d0, d1, d2, d3 = demand[depth]
+        alone = exclusive[depth]
+        allowed = admissible[depth]
+        if depth:
+            row, order = latency[current], by_distance[current]
+        else:
+            row, order = origin, range(size)
+        if depth < leaf:
+            c0, c1, c2, c3 = columns[depth + 1]
+            left = leaf - depth
+            widest = most[depth + 1]
+        for t in order:
+            cost = partial + row[t]
+            if cost > ceiling or cost > best_cost:
+                break  # nearest first: the other children cost no less
+            if not allowed[t] or locked[t] or (alone and placed[t]):
                 continue
-            hop = 0.0 if index == 0 else latency[(chosen[-1], tenant)]
-            if math.isinf(hop):
+            f0, f1, f2, f3 = free[t]
+            held = load[t]
+            l0, l1, l2, l3 = held
+            n0, n1, n2, n3 = l0 + d0, l1 + d1, l2 + d2, l3 + d3
+            if n0 > f0 or n1 > f1 or n2 > f2 or n3 > f3:
                 continue
-            state.place(req, tenant)
-            chosen.append(tenant)
-            descend(index + 1, partial + hop)
+            chosen.append(t)
+            if depth == leaf:
+                # Here cost <= best_cost; a tie wins with an earlier tuple.
+                if cost < best_cost or chosen < best:
+                    best, best_cost = chosen[:], cost
+                chosen.pop()
+                continue
+            fit = min(
+                bisect_right(c0, f0 - n0),
+                bisect_right(c1, f1 - n1),
+                bisect_right(c2, f2 - n2),
+                bisect_right(c3, f3 - n3),
+            )
+            if fit >= left:
+                lower = cost
+            else:
+                runs = (left - fit - 1) // widest + 1
+                bound = nearest[t] if runs == 1 else nearest[t] + (runs - 1) * any_hop
+                lower = cost + bound - EPSILON if bound else cost
+            if lower <= ceiling and (
+                lower < best_cost
+                or (lower == best_cost and chosen <= best[: depth + 1])
+            ):
+                held[0], held[1], held[2], held[3] = n0, n1, n2, n3
+                placed[t] += 1
+                locked[t] = alone
+                descend(depth + 1, t, cost)
+                held[0], held[1], held[2], held[3] = l0, l1, l2, l3
+                placed[t] -= 1
+                locked[t] = False
             chosen.pop()
-            state.unplace(req, tenant)
 
-    descend(0, 0.0)
-    if best_tuple is None:
+    descend(0, 0, 0.0)
+    if not best:
         return None
-    return best_tuple, best_cost
+    return best, best_cost
 
 
 def _solve_greedy(
     ordered: list[CapabilityRequirement],
-    tenant_ids: list[str],
-    latency: dict[tuple[str, str], float],
+    offers: list[CapabilityOffer],
+    infra: Infrastructure,
+    latency: list[list[float]],
     limit: float,
-    state: _SolverState,
-) -> tuple[list[str], float] | None:
-    chosen: list[str] = []
+) -> tuple[list[int], float] | None:
+    """One pass in chain order: each service goes to the tenant nearest
+    the previous service's that it fits, the first in tenant order among
+    ties. It may miss the optimum or a feasible plan."""
+    free, load, placed, locked, demand, exclusive, admissible = _flat_state(
+        ordered, offers, infra
+    )
+    chosen: list[int] = []
     total = 0.0
-    for index, req in enumerate(ordered):
-        best_tenant = None
-        best_hop = math.inf
-        for tenant in tenant_ids:
-            if not state.admits(req, tenant):
-                continue
-            hop = 0.0 if index == 0 else latency[(chosen[-1], tenant)]
-            # Strict improvement keeps the lexicographically first tenant
-            # among ties.
-            if hop < best_hop:
-                best_tenant = tenant
-                best_hop = hop
-        if best_tenant is None or math.isinf(best_hop):
+    for need, alone, allowed in zip(demand, exclusive, admissible):
+        row = latency[chosen[-1]] if chosen else [0.0] * len(offers)
+        pick, pick_hop = None, math.inf
+        for t, hop in enumerate(row):
+            # Strict improvement keeps the first tenant among ties.
+            if (
+                hop < pick_hop
+                and allowed[t]
+                and not locked[t]
+                and not (alone and placed[t])
+                and all(map(operator.le, map(operator.add, load[t], need), free[t]))
+            ):
+                pick, pick_hop = t, hop
+        if pick is None:
             return None
-        state.place(req, best_tenant)
-        chosen.append(best_tenant)
-        total += best_hop
+        load[pick] = list(map(operator.add, load[pick], need))
+        placed[pick] += 1
+        locked[pick] = alone
+        chosen.append(pick)
+        total += pick_hop
         if total > limit + EPSILON:
             return None
     return chosen, total
@@ -323,20 +455,21 @@ def plan_placement(
     ordered = [req_by_service[s] for s in slice.services]
     offers_sorted = sorted(offers, key=lambda o: o.tenant)
     tenant_ids = [o.tenant for o in offers_sorted]
-    latency = _latency_table(infra, tenant_ids)
-    limit = slice.profile.end_to_end_latency
-    state = _SolverState(infra, offers_sorted)
-
+    latency = _latency_matrix(infra, tenant_ids)
     if len(ordered) * len(tenant_ids) <= EXHAUSTIVE_MAX_PAIRS:
-        result = _solve_exhaustive(ordered, tenant_ids, latency, limit, state)
+        solve = _solve_exhaustive
     else:
-        result = _solve_greedy(ordered, tenant_ids, latency, limit, state)
+        solve = _solve_greedy
+    result = solve(
+        ordered, offers_sorted, infra, latency, slice.profile.end_to_end_latency
+    )
 
     if result is None:
         return PlacementPlan(slice.id, (), 0.0, False)
     chosen, cost = result
     assignments = tuple(
-        Assignment(service=s, tenant=t) for s, t in zip(slice.services, chosen)
+        Assignment(service=s, tenant=tenant_ids[t])
+        for s, t in zip(slice.services, chosen)
     )
     return PlacementPlan(slice.id, assignments, cost, True)
 
@@ -578,6 +711,7 @@ def plan_from_mapping(raw: object) -> PlacementPlan:
     """
     if not isinstance(raw, dict):
         raise PlanInvalid("plan document must be a mapping")
+    _refuse_unknown_keys(raw, ("slice", "e2e_latency", "assignments"))
     slice_id = raw.get("slice")
     if not isinstance(slice_id, str) or not slice_id:
         raise PlanInvalid("plan document needs a 'slice' id")
@@ -594,6 +728,7 @@ def plan_from_mapping(raw: object) -> PlacementPlan:
             raise PlanInvalid(
                 "each assignment needs 'service' and 'tenant' strings"
             )
+        _refuse_unknown_keys(entry, ("service", "tenant"))
         assignments.append(
             Assignment(service=entry["service"], tenant=entry["tenant"])
         )
@@ -606,3 +741,10 @@ def plan_from_mapping(raw: object) -> PlacementPlan:
         e2e_latency=float(e2e),
         feasible=True,
     )
+
+
+def _refuse_unknown_keys(raw: dict, known: tuple[str, ...]) -> None:
+    # A misspelt key would otherwise be read as if it were absent.
+    for key in raw:
+        if key not in known:
+            raise PlanInvalid(f"plan document has unknown key {key!r}")

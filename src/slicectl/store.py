@@ -9,8 +9,10 @@ into lifecycle records.
 
 Catalog, inventory entities and audit events all go through one codec,
 encode/decode, driven by the dataclasses' type hints; decoding calls the
-constructors, so every invariant check runs on load. Plan documents are
-outside input and keep their own field-by-field reader in placement.
+constructors, so every invariant check runs on load, and refuses keys that
+name no field. Plan documents are outside input and keep their own
+field-by-field reader in placement. A file that does not decode raises
+IoFailure naming the file as corrupt.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any, TypeVar
 
 import yaml
 
-from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
+from .errors import IoFailure, PlanInvalid, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
     ACTION_EFFECTS,
@@ -158,13 +160,16 @@ def _decoder(tp: Any) -> _Convert:
         }
 
         def decode_fields(raw):
-            # Keys absent from the file take the field default; the
-            # constructor runs every __post_init__ check.
+            # Keys absent from the file take the field default; a key that
+            # names no field is refused, since a misspelt one would
+            # otherwise load as that default. The constructor runs every
+            # __post_init__ check.
             kwargs = {}
             for name, value in raw.items():
-                if name in fields:
-                    dec = fields[name]
-                    kwargs[name] = value if dec is None else dec(value)
+                if name not in fields:
+                    raise ValueError(f"{tp.__name__} has no field {name!r}")
+                dec = fields[name]
+                kwargs[name] = value if dec is None else dec(value)
             return tp(**kwargs)
 
         return decode_fields
@@ -251,19 +256,24 @@ def load_catalog(path: str | Path) -> Catalog:
 
 # -- inventory ----------------------------------------------------------------
 
+_ENTITY_KINDS = ("hosts", "tenants", "links", "allocations")
+
 
 def inventory_to_dict(infra: Infrastructure) -> dict:
     """Each entity kind as a list sorted by id, then the allocation counter."""
     by_id = operator.attrgetter("id")
     layout: dict = {
         kind: [encode(e) for e in sorted(getattr(infra, kind).values(), key=by_id)]
-        for kind in ("hosts", "tenants", "links", "allocations")
+        for kind in _ENTITY_KINDS
     }
     layout["next_allocation_id"] = infra.next_allocation_id
     return layout
 
 
 def inventory_from_dict(raw: Mapping) -> Infrastructure:
+    for key in raw:
+        if key not in _ENTITY_KINDS and key != "next_allocation_id":
+            raise ValueError(f"inventory has no section {key!r}")
     infra = Infrastructure()
     for entry in raw.get("hosts", ()):
         infra.add_host(decode(Host, entry))
@@ -419,4 +429,8 @@ def save_plan(plan: PlacementPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> PlacementPlan:
-    return plan_from_mapping(_load_yaml(Path(path)))
+    raw = _load_yaml(Path(path))
+    try:
+        return plan_from_mapping(raw)
+    except PlanInvalid as exc:
+        raise IoFailure(f"{path}: corrupt plan: {exc}") from exc

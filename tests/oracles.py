@@ -59,15 +59,54 @@ def best_assignment(
     free: dict[str, tuple[float, float, float, float]],
     hop_latency,
     limit: float,
+    *,
+    isolation: dict[str, str] | None = None,
+    affinity: dict[str, str | None] | None = None,
+    occupied: dict[str, bool] | None = None,
+    site: dict[str, str] | None = None,
+    dedicated_host: dict[str, bool] | None = None,
 ) -> tuple[float, dict[str, str]] | None:
-    """Brute-force optimum over every assignment tuple (shared isolation).
+    """Brute-force optimum over every assignment tuple.
 
     hop_latency(a, b) must return the tenant-to-tenant latency (inf when
-    unreachable). Returns (e2e, assignment) for the cheapest feasible
-    tuple, lexicographically first among ties, or None.
+    unreachable). Per service, isolation is "shared" (the default),
+    "dedicated_tenant" or "dedicated_host", and affinity names the site its
+    tenant must be at. Per tenant, occupied says it already carries foreign
+    allocations, site where it is, and dedicated_host that its host is of
+    the dedicated class and carries no other tenant. A service that is not
+    shared must be the only one on its tenant, and that tenant unoccupied;
+    a dedicated-host one also needs a dedicated host. Returns (e2e,
+    assignment) for the cheapest feasible tuple, lexicographically first
+    among ties, or None.
     """
+    isolation = isolation or {}
+    affinity = affinity or {}
+    occupied = occupied or {}
+    site = site or {}
+    dedicated_host = dedicated_host or {}
+
+    def allowed(service: str, tenant: str) -> bool:
+        wanted = affinity.get(service)
+        if wanted is not None and site.get(tenant, "") != wanted:
+            return False
+        level = isolation.get(service, "shared")
+        if level != "shared" and occupied.get(tenant, False):
+            return False
+        return level != "dedicated_host" or dedicated_host.get(tenant, False)
+
     best: tuple[float, tuple[str, ...]] | None = None
     for combo in itertools.product(sorted(tenants), repeat=len(services)):
+        if not all(allowed(s, t) for s, t in zip(services, combo)):
+            continue
+        on_tenant: dict[str, list[str]] = {}
+        for service, tenant in zip(services, combo):
+            on_tenant.setdefault(tenant, []).append(service)
+        if any(
+            len(placed) > 1
+            and any(isolation.get(s, "shared") != "shared" for s in placed)
+            for placed in on_tenant.values()
+        ):
+            continue
         load: dict[str, list[float]] = {}
         for service, tenant in zip(services, combo):
             vector = load.setdefault(tenant, [0.0, 0.0, 0.0, 0.0])

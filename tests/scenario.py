@@ -332,3 +332,126 @@ def random_instance(rng: random.Random):
         "host_of": host_of,
         "limit": limit,
     }
+
+
+def random_constrained_instance(rng: random.Random):
+    """Random placement instance with every constraint the solver checks.
+
+    Up to 5 services x 5 tenants. Services mix isolation levels and site
+    affinities; tenants may share a host (0 ms between them), carry a
+    foreign allocation, or sit on a dedicated host; one host may have no
+    link at all. Link latencies are floats such as 0.37 ms, whose sums
+    round. The returned plain data describes the instance independently of
+    the infrastructure objects.
+    """
+    n_services = rng.randint(1, 5)
+    n_tenants = rng.randint(1, 5)
+    n_hosts = rng.randint((n_tenants + 1) // 2, n_tenants)
+    services = [f"s{i}" for i in range(n_services)]
+    tenants = [f"t{i}" for i in range(n_tenants)]
+    hosts = [f"h{i}" for i in range(n_hosts)]
+    host_site = {h: rng.choice(["core", "edge"]) for h in hosts}
+    host_dedicated = {h: rng.random() < 0.5 for h in hosts}
+    infra = Infrastructure()
+    for h in hosts:
+        infra.add_host(
+            Host(
+                id=h,
+                name=h,
+                capacity=ResourceDemand(64, 65536, 1024, 64),
+                site=host_site[h],
+                isolation_class="dedicated" if host_dedicated[h] else "shared",
+            )
+        )
+    # Every host gets a tenant; the rest land on random hosts.
+    host_of = {
+        t: hosts[i] if i < n_hosts else rng.choice(hosts)
+        for i, t in enumerate(tenants)
+    }
+    # The last host of three or more is left without links.
+    linked = hosts[:-1] if n_hosts >= 3 and rng.random() < 0.5 else hosts
+    links: list[tuple[str, str, float]] = []
+    pairs = [(rng.choice(linked[:i]), linked[i]) for i in range(1, len(linked))]
+    for _ in range(rng.randint(0, 2)):
+        if len(linked) >= 2:
+            pairs.append(tuple(rng.sample(linked, 2)))
+    for serial, (a, b) in enumerate(pairs):
+        latency = round(rng.uniform(0.05, 3.0), 2)
+        infra.add_link(
+            PhysicalLink(
+                id=f"l{serial}", endpoints=(a, b), latency=latency, bandwidth=1000.0
+            )
+        )
+        links.append((a, b, latency))
+    free = {}
+    occupied = {}
+    for t in tenants:
+        quota = (rng.randint(1, 6), rng.choice([2048, 4096]), rng.randint(8, 40), 4)
+        infra.add_tenant(
+            Tenant(
+                id=t, name=t, owner="p-rand", host=host_of[t],
+                quota=ResourceDemand(*quota),
+            )
+        )
+        held = (0, 0, 0, 0)
+        if rng.random() < 0.25:
+            held = (1, 512, 4, 1)
+            infra.allocate(t, f"foreign-{t}", ResourceDemand(*held))
+        free[t] = tuple(q - h for q, h in zip(quota, held))
+        occupied[t] = held != (0, 0, 0, 0)
+    tenants_per_host = {h: list(host_of.values()).count(h) for h in hosts}
+    dedicated_host = {
+        t: host_dedicated[host_of[t]] and tenants_per_host[host_of[t]] == 1
+        for t in tenants
+    }
+    demands = {}
+    isolation = {}
+    affinity = {}
+    requirements = []
+    for service_id in services:
+        demand = (
+            rng.randint(0, 3), rng.choice([0, 512, 1024]), rng.randint(0, 12),
+            rng.randint(0, 2),
+        )
+        level = rng.choices(
+            ["shared", "dedicated_tenant", "dedicated_host"], weights=[7, 2, 1]
+        )[0]
+        site = rng.choice(["core", "edge"]) if rng.random() < 0.2 else None
+        demands[service_id] = demand
+        isolation[service_id] = level
+        affinity[service_id] = site
+        requirements.append(
+            CapabilityRequirement(
+                service=service_id,
+                demand=ResourceDemand(*demand),
+                isolation=level,
+                affinity=site,
+            )
+        )
+    limit = rng.choice([1.0, 3.0, 6.0, 100.0])
+    slc = NetworkSlice(
+        id="slice-rand",
+        name="random",
+        customer="c",
+        provider="p",
+        services=tuple(services),
+        profile=ServiceProfile(
+            end_to_end_latency=limit,
+            guaranteed_data_rate=1.0,
+            service_availability=0.5,
+        ),
+    )
+    return slc, requirements, offered_capabilities(infra), infra, {
+        "services": services,
+        "tenants": tenants,
+        "demands": demands,
+        "free": free,
+        "links": links,
+        "host_of": host_of,
+        "limit": limit,
+        "isolation": isolation,
+        "affinity": affinity,
+        "occupied": occupied,
+        "site": {t: host_site[host_of[t]] for t in tenants},
+        "dedicated_host": dedicated_host,
+    }

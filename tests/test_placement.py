@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
+
+import oracles
+import scenario
 
 from slicectl.errors import MissingFootprint, PlanInvalid
 from slicectl.infra import (
@@ -218,6 +222,95 @@ class TestPlanPlacement:
         # Both tenants fit everything at zero cost; the tie goes left.
         assert [a.tenant for a in plan.assignments] == ["t-a", "t-a"]
 
+    def test_equal_cost_tie_found_late_still_goes_to_the_first_tuple(self):
+        # svc-0 fits only t-1, which it fills; t-3 holds one more service.
+        # From t-1 the search tries t-3 (1 ms) before t-2 (2 ms), so it
+        # meets (t-1, t-3, t-2) at 2 ms before (t-1, t-2, t-2), also 2 ms.
+        # The tie goes to the tuple first in tenant order.
+        infra = tiny_infra(
+            {"t-1": 4, "t-2": 2, "t-3": 1},
+            links=[("t-1", "t-3", 1.0), ("t-3", "t-2", 1.0)],
+        )
+        slc = replace(two_service_slice(), services=("svc-0", "svc-1", "svc-2"))
+        reqs = [requirement("svc-0", vcpu=4), requirement("svc-1"), requirement("svc-2")]
+        offers = offered_capabilities(infra)
+        plan = plan_placement(slc, reqs, offers, infra)
+        assert plan.e2e_latency == 2.0
+        assert [a.tenant for a in plan.assignments] == ["t-1", "t-2", "t-2"]
+        later = PlacementPlan(
+            slc.id,
+            tuple(
+                Assignment(s, t)
+                for s, t in zip(slc.services, ("t-1", "t-3", "t-2"))
+            ),
+            2.0,
+            True,
+        )
+        assert verify_plan(later, reqs, offers, infra, slice=slc)[0]
+
+    def test_bound_rounding_does_not_cut_an_equal_cost_tie(self):
+        # svc-0 fits only t-a, svc-1 only t-b or t-c, svc-2 and svc-3 one
+        # each on t-d and t-e. Nearest-first meets (a, c, d, e) first:
+        # 0.25 + 0.25 + 0.1 = 0.6. Below (a, b) it bounds the rest by t-b's
+        # nearest hop plus the smallest hop, and 0.3 + (0.2 + 0.1) rounds to
+        # 0.6000000000000001, one ulp above what (a, b, d, e) adds up to:
+        # (0.3 + 0.2) + 0.1 = 0.6. That tie comes first in tenant order.
+        infra = Infrastructure()
+        quotas = {
+            "t-a": ResourceDemand(storage=4),
+            "t-b": ResourceDemand(ports=1),
+            "t-c": ResourceDemand(ports=1),
+            "t-d": ResourceDemand(vcpu=1),
+            "t-e": ResourceDemand(vcpu=1),
+        }
+        for tenant_id, quota in quotas.items():
+            host_id = f"h-{tenant_id}"
+            infra.add_host(
+                Host(id=host_id, name=host_id, capacity=ResourceDemand(8, 8, 8, 8))
+            )
+            infra.add_tenant(
+                Tenant(id=tenant_id, name=tenant_id, owner="p", host=host_id, quota=quota)
+            )
+        for a, b, latency in [
+            ("a", "b", 0.3), ("a", "c", 0.25), ("b", "d", 0.2),
+            ("c", "d", 0.25), ("d", "e", 0.1),
+        ]:
+            infra.add_link(
+                PhysicalLink(
+                    id=f"l-{a}{b}", endpoints=(f"h-t-{a}", f"h-t-{b}"),
+                    latency=latency, bandwidth=1000.0,
+                )
+            )
+        slc = replace(
+            two_service_slice(), services=("svc-0", "svc-1", "svc-2", "svc-3")
+        )
+        reqs = [
+            CapabilityRequirement("svc-0", ResourceDemand(storage=4)),
+            CapabilityRequirement("svc-1", ResourceDemand(ports=1)),
+            CapabilityRequirement("svc-2", ResourceDemand(vcpu=1)),
+            CapabilityRequirement("svc-3", ResourceDemand(vcpu=1)),
+        ]
+        plan = plan_placement(slc, reqs, offered_capabilities(infra), infra)
+        assert plan.e2e_latency == 0.6
+        assert [a.tenant for a in plan.assignments] == ["t-a", "t-b", "t-d", "t-e"]
+
+    @pytest.mark.parametrize("pair_limit", [EXHAUSTIVE_MAX_PAIRS, 0])
+    def test_float_demands_add_up_as_the_verifier_adds_them(
+        self, monkeypatch, pair_limit
+    ):
+        # 3.9 - 1.7 >= 2.2 in floats, but 1.7 + 2.2 > 3.9: both services on
+        # t-a would fail verification with a cumulative overflow.
+        monkeypatch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", pair_limit)
+        slc = two_service_slice()
+        infra = tiny_infra({"t-a": 3.9, "t-b": 8}, links=[("t-a", "t-b", 1.0)])
+        reqs = [requirement("svc-a", vcpu=1.7), requirement("svc-b", vcpu=2.2)]
+        offers = offered_capabilities(infra)
+        plan = plan_placement(slc, reqs, offers, infra)
+        assert plan.feasible
+        assert plan.tenant_of("svc-a") != "t-a" or plan.tenant_of("svc-b") != "t-a"
+        ok, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
+        assert ok, violations
+
     def test_greedy_solver_is_selectable_and_verifies(self, monkeypatch):
         monkeypatch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", 0)
         slc = two_service_slice()
@@ -284,6 +377,70 @@ class TestPlanPlacement:
         assert plan.tenant_of("svc-a") == "tenant-cp"
         assert plan.tenant_of("svc-b") == "tenant-dp"
         assert plan.e2e_latency == 1.0
+
+    def test_constrained_instances_match_the_oracle(self, monkeypatch):
+        """On 250 instances with isolation, affinity, foreign allocations,
+        dedicated hosts, shared hosts and float latencies, the plan is the
+        brute-force optimum: the same e2e_latency to the bit and the same
+        assignment. Greedy plans verify and never beat it."""
+        outcomes = {"feasible": 0, "exclusive": 0, "zero_hop": 0}
+        for index in range(250):
+            rng = random.Random(20261018 + index)
+            slc, reqs, offers, infra, info = scenario.random_constrained_instance(rng)
+
+            def hop(a: str, b: str) -> float:
+                # The solver reads each pair from the tenant first in id
+                # order; a float path sum can differ in its last bit when
+                # added up from the other end.
+                a, b = sorted((a, b))
+                return oracles.shortest_latency(
+                    info["links"], info["host_of"][a], info["host_of"][b]
+                )
+
+            expected = oracles.best_assignment(
+                info["services"],
+                info["demands"],
+                info["tenants"],
+                info["free"],
+                hop,
+                info["limit"],
+                isolation=info["isolation"],
+                affinity=info["affinity"],
+                occupied=info["occupied"],
+                site=info["site"],
+                dedicated_host=info["dedicated_host"],
+            )
+            plan = plan_placement(slc, reqs, offers, infra)
+            if expected is None:
+                assert not plan.feasible, f"instance {index}: oracle says infeasible"
+                continue
+            opt_latency, opt_assignment = expected
+            assert plan.feasible, f"instance {index}: oracle found {opt_assignment}"
+            assert plan.e2e_latency == opt_latency, f"instance {index}"
+            assert {a.service: a.tenant for a in plan.assignments} == opt_assignment
+            ok, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
+            assert ok, f"instance {index}: {violations}"
+            outcomes["feasible"] += 1
+            outcomes["exclusive"] += any(
+                info["isolation"][s] != "shared" for s in info["services"]
+            )
+            chain = [opt_assignment[s] for s in info["services"]]
+            outcomes["zero_hop"] += any(
+                a != b and info["host_of"][a] == info["host_of"][b]
+                for a, b in zip(chain, chain[1:])
+            )
+
+            with monkeypatch.context() as patch:
+                patch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", 0)
+                greedy = plan_placement(slc, reqs, offers, infra)
+            if greedy.feasible:
+                ok, violations = verify_plan(greedy, reqs, offers, infra, slice=slc)
+                assert ok, f"instance {index}: greedy plan rejected {violations}"
+                assert greedy.e2e_latency >= opt_latency
+        # The sweep must reach both outcomes and the constraints it is for.
+        assert 0 < outcomes["feasible"] < 250
+        assert outcomes["exclusive"] > 0
+        assert outcomes["zero_hop"] > 0
 
 
 class TestVerifyPlan:

@@ -119,6 +119,9 @@ class TestCatalogSnapshots:
             lambda raw: raw["providers"]["p-greyop"].update(
                 administrative_domains="core"
             ),
+            lambda raw: raw["slices"]["slice-a"].update(
+                chain_ordr=not raw["slices"]["slice-a"].pop("chain_order")
+            ),
         ],
         ids=[
             "missing-field",
@@ -127,6 +130,7 @@ class TestCatalogSnapshots:
             "list-for-nested-entity",
             "state-of-another-kind",
             "string-for-list",
+            "misspelt-key",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage):
@@ -193,8 +197,16 @@ class TestInventorySnapshots:
             lambda raw: raw["hosts"][0].pop("capacity"),
             lambda raw: raw["hosts"].append(["host-x"]),
             lambda raw: raw["tenants"][0].update(quota=[1, 2]),
+            lambda raw: raw["hosts"][0].update(isolation="dedicated"),
+            lambda raw: raw.update(link=[]),
         ],
-        ids=["missing-field", "list-for-entity", "list-for-nested-entity"],
+        ids=[
+            "missing-field",
+            "list-for-entity",
+            "list-for-nested-entity",
+            "misspelt-key",
+            "misspelt-section",
+        ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage):
         path = tmp_path / "inventory.yaml"
@@ -283,6 +295,14 @@ class TestAuditLog:
         with pytest.raises(IoFailure, match=r"audit\.log:2"):
             load_audit(path)
 
+    def test_misspelt_key_is_refused(self, tmp_path):
+        path = tmp_path / "audit.log"
+        raw = encode(event(1))
+        raw["outcom"] = raw.pop("outcome")
+        path.write_text(json.dumps(raw) + "\n")
+        with pytest.raises(IoFailure, match=r"audit\.log:1: corrupt audit record.*'outcom'"):
+            load_audit(path)
+
     def test_blank_lines_are_tolerated(self, tmp_path):
         path = tmp_path / "audit.log"
         log = FileAuditLog(path)
@@ -343,6 +363,26 @@ class TestPlanDocuments:
         path = tmp_path / "plan.yaml"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+    @pytest.mark.parametrize(
+        "damage, key",
+        [
+            (lambda raw: raw.update(e2e_latncy=raw.pop("e2e_latency")), "e2e_latncy"),
+            (lambda raw: raw["assignments"][0].update(tennant="tenant-dp"), "tennant"),
+        ],
+        ids=["document-key", "assignment-key"],
+    )
+    def test_misspelt_key_is_refused(self, tmp_path, damage, key):
+        plan = PlacementPlan(
+            "slice-a", (Assignment("svc-core-cp", "tenant-cp"),), 0.0, True
+        )
+        path = tmp_path / "plan.yaml"
+        save_plan(plan, path)
+        raw = yaml.safe_load(path.read_text())
+        damage(raw)
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(IoFailure, match=f"corrupt plan.*'{key}'"):
+            load_plan(path)
 
 
 def _rewrite_audit(source, target):
