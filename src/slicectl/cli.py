@@ -35,7 +35,6 @@ from .lifecycle import (
 from .model import (
     Customer,
     NetworkSlice,
-    ResourceDemand,
     ServiceProfile,
     ServiceRequirement,
     SliceProvider,
@@ -55,6 +54,7 @@ from .store import (
     CATALOG_FILE,
     INVENTORY_FILE,
     FileAuditLog,
+    decode,
     encode,
     load_audit,
     load_catalog,
@@ -63,6 +63,7 @@ from .store import (
     save_catalog,
     save_inventory,
     save_plan,
+    _load_yaml,
 )
 from .template import (
     RuleSet,
@@ -158,64 +159,63 @@ def _fixture_text(name: str) -> str:
 # -- slice descriptors ---------------------------------------------------------
 
 
+_DESCRIPTOR_SECTIONS = {"slice", "profile", "requirements", "customer", "provider"}
+_SLICE_KEYS = {"id", "name", "customer", "provider", "services", "chain_order"}
+
+
 def _slice_from_descriptor(
     raw: object, engine: Orchestrator
 ) -> tuple[NetworkSlice, SliceTemplate]:
     """Build slice and template from a descriptor document.
 
     Optional customer/provider sections are registered as a side effect so
-    a descriptor is self-contained.
+    a descriptor is self-contained. The sections decode like catalog
+    entities, and a key that names no field is refused, not dropped.
     """
     if not isinstance(raw, dict):
         raise IoFailure("slice descriptor must be a mapping")
     try:
         slice_raw = raw["slice"]
-        profile_raw = raw["profile"]
-        requirements_raw = raw["requirements"]
-        customer_id = slice_raw["customer"]
-        provider_id = slice_raw["provider"]
+        unknown = sorted(set(raw) - _DESCRIPTOR_SECTIONS)
+        unknown += sorted(set(slice_raw) - _SLICE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         name = slice_raw["name"]
-        profile = ServiceProfile(**profile_raw)
         requirements = {
-            service_id: ServiceRequirement(
-                latency_budget=entry["latency_budget"],
-                reliability=entry["reliability"],
-                data_rate=entry["data_rate"],
-                demand=ResourceDemand(**entry.get("demand", {})),
-            )
-            for service_id, entry in requirements_raw.items()
+            service_id: decode(ServiceRequirement, entry)
+            for service_id, entry in raw["requirements"].items()
         }
         slc = NetworkSlice(
             id=slice_raw.get("id") or f"slice-{_slug(name)}",
             name=name,
-            customer=customer_id,
-            provider=provider_id,
+            customer=slice_raw["customer"],
+            provider=slice_raw["provider"],
             services=tuple(slice_raw["services"]),
-            profile=profile,
+            profile=decode(ServiceProfile, raw["profile"]),
             chain_order=slice_raw.get("chain_order", True),
         )
-        customer_raw = raw.get("customer")
-        if isinstance(customer_raw, dict):
+        if isinstance(raw.get("customer"), dict):
             engine.register_customer(
-                Customer(
-                    id=customer_id,
-                    name=customer_raw.get("name", customer_id),
-                    description=customer_raw.get("description", ""),
-                    category=customer_raw.get("category", ""),
+                decode(
+                    Customer,
+                    {"name": slc.customer, **raw["customer"], "id": slc.customer},
                 )
             )
-        provider_raw = raw.get("provider")
-        if isinstance(provider_raw, dict):
+        if isinstance(raw.get("provider"), dict):
             engine.register_provider(
-                SliceProvider(
-                    id=provider_id,
-                    name=provider_raw.get("name", provider_id),
-                    administrative_domains=frozenset(
-                        provider_raw.get("administrative_domains", ("default",))
-                    ),
+                decode(
+                    SliceProvider,
+                    {
+                        "name": slc.provider,
+                        "administrative_domains": ["default"],
+                        **raw["provider"],
+                        "id": slc.provider,
+                    },
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except SliceError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"bad slice descriptor: {exc!r}") from exc
     template = make_slice_template(slc, requirements)
     return slc, template
@@ -340,7 +340,7 @@ def _make_advance_handler(action: str):
 
 def _cmd_create_slice(args) -> CommandResult:
     root = _resolve_root(args)
-    raw = yaml.safe_load(_read_file(args.descriptor))
+    raw = _load_yaml(Path(args.descriptor))
     with _locked(root):
         engine = _open_engine(root)
         slc, template = _slice_from_descriptor(raw, engine)

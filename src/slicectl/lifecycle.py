@@ -1,15 +1,18 @@
 """Role-gated design-time workflow for VFs, services, and whole slices.
 
 The orchestration engine owns all catalog mutation. Every operation is
-gated by the acting role, records exactly one audit event per outcome
-(ok, denied, failed), and appends the event before touching state, so the
-log always explains the catalog. Slice-level operations add the
+gated by the acting role and records exactly one audit event per outcome
+(ok, denied, failed). Orchestrator._commit is the only place an ok event is
+logged and applied: it appends the event first, then folds it into the
+lifecycle records with apply_event, the same fold that replays the log, so
+the log always explains the catalog. Slice-level operations add the
 abstraction the per-service workflow lacks: readiness derivation,
 plan-driven instantiation with all-or-nothing rollback, and teardown.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import re
@@ -61,7 +64,6 @@ from .template import (
     ResourceKind,
     RuleSet,
     Severity,
-    TemplateDocument,
     ValidationReport,
     merge_reports,
     parse_template,
@@ -131,7 +133,7 @@ PERMISSIONS: dict[str, frozenset[Role]] = {
     "teardown_slice": frozenset({Role.OPERATOR}),
 }
 
-# How each logged ok-action folds into lifecycle state during replay:
+# How each logged ok-action folds into lifecycle state, live and in replay:
 # action -> (artifact kind, resulting state, whether the action creates the
 # record). Derived actions (slice_ready and friends) appear here too so the
 # log alone reconstructs every record.
@@ -155,14 +157,11 @@ ACTION_EFFECTS: dict[str, tuple[ArtifactKind, object, bool]] = {
     "teardown_slice": (ArtifactKind.SLICE, SliceState.TERMINATED, False),
 }
 
-_ADVANCE_STEPS: dict[str, tuple[str, ServiceState, ServiceState]] = {
-    "test": ("test_service", ServiceState.DESIGNED, ServiceState.TESTED),
-    "approve": ("approve_service", ServiceState.TESTED, ServiceState.APPROVED),
-    "distribute": (
-        "distribute_service",
-        ServiceState.APPROVED,
-        ServiceState.DISTRIBUTED,
-    ),
+# advance_service step -> (audit action, state the step needs).
+_ADVANCE_STEPS: dict[str, tuple[str, ServiceState]] = {
+    "test": ("test_service", ServiceState.DESIGNED),
+    "approve": ("approve_service", ServiceState.TESTED),
+    "distribute": ("distribute_service", ServiceState.APPROVED),
 }
 
 
@@ -219,6 +218,33 @@ class Catalog:
     template_blobs: dict[str, str] = field(default_factory=dict)
 
 
+def apply_event(
+    records: dict[str, LifecycleRecord], event: AuditEvent
+) -> LifecycleRecord | None:
+    """Fold one audit event into the records through ACTION_EFFECTS.
+
+    A creating action starts a record; any other ok action moves its
+    subject's record to the action's state and appends the event to its
+    history. Denied and failed events, actions without an effect, and
+    subjects with no record of the action's kind change nothing. Returns
+    the record the event moved, or None.
+    """
+    effect = ACTION_EFFECTS.get(event.action)
+    if event.outcome is not Outcome.OK or effect is None:
+        return None
+    kind, state, creates = effect
+    if creates:
+        record = LifecycleRecord(event.subject, kind, state, [event.sequence_no])
+        records[event.subject] = record
+        return record
+    record = records.get(event.subject)
+    if record is None or record.kind is not kind:
+        return None
+    record.state = state
+    record.history.append(event.sequence_no)
+    return record
+
+
 def _slug(name: str) -> str:
     slug = re.sub(r"-+", "-", "".join(
         ch if ch.isalnum() else "-" for ch in name.lower()
@@ -250,7 +276,6 @@ class Orchestrator:
         self._clock = clock
         self._next_seq = start_sequence
         self._last_ts = last_timestamp
-        self._doc_cache: dict[str, TemplateDocument] = {}
         self._footprint_cache: dict[str, ResourceDemand] = {}
 
     # -- registration (catalog plumbing, no lifecycle records) -------------
@@ -310,14 +335,37 @@ class Orchestrator:
             self._emit(actor, action, subject, Outcome.DENIED)
             raise RoleDenied(f"role {actor.value!r} may not {action}")
 
-    def _fail(self, actor: Role, action: str, subject: str, exc: SliceError):
-        self._emit(actor, action, subject, Outcome.FAILED)
-        raise exc
+    @contextlib.contextmanager
+    def _attempt(self, actor: Role, action: str, subject: str):
+        """Gate the role, then log a failed event for any SliceError inside."""
+        self._gate(actor, action, subject)
+        try:
+            yield
+        except SliceError:
+            self._emit(actor, action, subject, Outcome.FAILED)
+            raise
 
-    def _record(self, kind: ArtifactKind, subject: str) -> LifecycleRecord:
+    def _commit(self, actor: Role, action: str, subject: str) -> LifecycleRecord:
+        """Log one ok event, then apply it to the records."""
+        event = self._emit(actor, action, subject, Outcome.OK)
+        return apply_event(self.catalog.records, event)
+
+    def _record(
+        self,
+        kind: ArtifactKind,
+        subject: str,
+        verb: str = "",
+        *states: VfState | ServiceState | SliceState,
+    ) -> LifecycleRecord:
+        """The subject's record; when states are given, it must be in one."""
         record = self.catalog.records.get(subject)
         if record is None or record.kind is not kind:
             raise UnknownEntity(f"no {kind.value} record for {subject!r}")
+        if states and record.state not in states:
+            raise InvalidTransition(
+                f"{kind.value} {subject!r} is {record.state.value},"
+                f" {verb} needs {' or '.join(state.value for state in states)}"
+            )
         return record
 
     def _fresh_id(self, base: str) -> str:
@@ -343,8 +391,7 @@ class Orchestrator:
         The template text is content-addressed into the catalog so the
         certified artifact can never drift from what was validated.
         """
-        self._gate(actor, "onboard_vf", vsp_id)
-        try:
+        with self._attempt(actor, "onboard_vf", vsp_id):
             vsp = self.catalog.vsps.get(vsp_id)
             if vsp is None:
                 raise UnknownEntity(f"unknown vendor software product {vsp_id!r}")
@@ -374,12 +421,9 @@ class Orchestrator:
             if not report.accepted:
                 raise TemplateRejected(report)
             footprint = resource_footprint(doc)
-        except SliceError as exc:
-            self._fail(actor, "onboard_vf", vsp_id, exc)
 
         digest = hashlib.sha256(template_text.encode("utf-8")).hexdigest()
         self.catalog.template_blobs[digest] = template_text
-        self._doc_cache[digest] = doc
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
         components = []
@@ -405,34 +449,17 @@ class Orchestrator:
             components=tuple(components),
             template_ref=digest,
         )
-        event = self._emit(actor, "onboard_vf", vf_id, Outcome.OK)
+        record = self._commit(actor, "onboard_vf", vf_id)
         self.catalog.functions[vf_id] = function
         self.catalog.vsps[vsp_id] = replace(
             vsp, owned_resources=vsp.owned_resources | {vf_id}
         )
-        record = LifecycleRecord(
-            subject=vf_id,
-            kind=ArtifactKind.VF,
-            state=VfState.DRAFT,
-            history=[event.sequence_no],
-        )
-        self.catalog.records[vf_id] = record
         return record
 
     def certify_vf(self, actor: Role, vf_id: str) -> LifecycleRecord:
-        self._gate(actor, "certify_vf", vf_id)
-        try:
-            record = self._record(ArtifactKind.VF, vf_id)
-            if record.state is not VfState.DRAFT:
-                raise InvalidTransition(
-                    f"vf {vf_id!r} is {record.state.value}, certify needs draft"
-                )
-        except SliceError as exc:
-            self._fail(actor, "certify_vf", vf_id, exc)
-        event = self._emit(actor, "certify_vf", vf_id, Outcome.OK)
-        record.state = VfState.CERTIFIED
-        record.history.append(event.sequence_no)
-        return record
+        with self._attempt(actor, "certify_vf", vf_id):
+            self._record(ArtifactKind.VF, vf_id, "certify", VfState.DRAFT)
+        return self._commit(actor, "certify_vf", vf_id)
 
     # -- services -----------------------------------------------------------
 
@@ -445,8 +472,7 @@ class Orchestrator:
         service_id: str | None = None,
     ) -> LifecycleRecord:
         subject = service_id or name
-        self._gate(actor, "create_service", subject)
-        try:
+        with self._attempt(actor, "create_service", subject):
             if not vf_ids:
                 raise EmptyService("a service needs at least one network function")
             for vf_id in vf_ids:
@@ -457,19 +483,10 @@ class Orchestrator:
                     raise UncertifiedVf(f"vf {vf_id!r} is not certified")
             if service_id is not None and service_id in self.catalog.records:
                 raise InvalidTransition(f"id {service_id!r} already exists")
-        except SliceError as exc:
-            self._fail(actor, "create_service", subject, exc)
         sid = service_id or self._fresh_id(f"svc-{_slug(name)}")
         service = NetworkService(id=sid, name=name, functions=tuple(vf_ids))
-        event = self._emit(actor, "create_service", sid, Outcome.OK)
+        record = self._commit(actor, "create_service", sid)
         self.catalog.services[sid] = service
-        record = LifecycleRecord(
-            subject=sid,
-            kind=ArtifactKind.SERVICE,
-            state=ServiceState.DESIGNED,
-            history=[event.sequence_no],
-        )
-        self.catalog.records[sid] = record
         return record
 
     def advance_service(
@@ -482,21 +499,11 @@ class Orchestrator:
                 f"unknown action {action!r}, expected one of"
                 f" {sorted(_ADVANCE_STEPS)}"
             )
-        audit_action, pre_state, post_state = step
-        self._gate(actor, audit_action, service_id)
-        try:
-            record = self._record(ArtifactKind.SERVICE, service_id)
-            if record.state is not pre_state:
-                raise InvalidTransition(
-                    f"service {service_id!r} is {record.state.value},"
-                    f" {action} needs {pre_state.value}"
-                )
-        except SliceError as exc:
-            self._fail(actor, audit_action, service_id, exc)
-        event = self._emit(actor, audit_action, service_id, Outcome.OK)
-        record.state = post_state
-        record.history.append(event.sequence_no)
-        if post_state is ServiceState.DISTRIBUTED:
+        audit_action, pre_state = step
+        with self._attempt(actor, audit_action, service_id):
+            self._record(ArtifactKind.SERVICE, service_id, action, pre_state)
+        record = self._commit(actor, audit_action, service_id)
+        if record.state is ServiceState.DISTRIBUTED:
             self._propagate_readiness(actor, service_id)
         return record
 
@@ -504,23 +511,17 @@ class Orchestrator:
         self, actor: Role, service_id: str, tenant_id: str
     ) -> LifecycleRecord:
         """Instantiate one distributed service on a single tenant."""
-        self._gate(actor, "instantiate_service", service_id)
-        infra = self._require_infra()
-        try:
-            record = self._record(ArtifactKind.SERVICE, service_id)
-            if record.state is not ServiceState.DISTRIBUTED:
-                raise InvalidTransition(
-                    f"service {service_id!r} is {record.state.value},"
-                    f" instantiate needs distributed"
-                )
+        with self._attempt(actor, "instantiate_service", service_id):
+            infra = self._require_infra()
+            self._record(
+                ArtifactKind.SERVICE,
+                service_id,
+                "instantiate",
+                ServiceState.DISTRIBUTED,
+            )
             footprint = self.footprint_of_service(service_id)
             infra.allocate(tenant_id, service_id, footprint)
-        except SliceError as exc:
-            self._fail(actor, "instantiate_service", service_id, exc)
-        event = self._emit(actor, "instantiate_service", service_id, Outcome.OK)
-        record.state = ServiceState.INSTANTIATED
-        record.history.append(event.sequence_no)
-        return record
+        return self._commit(actor, "instantiate_service", service_id)
 
     # -- slices -------------------------------------------------------------
 
@@ -532,8 +533,7 @@ class Orchestrator:
             raise ValueError(
                 f"template belongs to {template.slice_id!r}, not {slice.id!r}"
             )
-        self._gate(actor, "create_slice", slice.id)
-        try:
+        with self._attempt(actor, "create_slice", slice.id):
             if slice.id in self.catalog.records:
                 raise InvalidTransition(f"id {slice.id!r} already exists")
             for service_id in slice.services:
@@ -547,19 +547,10 @@ class Orchestrator:
                 for service_id in slice.services
             }
             slice_sla = aggregate_sla(slice, service_slas)
-        except SliceError as exc:
-            self._fail(actor, "create_slice", slice.id, exc)
         stored = with_sla(slice, slice_sla)
-        event = self._emit(actor, "create_slice", slice.id, Outcome.OK)
+        record = self._commit(actor, "create_slice", slice.id)
         self.catalog.slices[slice.id] = stored
         self.catalog.slice_templates[slice.id] = template
-        record = LifecycleRecord(
-            subject=slice.id,
-            kind=ArtifactKind.SLICE,
-            state=SliceState.DRAFTED,
-            history=[event.sequence_no],
-        )
-        self.catalog.records[slice.id] = record
         self._check_slice_ready(actor, slice.id)
         return record
 
@@ -580,9 +571,7 @@ class Orchestrator:
             member = self.catalog.records.get(service_id)
             if member is None or member.state is not ServiceState.DISTRIBUTED:
                 return
-        event = self._emit(actor, "slice_ready", slice_id, Outcome.OK)
-        record.state = SliceState.READY
-        record.history.append(event.sequence_no)
+        self._commit(actor, "slice_ready", slice_id)
 
     def footprint_of_service(self, service_id: str) -> ResourceDemand:
         """Total footprint of a service's virtual functions.
@@ -606,14 +595,10 @@ class Orchestrator:
     def _template_footprint(self, digest: str) -> ResourceDemand:
         footprint = self._footprint_cache.get(digest)
         if footprint is None:
-            doc = self._doc_cache.get(digest)
-            if doc is None:
-                text = self.catalog.template_blobs.get(digest)
-                if text is None:
-                    raise UnknownEntity(f"no template blob {digest!r}")
-                doc = parse_template(text)
-                self._doc_cache[digest] = doc
-            footprint = resource_footprint(doc)
+            text = self.catalog.template_blobs.get(digest)
+            if text is None:
+                raise UnknownEntity(f"no template blob {digest!r}")
+            footprint = resource_footprint(parse_template(text))
             self._footprint_cache[digest] = footprint
         return footprint
 
@@ -671,24 +656,17 @@ class Orchestrator:
         call made and raises PartialFailure. In best-effort mode successful
         services are kept and the slice lands in partially_instantiated.
         """
-        self._gate(actor, "instantiate_slice", slice_id)
-        infra = self._require_infra()
-        try:
-            record = self._record(ArtifactKind.SLICE, slice_id)
+        with self._attempt(actor, "instantiate_slice", slice_id):
+            infra = self._require_infra()
+            record = self._record(
+                ArtifactKind.SLICE, slice_id, "instantiate", SliceState.READY
+            )
             slc = self.catalog.slices[slice_id]
-            if record.state is not SliceState.READY:
-                raise InvalidTransition(
-                    f"slice {slice_id!r} is {record.state.value},"
-                    f" instantiate needs ready"
-                )
-            member_records = {
-                service_id: self._record(ArtifactKind.SERVICE, service_id)
-                for service_id in slc.services
-            }
             lagging = [
                 service_id
-                for service_id, member in member_records.items()
-                if member.state is not ServiceState.DISTRIBUTED
+                for service_id in slc.services
+                if self._record(ArtifactKind.SERVICE, service_id).state
+                is not ServiceState.DISTRIBUTED
             ]
             if lagging:
                 raise InvalidTransition(
@@ -713,8 +691,6 @@ class Orchestrator:
                     }
                 )
                 raise PlanInvalid(f"plan rejected: {', '.join(codes)}")
-        except SliceError as exc:
-            self._fail(actor, "instantiate_slice", slice_id, exc)
 
         demand_of = {r.service: r.demand for r in requirements}
         tenant_of = {a.service: a.tenant for a in plan.assignments}
@@ -743,73 +719,50 @@ class Orchestrator:
             # failure durable.
             for allocation in reversed(placed):
                 infra.release(allocation.id)
-            self._emit(actor, "instantiate_service", failures[0], Outcome.FAILED)
+            placed = []
+        for service_id in failures:
+            self._emit(actor, "instantiate_service", service_id, Outcome.FAILED)
+        if not placed:
             self._emit(actor, "instantiate_slice", slice_id, Outcome.FAILED)
-            raise PartialFailure(failures[0], failure_reason)
-
-        succeeded = {allocation.service for allocation in placed}
-        if failures:
-            for service_id in failures:
-                self._emit(
-                    actor, "instantiate_service", service_id, Outcome.FAILED
-                )
-            if not succeeded:
-                self._emit(actor, "instantiate_slice", slice_id, Outcome.FAILED)
-                return record
-            for service_id in slc.services:
-                if service_id in succeeded:
-                    event = self._emit(
-                        actor, "instantiate_service", service_id, Outcome.OK
-                    )
-                    member_records[service_id].state = ServiceState.INSTANTIATED
-                    member_records[service_id].history.append(event.sequence_no)
-            event = self._emit(
-                actor, "partially_instantiate_slice", slice_id, Outcome.OK
-            )
-            record.state = SliceState.PARTIALLY_INSTANTIATED
-            record.history.append(event.sequence_no)
+            if self.atomic:
+                raise PartialFailure(failures[0], failure_reason)
             return record
-
+        succeeded = {allocation.service for allocation in placed}
         for service_id in slc.services:
-            event = self._emit(actor, "instantiate_service", service_id, Outcome.OK)
-            member_records[service_id].state = ServiceState.INSTANTIATED
-            member_records[service_id].history.append(event.sequence_no)
-        event = self._emit(actor, "instantiate_slice", slice_id, Outcome.OK)
-        record.state = SliceState.ACTIVE
-        record.history.append(event.sequence_no)
-        return record
+            if service_id in succeeded:
+                self._commit(actor, "instantiate_service", service_id)
+        if failures:
+            return self._commit(actor, "partially_instantiate_slice", slice_id)
+        return self._commit(actor, "instantiate_slice", slice_id)
 
     def teardown_slice(self, actor: Role, slice_id: str) -> LifecycleRecord:
-        """Release every member allocation and terminate the slice."""
-        self._gate(actor, "teardown_slice", slice_id)
-        infra = self._require_infra()
-        try:
-            record = self._record(ArtifactKind.SLICE, slice_id)
-            if record.state not in (
+        """Terminate every instantiated member, then the slice.
+
+        Write-ahead: a member's allocations are released only after its
+        terminate_service event is logged, and any other member allocation
+        only after the teardown_slice event, so a failing audit sink leaves
+        capacity held exactly by the members still recorded instantiated.
+        """
+        with self._attempt(actor, "teardown_slice", slice_id):
+            self._require_infra()
+            self._record(
+                ArtifactKind.SLICE,
+                slice_id,
+                "teardown",
                 SliceState.ACTIVE,
                 SliceState.PARTIALLY_INSTANTIATED,
-            ):
-                raise InvalidTransition(
-                    f"slice {slice_id!r} is {record.state.value},"
-                    f" teardown needs active or partially_instantiated"
-                )
-        except SliceError as exc:
-            self._fail(actor, "teardown_slice", slice_id, exc)
+            )
         slc = self.catalog.slices[slice_id]
-        members = set(slc.services)
-        for allocation in [
-            a for a in infra.allocations.values() if a.service in members
-        ]:
-            infra.release(allocation.id)
         for service_id in slc.services:
-            member = self.catalog.records[service_id]
-            if member.state is ServiceState.INSTANTIATED:
-                event = self._emit(
-                    actor, "terminate_service", service_id, Outcome.OK
-                )
-                member.state = ServiceState.TERMINATED
-                member.history.append(event.sequence_no)
-        event = self._emit(actor, "teardown_slice", slice_id, Outcome.OK)
-        record.state = SliceState.TERMINATED
-        record.history.append(event.sequence_no)
+            if self.catalog.records[service_id].state is ServiceState.INSTANTIATED:
+                self._commit(actor, "terminate_service", service_id)
+                self._release_held({service_id})
+        record = self._commit(actor, "teardown_slice", slice_id)
+        self._release_held(set(slc.services))
         return record
+
+    def _release_held(self, services: set[str]) -> None:
+        for allocation in [
+            a for a in self.infra.allocations.values() if a.service in services
+        ]:
+            self.infra.release(allocation.id)

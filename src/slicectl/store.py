@@ -5,7 +5,8 @@ inventory.yaml (infrastructure snapshot), audit.log (append-only JSON
 lines). Snapshots are written atomically (temp file, fsync, rename), so an
 interrupted save never corrupts the previous file. The audit file is the
 write-ahead record of the lifecycle engine; replay_states folds it back
-into lifecycle records.
+into lifecycle records with lifecycle.apply_event, the fold the engine
+applies to each event it logs.
 
 Catalog, inventory entities and audit events all go through one codec,
 encode/decode, driven by the dataclasses' type hints; decoding calls the
@@ -37,12 +38,11 @@ import yaml
 from .errors import IoFailure, PlanInvalid, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
-    ACTION_EFFECTS,
     CATALOG_VERSION,
     AuditEvent,
     Catalog,
     LifecycleRecord,
-    Outcome,
+    apply_event,
 )
 from .placement import PlacementPlan, plan_from_mapping, plan_to_mapping
 
@@ -386,37 +386,12 @@ def replay_states(
     Replay over the full log from an empty catalog reconstructs the live
     records exactly; denied and failed events change nothing by design.
     """
-    records: dict[str, LifecycleRecord] = {}
-    if initial:
-        records = {
-            key: LifecycleRecord(
-                subject=record.subject,
-                kind=record.kind,
-                state=record.state,
-                history=list(record.history),
-            )
-            for key, record in initial.items()
-        }
+    records = {
+        key: dataclasses.replace(record, history=list(record.history))
+        for key, record in (initial or {}).items()
+    }
     for event in events:
-        if event.outcome is not Outcome.OK:
-            continue
-        effect = ACTION_EFFECTS.get(event.action)
-        if effect is None:
-            continue
-        kind, state, creates = effect
-        if creates:
-            records[event.subject] = LifecycleRecord(
-                subject=event.subject,
-                kind=kind,
-                state=state,
-                history=[event.sequence_no],
-            )
-            continue
-        record = records.get(event.subject)
-        if record is None or record.kind is not kind:
-            continue
-        record.state = state
-        record.history.append(event.sequence_no)
+        apply_event(records, event)
     return records
 
 

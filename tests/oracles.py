@@ -4,8 +4,8 @@ Everything here recomputes a result by a different route than the
 production code: character counts by building the quoted string, placement
 optima by brute force over the whole assignment space, shortest paths by
 enumerating simple paths, SLA numbers over exact rationals, lifecycle
-legality from standalone transition tables. Nothing imports solver or
-validator internals.
+legality and record histories from standalone transition tables. Nothing
+imports solver or validator internals.
 """
 
 from __future__ import annotations
@@ -195,7 +195,21 @@ def fold_audit(events) -> dict[str, tuple[str, str]]:
     transition the tables do not allow, so a fuzz run cannot silently pass
     through an illegal state.
     """
+    return _fold(events)[0]
+
+
+def fold_history(events) -> dict[str, list[int]]:
+    """Subject -> sequence numbers of the ok events that moved it, in order.
+
+    Folds through the same legality tables as fold_audit, so it raises on
+    the same illegal transitions.
+    """
+    return _fold(events)[1]
+
+
+def _fold(events) -> tuple[dict[str, tuple[str, str]], dict[str, list[int]]]:
     states: dict[str, tuple[str, str]] = {}
+    history: dict[str, list[int]] = {}
     for event in events:
         if event.outcome.value != "ok":
             continue
@@ -207,11 +221,13 @@ def fold_audit(events) -> dict[str, tuple[str, str]]:
                     f"{action} would recreate existing subject {subject!r}"
                 )
                 states[subject] = (kind, create[action])
+                history[subject] = [event.sequence_no]
                 break
             current = states.get(subject)
             if current is not None and current[0] == kind:
                 if (current[1], action) in nxt:
                     states[subject] = (kind, nxt[(current[1], action)])
+                    history[subject].append(event.sequence_no)
                     break
         else:
             known_actions = set()
@@ -222,4 +238,4 @@ def fold_audit(events) -> dict[str, tuple[str, str]]:
                 f"illegal ok transition: {action} on {subject!r} in state"
                 f" {states.get(subject)}"
             )
-    return states
+    return states, history

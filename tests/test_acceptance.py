@@ -382,6 +382,10 @@ def _storm(rng: random.Random, text: str) -> None:
         for subject, record in engine.catalog.records.items()
     }
     assert oracles.fold_audit(events) == live
+    assert oracles.fold_history(events) == {
+        subject: record.history
+        for subject, record in engine.catalog.records.items()
+    }
     assert replay_states(events) == engine.catalog.records
     assert oracles.recompute_used(engine.infra) == usage_of(engine.infra)
 

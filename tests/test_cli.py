@@ -80,6 +80,50 @@ def seed_service(root, tmp_path) -> None:
         assert result.exit_code == 0, result.summary
 
 
+def edited_descriptor(edit) -> str:
+    doc = descriptor_doc()
+    edit(doc)
+    return yaml.safe_dump(doc)
+
+
+BAD_DESCRIPTORS = [
+    pytest.param("slice: [unclosed\n  name: x\n", "invalid YAML", id="malformed-yaml"),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"].update(latency_budget=0)
+        ),
+        "latency_budget must be > 0",
+        id="zero-latency-budget",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"]["demand"].update(vcpu=-1)
+        ),
+        "vcpu must be >= 0",
+        id="negative-demand",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["slice"].update(chain_ordr=False)),
+        "chain_ordr",
+        id="misspelt-chain-order",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"].update(
+                demnd=d["requirements"]["svc-probe"].pop("demand")
+            )
+        ),
+        "demnd",
+        id="misspelt-demand",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["customer"].update(categry="enterprise")),
+        "categry",
+        id="misspelt-category",
+    ),
+]
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
         assert run(["no-such-command"]).exit_code == 2
@@ -256,6 +300,17 @@ class TestWorkflow:
         assert tail.exit_code == 0
         assert len(tail.detail["events"]) == 3
         assert len(tail.summary.splitlines()) == 3
+
+    @pytest.mark.parametrize("text, reason", BAD_DESCRIPTORS)
+    def test_bad_descriptor_is_refused(self, root, tmp_path, text, reason):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(text)
+        result = run(["create-slice", str(descriptor), "--catalog", str(root)])
+        assert result.exit_code == 1
+        assert result.summary.startswith("IoFailure")
+        assert reason in result.summary
+        assert "slice-p" not in load_catalog(root / "catalog.json").records
 
     def test_infeasible_placement_reports_cleanly(self, root, tmp_path):
         seed_service(root, tmp_path)

@@ -41,6 +41,7 @@ from slicectl.model import (
     VendorSoftwareProduct,
 )
 from slicectl.placement import PlacementPlan
+from slicectl.store import replay_states
 
 
 def states_of(engine: Orchestrator) -> dict[str, tuple[str, str]]:
@@ -111,6 +112,10 @@ class TestAuditPlumbing:
         engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
         engine.teardown_slice(Role.OPERATOR, "slice-a")
         assert oracles.fold_audit(engine.events) == states_of(engine)
+        assert oracles.fold_history(engine.events) == {
+            subject: record.history
+            for subject, record in engine.catalog.records.items()
+        }
 
 
 class TestRoleGates:
@@ -495,6 +500,48 @@ class TestSliceExecution:
         assert engine.infra.usage_snapshot() == baseline
         with pytest.raises(InvalidTransition, match="needs active"):
             engine.teardown_slice(Role.OPERATOR, "slice-a")
+
+    def test_teardown_logs_before_it_releases_capacity(self):
+        # The sink fails at the k-th teardown event, for every k: capacity
+        # is held exactly by the members still recorded instantiated, and a
+        # retry finishes the teardown.
+        class Down(Exception):
+            pass
+
+        k = 0
+        while True:
+            k += 1
+            engine = scenario.slice_a_engine()
+            plan = engine.plan_slice("slice-a")
+            engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+            calls = []
+
+            def sink(event):
+                calls.append(event)
+                if len(calls) == k:
+                    raise Down()
+
+            engine._sink = sink
+            try:
+                engine.teardown_slice(Role.OPERATOR, "slice-a")
+            except Down:
+                pass
+            else:
+                break
+            held = {a.service for a in engine.infra.allocations.values()}
+            for service_id in engine.catalog.slices["slice-a"].services:
+                state = engine.catalog.records[service_id].state
+                assert (state is ServiceState.INSTANTIATED) == (service_id in held)
+            assert replay_states(engine.events) == engine.catalog.records
+            assert oracles.recompute_used(engine.infra) == {
+                t.id: t.used.as_tuple() for t in engine.infra.tenants.values()
+            }
+            engine._sink = None
+            record = engine.teardown_slice(Role.OPERATOR, "slice-a")
+            assert record.state is SliceState.TERMINATED
+            assert not engine.infra.allocations
+        # terminate_service twice, then teardown_slice.
+        assert k == 4
 
     def test_unchained_slice_is_refused_by_planning(self):
         # Without chain order the SLA takes the slowest service, while the
