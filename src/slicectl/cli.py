@@ -25,13 +25,7 @@ import yaml
 
 from .errors import DanglingReference, IoFailure, SliceError, TemplateSyntaxError
 from .infra import build_testbed
-from .lifecycle import (
-    ArtifactKind,
-    Catalog,
-    Orchestrator,
-    Role,
-    _slug,
-)
+from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role
 from .model import (
     Customer,
     NetworkSlice,
@@ -40,6 +34,7 @@ from .model import (
     SliceProvider,
     SliceTemplate,
     VendorSoftwareProduct,
+    _slug,
     make_slice_template,
 )
 from .placement import (
@@ -66,6 +61,7 @@ from .store import (
     _load_yaml,
 )
 from .template import (
+    DEFAULT_ENV_CHAR_LIMIT,
     RuleSet,
     merge_reports,
     parse_template,
@@ -143,6 +139,33 @@ def _require_infra(engine: Orchestrator) -> None:
         raise IoFailure("no inventory in this catalog; run init-testbed first")
 
 
+@contextlib.contextmanager
+def _engine_for(args, *, atomic: bool = True, needs_infra: bool = False):
+    """The state path of every lifecycle command: lock the catalog
+    directory, open the engine on it, and save catalog and inventory only
+    when the body returns. A denied or failed command keeps its audit
+    events and changes neither file. A command that can return without
+    saving must not run inside."""
+    root = _resolve_root(args)
+    with _locked(root):
+        engine = _open_engine(root, atomic=atomic)
+        if needs_infra:
+            _require_infra(engine)
+        yield engine
+        _save_state(root, engine)
+
+
+def _record_result(args, record, summary: str, **detail) -> CommandResult:
+    """Success of a lifecycle command: the record's id under its kind, its
+    new state, and any further detail."""
+    return CommandResult(
+        0,
+        summary,
+        {record.kind.value: record.subject, "state": record.state.value, **detail},
+        args.json,
+    )
+
+
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -190,7 +213,7 @@ def _slice_from_descriptor(
             name=name,
             customer=slice_raw["customer"],
             provider=slice_raw["provider"],
-            services=tuple(slice_raw["services"]),
+            services=decode(tuple[str, ...], slice_raw["services"]),
             profile=decode(ServiceProfile, raw["profile"]),
             chain_order=slice_raw.get("chain_order", True),
         )
@@ -225,10 +248,7 @@ def _slice_from_descriptor(
 
 
 def _cmd_lint_template(args) -> CommandResult:
-    rule_kwargs: dict = {"count_names": args.count_names}
-    if args.env_limit is not None:
-        rule_kwargs["env_char_limit"] = args.env_limit
-    rules = RuleSet(**rule_kwargs)
+    rules = RuleSet(env_char_limit=args.env_limit, count_names=args.count_names)
     try:
         doc = parse_template(_read_file(args.template))
     except (TemplateSyntaxError, DanglingReference) as exc:
@@ -239,7 +259,7 @@ def _cmd_lint_template(args) -> CommandResult:
             args.json,
         )
     report = merge_reports(
-        validate_template(doc, rules),
+        validate_template(doc),
         validate_environment(doc.environment, rules),
     )
     lines = [f"{doc.name}: {report.verdict.value}"]
@@ -267,10 +287,8 @@ def _cmd_lint_template(args) -> CommandResult:
 
 
 def _cmd_onboard_vf(args) -> CommandResult:
-    root = _resolve_root(args)
-    text = _read_file(args.template)
-    with _locked(root):
-        engine = _open_engine(root)
+    with _engine_for(args) as engine:
+        text = _read_file(args.template)
         if args.vsp not in engine.catalog.vsps:
             version = tuple(int(part) for part in args.version.split("."))
             engine.register_vsp(
@@ -282,85 +300,55 @@ def _cmd_onboard_vf(args) -> CommandResult:
                 )
             )
         record = engine.onboard_vf(Role(args.role), args.vsp, text)
-        _save_state(root, engine)
-    return CommandResult(
-        0,
+    return _record_result(
+        args,
+        record,
         f"onboarded {record.subject} under {args.vsp} ({record.state.value})",
-        {"vf": record.subject, "state": record.state.value},
-        args.json,
     )
 
 
 def _cmd_certify_vf(args) -> CommandResult:
-    root = _resolve_root(args)
-    with _locked(root):
-        engine = _open_engine(root)
+    with _engine_for(args) as engine:
         record = engine.certify_vf(Role(args.role), args.vf)
-        _save_state(root, engine)
-    return CommandResult(
-        0,
-        f"{record.subject} is now {record.state.value}",
-        {"vf": record.subject, "state": record.state.value},
-        args.json,
+    return _record_result(
+        args, record, f"{record.subject} is now {record.state.value}"
     )
 
 
 def _cmd_create_service(args) -> CommandResult:
-    root = _resolve_root(args)
-    with _locked(root):
-        engine = _open_engine(root)
+    with _engine_for(args) as engine:
         record = engine.create_service(
             Role(args.role), args.name, args.vf, service_id=args.id
         )
-        _save_state(root, engine)
-    return CommandResult(
-        0,
-        f"created service {record.subject} ({record.state.value})",
-        {"service": record.subject, "state": record.state.value},
-        args.json,
+    return _record_result(
+        args, record, f"created service {record.subject} ({record.state.value})"
     )
 
 
-def _make_advance_handler(action: str):
-    def handler(args) -> CommandResult:
-        root = _resolve_root(args)
-        with _locked(root):
-            engine = _open_engine(root)
-            record = engine.advance_service(Role(args.role), args.service, action)
-            _save_state(root, engine)
-        return CommandResult(
-            0,
-            f"{record.subject} is now {record.state.value}",
-            {"service": record.subject, "state": record.state.value},
-            args.json,
-        )
-
-    return handler
+def _cmd_advance_service(args) -> CommandResult:
+    with _engine_for(args) as engine:
+        record = engine.advance_service(Role(args.role), args.service, args.step)
+    return _record_result(
+        args, record, f"{record.subject} is now {record.state.value}"
+    )
 
 
 def _cmd_create_slice(args) -> CommandResult:
-    root = _resolve_root(args)
-    raw = _load_yaml(Path(args.descriptor))
-    with _locked(root):
-        engine = _open_engine(root)
+    with _engine_for(args) as engine:
+        raw = _load_yaml(Path(args.descriptor))
         slc, template = _slice_from_descriptor(raw, engine)
         record = engine.create_slice(Role(args.role), slc, template)
-        _save_state(root, engine)
-    stored = engine.catalog.slices[slc.id]
-    return CommandResult(
-        0,
+    sla = engine.catalog.slices[slc.id].sla
+    return _record_result(
+        args,
+        record,
         f"created slice {record.subject} ({record.state.value}),"
-        f" committed latency {stored.sla.committed_latency} ms",
-        {
-            "slice": record.subject,
-            "state": record.state.value,
-            "sla": {
-                "committed_latency": stored.sla.committed_latency,
-                "committed_availability": stored.sla.committed_availability,
-                "committed_data_rate": stored.sla.committed_data_rate,
-            },
+        f" committed latency {sla.committed_latency} ms",
+        sla={
+            "committed_latency": sla.committed_latency,
+            "committed_availability": sla.committed_availability,
+            "committed_data_rate": sla.committed_data_rate,
         },
-        args.json,
     )
 
 
@@ -431,36 +419,20 @@ def _cmd_place_slice(args) -> CommandResult:
 
 
 def _cmd_instantiate_slice(args) -> CommandResult:
-    root = _resolve_root(args)
-    plan = load_plan(args.plan)
-    with _locked(root):
-        engine = _open_engine(root, atomic=not args.best_effort)
-        _require_infra(engine)
+    with _engine_for(args, atomic=not args.best_effort, needs_infra=True) as engine:
+        plan = load_plan(args.plan)
         record = engine.instantiate_slice(Role(args.role), args.slice, plan)
-        _save_state(root, engine)
     lines = [f"slice {record.subject} is now {record.state.value}"]
     for assignment in plan.assignments:
         lines.append(f"  {assignment.service} on {assignment.tenant}")
-    return CommandResult(
-        0,
-        "\n".join(lines),
-        {"slice": record.subject, "state": record.state.value},
-        args.json,
-    )
+    return _record_result(args, record, "\n".join(lines))
 
 
 def _cmd_teardown_slice(args) -> CommandResult:
-    root = _resolve_root(args)
-    with _locked(root):
-        engine = _open_engine(root)
-        _require_infra(engine)
+    with _engine_for(args, needs_infra=True) as engine:
         record = engine.teardown_slice(Role(args.role), args.slice)
-        _save_state(root, engine)
-    return CommandResult(
-        0,
-        f"slice {record.subject} is now {record.state.value}",
-        {"slice": record.subject, "state": record.state.value},
-        args.json,
+    return _record_result(
+        args, record, f"slice {record.subject} is now {record.state.value}"
     )
 
 
@@ -709,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--env-limit",
         type=int,
-        default=None,
+        default=DEFAULT_ENV_CHAR_LIMIT,
         dest="env_limit",
-        help="environment character limit (default 2000)",
+        help="environment character limit (default %(default)s)",
     )
     p.add_argument(
         "--count-names",
@@ -758,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(f"{action}-service", parents=[common], help=verb)
         p.add_argument("service", help="service id")
-        p.set_defaults(handler=_make_advance_handler(action))
+        p.set_defaults(handler=_cmd_advance_service, step=action)
 
     p = sub.add_parser(
         "create-slice",

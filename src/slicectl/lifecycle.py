@@ -8,6 +8,9 @@ lifecycle records with apply_event, the same fold that replays the log, so
 the log always explains the catalog. Slice-level operations add the
 abstraction the per-service workflow lacks: readiness derivation,
 plan-driven instantiation with all-or-nothing rollback, and teardown.
+Instantiation judges isolation with placement.isolation_refusal, the rule
+the solver plans with; placement.verify_plan keeps its own copy, as the
+independent check on both.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import re
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -34,12 +36,11 @@ from .errors import (
     UnknownEntity,
     UnknownService,
 )
-from .infra import Allocation, Infrastructure, IsolationClass
+from .infra import Allocation, Infrastructure
 from .model import (
     Customer,
     FunctionComponent,
     FunctionKind,
-    IsolationLevel,
     NetworkFunction,
     NetworkService,
     NetworkSlice,
@@ -47,6 +48,7 @@ from .model import (
     SliceProvider,
     SliceTemplate,
     VendorSoftwareProduct,
+    _slug,
     aggregate_sla,
     derive_service_sla,
     with_sla,
@@ -54,6 +56,7 @@ from .model import (
 from .placement import (
     CapabilityRequirement,
     PlacementPlan,
+    isolation_refusal,
     offered_capabilities,
     plan_placement,
     required_capabilities,
@@ -245,13 +248,6 @@ def apply_event(
     return record
 
 
-def _slug(name: str) -> str:
-    slug = re.sub(r"-+", "-", "".join(
-        ch if ch.isalnum() else "-" for ch in name.lower()
-    )).strip("-")
-    return slug or "x"
-
-
 class Orchestrator:
     """Serialized command interface over one catalog and its infrastructure."""
 
@@ -260,7 +256,6 @@ class Orchestrator:
         infra: Infrastructure | None = None,
         *,
         catalog: Catalog | None = None,
-        rules: RuleSet | None = None,
         audit_sink: Callable[[AuditEvent], None] | None = None,
         atomic: bool = True,
         start_sequence: int = 1,
@@ -269,7 +264,6 @@ class Orchestrator:
     ):
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
-        self.rules = rules if rules is not None else RuleSet()
         self.atomic = atomic
         self.events: list[AuditEvent] = []
         self._sink = audit_sink
@@ -397,8 +391,8 @@ class Orchestrator:
                 raise UnknownEntity(f"unknown vendor software product {vsp_id!r}")
             doc = parse_template(template_text)
             report = merge_reports(
-                validate_template(doc, self.rules),
-                validate_environment(doc.environment, self.rules),
+                validate_template(doc),
+                validate_environment(doc.environment, RuleSet()),
             )
             computes = doc.resources_of_kind(ResourceKind.COMPUTE)
             if not computes:
@@ -627,23 +621,6 @@ class Orchestrator:
             return PlacementPlan(slice_id, (), 0.0, False)
         return plan_placement(slc, requirements, offers, infra)
 
-    def _isolation_conflict(
-        self, tenant_id: str, isolation: IsolationLevel
-    ) -> str | None:
-        infra = self.infra
-        if isolation is IsolationLevel.SHARED:
-            return None
-        if infra.allocations_on(tenant_id):
-            return f"tenant {tenant_id!r} already hosts another service"
-        if isolation is IsolationLevel.DEDICATED_HOST:
-            host_id = infra.tenants[tenant_id].host
-            host = infra.hosts[host_id]
-            if host.isolation_class is not IsolationClass.DEDICATED:
-                return f"host {host_id!r} is not a dedicated-class host"
-            if len(infra.tenants_on_host(host_id)) != 1:
-                return f"host {host_id!r} carries other tenants"
-        return None
-
     def instantiate_slice(
         self, actor: Role, slice_id: str, plan: PlacementPlan
     ) -> LifecycleRecord:
@@ -695,17 +672,21 @@ class Orchestrator:
         demand_of = {r.service: r.demand for r in requirements}
         tenant_of = {a.service: a.tenant for a in plan.assignments}
         isolation = slc.profile.degree_of_isolation
+        holders = {a.tenant for a in infra.allocations.values()}
         placed: list[Allocation] = []
         failures: list[str] = []
         failure_reason = ""
         for service_id in slc.services:
             tenant_id = tenant_of[service_id]
-            conflict = self._isolation_conflict(tenant_id, isolation)
+            conflict = isolation_refusal(
+                isolation, tenant_id, tenant_id in holders, infra
+            )
             if conflict is None:
                 try:
                     placed.append(
                         infra.allocate(tenant_id, service_id, demand_of[service_id])
                     )
+                    holders.add(tenant_id)
                     continue
                 except InsufficientCapacity as exc:
                     conflict = str(exc)

@@ -11,6 +11,7 @@ from errors.py.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -416,6 +417,15 @@ def make_slice_template(
     return SliceTemplate(slice.id, dict(requirements), refs)
 
 
+def _slug(name: str) -> str:
+    """A display name as an id fragment: lower-case letters and digits,
+    other runs as one dash, none at the ends, "x" if nothing is left."""
+    slug = re.sub(r"-+", "-", "".join(
+        ch if ch.isalnum() else "-" for ch in name.lower()
+    )).strip("-")
+    return slug or "x"
+
+
 def compose_slice(
     customer: str,
     provider: str,
@@ -431,9 +441,7 @@ def compose_slice(
         raise EmptySlice("a slice needs at least one service")
     _check_profile(profile)
     if slice_id is None:
-        slice_id = "slice-" + "".join(
-            ch if ch.isalnum() else "-" for ch in name.lower()
-        ).strip("-")
+        slice_id = f"slice-{_slug(name)}"
     return NetworkSlice(
         id=slice_id,
         name=name,

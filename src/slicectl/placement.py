@@ -15,8 +15,10 @@ bound counts capacity: remaining services that cannot all stay on the
 current tenant must hop away at least once, and each further group that
 no tenant can hold together needs another hop. Among plans of exactly
 equal cost the one first in tenant-id order wins, whatever order the
-search meets them in. verify_plan re-checks every constraint through a
-separate flat code path so solver defects cannot hide.
+search meets them in. The solver and the executor in lifecycle share one
+isolation rule, isolation_refusal. verify_plan re-checks every constraint
+through a separate flat code path, isolation included, so that defects in
+the solver or in the shared rule cannot hide.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class CapabilityOffer:
 
     tenant: str
     free: ResourceDemand
-    isolation_class: IsolationClass = IsolationClass.SHARED
     site: str = ""
 
 
@@ -155,7 +156,6 @@ def offered_capabilities(infra: Infrastructure) -> list[CapabilityOffer]:
             CapabilityOffer(
                 tenant=tenant_id,
                 free=tenant.quota - tenant.used,
-                isolation_class=host.isolation_class,
                 site=host.site,
             )
         )
@@ -179,6 +179,31 @@ def _latency_matrix(
     return rows
 
 
+def isolation_refusal(
+    isolation: IsolationLevel,
+    tenant_id: str,
+    occupied: bool,
+    infra: Infrastructure,
+) -> str | None:
+    """Why a service of this isolation may not land on the tenant, or None.
+
+    A shared service goes anywhere. An exclusive one needs a tenant that
+    is not occupied (holds no other allocation), and under dedicated_host
+    also a dedicated-class host that carries no other tenant.
+    """
+    if isolation is IsolationLevel.SHARED:
+        return None
+    if occupied:
+        return f"tenant {tenant_id!r} already hosts another service"
+    if isolation is IsolationLevel.DEDICATED_HOST:
+        host_id = infra.tenants[tenant_id].host
+        if infra.hosts[host_id].isolation_class is not IsolationClass.DEDICATED:
+            return f"host {host_id!r} is not a dedicated-class host"
+        if len(infra.tenants_on_host(host_id)) != 1:
+            return f"host {host_id!r} carries other tenants"
+    return None
+
+
 def _admissible(
     requirement: CapabilityRequirement,
     offer: CapabilityOffer,
@@ -186,21 +211,13 @@ def _admissible(
     infra: Infrastructure,
 ) -> bool:
     """The checks no placement within the plan can change: affinity, and
-    for an exclusive service a tenant without foreign allocations and, on a
-    dedicated host, a dedicated host the tenant has to itself."""
+    isolation against the allocations held before the plan."""
     if requirement.affinity is not None and offer.site != requirement.affinity:
         return False
-    if requirement.isolation is IsolationLevel.SHARED:
-        return True
-    if occupied:
-        return False
-    if requirement.isolation is IsolationLevel.DEDICATED_HOST:
-        if offer.isolation_class is not IsolationClass.DEDICATED:
-            return False
-        host_id = infra.tenants[offer.tenant].host
-        if len(infra.tenants_on_host(host_id)) != 1:
-            return False
-    return True
+    return requirement.isolation is IsolationLevel.SHARED or (
+        isolation_refusal(requirement.isolation, offer.tenant, occupied, infra)
+        is None
+    )
 
 
 class _Flat(NamedTuple):
@@ -480,7 +497,7 @@ def verify_plan(
     offers: list[CapabilityOffer],
     infra: Infrastructure,
     *,
-    slice: NetworkSlice | None = None,
+    slice: NetworkSlice,
     check_resources: bool = True,
 ) -> tuple[bool, list[Violation]]:
     """Independently re-check every planning constraint.
@@ -611,81 +628,80 @@ def verify_plan(
                             )
                         )
 
-    if slice is not None:
-        if plan.slice_id != slice.id:
-            violations.append(
-                Violation(
-                    code=VIOLATION_SLICE_MISMATCH,
-                    message=(
-                        f"plan targets slice {plan.slice_id!r},"
-                        f" expected {slice.id!r}"
-                    ),
-                )
+    if plan.slice_id != slice.id:
+        violations.append(
+            Violation(
+                code=VIOLATION_SLICE_MISMATCH,
+                message=(
+                    f"plan targets slice {plan.slice_id!r},"
+                    f" expected {slice.id!r}"
+                ),
             )
-        elif structurally_sound:
-            tenant_of = {a.service: a.tenant for a in plan.assignments}
-            e2e = 0.0
-            reachable = True
-            previous: str | None = None
-            for service_id in slice.services:
-                tenant = tenant_of[service_id]
-                if previous is not None:
-                    try:
-                        hop = infra.tenant_latency(previous, tenant)
-                    except Unreachable:
-                        reachable = False
-                        violations.append(
-                            Violation(
-                                code=VIOLATION_LATENCY_EXCEEDED,
-                                service=service_id,
-                                tenant=tenant,
-                                message=(
-                                    f"no physical path into service"
-                                    f" {service_id!r} on tenant {tenant!r}"
-                                ),
-                            )
-                        )
-                        break
-                    # Compose as the slice SLA does: a sum along a chain,
-                    # the largest hop for services side by side.
-                    e2e = e2e + hop if slice.chain_order else max(e2e, hop)
-                    budget = req_by_service[service_id].latency_budget
-                    if hop > budget + EPSILON:
-                        violations.append(
-                            Violation(
-                                code=VIOLATION_BUDGET,
-                                severity=Severity.WARNING,
-                                service=service_id,
-                                tenant=tenant,
-                                message=(
-                                    f"hop into service {service_id!r} takes"
-                                    f" {hop} ms, budget is {budget} ms"
-                                ),
-                            )
-                        )
-                previous = tenant
-            if reachable:
-                if abs(e2e - plan.e2e_latency) > EPSILON:
-                    violations.append(
-                        Violation(
-                            code=VIOLATION_LATENCY_MISMATCH,
-                            message=(
-                                f"plan records {plan.e2e_latency} ms, actual"
-                                f" end-to-end latency is {e2e} ms"
-                            ),
-                        )
-                    )
-                if e2e > slice.profile.end_to_end_latency + EPSILON:
+        )
+    elif structurally_sound:
+        tenant_of = {a.service: a.tenant for a in plan.assignments}
+        e2e = 0.0
+        reachable = True
+        previous: str | None = None
+        for service_id in slice.services:
+            tenant = tenant_of[service_id]
+            if previous is not None:
+                try:
+                    hop = infra.tenant_latency(previous, tenant)
+                except Unreachable:
+                    reachable = False
                     violations.append(
                         Violation(
                             code=VIOLATION_LATENCY_EXCEEDED,
+                            service=service_id,
+                            tenant=tenant,
                             message=(
-                                f"end-to-end latency {e2e} ms exceeds the"
-                                f" profile limit"
-                                f" {slice.profile.end_to_end_latency} ms"
+                                f"no physical path into service"
+                                f" {service_id!r} on tenant {tenant!r}"
                             ),
                         )
                     )
+                    break
+                # Compose as the slice SLA does: a sum along a chain,
+                # the largest hop for services side by side.
+                e2e = e2e + hop if slice.chain_order else max(e2e, hop)
+                budget = req_by_service[service_id].latency_budget
+                if hop > budget + EPSILON:
+                    violations.append(
+                        Violation(
+                            code=VIOLATION_BUDGET,
+                            severity=Severity.WARNING,
+                            service=service_id,
+                            tenant=tenant,
+                            message=(
+                                f"hop into service {service_id!r} takes"
+                                f" {hop} ms, budget is {budget} ms"
+                            ),
+                        )
+                    )
+            previous = tenant
+        if reachable:
+            if abs(e2e - plan.e2e_latency) > EPSILON:
+                violations.append(
+                    Violation(
+                        code=VIOLATION_LATENCY_MISMATCH,
+                        message=(
+                            f"plan records {plan.e2e_latency} ms, actual"
+                            f" end-to-end latency is {e2e} ms"
+                        ),
+                    )
+                )
+            if e2e > slice.profile.end_to_end_latency + EPSILON:
+                violations.append(
+                    Violation(
+                        code=VIOLATION_LATENCY_EXCEEDED,
+                        message=(
+                            f"end-to-end latency {e2e} ms exceeds the"
+                            f" profile limit"
+                            f" {slice.profile.end_to_end_latency} ms"
+                        ),
+                    )
+                )
 
     ok = not any(v.severity is Severity.ERROR for v in violations)
     return ok, violations

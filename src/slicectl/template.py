@@ -44,10 +44,11 @@ EXTERNAL_TO_KIND = {
     KIND_PORT: ResourceKind.PORT,
 }
 
-DEFAULT_NAME_PATTERN = r"^[a-z0-9_]{1,63}$"
+# The fixed onboarding rules; only the environment rule takes settings.
+NAME_PATTERN = re.compile(r"^[a-z0-9_]{1,63}$")
+REQUIRED_METADATA = ("vf_module_id", "vnf_id", "vnf_name")  # in finding order
+FORBIDDEN_KINDS = frozenset({KIND_FLOATING_IP, KIND_FLOATING_IP_ASSOCIATION})
 DEFAULT_ENV_CHAR_LIMIT = 2000
-DEFAULT_REQUIRED_METADATA = frozenset({"vnf_name", "vnf_id", "vf_module_id"})
-DEFAULT_FORBIDDEN_KINDS = frozenset({KIND_FLOATING_IP, KIND_FLOATING_IP_ASSOCIATION})
 
 RULE_REQUIRED_METADATA = "required-metadata"
 RULE_FORBIDDEN_KIND = "forbidden-kind"
@@ -107,12 +108,10 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Active onboarding rules; defaults match the platform guidelines."""
+    """Settings of the environment rule; defaults match the platform
+    guidelines."""
 
     env_char_limit: int = DEFAULT_ENV_CHAR_LIMIT
-    forbidden_kinds: frozenset[str] = DEFAULT_FORBIDDEN_KINDS
-    required_compute_metadata: frozenset[str] = DEFAULT_REQUIRED_METADATA
-    naming_pattern: str = DEFAULT_NAME_PATTERN
     # Whether entry names count toward the environment limit; the guideline
     # text is ambiguous, values-only is the documented default.
     count_names: bool = False
@@ -120,12 +119,6 @@ class RuleSet:
     def __post_init__(self):
         if self.env_char_limit <= 0:
             raise ValueError("env_char_limit must be > 0")
-        object.__setattr__(self, "forbidden_kinds", frozenset(self.forbidden_kinds))
-        object.__setattr__(
-            self,
-            "required_compute_metadata",
-            frozenset(self.required_compute_metadata),
-        )
 
 
 @dataclass(frozen=True)
@@ -329,14 +322,13 @@ def _check_references(doc: TemplateDocument) -> None:
                 )
 
 
-def validate_template(doc: TemplateDocument, rules: RuleSet) -> ValidationReport:
+def validate_template(doc: TemplateDocument) -> ValidationReport:
     """Check onboarding rules: (a) compute metadata, (b) forbidden kinds,
     (c) resource naming. One finding per violation; never raises."""
     findings: list[Finding] = []
-    pattern = re.compile(rules.naming_pattern)
     for resource in doc.resources.values():
         if resource.kind is ResourceKind.COMPUTE:
-            for required in sorted(rules.required_compute_metadata):
+            for required in REQUIRED_METADATA:
                 if required not in resource.metadata:
                     findings.append(
                         Finding(
@@ -349,7 +341,7 @@ def validate_template(doc: TemplateDocument, rules: RuleSet) -> ValidationReport
                             ),
                         )
                     )
-        if resource.external_type in rules.forbidden_kinds:
+        if resource.external_type in FORBIDDEN_KINDS:
             findings.append(
                 Finding(
                     rule_id=RULE_FORBIDDEN_KIND,
@@ -361,7 +353,7 @@ def validate_template(doc: TemplateDocument, rules: RuleSet) -> ValidationReport
                     ),
                 )
             )
-        if not pattern.match(resource.name):
+        if not NAME_PATTERN.match(resource.name):
             findings.append(
                 Finding(
                     rule_id=RULE_NAME_PATTERN,
@@ -369,7 +361,7 @@ def validate_template(doc: TemplateDocument, rules: RuleSet) -> ValidationReport
                     location=resource.name,
                     message=(
                         f"resource name {resource.name!r} does not match"
-                        f" {rules.naming_pattern!r}"
+                        f" {NAME_PATTERN.pattern!r}"
                     ),
                 )
             )

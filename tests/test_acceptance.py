@@ -98,14 +98,14 @@ def test_template_rule_boundaries(tmp_path):
     for key in ("vnf_name", "vnf_id", "vf_module_id"):
         doc = yaml.safe_load(scenario.minimal_template())
         del doc["resources"]["node"]["metadata"][key]
-        report = validate_template(parse_template(yaml.safe_dump(doc)), rules)
+        report = validate_template(parse_template(yaml.safe_dump(doc)))
         assert not report.accepted
         assert {f.rule_id for f in report.findings} == {"required-metadata"}
         assert any(key in f.message for f in report.findings)
 
     doc = yaml.safe_load(scenario.minimal_template())
     doc["resources"]["fip"] = {"type": "OS::Neutron::FloatingIP", "properties": {}}
-    report = validate_template(parse_template(yaml.safe_dump(doc)), rules)
+    report = validate_template(parse_template(yaml.safe_dump(doc)))
     assert not report.accepted
     assert "forbidden-kind" in {f.rule_id for f in report.findings}
 

@@ -14,6 +14,7 @@ import yaml
 import scenario
 import slicectl
 from slicectl.cli import ENV_CATALOG, main, run
+from slicectl.model import ServiceProfile, compose_slice
 from slicectl.store import load_audit, load_catalog
 
 
@@ -120,6 +121,50 @@ BAD_DESCRIPTORS = [
         edited_descriptor(lambda d: d["customer"].update(categry="enterprise")),
         "categry",
         id="misspelt-category",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["slice"].update(services="svc-probe")),
+        "expected a list, got str",
+        id="services-as-string",
+    ),
+]
+
+# Every command that saves state, under a role its gate denies. {tmp} is
+# the test's scratch directory, set up by test_denied_command_saves_nothing.
+DENIED_COMMANDS = [
+    pytest.param(
+        ["onboard-vf", "{tmp}/probe.yaml", "--vsp", "vsp-new", "--as", "tester"],
+        id="onboard-vf",
+    ),
+    pytest.param(["certify-vf", "vf-probe", "--as", "designer"], id="certify-vf"),
+    pytest.param(
+        ["create-service", "probe2", "--vf", "vf-probe", "--as", "tester"],
+        id="create-service",
+    ),
+    pytest.param(["test-service", "svc-probe", "--as", "designer"], id="test-service"),
+    pytest.param(
+        ["approve-service", "svc-probe", "--as", "tester"], id="approve-service"
+    ),
+    pytest.param(
+        ["distribute-service", "svc-probe", "--as", "designer"],
+        id="distribute-service",
+    ),
+    pytest.param(
+        ["create-slice", "{tmp}/slice-q.yaml", "--as", "operator"], id="create-slice"
+    ),
+    pytest.param(
+        [
+            "instantiate-slice",
+            "slice-p",
+            "--plan",
+            "{tmp}/catalog/plan-slice-p.yaml",
+            "--as",
+            "designer",
+        ],
+        id="instantiate-slice",
+    ),
+    pytest.param(
+        ["teardown-slice", "slice-p", "--as", "designer"], id="teardown-slice"
     ),
 ]
 
@@ -311,6 +356,53 @@ class TestWorkflow:
         assert result.summary.startswith("IoFailure")
         assert reason in result.summary
         assert "slice-p" not in load_catalog(root / "catalog.json").records
+
+    @pytest.mark.parametrize("argv", DENIED_COMMANDS)
+    def test_denied_command_saves_nothing(self, root, tmp_path, argv):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(descriptor_doc()))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+        assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
+        # Onboarding a new vendor product and creating a slice with a new
+        # customer both register an entity before the gate denies them.
+        doc = descriptor_doc(slice_id="slice-q")
+        doc["slice"]["customer"] = "c-new"
+        (tmp_path / "slice-q.yaml").write_text(yaml.safe_dump(doc))
+        saved = {
+            name: (root / name).read_bytes()
+            for name in ("catalog.json", "inventory.yaml")
+        }
+        events = load_audit(root / "audit.log")
+
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        result = run(argv + ["--catalog", str(root)])
+        assert result.exit_code == 1
+        assert result.summary.startswith("RoleDenied")
+        assert {name: (root / name).read_bytes() for name in saved} == saved
+        after = load_audit(root / "audit.log")
+        assert after[:-1] == events
+        assert after[-1].outcome.value == "denied"
+
+    @pytest.mark.parametrize(
+        "name, slice_id",
+        [("Slice  A", "slice-slice-a"), ("!!!", "slice-x")],
+        ids=["double-space", "no-letters"],
+    )
+    def test_descriptor_id_is_the_composed_id(self, root, tmp_path, name, slice_id):
+        seed_service(root, tmp_path)
+        doc = descriptor_doc()
+        del doc["slice"]["id"]
+        doc["slice"]["name"] = name
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(doc))
+        created = run(["create-slice", str(descriptor), "--catalog", str(root)])
+        assert created.exit_code == 0, created.summary
+        service = load_catalog(root / "catalog.json").services["svc-probe"]
+        composed = compose_slice(
+            "c-lab", "p-lab", [service], ServiceProfile(**doc["profile"]), name=name
+        )
+        assert created.detail["slice"] == composed.id == slice_id
 
     def test_infeasible_placement_reports_cleanly(self, root, tmp_path):
         seed_service(root, tmp_path)

@@ -35,12 +35,13 @@ from slicectl.lifecycle import (
 from slicectl.model import (
     FunctionComponent,
     FunctionKind,
+    IsolationLevel,
     NetworkFunction,
     NetworkService,
     ResourceDemand,
     VendorSoftwareProduct,
 )
-from slicectl.placement import PlacementPlan
+from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import replay_states
 
 
@@ -49,6 +50,24 @@ def states_of(engine: Orchestrator) -> dict[str, tuple[str, str]]:
         subject: (record.kind.value, record.state.value)
         for subject, record in engine.catalog.records.items()
     }
+
+
+def isolated_slice_engine(isolation: IsolationLevel) -> Orchestrator:
+    """slice-a ready, and its two services again in slice-iso, ready under
+    this isolation."""
+    engine = scenario.slice_a_engine()
+    slc = engine.catalog.slices["slice-a"]
+    engine.create_slice(
+        Role.DESIGNER,
+        replace(
+            slc,
+            id="slice-iso",
+            sla=None,
+            profile=replace(slc.profile, degree_of_isolation=isolation),
+        ),
+        replace(engine.catalog.slice_templates["slice-a"], slice_id="slice-iso"),
+    )
+    return engine
 
 
 class TestAuditPlumbing:
@@ -489,6 +508,62 @@ class TestSliceExecution:
             e for e in engine.events if e.action == "terminate_service"
         ]
         assert [e.subject for e in terminated] == ["svc-core-cp"]
+
+    @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "best-effort"])
+    def test_dedicated_tenant_refuses_an_occupied_tenant(self, atomic):
+        engine = isolated_slice_engine(IsolationLevel.DEDICATED_TENANT)
+        engine.atomic = atomic
+        plan = engine.plan_slice("slice-iso")
+        assert plan.tenant_of("svc-core-dp") == "tenant-dp"
+        # Drift after planning: a foreign service lands on the data-plane
+        # tenant and leaves room enough for svc-core-dp, so only isolation
+        # can refuse it.
+        engine.infra.allocate("tenant-dp", "svc-squatter", ResourceDemand(vcpu=1))
+        if atomic:
+            with pytest.raises(PartialFailure) as info:
+                engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+            assert info.value.service_id == "svc-core-dp"
+            assert info.value.reason == (
+                "tenant 'tenant-dp' already hosts another service"
+            )
+            held = {a.service for a in engine.infra.allocations.values()}
+            assert held == {"svc-squatter"}
+            failed = [
+                (e.action, e.subject)
+                for e in engine.events
+                if e.outcome is Outcome.FAILED
+            ]
+            assert failed == [
+                ("instantiate_service", "svc-core-dp"),
+                ("instantiate_slice", "slice-iso"),
+            ]
+            assert engine.catalog.records["slice-iso"].state is SliceState.READY
+        else:
+            record = engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+            assert record.state is SliceState.PARTIALLY_INSTANTIATED
+            states = states_of(engine)
+            assert states["svc-core-cp"] == ("service", "instantiated")
+            assert states["svc-core-dp"] == ("service", "distributed")
+
+    def test_dedicated_host_refuses_a_shared_class_host(self):
+        engine = isolated_slice_engine(IsolationLevel.DEDICATED_HOST)
+        # Every testbed host is of the shared class, so the solver finds
+        # nothing; a plan made elsewhere is refused when it is executed.
+        assert not engine.plan_slice("slice-iso").feasible
+        plan = PlacementPlan(
+            "slice-iso",
+            (
+                Assignment("svc-core-cp", "tenant-cp"),
+                Assignment("svc-core-dp", "tenant-dp"),
+            ),
+            1.0,
+            True,
+        )
+        with pytest.raises(PartialFailure) as info:
+            engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+        assert info.value.service_id == "svc-core-cp"
+        assert info.value.reason == "host 'host-cp' is not a dedicated-class host"
+        assert not engine.infra.allocations
 
     def test_teardown_restores_capacity(self):
         engine = scenario.slice_a_engine()

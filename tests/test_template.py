@@ -195,7 +195,7 @@ class TestOnboardingRules:
         doc = parse_template(
             "name: probe\nresources:\n  node:\n    type: OS::Nova::Server\n"
         )
-        report = validate_template(doc, RuleSet())
+        report = validate_template(doc)
         assert report.verdict is Verdict.REJECTED
         assert [f.rule_id for f in report.findings] == [RULE_REQUIRED_METADATA] * 3
         # Findings come out in sorted metadata-name order.
@@ -205,7 +205,7 @@ class TestOnboardingRules:
 
     def test_complete_metadata_accepted(self):
         doc = parse_template(scenario.minimal_template())
-        assert validate_template(doc, RuleSet()).accepted
+        assert validate_template(doc).accepted
 
     def test_forbidden_kind_reported(self):
         text = (
@@ -214,7 +214,7 @@ class TestOnboardingRules:
             "  fip:\n"
             f"    type: {KIND_FLOATING_IP}\n"
         )
-        report = validate_template(parse_template(text), RuleSet())
+        report = validate_template(parse_template(text))
         assert report.verdict is Verdict.REJECTED
         finding = report.findings[0]
         assert finding.rule_id == RULE_FORBIDDEN_KIND
@@ -233,7 +233,7 @@ class TestOnboardingRules:
             "  BadCase:\n"
             "    type: OS::Neutron::Net\n"
         )
-        report = validate_template(parse_template(text), RuleSet())
+        report = validate_template(parse_template(text))
         flagged = {f.location for f in report.findings}
         assert flagged == {bad_long, "BadCase"}
         assert all(f.rule_id == RULE_NAME_PATTERN for f in report.findings)
