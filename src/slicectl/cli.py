@@ -290,13 +290,12 @@ def _cmd_onboard_vf(args) -> CommandResult:
     with _engine_for(args) as engine:
         text = _read_file(args.template)
         if args.vsp not in engine.catalog.vsps:
-            version = tuple(int(part) for part in args.version.split("."))
             engine.register_vsp(
                 VendorSoftwareProduct(
                     id=args.vsp,
                     vendor_name=args.vendor,
                     product_name=args.product or args.vsp,
-                    version=version,
+                    version=args.version,
                 )
             )
         record = engine.onboard_vf(Role(args.role), args.vsp, text)
@@ -646,6 +645,28 @@ def _cmd_demo(args) -> CommandResult:
 # -- parser ----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected an integer > 0, got {text!r}")
+    return value
+
+
+def _version(text: str) -> tuple[int, ...]:
+    try:
+        version = tuple(int(part) for part in text.split("."))
+    except ValueError:
+        version = ()
+    if len(version) != 3 or min(version) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected X.Y.Z of integers >= 0, got {text!r}"
+        )
+    return version
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -680,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("template", help="template file")
     p.add_argument(
         "--env-limit",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_ENV_CHAR_LIMIT,
         dest="env_limit",
         help="environment character limit (default %(default)s)",
@@ -699,7 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vsp", required=True, help="vendor software product id")
     p.add_argument("--vendor", default="unknown-vendor", help="vendor name")
     p.add_argument("--product", default=None, help="product name")
-    p.add_argument("--version", default="1.0.0", help="product version X.Y.Z")
+    p.add_argument(
+        "--version", type=_version, default="1.0.0", help="product version X.Y.Z"
+    )
     p.set_defaults(handler=_cmd_onboard_vf)
 
     p = sub.add_parser(
@@ -759,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--best-effort",
         action="store_true",
-        help="keep partial results instead of rolling back",
+        help="keep the members that fit instead of none",
     )
     p.set_defaults(handler=_cmd_instantiate_slice)
 

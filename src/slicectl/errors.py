@@ -110,9 +110,9 @@ class PlanInvalid(SliceError):
 
 
 class PartialFailure(SliceError):
-    """Slice instantiation failed midway; completed work was rolled back.
+    """Slice instantiation accepted no member; nothing was allocated.
 
-    service_id names the first service whose allocation failed.
+    service_id names the first service refused.
     """
 
     def __init__(self, service_id: str, reason: str = ""):

@@ -202,18 +202,33 @@ class Infrastructure:
 
     # -- allocation --------------------------------------------------------
 
-    def allocate(
-        self, tenant_id: str, service_id: str, demand: ResourceDemand
-    ) -> Allocation:
+    def capacity_refusal(
+        self,
+        tenant_id: str,
+        service_id: str,
+        demand: ResourceDemand,
+        *accepted: ResourceDemand,
+    ) -> str | None:
+        """Why the tenant cannot also hold demand, or None.
+
+        The demand is counted on top of the tenant's live allocations and
+        of the demands already accepted for it but not yet allocated. The
+        sum is held_by's, so it does not depend on the order the demands
+        arrive in: a demand accepted here is never refused by allocate.
+        """
         tenant = self.tenants.get(tenant_id)
         if tenant is None:
             raise UnknownEntity(f"unknown tenant {tenant_id!r}")
-        used = self.held_by(tenant_id, demand)
-        if not used.fits_within(tenant.quota):
-            raise InsufficientCapacity(
-                f"tenant {tenant_id!r} cannot hold {demand} for"
-                f" service {service_id!r}"
-            )
+        if self.held_by(tenant_id, *accepted, demand).fits_within(tenant.quota):
+            return None
+        return f"tenant {tenant_id!r} cannot hold {demand} for service {service_id!r}"
+
+    def allocate(
+        self, tenant_id: str, service_id: str, demand: ResourceDemand
+    ) -> Allocation:
+        refusal = self.capacity_refusal(tenant_id, service_id, demand)
+        if refusal is not None:
+            raise InsufficientCapacity(refusal)
         allocation = Allocation(
             id=f"alloc-{self.next_allocation_id}",
             tenant=tenant_id,
@@ -222,7 +237,7 @@ class Infrastructure:
         )
         self.next_allocation_id += 1
         self.allocations[allocation.id] = allocation
-        tenant.used = used
+        self.tenants[tenant_id].used = self.held_by(tenant_id)
         return allocation
 
     def release(self, allocation_id: str) -> None:

@@ -7,7 +7,10 @@ logged and applied: it appends the event first, then folds it into the
 lifecycle records with apply_event, the same fold that replays the log, so
 the log always explains the catalog. Slice-level operations add the
 abstraction the per-service workflow lacks: readiness derivation,
-plan-driven instantiation with all-or-nothing rollback, and teardown.
+plan-driven instantiation, and teardown. Both take and give back capacity
+in the order decide, log, apply: instantiation decides every member
+without touching the inventory, so there is nothing to undo, and an
+allocation or release happens only after its event is logged.
 Instantiation judges isolation with placement.isolation_refusal, the rule
 the solver plans with; placement.verify_plan keeps its own copy, as the
 independent check on both.
@@ -25,7 +28,6 @@ from enum import Enum
 
 from .errors import (
     EmptyService,
-    InsufficientCapacity,
     InvalidTransition,
     PartialFailure,
     PlanInvalid,
@@ -36,7 +38,7 @@ from .errors import (
     UnknownEntity,
     UnknownService,
 )
-from .infra import Allocation, Infrastructure
+from .infra import Infrastructure
 from .model import (
     Customer,
     FunctionComponent,
@@ -130,7 +132,6 @@ PERMISSIONS: dict[str, frozenset[Role]] = {
     "test_service": frozenset({Role.TESTER}),
     "approve_service": frozenset({Role.GOVERNOR}),
     "distribute_service": frozenset({Role.OPERATOR}),
-    "instantiate_service": frozenset({Role.OPERATOR}),
     "create_slice": frozenset({Role.DESIGNER}),
     "instantiate_slice": frozenset({Role.OPERATOR}),
     "teardown_slice": frozenset({Role.OPERATOR}),
@@ -501,22 +502,6 @@ class Orchestrator:
             self._propagate_readiness(actor, service_id)
         return record
 
-    def instantiate_service(
-        self, actor: Role, service_id: str, tenant_id: str
-    ) -> LifecycleRecord:
-        """Instantiate one distributed service on a single tenant."""
-        with self._attempt(actor, "instantiate_service", service_id):
-            infra = self._require_infra()
-            self._record(
-                ArtifactKind.SERVICE,
-                service_id,
-                "instantiate",
-                ServiceState.DISTRIBUTED,
-            )
-            footprint = self.footprint_of_service(service_id)
-            infra.allocate(tenant_id, service_id, footprint)
-        return self._commit(actor, "instantiate_service", service_id)
-
     # -- slices -------------------------------------------------------------
 
     def create_slice(
@@ -624,18 +609,21 @@ class Orchestrator:
     def instantiate_slice(
         self, actor: Role, slice_id: str, plan: PlacementPlan
     ) -> LifecycleRecord:
-        """Execute a placement plan service by service, in slice order.
+        """Execute a placement plan: decide, log, then allocate.
 
-        Structural plan defects are rejected up front as PlanInvalid.
-        Capacity and isolation are discovered while executing, because the
-        infrastructure may have drifted since planning; in atomic mode (the
-        default) any mid-flight failure rolls back every allocation this
-        call made and raises PartialFailure. In best-effort mode successful
-        services are kept and the slice lands in partially_instantiated.
+        Structural plan defects are rejected up front as PlanInvalid. Each
+        member, in slice order, is then checked for isolation and capacity
+        against the infrastructure as it stands, which may have drifted
+        since planning, and against the members accepted before it. Atomic
+        mode (the default) accepts nothing once a member is refused;
+        best-effort mode keeps the accepted members and the slice lands in
+        partially_instantiated. With no member accepted, PartialFailure is
+        raised in either mode. An accepted member is allocated only after
+        its instantiate_service event is logged.
         """
         with self._attempt(actor, "instantiate_slice", slice_id):
             infra = self._require_infra()
-            record = self._record(
+            self._record(
                 ArtifactKind.SLICE, slice_id, "instantiate", SliceState.READY
             )
             slc = self.catalog.slices[slice_id]
@@ -673,45 +661,37 @@ class Orchestrator:
         tenant_of = {a.service: a.tenant for a in plan.assignments}
         isolation = slc.profile.degree_of_isolation
         holders = {a.tenant for a in infra.allocations.values()}
-        placed: list[Allocation] = []
+        accepted: list[str] = []
         failures: list[str] = []
-        failure_reason = ""
+        reason = ""
         for service_id in slc.services:
             tenant_id = tenant_of[service_id]
-            conflict = isolation_refusal(
+            refusal = isolation_refusal(
                 isolation, tenant_id, tenant_id in holders, infra
+            ) or infra.capacity_refusal(
+                tenant_id,
+                service_id,
+                demand_of[service_id],
+                *(demand_of[s] for s in accepted if tenant_of[s] == tenant_id),
             )
-            if conflict is None:
-                try:
-                    placed.append(
-                        infra.allocate(tenant_id, service_id, demand_of[service_id])
-                    )
-                    holders.add(tenant_id)
-                    continue
-                except InsufficientCapacity as exc:
-                    conflict = str(exc)
+            if refusal is None:
+                accepted.append(service_id)
+                holders.add(tenant_id)
+                continue
             failures.append(service_id)
-            failure_reason = failure_reason or conflict
+            reason = reason or refusal
             if self.atomic:
+                accepted = []
                 break
 
-        if failures and self.atomic:
-            # All-or-nothing: undo this invocation completely, then make the
-            # failure durable.
-            for allocation in reversed(placed):
-                infra.release(allocation.id)
-            placed = []
         for service_id in failures:
             self._emit(actor, "instantiate_service", service_id, Outcome.FAILED)
-        if not placed:
+        if not accepted:
             self._emit(actor, "instantiate_slice", slice_id, Outcome.FAILED)
-            if self.atomic:
-                raise PartialFailure(failures[0], failure_reason)
-            return record
-        succeeded = {allocation.service for allocation in placed}
-        for service_id in slc.services:
-            if service_id in succeeded:
-                self._commit(actor, "instantiate_service", service_id)
+            raise PartialFailure(failures[0], reason)
+        for service_id in accepted:
+            self._commit(actor, "instantiate_service", service_id)
+            infra.allocate(tenant_of[service_id], service_id, demand_of[service_id])
         if failures:
             return self._commit(actor, "partially_instantiate_slice", slice_id)
         return self._commit(actor, "instantiate_slice", slice_id)

@@ -53,7 +53,6 @@ VIOLATION_UNKNOWN_SERVICE = "unknown_service"
 VIOLATION_UNKNOWN_TENANT = "unknown_tenant"
 VIOLATION_OVERFLOW = "cumulative_overflow"
 VIOLATION_ISOLATION = "isolation_breach"
-VIOLATION_AFFINITY = "affinity_mismatch"
 VIOLATION_SLICE_MISMATCH = "slice_mismatch"
 VIOLATION_LATENCY_MISMATCH = "latency_mismatch"
 VIOLATION_LATENCY_EXCEEDED = "latency_exceeded"
@@ -68,7 +67,6 @@ class CapabilityRequirement:
     demand: ResourceDemand
     isolation: IsolationLevel = IsolationLevel.SHARED
     latency_budget: float = math.inf
-    affinity: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "isolation", IsolationLevel(self.isolation))
@@ -82,7 +80,6 @@ class CapabilityOffer:
 
     tenant: str
     free: ResourceDemand
-    site: str = ""
 
 
 @dataclass(frozen=True)
@@ -148,18 +145,10 @@ def required_capabilities(
 
 
 def offered_capabilities(infra: Infrastructure) -> list[CapabilityOffer]:
-    offers = []
-    for tenant_id in sorted(infra.tenants):
-        tenant = infra.tenants[tenant_id]
-        host = infra.hosts[tenant.host]
-        offers.append(
-            CapabilityOffer(
-                tenant=tenant_id,
-                free=tenant.quota - tenant.used,
-                site=host.site,
-            )
-        )
-    return offers
+    return [
+        CapabilityOffer(tenant_id, infra.tenants[tenant_id].free)
+        for tenant_id in sorted(infra.tenants)
+    ]
 
 
 def _latency_matrix(
@@ -204,22 +193,6 @@ def isolation_refusal(
     return None
 
 
-def _admissible(
-    requirement: CapabilityRequirement,
-    offer: CapabilityOffer,
-    occupied: bool,
-    infra: Infrastructure,
-) -> bool:
-    """The checks no placement within the plan can change: affinity, and
-    isolation against the allocations held before the plan."""
-    if requirement.affinity is not None and offer.site != requirement.affinity:
-        return False
-    return requirement.isolation is IsolationLevel.SHARED or (
-        isolation_refusal(requirement.isolation, offer.tenant, occupied, infra)
-        is None
-    )
-
-
 class _Flat(NamedTuple):
     """The state both solvers run on, services s and tenants t by index.
 
@@ -239,7 +212,7 @@ class _Flat(NamedTuple):
     locked: list[bool]  # per tenant, holds an exclusive service of the plan
     demand: list[tuple[float, float, float, float]]  # per service
     exclusive: list[bool]  # per service, not of shared isolation
-    admissible: list[list[bool]]  # per service and tenant, see _admissible
+    admissible: list[list[bool]]  # per service and tenant, isolation allows it
 
 
 def _flat_state(
@@ -259,7 +232,10 @@ def _flat_state(
         demand=[r.demand.as_tuple() for r in ordered],
         exclusive=[r.isolation is not IsolationLevel.SHARED for r in ordered],
         admissible=[
-            [_admissible(r, o, busy, infra) for o, busy in zip(offers, occupied)]
+            [
+                isolation_refusal(r.isolation, o.tenant, busy, infra) is None
+                for o, busy in zip(offers, occupied)
+            ]
             for r in ordered
         ],
     )
@@ -560,19 +536,6 @@ def verify_plan(
             if requirement is None or assignment.tenant not in offer_by_tenant:
                 continue
             by_tenant.setdefault(assignment.tenant, []).append(requirement)
-            offer = offer_by_tenant[assignment.tenant]
-            if requirement.affinity is not None and offer.site != requirement.affinity:
-                violations.append(
-                    Violation(
-                        code=VIOLATION_AFFINITY,
-                        service=assignment.service,
-                        tenant=assignment.tenant,
-                        message=(
-                            f"service {assignment.service!r} requires site"
-                            f" {requirement.affinity!r}, tenant offers {offer.site!r}"
-                        ),
-                    )
-                )
         for tenant_id, reqs in sorted(by_tenant.items()):
             total = ResourceDemand()
             for requirement in reqs:

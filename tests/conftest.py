@@ -30,7 +30,7 @@ ACCEPTANCE_TITLES = [
     ),
     (
         "test_fault_injection_restores_usage",
-        "failed instantiation rolls back without leaking capacity",
+        "failed instantiation leaves capacity unchanged",
     ),
     (
         "test_random_operations_keep_invariants",

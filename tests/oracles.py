@@ -61,34 +61,26 @@ def best_assignment(
     limit: float,
     *,
     isolation: dict[str, str] | None = None,
-    affinity: dict[str, str | None] | None = None,
     occupied: dict[str, bool] | None = None,
-    site: dict[str, str] | None = None,
     dedicated_host: dict[str, bool] | None = None,
 ) -> tuple[float, dict[str, str]] | None:
     """Brute-force optimum over every assignment tuple.
 
     hop_latency(a, b) must return the tenant-to-tenant latency (inf when
     unreachable). Per service, isolation is "shared" (the default),
-    "dedicated_tenant" or "dedicated_host", and affinity names the site its
-    tenant must be at. Per tenant, occupied says it already carries foreign
-    allocations, site where it is, and dedicated_host that its host is of
-    the dedicated class and carries no other tenant. A service that is not
+    "dedicated_tenant" or "dedicated_host". Per tenant, occupied says it
+    already carries foreign allocations, and dedicated_host that its host
+    is of the dedicated class and carries no other tenant. A service that is not
     shared must be the only one on its tenant, and that tenant unoccupied;
     a dedicated-host one also needs a dedicated host. Returns (e2e,
     assignment) for the cheapest feasible tuple, lexicographically first
     among ties, or None.
     """
     isolation = isolation or {}
-    affinity = affinity or {}
     occupied = occupied or {}
-    site = site or {}
     dedicated_host = dedicated_host or {}
 
     def allowed(service: str, tenant: str) -> bool:
-        wanted = affinity.get(service)
-        if wanted is not None and site.get(tenant, "") != wanted:
-            return False
         level = isolation.get(service, "shared")
         if level != "shared" and occupied.get(tenant, False):
             return False

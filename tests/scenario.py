@@ -337,12 +337,12 @@ def random_instance(rng: random.Random):
 def random_constrained_instance(rng: random.Random):
     """Random placement instance with every constraint the solver checks.
 
-    Up to 5 services x 5 tenants. Services mix isolation levels and site
-    affinities; tenants may share a host (0 ms between them), carry a
-    foreign allocation, or sit on a dedicated host; one host may have no
-    link at all. Link latencies are floats such as 0.37 ms, whose sums
-    round. The returned plain data describes the instance independently of
-    the infrastructure objects.
+    Up to 5 services x 5 tenants. Services mix isolation levels; tenants
+    may share a host (0 ms between them), carry a foreign allocation, or
+    sit on a dedicated host; one host may have no link at all. Link
+    latencies are floats such as 0.37 ms, whose sums round. The returned
+    plain data describes the instance independently of the infrastructure
+    objects.
     """
     n_services = rng.randint(1, 5)
     n_tenants = rng.randint(1, 5)
@@ -350,7 +350,6 @@ def random_constrained_instance(rng: random.Random):
     services = [f"s{i}" for i in range(n_services)]
     tenants = [f"t{i}" for i in range(n_tenants)]
     hosts = [f"h{i}" for i in range(n_hosts)]
-    host_site = {h: rng.choice(["core", "edge"]) for h in hosts}
     host_dedicated = {h: rng.random() < 0.5 for h in hosts}
     infra = Infrastructure()
     for h in hosts:
@@ -359,7 +358,6 @@ def random_constrained_instance(rng: random.Random):
                 id=h,
                 name=h,
                 capacity=ResourceDemand(64, 65536, 1024, 64),
-                site=host_site[h],
                 isolation_class="dedicated" if host_dedicated[h] else "shared",
             )
         )
@@ -406,7 +404,6 @@ def random_constrained_instance(rng: random.Random):
     }
     demands = {}
     isolation = {}
-    affinity = {}
     requirements = []
     for service_id in services:
         demand = (
@@ -416,16 +413,13 @@ def random_constrained_instance(rng: random.Random):
         level = rng.choices(
             ["shared", "dedicated_tenant", "dedicated_host"], weights=[7, 2, 1]
         )[0]
-        site = rng.choice(["core", "edge"]) if rng.random() < 0.2 else None
         demands[service_id] = demand
         isolation[service_id] = level
-        affinity[service_id] = site
         requirements.append(
             CapabilityRequirement(
                 service=service_id,
                 demand=ResourceDemand(*demand),
                 isolation=level,
-                affinity=site,
             )
         )
     limit = rng.choice([1.0, 3.0, 6.0, 100.0])
@@ -450,8 +444,6 @@ def random_constrained_instance(rng: random.Random):
         "host_of": host_of,
         "limit": limit,
         "isolation": isolation,
-        "affinity": affinity,
         "occupied": occupied,
-        "site": {t: host_site[host_of[t]] for t in tenants},
         "dedicated_host": dedicated_host,
     }

@@ -329,13 +329,6 @@ def _storm(rng: random.Random, text: str) -> None:
         }[action]
         engine.advance_service(role(proper), pick(services, "svc-ghost"), action)
 
-    def op_instantiate_service():
-        engine.instantiate_service(
-            role(Role.OPERATOR),
-            pick(services, "svc-ghost"),
-            rng.choice(("tenant-orch", "tenant-cp", "tenant-dp")),
-        )
-
     def op_create_slice():
         if services:
             members = tuple(
@@ -363,7 +356,6 @@ def _storm(rng: random.Random, text: str) -> None:
         op_create_service,
         op_advance,
         op_advance,
-        op_instantiate_service,
         op_create_slice,
         op_run_slice,
         op_teardown,

@@ -14,8 +14,8 @@ import yaml
 import scenario
 import slicectl
 from slicectl.cli import ENV_CATALOG, main, run
-from slicectl.model import ServiceProfile, compose_slice
-from slicectl.store import load_audit, load_catalog
+from slicectl.model import ResourceDemand, ServiceProfile, compose_slice
+from slicectl.store import load_audit, load_catalog, load_inventory, save_inventory
 
 
 def descriptor_doc(
@@ -202,6 +202,25 @@ class TestExitCodes:
         )
         assert result.exit_code == 1
         assert result.summary.startswith("RoleDenied")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint-template", "--env-limit", "0"],
+            ["lint-template", "--env-limit", "-5"],
+            ["onboard-vf", "--vsp", "vsp-lab", "--version", "1.x"],
+            ["onboard-vf", "--vsp", "vsp-lab", "--version", "1.2"],
+        ],
+        ids=["env-limit-0", "env-limit-negative", "version-1.x", "version-1.2"],
+    )
+    def test_bad_numeric_option_is_usage(self, root, tmp_path, argv):
+        template = tmp_path / "probe.yaml"
+        template.write_text(scenario.minimal_template())
+        result = run(
+            argv + [str(template), "--as", "designer", "--catalog", str(root)]
+        )
+        assert result.exit_code == 2
+        assert not root.exists()
 
     def test_bugs_map_to_internal_error(self, root, monkeypatch):
         monkeypatch.setattr(
@@ -403,6 +422,43 @@ class TestWorkflow:
             "c-lab", "p-lab", [service], ServiceProfile(**doc["profile"]), name=name
         )
         assert created.detail["slice"] == composed.id == slice_id
+
+    def test_best_effort_with_every_member_refused_fails(self, root, tmp_path):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(descriptor_doc()))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+        assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
+        # Drift after planning: the planned tenant fills up.
+        infra = load_inventory(root / "inventory.yaml")
+        infra.allocate("tenant-cp", "svc-squatter", ResourceDemand(vcpu=5))
+        save_inventory(infra, root / "inventory.yaml")
+        saved = {
+            name: (root / name).read_bytes()
+            for name in ("catalog.json", "inventory.yaml")
+        }
+        result = run(
+            [
+                "instantiate-slice",
+                "slice-p",
+                "--plan",
+                str(root / "plan-slice-p.yaml"),
+                "--best-effort",
+                "--as",
+                "operator",
+                "--catalog",
+                str(root),
+            ]
+        )
+        assert result.exit_code == 1
+        assert result.summary.startswith("PartialFailure")
+        assert "svc-probe" in result.summary
+        assert {name: (root / name).read_bytes() for name in saved} == saved
+        trail = [(e.action, e.outcome.value) for e in load_audit(root / "audit.log")]
+        assert trail[-2:] == [
+            ("instantiate_service", "failed"),
+            ("instantiate_slice", "failed"),
+        ]
 
     def test_infeasible_placement_reports_cleanly(self, root, tmp_path):
         seed_service(root, tmp_path)

@@ -11,7 +11,6 @@ import oracles
 import scenario
 from slicectl.errors import (
     EmptyService,
-    InsufficientCapacity,
     InvalidTransition,
     PartialFailure,
     PlanInvalid,
@@ -160,9 +159,6 @@ class TestRoleGates:
             "distribute_service": lambda: engine.advance_service(
                 Role.GOVERNOR, "svc-core-cp", "distribute"
             ),
-            "instantiate_service": lambda: engine.instantiate_service(
-                Role.GOVERNOR, "svc-core-cp", "tenant-cp"
-            ),
             "create_slice": lambda: engine.create_slice(
                 Role.OPERATOR, slc, template
             ),
@@ -304,28 +300,6 @@ class TestServiceWorkflow:
         self.engine.advance_service(Role.GOVERNOR, sid, "approve")
         record = self.engine.advance_service(Role.OPERATOR, sid, "distribute")
         assert record.state is ServiceState.DISTRIBUTED
-
-    def test_instantiate_single_service(self):
-        sid = scenario.ready_service(self.engine, "X", [self.vf])
-        record = self.engine.instantiate_service(Role.OPERATOR, sid, "tenant-cp")
-        assert record.state is ServiceState.INSTANTIATED
-        used = self.engine.infra.tenants["tenant-cp"].used
-        assert used.as_tuple() == (1, 512, 4, 0)
-
-    def test_instantiate_needs_distribution_and_capacity(self):
-        sid = self.engine.create_service(Role.DESIGNER, "X", [self.vf]).subject
-        with pytest.raises(InvalidTransition, match="needs distributed"):
-            self.engine.instantiate_service(Role.OPERATOR, sid, "tenant-cp")
-        big = scenario.onboard_certified(
-            self.engine, "vsp-lab", scenario.minimal_template("big", vcpu=4)
-        )
-        scenario.ready_service(self.engine, "Big", [big], service_id="svc-big")
-        with pytest.raises(InsufficientCapacity):
-            self.engine.instantiate_service(Role.OPERATOR, "svc-big", "tenant-orch")
-        assert self.engine.events[-1].outcome is Outcome.FAILED
-        assert self.engine.infra.tenants["tenant-orch"].used.as_tuple() == (
-            0, 0, 0, 0,
-        )
 
 
 class TestSliceWorkflow:
@@ -469,6 +443,21 @@ class TestSliceExecution:
         with pytest.raises(InvalidTransition, match="needs ready"):
             engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
 
+    def test_instantiate_needs_distributed_members(self):
+        # slice-iso shares both members with slice-a, so it stays ready
+        # while slice-a instantiates them.
+        engine = isolated_slice_engine(IsolationLevel.SHARED)
+        plan = engine.plan_slice("slice-iso")
+        engine.instantiate_slice(
+            Role.OPERATOR, "slice-a", engine.plan_slice("slice-a")
+        )
+        before = engine.infra.usage_snapshot()
+        with pytest.raises(InvalidTransition, match="not distributed"):
+            engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+        assert engine.events[-1].outcome is Outcome.FAILED
+        assert engine.catalog.records["slice-iso"].state is SliceState.READY
+        assert engine.infra.usage_snapshot() == before
+
     def test_atomic_failure_rolls_back(self):
         engine = scenario.slice_a_engine()
         plan = engine.plan_slice("slice-a")
@@ -545,6 +534,61 @@ class TestSliceExecution:
             assert states["svc-core-cp"] == ("service", "instantiated")
             assert states["svc-core-dp"] == ("service", "distributed")
 
+    @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "best-effort"])
+    def test_members_on_one_tenant_are_counted_together(self, atomic):
+        # Each member fits tenant-cp alone, the two together do not.
+        engine = scenario.slice_a_engine()
+        engine.atomic = atomic
+        plan = PlacementPlan(
+            "slice-a",
+            (
+                Assignment("svc-core-cp", "tenant-cp"),
+                Assignment("svc-core-dp", "tenant-cp"),
+            ),
+            0.0,
+            True,
+        )
+        if atomic:
+            with pytest.raises(PartialFailure) as info:
+                engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+            assert info.value.service_id == "svc-core-dp"
+            assert not engine.infra.allocations
+        else:
+            record = engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+            assert record.state is SliceState.PARTIALLY_INSTANTIATED
+            held = {a.service for a in engine.infra.allocations.values()}
+            assert held == {"svc-core-cp"}
+        assert oracles.recompute_used(engine.infra) == {
+            t.id: t.used.as_tuple() for t in engine.infra.tenants.values()
+        }
+
+    def test_best_effort_with_every_member_refused_raises(self):
+        engine = isolated_slice_engine(IsolationLevel.DEDICATED_TENANT)
+        engine.atomic = False
+        plan = engine.plan_slice("slice-iso")
+        for tenant_id in ("tenant-cp", "tenant-dp"):
+            engine.infra.allocate(tenant_id, "svc-squatter", ResourceDemand(vcpu=1))
+        before = states_of(engine)
+        with pytest.raises(PartialFailure) as info:
+            engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+        assert info.value.service_id == "svc-core-cp"
+        assert info.value.reason == (
+            "tenant 'tenant-cp' already hosts another service"
+        )
+        assert states_of(engine) == before
+        held = {a.service for a in engine.infra.allocations.values()}
+        assert held == {"svc-squatter"}
+        failed = [
+            (e.action, e.subject)
+            for e in engine.events
+            if e.outcome is Outcome.FAILED
+        ]
+        assert failed == [
+            ("instantiate_service", "svc-core-cp"),
+            ("instantiate_service", "svc-core-dp"),
+            ("instantiate_slice", "slice-iso"),
+        ]
+
     def test_dedicated_host_refuses_a_shared_class_host(self):
         engine = isolated_slice_engine(IsolationLevel.DEDICATED_HOST)
         # Every testbed host is of the shared class, so the solver finds
@@ -616,6 +660,42 @@ class TestSliceExecution:
             assert record.state is SliceState.TERMINATED
             assert not engine.infra.allocations
         # terminate_service twice, then teardown_slice.
+        assert k == 4
+
+    def test_instantiate_logs_before_it_holds_capacity(self):
+        # The sink fails at the k-th instantiation event, for every k:
+        # capacity is held exactly by the members recorded instantiated.
+        class Down(Exception):
+            pass
+
+        k = 0
+        while True:
+            k += 1
+            engine = scenario.slice_a_engine()
+            plan = engine.plan_slice("slice-a")
+            calls = []
+
+            def sink(event):
+                calls.append(event)
+                if len(calls) == k:
+                    raise Down()
+
+            engine._sink = sink
+            try:
+                engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+            except Down:
+                pass
+            else:
+                break
+            held = {a.service for a in engine.infra.allocations.values()}
+            for service_id in engine.catalog.slices["slice-a"].services:
+                state = engine.catalog.records[service_id].state
+                assert (state is ServiceState.INSTANTIATED) == (service_id in held)
+            assert replay_states(engine.events) == engine.catalog.records
+            assert oracles.recompute_used(engine.infra) == {
+                t.id: t.used.as_tuple() for t in engine.infra.tenants.values()
+            }
+        # instantiate_service twice, then instantiate_slice.
         assert k == 4
 
     def test_unchained_slice_is_refused_by_planning(self):

@@ -34,7 +34,6 @@ from slicectl.placement import (
     EXHAUSTIVE_MAX_PAIRS,
     PlacementPlan,
     Severity,
-    VIOLATION_AFFINITY,
     VIOLATION_BUDGET,
     VIOLATION_DUPLICATE,
     VIOLATION_ISOLATION,
@@ -141,7 +140,6 @@ class TestCapabilityDerivation:
         assert [o.tenant for o in offers] == ["tenant-cp", "tenant-dp", "tenant-orch"]
         by_tenant = {o.tenant: o for o in offers}
         assert by_tenant["tenant-dp"].free.as_tuple() == (3, 7168, 40, 6)
-        assert by_tenant["tenant-cp"].site == "core"
 
 
 class TestPlanPlacement:
@@ -379,7 +377,7 @@ class TestPlanPlacement:
         assert plan.e2e_latency == 1.0
 
     def test_constrained_instances_match_the_oracle(self, monkeypatch):
-        """On 250 instances with isolation, affinity, foreign allocations,
+        """On 250 instances with isolation, foreign allocations,
         dedicated hosts, shared hosts and float latencies, the plan is the
         brute-force optimum: the same e2e_latency to the bit and the same
         assignment. Greedy plans verify and never beat it."""
@@ -405,9 +403,7 @@ class TestPlanPlacement:
                 hop,
                 info["limit"],
                 isolation=info["isolation"],
-                affinity=info["affinity"],
                 occupied=info["occupied"],
-                site=info["site"],
                 dedicated_host=info["dedicated_host"],
             )
             plan = plan_placement(slc, reqs, offers, infra)
@@ -594,12 +590,6 @@ class TestVerifyPlan:
             plan, reqs, offered_capabilities(infra), infra, slice=self.slc
         )
         assert ok, violations
-
-    def test_affinity_mismatch(self):
-        self.reqs = [requirement("svc-a", affinity="edge"), requirement("svc-b")]
-        ok, codes = self.codes(self.good_plan())
-        assert not ok
-        assert VIOLATION_AFFINITY in codes
 
     def test_slice_mismatch(self):
         plan = PlacementPlan(
