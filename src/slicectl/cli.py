@@ -110,7 +110,7 @@ def _locked(root: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _open_engine(root: Path, *, atomic: bool = True) -> Orchestrator:
+def _open_engine(root: Path) -> Orchestrator:
     catalog_path = root / CATALOG_FILE
     catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
     inventory_path = root / INVENTORY_FILE
@@ -122,7 +122,6 @@ def _open_engine(root: Path, *, atomic: bool = True) -> Orchestrator:
         infra,
         catalog=catalog,
         audit_sink=log.append,
-        atomic=atomic,
         start_sequence=len(events) + 1,
         last_timestamp=events[-1].timestamp if events else 0.0,
     )
@@ -134,13 +133,8 @@ def _save_state(root: Path, engine: Orchestrator) -> None:
         save_inventory(engine.infra, root / INVENTORY_FILE)
 
 
-def _require_infra(engine: Orchestrator) -> None:
-    if engine.infra is None:
-        raise IoFailure("no inventory in this catalog; run init-testbed first")
-
-
 @contextlib.contextmanager
-def _engine_for(args, *, atomic: bool = True, needs_infra: bool = False):
+def _engine_for(args):
     """The state path of every lifecycle command: lock the catalog
     directory, open the engine on it, and save catalog and inventory only
     when the body returns. A denied or failed command keeps its audit
@@ -148,9 +142,7 @@ def _engine_for(args, *, atomic: bool = True, needs_infra: bool = False):
     saving must not run inside."""
     root = _resolve_root(args)
     with _locked(root):
-        engine = _open_engine(root, atomic=atomic)
-        if needs_infra:
-            _require_infra(engine)
+        engine = _open_engine(root)
         yield engine
         _save_state(root, engine)
 
@@ -379,7 +371,6 @@ def _cmd_place_slice(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root):
         engine = _open_engine(root)
-        _require_infra(engine)
         plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
             return CommandResult(
@@ -418,9 +409,11 @@ def _cmd_place_slice(args) -> CommandResult:
 
 
 def _cmd_instantiate_slice(args) -> CommandResult:
-    with _engine_for(args, atomic=not args.best_effort, needs_infra=True) as engine:
+    with _engine_for(args) as engine:
         plan = load_plan(args.plan)
-        record = engine.instantiate_slice(Role(args.role), args.slice, plan)
+        record = engine.instantiate_slice(
+            Role(args.role), args.slice, plan, atomic=not args.best_effort
+        )
     lines = [f"slice {record.subject} is now {record.state.value}"]
     for assignment in plan.assignments:
         lines.append(f"  {assignment.service} on {assignment.tenant}")
@@ -428,7 +421,7 @@ def _cmd_instantiate_slice(args) -> CommandResult:
 
 
 def _cmd_teardown_slice(args) -> CommandResult:
-    with _engine_for(args, needs_infra=True) as engine:
+    with _engine_for(args) as engine:
         record = engine.teardown_slice(Role(args.role), args.slice)
     return _record_result(
         args, record, f"slice {record.subject} is now {record.state.value}"
@@ -801,7 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_status)
 
     p = sub.add_parser("audit", parents=[common], help="print the audit log")
-    p.add_argument("--tail", type=int, default=None, help="last N events only")
+    p.add_argument(
+        "--tail", type=_positive_int, default=None, help="last N events only"
+    )
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser(

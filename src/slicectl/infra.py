@@ -10,7 +10,6 @@ physical links.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -147,15 +146,10 @@ class Infrastructure:
         return [a for a in self.allocations.values() if a.tenant == tenant_id]
 
     def held_by(self, tenant_id: str, *extra: ResourceDemand) -> ResourceDemand:
-        """What the tenant's live allocations (plus extra) hold in total.
-
-        Each field is summed in one step, exactly for integers and with a
-        single rounding for floats, so the total does not depend on the order
-        the allocations were made or released in.
-        """
+        """What the tenant's live allocations (plus extra) hold in total."""
         demands = [a.demand.as_tuple() for a in self.allocations_on(tenant_id)]
         demands.extend(d.as_tuple() for d in extra)
-        return ResourceDemand(*map(_exact_sum, zip(*demands)))
+        return ResourceDemand(*map(sum, zip(*demands)))
 
     def usage_snapshot(self) -> dict[str, ResourceDemand]:
         return {tid: t.used for tid, t in self.tenants.items()}
@@ -213,8 +207,8 @@ class Infrastructure:
 
         The demand is counted on top of the tenant's live allocations and
         of the demands already accepted for it but not yet allocated. The
-        sum is held_by's, so it does not depend on the order the demands
-        arrive in: a demand accepted here is never refused by allocate.
+        sum is exact, so a demand accepted here is never refused by
+        allocate.
         """
         tenant = self.tenants.get(tenant_id)
         if tenant is None:
@@ -245,12 +239,6 @@ class Infrastructure:
         if allocation is None:
             raise UnknownAllocation(f"allocation {allocation_id!r} is not held")
         self.tenants[allocation.tenant].used = self.held_by(allocation.tenant)
-
-
-def _exact_sum(values: tuple[float, ...]) -> float:
-    if all(isinstance(value, int) for value in values):
-        return sum(values)
-    return math.fsum(values)
 
 
 def build_testbed(

@@ -258,14 +258,12 @@ class Orchestrator:
         *,
         catalog: Catalog | None = None,
         audit_sink: Callable[[AuditEvent], None] | None = None,
-        atomic: bool = True,
         start_sequence: int = 1,
         last_timestamp: float = 0.0,
         clock: Callable[[], float] = time.time,
     ):
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
-        self.atomic = atomic
         self.events: list[AuditEvent] = []
         self._sink = audit_sink
         self._clock = clock
@@ -373,7 +371,10 @@ class Orchestrator:
 
     def _require_infra(self) -> Infrastructure:
         if self.infra is None:
-            raise ValueError("this operation needs an attached infrastructure")
+            raise UnknownEntity(
+                "no infrastructure attached; create an inventory first"
+                " (slicectl init-testbed)"
+            )
         return self.infra
 
     # -- VF onboarding ------------------------------------------------------
@@ -607,7 +608,7 @@ class Orchestrator:
         return plan_placement(slc, requirements, offers, infra)
 
     def instantiate_slice(
-        self, actor: Role, slice_id: str, plan: PlacementPlan
+        self, actor: Role, slice_id: str, plan: PlacementPlan, *, atomic: bool = True
     ) -> LifecycleRecord:
         """Execute a placement plan: decide, log, then allocate.
 
@@ -616,10 +617,12 @@ class Orchestrator:
         against the infrastructure as it stands, which may have drifted
         since planning, and against the members accepted before it. Atomic
         mode (the default) accepts nothing once a member is refused;
-        best-effort mode keeps the accepted members and the slice lands in
-        partially_instantiated. With no member accepted, PartialFailure is
-        raised in either mode. An accepted member is allocated only after
-        its instantiate_service event is logged.
+        best-effort mode (atomic=False) keeps the accepted members and the
+        slice lands in partially_instantiated. With no member accepted,
+        PartialFailure is raised in either mode. The slice's own event is
+        logged first, so a cut later on leaves a slice that teardown can
+        release; an accepted member is allocated only after its
+        instantiate_service event is logged.
         """
         with self._attempt(actor, "instantiate_slice", slice_id):
             infra = self._require_infra()
@@ -680,7 +683,7 @@ class Orchestrator:
                 continue
             failures.append(service_id)
             reason = reason or refusal
-            if self.atomic:
+            if atomic:
                 accepted = []
                 break
 
@@ -689,12 +692,12 @@ class Orchestrator:
         if not accepted:
             self._emit(actor, "instantiate_slice", slice_id, Outcome.FAILED)
             raise PartialFailure(failures[0], reason)
+        action = "partially_instantiate_slice" if failures else "instantiate_slice"
+        record = self._commit(actor, action, slice_id)
         for service_id in accepted:
             self._commit(actor, "instantiate_service", service_id)
             infra.allocate(tenant_of[service_id], service_id, demand_of[service_id])
-        if failures:
-            return self._commit(actor, "partially_instantiate_slice", slice_id)
-        return self._commit(actor, "instantiate_slice", slice_id)
+        return record
 
     def teardown_slice(self, actor: Role, slice_id: str) -> LifecycleRecord:
         """Terminate every instantiated member, then the slice.

@@ -27,9 +27,9 @@ from .errors import (
     UnknownService,
 )
 
-# Tolerance for float comparisons against profile bounds. Fixtures that sit
-# exactly on a bound (latency budgets summing to the limit) must not be
-# rejected by rounding noise.
+# Tolerance for float comparisons of latencies and SLA values against their
+# bounds. Fixtures that sit exactly on a bound (latency budgets summing to
+# the limit) must not be rejected by rounding noise.
 EPSILON = 1e-9
 
 
@@ -48,16 +48,20 @@ class IsolationLevel(str, Enum):
 
 @dataclass(frozen=True)
 class ResourceDemand:
-    """Resource vector: vCPU count, RAM in MiB, storage in GiB, port count."""
+    """Whole numbers of vCPUs, MiB of RAM, GiB of storage, and ports."""
 
-    vcpu: float = 0
-    ram: float = 0
-    storage: float = 0
-    ports: float = 0
+    vcpu: int = 0
+    ram: int = 0
+    storage: int = 0
+    ports: int = 0
 
     def __post_init__(self):
         for name in ("vcpu", "ram", "storage", "ports"):
             value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(
+                    f"demand field {name} must be a whole number, got {value!r}"
+                )
             if value < 0:
                 raise ValueError(f"demand field {name} must be >= 0, got {value}")
 
@@ -93,7 +97,7 @@ class ResourceDemand:
             max(self.ports, other.ports),
         )
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
+    def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.vcpu, self.ram, self.storage, self.ports)
 
 

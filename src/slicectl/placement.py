@@ -199,18 +199,13 @@ class _Flat(NamedTuple):
     Service s fits tenant t when admissible[s][t] holds, load[t] plus
     demand[s] fits free[t] field by field, t holds no exclusive service of
     this plan and, if s is exclusive, no service of it at all.
-
-    Loads are summed in chain order from zero, exactly as verify_plan sums
-    them, so the two agree on every float demand. Subtracting demands from
-    the free capacity instead rounds differently: 3.9 - 1.7 leaves room
-    for 2.2, while 1.7 + 2.2 exceeds 3.9.
     """
 
-    free: list[tuple[float, float, float, float]]  # per tenant, from its offer
-    load: list[list[float]]  # per tenant, summed demand of this plan's services
+    free: list[tuple[int, int, int, int]]  # per tenant, from its offer
+    load: list[list[int]]  # per tenant, summed demand of this plan's services
     placed: list[int]  # per tenant, how many of this plan's services
     locked: list[bool]  # per tenant, holds an exclusive service of the plan
-    demand: list[tuple[float, float, float, float]]  # per service
+    demand: list[tuple[int, int, int, int]]  # per service
     exclusive: list[bool]  # per service, not of shared isolation
     admissible: list[list[bool]]  # per service and tenant, isolation allows it
 
@@ -242,18 +237,14 @@ def _flat_state(
 
 
 def _fit_columns(
-    demands: list[tuple[float, float, float, float]],
-) -> list[list[float]]:
+    demands: list[tuple[int, int, int, int]],
+) -> list[list[int]]:
     """Per resource field, the running sums of these demands smallest first.
 
     bisect_right(column, room) is then at least the number of the services
-    that fit together in that much room of the field. The sums are lowered
-    by a rounding allowance, so float demands are never counted out.
+    that fit together in that much room of the field.
     """
-    return [
-        [total - EPSILON * (1 + total) for total in accumulate(sorted(field))]
-        for field in zip(*demands)
-    ]
+    return [list(accumulate(sorted(field))) for field in zip(*demands)]
 
 
 def _solve_exhaustive(

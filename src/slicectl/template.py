@@ -398,13 +398,14 @@ def validate_environment(env: EnvironmentDocument, rules: RuleSet) -> Validation
     return ValidationReport.from_findings(findings)
 
 
-def _numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def resource_footprint(doc: TemplateDocument) -> ResourceDemand:
-    """Sum compute sizing over the template and count its port resources."""
-    vcpu = ram = storage = 0
+    """Sum compute sizing over the template and count its port resources.
+
+    Each compute's sizing must make a ResourceDemand; one that does not
+    (missing, fractional, negative) raises MissingSizing, a domain error
+    that onboarding logs as failed.
+    """
+    total = ResourceDemand()
     ports = 0
     for resource in doc.resources.values():
         if resource.kind is ResourceKind.PORT:
@@ -412,14 +413,9 @@ def resource_footprint(doc: TemplateDocument) -> ResourceDemand:
             continue
         if resource.kind is not ResourceKind.COMPUTE:
             continue
-        for prop in ("vcpu", "ram", "storage"):
-            value = resource.properties.get(prop)
-            if not _numeric(value):
-                raise MissingSizing(
-                    f"compute resource {resource.name!r} lacks numeric"
-                    f" {prop!r} sizing"
-                )
-        vcpu += resource.properties["vcpu"]
-        ram += resource.properties["ram"]
-        storage += resource.properties["storage"]
-    return ResourceDemand(vcpu=vcpu, ram=ram, storage=storage, ports=ports)
+        sizing = {p: resource.properties.get(p) for p in ("vcpu", "ram", "storage")}
+        try:
+            total = total + ResourceDemand(**sizing)
+        except ValueError as exc:
+            raise MissingSizing(f"compute resource {resource.name!r}: {exc}") from exc
+    return total + ResourceDemand(ports=ports)

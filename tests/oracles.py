@@ -54,9 +54,9 @@ def shortest_latency(
 
 def best_assignment(
     services: list[str],
-    demands: dict[str, tuple[float, float, float, float]],
+    demands: dict[str, tuple[int, int, int, int]],
     tenants: list[str],
-    free: dict[str, tuple[float, float, float, float]],
+    free: dict[str, tuple[int, int, int, int]],
     hop_latency,
     limit: float,
     *,
@@ -99,9 +99,9 @@ def best_assignment(
             for placed in on_tenant.values()
         ):
             continue
-        load: dict[str, list[float]] = {}
+        load: dict[str, list[int]] = {}
         for service, tenant in zip(services, combo):
-            vector = load.setdefault(tenant, [0.0, 0.0, 0.0, 0.0])
+            vector = load.setdefault(tenant, [0, 0, 0, 0])
             for axis, value in enumerate(demands[service]):
                 vector[axis] += value
         if any(
@@ -137,9 +137,9 @@ def compose_sla_exact(
     return latency, availability, min(rates)
 
 
-def recompute_used(infra) -> dict[str, tuple[float, float, float, float]]:
+def recompute_used(infra) -> dict[str, tuple[int, int, int, int]]:
     """Per-tenant usage resummed from the raw allocation records."""
-    totals = {tenant_id: [0.0, 0.0, 0.0, 0.0] for tenant_id in infra.tenants}
+    totals = {tenant_id: [0, 0, 0, 0] for tenant_id in infra.tenants}
     for allocation in infra.allocations.values():
         vector = totals[allocation.tenant]
         demand = allocation.demand

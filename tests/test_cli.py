@@ -104,6 +104,13 @@ BAD_DESCRIPTORS = [
         id="negative-demand",
     ),
     pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"]["demand"].update(vcpu=1.5)
+        ),
+        "vcpu must be a whole number, got 1.5",
+        id="fractional-demand",
+    ),
+    pytest.param(
         edited_descriptor(lambda d: d["slice"].update(chain_ordr=False)),
         "chain_ordr",
         id="misspelt-chain-order",
@@ -221,6 +228,12 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
         assert not root.exists()
+
+    @pytest.mark.parametrize("tail", ["0", "-3"])
+    def test_audit_tail_below_one_is_usage(self, root, tmp_path, tail):
+        seed_service(root, tmp_path)
+        result = run(["audit", "--tail", tail, "--catalog", str(root)])
+        assert result.exit_code == 2
 
     def test_bugs_map_to_internal_error(self, root, monkeypatch):
         monkeypatch.setattr(
@@ -483,6 +496,48 @@ class TestWorkflow:
         assert "PlanInvalid" in placed.summary
         assert "chain order" in placed.summary
         assert not (root / "plan-slice-p.yaml").exists()
+
+    def test_fractional_template_is_refused_and_audited(self, root, tmp_path):
+        seed_service(root, tmp_path)
+        template = tmp_path / "half.yaml"
+        template.write_text(scenario.minimal_template(name="half", vcpu=0.5))
+        saved = (root / "catalog.json").read_bytes()
+        events = load_audit(root / "audit.log")
+        result = run(
+            ["onboard-vf", str(template), "--vsp", "vsp-lab", "--catalog", str(root)]
+        )
+        assert result.exit_code == 1
+        assert result.summary.startswith("MissingSizing")
+        assert (root / "catalog.json").read_bytes() == saved
+        after = load_audit(root / "audit.log")
+        assert after[:-1] == events
+        assert (after[-1].action, after[-1].outcome.value) == ("onboard_vf", "failed")
+
+    def test_instantiate_slice_needs_an_inventory(self, root, tmp_path):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(descriptor_doc()))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+        assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
+        (root / "inventory.yaml").unlink()
+        saved = (root / "catalog.json").read_bytes()
+        result = run(
+            [
+                "instantiate-slice",
+                "slice-p",
+                "--plan",
+                str(root / "plan-slice-p.yaml"),
+                "--catalog",
+                str(root),
+            ]
+        )
+        assert result.exit_code == 1
+        assert result.summary.startswith("UnknownEntity")
+        assert "init-testbed" in result.summary
+        assert (root / "catalog.json").read_bytes() == saved
+        assert not (root / "inventory.yaml").exists()
+        last = load_audit(root / "audit.log")[-1]
+        assert (last.action, last.outcome.value) == ("instantiate_slice", "failed")
 
     def test_place_slice_needs_an_inventory(self, root, tmp_path):
         template = tmp_path / "probe.yaml"

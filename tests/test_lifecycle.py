@@ -12,6 +12,7 @@ import scenario
 from slicectl.errors import (
     EmptyService,
     InvalidTransition,
+    MissingSizing,
     PartialFailure,
     PlanInvalid,
     RoleDenied,
@@ -216,6 +217,14 @@ class TestVfOnboarding:
             self.engine.onboard_vf(Role.DESIGNER, "vsp-lab", bad)
         rules = {f.rule_id for f in info.value.report.findings}
         assert rules == {"required-metadata"}
+        assert self.engine.events[-1].outcome is Outcome.FAILED
+        assert "vf-probe" not in self.engine.catalog.records
+
+    def test_fractional_sizing_fails_with_audit(self):
+        with pytest.raises(MissingSizing, match="vcpu"):
+            self.engine.onboard_vf(
+                Role.DESIGNER, "vsp-lab", scenario.minimal_template(vcpu=0.5)
+            )
         assert self.engine.events[-1].outcome is Outcome.FAILED
         assert "vf-probe" not in self.engine.catalog.records
 
@@ -477,10 +486,11 @@ class TestSliceExecution:
 
     def test_best_effort_keeps_the_successes(self):
         engine = scenario.slice_a_engine()
-        engine.atomic = False
         plan = engine.plan_slice("slice-a")
         engine.infra.allocate("tenant-dp", "svc-squatter", ResourceDemand(vcpu=4))
-        record = engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+        record = engine.instantiate_slice(
+            Role.OPERATOR, "slice-a", plan, atomic=False
+        )
         assert record.state is SliceState.PARTIALLY_INSTANTIATED
         assert (
             engine.catalog.records["svc-core-cp"].state
@@ -501,7 +511,6 @@ class TestSliceExecution:
     @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "best-effort"])
     def test_dedicated_tenant_refuses_an_occupied_tenant(self, atomic):
         engine = isolated_slice_engine(IsolationLevel.DEDICATED_TENANT)
-        engine.atomic = atomic
         plan = engine.plan_slice("slice-iso")
         assert plan.tenant_of("svc-core-dp") == "tenant-dp"
         # Drift after planning: a foreign service lands on the data-plane
@@ -528,7 +537,9 @@ class TestSliceExecution:
             ]
             assert engine.catalog.records["slice-iso"].state is SliceState.READY
         else:
-            record = engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+            record = engine.instantiate_slice(
+                Role.OPERATOR, "slice-iso", plan, atomic=False
+            )
             assert record.state is SliceState.PARTIALLY_INSTANTIATED
             states = states_of(engine)
             assert states["svc-core-cp"] == ("service", "instantiated")
@@ -538,7 +549,6 @@ class TestSliceExecution:
     def test_members_on_one_tenant_are_counted_together(self, atomic):
         # Each member fits tenant-cp alone, the two together do not.
         engine = scenario.slice_a_engine()
-        engine.atomic = atomic
         plan = PlacementPlan(
             "slice-a",
             (
@@ -554,7 +564,9 @@ class TestSliceExecution:
             assert info.value.service_id == "svc-core-dp"
             assert not engine.infra.allocations
         else:
-            record = engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+            record = engine.instantiate_slice(
+                Role.OPERATOR, "slice-a", plan, atomic=False
+            )
             assert record.state is SliceState.PARTIALLY_INSTANTIATED
             held = {a.service for a in engine.infra.allocations.values()}
             assert held == {"svc-core-cp"}
@@ -564,13 +576,14 @@ class TestSliceExecution:
 
     def test_best_effort_with_every_member_refused_raises(self):
         engine = isolated_slice_engine(IsolationLevel.DEDICATED_TENANT)
-        engine.atomic = False
         plan = engine.plan_slice("slice-iso")
         for tenant_id in ("tenant-cp", "tenant-dp"):
             engine.infra.allocate(tenant_id, "svc-squatter", ResourceDemand(vcpu=1))
         before = states_of(engine)
         with pytest.raises(PartialFailure) as info:
-            engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
+            engine.instantiate_slice(
+                Role.OPERATOR, "slice-iso", plan, atomic=False
+            )
         assert info.value.service_id == "svc-core-cp"
         assert info.value.reason == (
             "tenant 'tenant-cp' already hosts another service"
@@ -664,10 +677,13 @@ class TestSliceExecution:
 
     def test_instantiate_logs_before_it_holds_capacity(self):
         # The sink fails at the k-th instantiation event, for every k:
-        # capacity is held exactly by the members recorded instantiated.
+        # capacity is held exactly by the members recorded instantiated,
+        # and the slice can go on: a ready one is instantiated again, an
+        # active one torn down with nothing left held.
         class Down(Exception):
             pass
 
+        cuts = []
         k = 0
         while True:
             k += 1
@@ -695,8 +711,21 @@ class TestSliceExecution:
             assert oracles.recompute_used(engine.infra) == {
                 t.id: t.used.as_tuple() for t in engine.infra.tenants.values()
             }
-        # instantiate_service twice, then instantiate_slice.
-        assert k == 4
+            state = engine.catalog.records["slice-a"].state
+            cuts.append((state.value, len(engine.infra.allocations)))
+            engine._sink = None
+            if state is SliceState.READY:
+                record = engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+                assert record.state is SliceState.ACTIVE
+            else:
+                record = engine.teardown_slice(Role.OPERATOR, "slice-a")
+                assert record.state is SliceState.TERMINATED
+                assert not engine.infra.allocations
+                assert engine.infra.usage_snapshot() == {
+                    t: ResourceDemand() for t in engine.infra.tenants
+                }
+        # instantiate_slice, then instantiate_service twice.
+        assert cuts == [("ready", 0), ("active", 0), ("active", 1)]
 
     def test_unchained_slice_is_refused_by_planning(self):
         # Without chain order the SLA takes the slowest service, while the
@@ -718,5 +747,26 @@ class TestSliceExecution:
     def test_operations_needing_infra_say_so(self):
         engine = Orchestrator()
         scenario.drive_slice_a(engine)
-        with pytest.raises(ValueError, match="infrastructure"):
+        with pytest.raises(UnknownEntity, match="infrastructure"):
             engine.plan_slice("slice-a")
+        plan = PlacementPlan(
+            "slice-a",
+            (
+                Assignment("svc-core-cp", "tenant-cp"),
+                Assignment("svc-core-dp", "tenant-dp"),
+            ),
+            1.0,
+            True,
+        )
+        logged = len(engine.events)
+        with pytest.raises(UnknownEntity, match="infrastructure"):
+            engine.instantiate_slice(Role.OPERATOR, "slice-a", plan)
+        with pytest.raises(UnknownEntity, match="infrastructure"):
+            engine.teardown_slice(Role.OPERATOR, "slice-a")
+        assert [
+            (e.action, e.subject, e.outcome) for e in engine.events[logged:]
+        ] == [
+            ("instantiate_slice", "slice-a", Outcome.FAILED),
+            ("teardown_slice", "slice-a", Outcome.FAILED),
+        ]
+        assert engine.catalog.records["slice-a"].state is SliceState.READY

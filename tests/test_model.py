@@ -69,6 +69,11 @@ class TestResourceDemand:
         with pytest.raises(ValueError, match="ram"):
             ResourceDemand(1, -1, 0, 0)
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True], ids=["half", "2.0", "true"])
+    def test_rejects_components_that_are_not_whole_numbers(self, value):
+        with pytest.raises(ValueError, match="storage must be a whole number"):
+            ResourceDemand(1, 0, value, 0)
+
     def test_arithmetic(self):
         total = ResourceDemand(1, 100, 10, 2) + ResourceDemand(2, 50, 5, 1)
         assert total.as_tuple() == (3, 150, 15, 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import replace
 
@@ -70,13 +71,28 @@ def two_service_slice(**profile_overrides) -> NetworkSlice:
     )
 
 
-def requirement(service: str, vcpu: float = 1, **kwargs) -> CapabilityRequirement:
+def requirement(service: str, vcpu: int = 1, **kwargs) -> CapabilityRequirement:
     return CapabilityRequirement(
         service=service, demand=ResourceDemand(vcpu=vcpu), **kwargs
     )
 
 
-def tiny_infra(quotas: dict[str, float], links=()) -> Infrastructure:
+def allocate_in_slice_order(
+    plan: PlacementPlan, reqs: list[CapabilityRequirement], infra: Infrastructure
+) -> None:
+    """Allocate every assignment of a verified plan; none may be refused,
+    and each tenant's used must equal its allocations summed afresh."""
+    demand_of = {r.service: r.demand for r in reqs}
+    for assignment in plan.assignments:
+        infra.allocate(
+            assignment.tenant, assignment.service, demand_of[assignment.service]
+        )
+    assert oracles.recompute_used(infra) == {
+        t.id: t.used.as_tuple() for t in infra.tenants.values()
+    }
+
+
+def tiny_infra(quotas: dict[str, int], links=()) -> Infrastructure:
     """One host per tenant, quotas in vcpu only, links as (a, b, ms)."""
     infra = Infrastructure()
     for index, tenant_id in enumerate(sorted(quotas)):
@@ -292,23 +308,6 @@ class TestPlanPlacement:
         assert plan.e2e_latency == 0.6
         assert [a.tenant for a in plan.assignments] == ["t-a", "t-b", "t-d", "t-e"]
 
-    @pytest.mark.parametrize("pair_limit", [EXHAUSTIVE_MAX_PAIRS, 0])
-    def test_float_demands_add_up_as_the_verifier_adds_them(
-        self, monkeypatch, pair_limit
-    ):
-        # 3.9 - 1.7 >= 2.2 in floats, but 1.7 + 2.2 > 3.9: both services on
-        # t-a would fail verification with a cumulative overflow.
-        monkeypatch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", pair_limit)
-        slc = two_service_slice()
-        infra = tiny_infra({"t-a": 3.9, "t-b": 8}, links=[("t-a", "t-b", 1.0)])
-        reqs = [requirement("svc-a", vcpu=1.7), requirement("svc-b", vcpu=2.2)]
-        offers = offered_capabilities(infra)
-        plan = plan_placement(slc, reqs, offers, infra)
-        assert plan.feasible
-        assert plan.tenant_of("svc-a") != "t-a" or plan.tenant_of("svc-b") != "t-a"
-        ok, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
-        assert ok, violations
-
     def test_greedy_solver_is_selectable_and_verifies(self, monkeypatch):
         monkeypatch.setattr("slicectl.placement.EXHAUSTIVE_MAX_PAIRS", 0)
         slc = two_service_slice()
@@ -380,7 +379,8 @@ class TestPlanPlacement:
         """On 250 instances with isolation, foreign allocations,
         dedicated hosts, shared hosts and float latencies, the plan is the
         brute-force optimum: the same e2e_latency to the bit and the same
-        assignment. Greedy plans verify and never beat it."""
+        assignment. Greedy plans verify and never beat it. A plan that
+        verifies always allocates, member by member in slice order."""
         outcomes = {"feasible": 0, "exclusive": 0, "zero_hop": 0}
         for index in range(250):
             rng = random.Random(20261018 + index)
@@ -433,6 +433,8 @@ class TestPlanPlacement:
                 ok, violations = verify_plan(greedy, reqs, offers, infra, slice=slc)
                 assert ok, f"instance {index}: greedy plan rejected {violations}"
                 assert greedy.e2e_latency >= opt_latency
+                allocate_in_slice_order(greedy, reqs, copy.deepcopy(infra))
+            allocate_in_slice_order(plan, reqs, infra)
         # The sweep must reach both outcomes and the constraints it is for.
         assert 0 < outcomes["feasible"] < 250
         assert outcomes["exclusive"] > 0

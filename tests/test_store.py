@@ -122,6 +122,9 @@ class TestCatalogSnapshots:
             lambda raw: raw["slices"]["slice-a"].update(
                 chain_ordr=not raw["slices"]["slice-a"].pop("chain_order")
             ),
+            lambda raw: raw["functions"]["vf-core-cp"]["components"][0][
+                "compute_demand"
+            ].update(vcpu=1.5),
         ],
         ids=[
             "missing-field",
@@ -131,6 +134,7 @@ class TestCatalogSnapshots:
             "state-of-another-kind",
             "string-for-list",
             "misspelt-key",
+            "fractional-demand",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage):
@@ -199,6 +203,7 @@ class TestInventorySnapshots:
             lambda raw: raw["tenants"][0].update(quota=[1, 2]),
             lambda raw: raw["hosts"][0].update(isolation="dedicated"),
             lambda raw: raw.update(link=[]),
+            lambda raw: raw["tenants"][0]["quota"].update(vcpu=0.5),
         ],
         ids=[
             "missing-field",
@@ -206,6 +211,7 @@ class TestInventorySnapshots:
             "list-for-nested-entity",
             "misspelt-key",
             "misspelt-section",
+            "fractional-quota",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage):
@@ -216,18 +222,6 @@ class TestInventorySnapshots:
         path.write_text(yaml.safe_dump(raw))
         with pytest.raises(IoFailure, match="corrupt inventory"):
             load_inventory(path)
-
-    def test_fractional_usage_is_exact_after_release(self, tmp_path):
-        infra = build_testbed()
-        first = infra.allocate("tenant-cp", "svc-x", ResourceDemand(vcpu=0.1))
-        second = infra.allocate("tenant-cp", "svc-y", ResourceDemand(vcpu=0.2))
-        infra.release(first.id)
-        assert infra.tenants["tenant-cp"].used == ResourceDemand(vcpu=0.2)
-        path = tmp_path / "inventory.yaml"
-        save_inventory(infra, path)
-        assert load_inventory(path) == infra
-        infra.release(second.id)
-        assert infra.tenants["tenant-cp"].used == ResourceDemand()
 
     def test_integer_usage_is_saved_as_integers(self, tmp_path):
         infra = build_testbed()

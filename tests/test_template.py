@@ -337,6 +337,12 @@ class TestFootprint:
         with pytest.raises(MissingSizing, match="vcpu"):
             resource_footprint(parse_template(text))
 
+    @pytest.mark.parametrize("vcpu", ["0.5", "2.0", "-1"])
+    def test_sizing_must_be_a_whole_number(self, vcpu):
+        text = scenario.minimal_template().replace("vcpu: 1", f"vcpu: {vcpu}")
+        with pytest.raises(MissingSizing, match="vcpu must be"):
+            resource_footprint(parse_template(text))
+
 
 def test_bundled_fixtures_match_published_schema():
     schema_text = (
