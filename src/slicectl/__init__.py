@@ -46,7 +46,6 @@ from .placement import (
     verify_plan,
 )
 from .template import (
-    RuleSet,
     parse_template,
     resource_footprint,
     validate_environment,
@@ -72,7 +71,6 @@ __all__ = [
     "PlacementPlan",
     "ResourceDemand",
     "Role",
-    "RuleSet",
     "ServiceProfile",
     "ServiceRequirement",
     "ServiceState",

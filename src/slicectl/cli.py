@@ -23,7 +23,13 @@ from pathlib import Path
 
 import yaml
 
-from .errors import DanglingReference, IoFailure, SliceError, TemplateSyntaxError
+from .errors import (
+    DanglingReference,
+    IoFailure,
+    MissingSizing,
+    SliceError,
+    TemplateSyntaxError,
+)
 from .infra import build_testbed
 from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role
 from .model import (
@@ -61,10 +67,9 @@ from .store import (
     _load_yaml,
 )
 from .template import (
-    DEFAULT_ENV_CHAR_LIMIT,
-    RuleSet,
     merge_reports,
     parse_template,
+    resource_footprint,
     validate_environment,
     validate_template,
 )
@@ -240,20 +245,21 @@ def _slice_from_descriptor(
 
 
 def _cmd_lint_template(args) -> CommandResult:
-    rules = RuleSet(env_char_limit=args.env_limit, count_names=args.count_names)
+    """Onboarding's checks in onboarding's order, without the catalog."""
     try:
         doc = parse_template(_read_file(args.template))
-    except (TemplateSyntaxError, DanglingReference) as exc:
+        report = merge_reports(
+            validate_template(doc), validate_environment(doc.environment)
+        )
+        if report.accepted:
+            resource_footprint(doc)
+    except (TemplateSyntaxError, DanglingReference, MissingSizing) as exc:
         return CommandResult(
             1,
             f"{type(exc).__name__}: {exc}",
             {"verdict": "rejected", "error": str(exc)},
             args.json,
         )
-    report = merge_reports(
-        validate_template(doc),
-        validate_environment(doc.environment, rules),
-    )
     lines = [f"{doc.name}: {report.verdict.value}"]
     for finding in report.findings:
         lines.append(
@@ -689,21 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint-template",
         parents=[common],
-        help="validate one template file against the onboarding rules",
+        help="run onboard-vf's template checks without touching the catalog",
     )
     p.add_argument("template", help="template file")
-    p.add_argument(
-        "--env-limit",
-        type=_positive_int,
-        default=DEFAULT_ENV_CHAR_LIMIT,
-        dest="env_limit",
-        help="environment character limit (default %(default)s)",
-    )
-    p.add_argument(
-        "--count-names",
-        action="store_true",
-        help="count entry names toward the environment limit",
-    )
     p.set_defaults(handler=_cmd_lint_template)
 
     p = sub.add_parser(

@@ -65,11 +65,8 @@ from .placement import (
     verify_plan,
 )
 from .template import (
-    Finding,
     ResourceKind,
-    RuleSet,
     Severity,
-    ValidationReport,
     merge_reports,
     parse_template,
     referenced_resources,
@@ -393,27 +390,8 @@ class Orchestrator:
                 raise UnknownEntity(f"unknown vendor software product {vsp_id!r}")
             doc = parse_template(template_text)
             report = merge_reports(
-                validate_template(doc),
-                validate_environment(doc.environment, RuleSet()),
+                validate_template(doc), validate_environment(doc.environment)
             )
-            computes = doc.resources_of_kind(ResourceKind.COMPUTE)
-            if not computes:
-                report = merge_reports(
-                    report,
-                    ValidationReport.from_findings(
-                        [
-                            Finding(
-                                rule_id="vf-structure",
-                                severity=Severity.ERROR,
-                                location=doc.name,
-                                message=(
-                                    "template defines no compute resources;"
-                                    " a VF needs at least one component"
-                                ),
-                            )
-                        ]
-                    ),
-                )
             if not report.accepted:
                 raise TemplateRejected(report)
             footprint = resource_footprint(doc)
@@ -423,7 +401,7 @@ class Orchestrator:
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
         components = []
-        for compute in computes:
+        for compute in doc.resources_of_kind(ResourceKind.COMPUTE):
             port_names = tuple(
                 referenced_resources(compute.properties.get("ports") or [])
             )

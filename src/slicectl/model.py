@@ -154,23 +154,6 @@ class VendorSoftwareProduct:
 
 
 @dataclass(frozen=True)
-class ConnectionPoint:
-    """A network port of one function; at most one attached virtual link."""
-
-    name: str
-    owner_function: str
-    attached_link: str | None = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("connection point name must be non-empty")
-
-    @property
-    def id(self) -> str:
-        return f"{self.owner_function}/{self.name}"
-
-
-@dataclass(frozen=True)
 class VirtualLink:
     name: str
     endpoints: frozenset[str]
@@ -246,23 +229,6 @@ class NetworkService:
                     )
 
 
-def _check_profile(profile: "ServiceProfile") -> None:
-    if profile.end_to_end_latency <= 0:
-        raise InvalidProfile(
-            f"end_to_end_latency must be > 0, got {profile.end_to_end_latency}"
-        )
-    if profile.guaranteed_data_rate <= 0:
-        raise InvalidProfile(
-            f"guaranteed_data_rate must be > 0, got {profile.guaranteed_data_rate}"
-        )
-    if not 0 < profile.service_availability <= 1:
-        raise InvalidProfile(
-            f"service_availability must be in (0, 1], got {profile.service_availability}"
-        )
-    if profile.priority < 0:
-        raise InvalidProfile(f"priority must be >= 0, got {profile.priority}")
-
-
 @dataclass(frozen=True)
 class ServiceProfile:
     """Customer-facing slice requirements (NSSP).
@@ -285,7 +251,20 @@ class ServiceProfile:
         object.__setattr__(
             self, "degree_of_isolation", IsolationLevel(self.degree_of_isolation)
         )
-        _check_profile(self)
+        if self.end_to_end_latency <= 0:
+            raise InvalidProfile(
+                f"end_to_end_latency must be > 0, got {self.end_to_end_latency}"
+            )
+        if self.guaranteed_data_rate <= 0:
+            raise InvalidProfile(
+                f"guaranteed_data_rate must be > 0, got {self.guaranteed_data_rate}"
+            )
+        if not 0 < self.service_availability <= 1:
+            raise InvalidProfile(
+                f"service_availability must be in (0, 1], got {self.service_availability}"
+            )
+        if self.priority < 0:
+            raise InvalidProfile(f"priority must be >= 0, got {self.priority}")
         if self.service_availability == 1.0:
             # Analytically valid, physically unrealizable: keep it but warn.
             warnings.warn(
@@ -385,7 +364,6 @@ class SliceTemplate:
 def make_slice_template(
     slice: NetworkSlice,
     requirements: Mapping[str, ServiceRequirement],
-    template_refs: Mapping[str, Sequence[str]] | None = None,
 ) -> SliceTemplate:
     """Validated constructor for SliceTemplate.
 
@@ -411,14 +389,7 @@ def make_slice_template(
                 f"latency budgets sum to {total_budget} ms, profile allows"
                 f" {slice.profile.end_to_end_latency} ms"
             )
-    refs = {k: tuple(v) for k, v in (template_refs or {}).items()}
-    for service_id in refs:
-        if service_id not in members:
-            raise UnknownService(
-                f"template_refs entry {service_id!r} is not a member of"
-                f" slice {slice.id!r}"
-            )
-    return SliceTemplate(slice.id, dict(requirements), refs)
+    return SliceTemplate(slice.id, dict(requirements))
 
 
 def _slug(name: str) -> str:
@@ -443,7 +414,6 @@ def compose_slice(
     """Compose a slice from services, preserving their order; sla stays unset."""
     if not services:
         raise EmptySlice("a slice needs at least one service")
-    _check_profile(profile)
     if slice_id is None:
         slice_id = f"slice-{_slug(name)}"
     return NetworkSlice(

@@ -4,8 +4,11 @@ Templates are YAML documents with top-level keys name, parameters,
 resources, environment (schema in schemas/template.schema.json). Resource
 kinds are carried as the external type strings of the orchestration
 platform and mapped to a small internal enum; unknown kinds are preserved
-as OTHER. Validation never raises for rule violations, it reports findings;
-parsing raises for structural defects.
+as OTHER. Parsing raises for structural defects. The onboarding rules are
+fixed and take no settings: validate_template and validate_environment
+report findings and never raise, and resource_footprint then raises
+MissingSizing for a compute that is not sized in whole numbers. Onboarding
+and lint-template both run these three checks, in that order.
 """
 
 from __future__ import annotations
@@ -44,15 +47,17 @@ EXTERNAL_TO_KIND = {
     KIND_PORT: ResourceKind.PORT,
 }
 
-# The fixed onboarding rules; only the environment rule takes settings.
+# The fixed onboarding rules.
 NAME_PATTERN = re.compile(r"^[a-z0-9_]{1,63}$")
 REQUIRED_METADATA = ("vf_module_id", "vnf_id", "vnf_name")  # in finding order
 FORBIDDEN_KINDS = frozenset({KIND_FLOATING_IP, KIND_FLOATING_IP_ASSOCIATION})
-DEFAULT_ENV_CHAR_LIMIT = 2000
+# Environment values count quoted; entry names do not count.
+ENV_CHAR_LIMIT = 2000
 
 RULE_REQUIRED_METADATA = "required-metadata"
 RULE_FORBIDDEN_KIND = "forbidden-kind"
 RULE_NAME_PATTERN = "name-pattern"
+RULE_VF_STRUCTURE = "vf-structure"
 RULE_ENV_LIMIT = "env-limit"
 
 
@@ -76,56 +81,24 @@ class Finding:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    verdict: Verdict
+    """Findings of the onboarding rules; any error finding rejects."""
+
     findings: tuple[Finding, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "findings", tuple(self.findings))
-        has_error = any(f.severity is Severity.ERROR for f in self.findings)
-        expected = Verdict.REJECTED if has_error else Verdict.ACCEPTED
-        if self.verdict is not expected:
-            raise ValueError(
-                f"verdict {self.verdict.value} inconsistent with findings"
-            )
-
-    @classmethod
-    def from_findings(cls, findings) -> "ValidationReport":
-        findings = tuple(findings)
-        has_error = any(f.severity is Severity.ERROR for f in findings)
-        return cls(Verdict.REJECTED if has_error else Verdict.ACCEPTED, findings)
 
     @property
     def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPTED
+        return not any(f.severity is Severity.ERROR for f in self.findings)
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.ACCEPTED if self.accepted else Verdict.REJECTED
 
 
 def merge_reports(*reports: ValidationReport) -> ValidationReport:
-    findings = []
-    for report in reports:
-        findings.extend(report.findings)
-    return ValidationReport.from_findings(findings)
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    """Settings of the environment rule; defaults match the platform
-    guidelines."""
-
-    env_char_limit: int = DEFAULT_ENV_CHAR_LIMIT
-    # Whether entry names count toward the environment limit; the guideline
-    # text is ambiguous, values-only is the documented default.
-    count_names: bool = False
-
-    def __post_init__(self):
-        if self.env_char_limit <= 0:
-            raise ValueError("env_char_limit must be > 0")
-
-
-@dataclass(frozen=True)
-class Parameter:
-    type: str
-    default: object = None
-    has_default: bool = False
+    return ValidationReport([f for r in reports for f in r.findings])
 
 
 @dataclass(frozen=True)
@@ -142,23 +115,16 @@ class ResourceDescriptor:
 
 
 @dataclass(frozen=True)
-class EnvironmentDocument:
-    entries: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
-
-
-@dataclass(frozen=True)
 class TemplateDocument:
     name: str
-    parameters: Mapping[str, Parameter] = field(default_factory=dict)
+    parameters: frozenset[str] = frozenset()  # declared parameter names
     resources: Mapping[str, ResourceDescriptor] = field(default_factory=dict)
-    environment: EnvironmentDocument = field(default_factory=EnvironmentDocument)
+    environment: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "parameters", dict(self.parameters))
+        object.__setattr__(self, "parameters", frozenset(self.parameters))
         object.__setattr__(self, "resources", dict(self.resources))
+        object.__setattr__(self, "environment", dict(self.environment))
 
     def resources_of_kind(self, kind: ResourceKind) -> list[ResourceDescriptor]:
         return [r for r in self.resources.values() if r.kind is kind]
@@ -223,15 +189,12 @@ def parse_template(text: str) -> TemplateDocument:
     if not isinstance(name, str) or not name:
         raise TemplateSyntaxError("template needs a non-empty 'name'")
 
-    parameters: dict[str, Parameter] = {}
+    parameters: set[str] = set()
     for pname, praw in _require_mapping(raw.get("parameters"), "parameters").items():
         praw = _require_mapping(praw, f"parameter {pname!r}")
-        ptype = praw.get("type", "string")
-        if not isinstance(ptype, str):
+        if not isinstance(praw.get("type", "string"), str):
             raise TemplateSyntaxError(f"parameter {pname!r} type must be a string")
-        parameters[str(pname)] = Parameter(
-            type=ptype, default=praw.get("default"), has_default="default" in praw
-        )
+        parameters.add(str(pname))
 
     resources: dict[str, ResourceDescriptor] = {}
     for rname, rraw in _require_mapping(raw.get("resources"), "resources").items():
@@ -267,17 +230,17 @@ def parse_template(text: str) -> TemplateDocument:
         )
 
     environment_raw = _require_mapping(raw.get("environment"), "environment")
-    entries: dict[str, str] = {}
+    environment: dict[str, str] = {}
     for ename, evalue in environment_raw.items():
         if isinstance(evalue, (dict, list)) or evalue is None:
             raise TemplateSyntaxError(f"environment entry {ename!r} must be text")
-        entries[str(ename)] = str(evalue)
+        environment[str(ename)] = str(evalue)
 
     doc = TemplateDocument(
         name=name,
         parameters=parameters,
         resources=resources,
-        environment=EnvironmentDocument(entries),
+        environment=environment,
     )
     _check_references(doc)
     return doc
@@ -324,7 +287,8 @@ def _check_references(doc: TemplateDocument) -> None:
 
 def validate_template(doc: TemplateDocument) -> ValidationReport:
     """Check onboarding rules: (a) compute metadata, (b) forbidden kinds,
-    (c) resource naming. One finding per violation; never raises."""
+    (c) resource naming, (d) at least one compute. One finding per
+    violation; never raises."""
     findings: list[Finding] = []
     for resource in doc.resources.values():
         if resource.kind is ResourceKind.COMPUTE:
@@ -365,25 +329,31 @@ def validate_template(doc: TemplateDocument) -> ValidationReport:
                     ),
                 )
             )
-    return ValidationReport.from_findings(findings)
+    if not doc.resources_of_kind(ResourceKind.COMPUTE):
+        findings.append(
+            Finding(
+                rule_id=RULE_VF_STRUCTURE,
+                severity=Severity.ERROR,
+                location=doc.name,
+                message=(
+                    "template defines no compute resources;"
+                    " a VF needs at least one component"
+                ),
+            )
+        )
+    return ValidationReport(findings)
 
 
-def env_char_count(env: EnvironmentDocument, rules: RuleSet) -> int:
-    """Characters the environment occupies once every value is quoted.
-
-    Each value contributes len(value) + 2 for its surrounding quotes; with
-    count_names enabled the names are quoted into the field as well.
-    """
-    count = sum(len(value) + 2 for value in env.entries.values())
-    if rules.count_names:
-        count += sum(len(name) + 2 for name in env.entries)
-    return count
+def env_char_count(env: Mapping[str, str]) -> int:
+    """Characters the environment occupies once every value is quoted:
+    len(value) + 2 per value; entry names do not count."""
+    return sum(len(value) + 2 for value in env.values())
 
 
-def validate_environment(env: EnvironmentDocument, rules: RuleSet) -> ValidationReport:
-    count = env_char_count(env, rules)
+def validate_environment(env: Mapping[str, str]) -> ValidationReport:
+    count = env_char_count(env)
     findings: list[Finding] = []
-    if count > rules.env_char_limit:
+    if count > ENV_CHAR_LIMIT:
         findings.append(
             Finding(
                 rule_id=RULE_ENV_LIMIT,
@@ -391,11 +361,11 @@ def validate_environment(env: EnvironmentDocument, rules: RuleSet) -> Validation
                 location="environment",
                 message=(
                     f"environment counts {count} characters including quotes,"
-                    f" limit is {rules.env_char_limit}"
+                    f" limit is {ENV_CHAR_LIMIT}"
                 ),
             )
         )
-    return ValidationReport.from_findings(findings)
+    return ValidationReport(findings)
 
 
 def resource_footprint(doc: TemplateDocument) -> ResourceDemand:

@@ -17,12 +17,9 @@ from fractions import Fraction
 INF = math.inf
 
 
-def quoted_env_count(entries: dict[str, str], count_names: bool = False) -> int:
+def quoted_env_count(entries: dict[str, str]) -> int:
     """Length of the literal quoted concatenation of all entry values."""
-    blob = "".join(f'"{value}"' for value in entries.values())
-    if count_names:
-        blob += "".join(f'"{name}"' for name in entries)
-    return len(blob)
+    return len("".join(f'"{value}"' for value in entries.values()))
 
 
 def shortest_latency(

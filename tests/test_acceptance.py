@@ -45,7 +45,7 @@ from slicectl.store import (
     save_catalog,
     save_inventory,
 )
-from slicectl.template import RuleSet, parse_template, validate_environment, validate_template
+from slicectl.template import parse_template, validate_environment, validate_template
 
 
 def test_demo_activates_slice_a(tmp_path):
@@ -73,8 +73,7 @@ def test_demo_activates_slice_a(tmp_path):
 
 
 def test_template_rule_boundaries(tmp_path):
-    """2000 counted environment characters pass and 2001 fail under the
-    default rules, the same oversized document passes at limit 20000, and the
+    """2000 counted environment characters pass and 2001 fail, and the
     metadata and forbidden-kind rules reject at their edges."""
     base = yaml.safe_load(scenario.minimal_template())
 
@@ -83,17 +82,14 @@ def test_template_rule_boundaries(tmp_path):
         doc["environment"] = {"flavor": value}
         return parse_template(yaml.safe_dump(doc))
 
-    rules = RuleSet()
     at_limit = with_env("x" * 1998)  # 1998 + 2 quotes = 2000 counted
     over = with_env("x" * 1999)
-    assert oracles.quoted_env_count(at_limit.environment.entries) == 2000
-    assert oracles.quoted_env_count(over.environment.entries) == 2001
-    assert validate_environment(at_limit.environment, rules).accepted
-    report = validate_environment(over.environment, rules)
+    assert oracles.quoted_env_count(at_limit.environment) == 2000
+    assert oracles.quoted_env_count(over.environment) == 2001
+    assert validate_environment(at_limit.environment).accepted
+    report = validate_environment(over.environment)
     assert not report.accepted
     assert [f.rule_id for f in report.findings] == ["env-limit"]
-    roomy = RuleSet(env_char_limit=20000)
-    assert validate_environment(over.environment, roomy).accepted
 
     for key in ("vnf_name", "vnf_id", "vf_module_id"):
         doc = yaml.safe_load(scenario.minimal_template())

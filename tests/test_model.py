@@ -20,7 +20,6 @@ from slicectl.errors import (
     UnknownService,
 )
 from slicectl.model import (
-    ConnectionPoint,
     FunctionComponent,
     FunctionKind,
     IsolationLevel,
@@ -107,10 +106,6 @@ class TestEntities:
             VendorSoftwareProduct(
                 id="v", vendor_name="V", product_name="P", version=(1, 0, "x")
             )
-
-    def test_connection_point_id(self):
-        cp = ConnectionPoint(name="eth0", owner_function="vf-a")
-        assert cp.id == "vf-a/eth0"
 
     def test_virtual_link_needs_two_endpoints(self):
         with pytest.raises(ValueError, match="two endpoints"):

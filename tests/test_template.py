@@ -14,16 +14,15 @@ import oracles
 import scenario
 from slicectl.errors import DanglingReference, MissingSizing, TemplateSyntaxError
 from slicectl.template import (
-    DEFAULT_ENV_CHAR_LIMIT,
-    EnvironmentDocument,
+    ENV_CHAR_LIMIT,
     Finding,
     KIND_FLOATING_IP,
     ResourceKind,
-    RuleSet,
     RULE_ENV_LIMIT,
     RULE_FORBIDDEN_KIND,
     RULE_NAME_PATTERN,
     RULE_REQUIRED_METADATA,
+    RULE_VF_STRUCTURE,
     Severity,
     ValidationReport,
     Verdict,
@@ -62,7 +61,7 @@ class TestParsing:
         assert len(doc.resources_of_kind(ResourceKind.NETWORK)) == 5
         assert len(doc.resources_of_kind(ResourceKind.SUBNET)) == 5
         assert len(doc.resources_of_kind(ResourceKind.PORT)) == 8
-        assert doc.parameters["mme_image"].has_default
+        assert "mme_image" in doc.parameters
 
     def test_malformed_yaml(self):
         with pytest.raises(TemplateSyntaxError, match="malformed"):
@@ -226,6 +225,9 @@ class TestOnboardingRules:
         text = (
             "name: probe\n"
             "resources:\n"
+            "  node:\n"
+            "    type: OS::Nova::Server\n"
+            "    metadata: {vnf_name: probe, vnf_id: vnf-probe, vf_module_id: probe_base}\n"
             f"  {good}:\n"
             "    type: OS::Neutron::Net\n"
             f"  {bad_long}:\n"
@@ -238,50 +240,42 @@ class TestOnboardingRules:
         assert flagged == {bad_long, "BadCase"}
         assert all(f.rule_id == RULE_NAME_PATTERN for f in report.findings)
 
-    def test_report_verdict_must_match_findings(self):
-        error = Finding(RULE_NAME_PATTERN, Severity.ERROR, "x", "bad")
-        with pytest.raises(ValueError, match="inconsistent"):
-            ValidationReport(Verdict.ACCEPTED, (error,))
+    def test_vf_needs_a_compute(self):
+        doc = parse_template(
+            "name: probe\nresources:\n  net:\n    type: OS::Neutron::Net\n"
+        )
+        report = validate_template(doc)
+        assert report.verdict is Verdict.REJECTED
+        [finding] = report.findings
+        assert finding.rule_id == RULE_VF_STRUCTURE
+        assert finding.location == "probe"
 
     def test_warnings_do_not_reject(self):
         warning = Finding(RULE_NAME_PATTERN, Severity.WARNING, "x", "odd")
-        assert ValidationReport.from_findings([warning]).accepted
+        assert ValidationReport((warning,)).accepted
 
     def test_merge_reports_combines_findings(self):
         error = Finding(RULE_ENV_LIMIT, Severity.ERROR, "environment", "big")
-        merged = merge_reports(
-            ValidationReport.from_findings([]),
-            ValidationReport.from_findings([error]),
-        )
+        merged = merge_reports(ValidationReport(()), ValidationReport((error,)))
         assert merged.verdict is Verdict.REJECTED
         assert merged.findings == (error,)
-
-    def test_rule_set_rejects_nonpositive_limit(self):
-        with pytest.raises(ValueError, match="env_char_limit"):
-            RuleSet(env_char_limit=0)
 
 
 class TestEnvironmentLimit:
     def test_exactly_at_limit_accepted(self):
-        env = EnvironmentDocument({"blob": "x" * (DEFAULT_ENV_CHAR_LIMIT - 2)})
-        assert validate_environment(env, RuleSet()).accepted
+        env = {"blob": "x" * (ENV_CHAR_LIMIT - 2)}
+        assert validate_environment(env).accepted
 
     def test_one_over_limit_rejected(self):
-        env = EnvironmentDocument({"blob": "x" * (DEFAULT_ENV_CHAR_LIMIT - 1)})
-        report = validate_environment(env, RuleSet())
+        env = {"blob": "x" * (ENV_CHAR_LIMIT - 1)}
+        report = validate_environment(env)
         assert report.verdict is Verdict.REJECTED
         finding = report.findings[0]
         assert finding.rule_id == RULE_ENV_LIMIT
-        assert f"counts {DEFAULT_ENV_CHAR_LIMIT + 1} characters" in finding.message
+        assert f"counts {ENV_CHAR_LIMIT + 1} characters" in finding.message
 
-    def test_upgraded_limit_accepts_the_same_document(self):
-        env = EnvironmentDocument({"blob": "x" * (DEFAULT_ENV_CHAR_LIMIT - 1)})
-        assert validate_environment(env, RuleSet(env_char_limit=20000)).accepted
-
-    def test_names_count_only_when_enabled(self):
-        env = EnvironmentDocument({"name": "abc"})
-        assert env_char_count(env, RuleSet()) == 5
-        assert env_char_count(env, RuleSet(count_names=True)) == 11
+    def test_names_do_not_count(self):
+        assert env_char_count({"name": "abc"}) == 5
 
     @given(
         entries=st.dictionaries(
@@ -289,14 +283,9 @@ class TestEnvironmentLimit:
             st.text(max_size=40),
             max_size=8,
         ),
-        count_names=st.booleans(),
     )
-    def test_count_matches_quoted_concatenation(self, entries, count_names):
-        env = EnvironmentDocument(entries)
-        rules = RuleSet(count_names=count_names)
-        assert env_char_count(env, rules) == oracles.quoted_env_count(
-            entries, count_names
-        )
+    def test_count_matches_quoted_concatenation(self, entries):
+        assert env_char_count(entries) == oracles.quoted_env_count(entries)
 
 
 class TestFootprint:
@@ -353,3 +342,29 @@ def test_bundled_fixtures_match_published_schema():
     for name in ("core_cp.yaml", "core_dp.yaml"):
         raw = yaml.safe_load(scenario.fixture_text(name))
         jsonschema.validate(raw, schema)
+
+
+@pytest.mark.parametrize("vcpu", [0.5, None, -1], ids=["half", "absent", "negative"])
+def test_published_schema_requires_whole_number_sizing(vcpu):
+    """The schema refuses the compute sizing that onboarding refuses, apart
+    from 2.0, which JSON Schema counts as an integer (its description says
+    so)."""
+    schema = json.loads(
+        (ilr.files("slicectl") / "schemas" / "template.schema.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    jsonschema = pytest.importorskip("jsonschema")
+    raw = yaml.safe_load(scenario.fixture_text("core_cp.yaml"))
+    sizing = raw["resources"]["mme"]["properties"]
+    assert sizing["vcpu"] == 2
+    if vcpu is None:
+        del sizing["vcpu"]
+    else:
+        sizing["vcpu"] = vcpu
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(raw, schema)
+    with pytest.raises(MissingSizing):
+        resource_footprint(parse_template(yaml.safe_dump(raw)))
+    sizing["vcpu"] = 2.0
+    jsonschema.validate(raw, schema)
