@@ -34,7 +34,6 @@ from .model import (
     SliceTemplate,
     VendorSoftwareProduct,
     aggregate_sla,
-    compose_slice,
     derive_service_sla,
     make_slice_template,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "VfState",
     "aggregate_sla",
     "build_testbed",
-    "compose_slice",
     "derive_service_sla",
     "make_slice_template",
     "offered_capabilities",

@@ -137,3 +137,7 @@ class SchemaMismatch(SliceError):
 
 class SequenceGap(SliceError):
     """The audit log's sequence numbers are not contiguous."""
+
+
+class LogDiverged(SliceError):
+    """An ok audit event is a step the lifecycle table does not allow."""

@@ -2,11 +2,14 @@
 
 The orchestration engine owns all catalog mutation. Every operation is
 gated by the acting role and records exactly one audit event per outcome
-(ok, denied, failed). Orchestrator._commit is the only place an ok event is
-logged and applied: it appends the event first, then folds it into the
-lifecycle records with apply_event, the same fold that replays the log, so
-the log always explains the catalog. Slice-level operations add the
-abstraction the per-service workflow lacks: readiness derivation,
+(ok, denied, failed). Which states each action needs and leads to is one
+table, TRANSITIONS, and check_transition reads it for every live check.
+Orchestrator._commit is the only place an ok event is logged and applied:
+it appends the event first, then folds it into the lifecycle records with
+apply_event, the same fold that replays the log, so the log always explains
+the catalog. apply_event checks each ok event against that table too, and
+refuses one it does not allow with LogDiverged. Slice-level operations add
+the abstraction the per-service workflow lacks: readiness derivation,
 plan-driven instantiation, and teardown. Both take and give back capacity
 in the order decide, log, apply: instantiation decides every member
 without touching the inventory, so there is nothing to undo, and an
@@ -22,13 +25,14 @@ import contextlib
 import hashlib
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import (
     EmptyService,
     InvalidTransition,
+    LogDiverged,
     PartialFailure,
     PlanInvalid,
     RoleDenied,
@@ -134,36 +138,41 @@ PERMISSIONS: dict[str, frozenset[Role]] = {
     "teardown_slice": frozenset({Role.OPERATOR}),
 }
 
-# How each logged ok-action folds into lifecycle state, live and in replay:
-# action -> (artifact kind, resulting state, whether the action creates the
-# record). Derived actions (slice_ready and friends) appear here too so the
-# log alone reconstructs every record.
-ACTION_EFFECTS: dict[str, tuple[ArtifactKind, object, bool]] = {
-    "onboard_vf": (ArtifactKind.VF, VfState.DRAFT, True),
-    "certify_vf": (ArtifactKind.VF, VfState.CERTIFIED, False),
-    "create_service": (ArtifactKind.SERVICE, ServiceState.DESIGNED, True),
-    "test_service": (ArtifactKind.SERVICE, ServiceState.TESTED, False),
-    "approve_service": (ArtifactKind.SERVICE, ServiceState.APPROVED, False),
-    "distribute_service": (ArtifactKind.SERVICE, ServiceState.DISTRIBUTED, False),
-    "instantiate_service": (ArtifactKind.SERVICE, ServiceState.INSTANTIATED, False),
-    "terminate_service": (ArtifactKind.SERVICE, ServiceState.TERMINATED, False),
-    "create_slice": (ArtifactKind.SLICE, SliceState.DRAFTED, True),
-    "slice_ready": (ArtifactKind.SLICE, SliceState.READY, False),
-    "instantiate_slice": (ArtifactKind.SLICE, SliceState.ACTIVE, False),
+_STATE_ENUMS = {
+    ArtifactKind.VF: VfState,
+    ArtifactKind.SERVICE: ServiceState,
+    ArtifactKind.SLICE: SliceState,
+}
+_KINDS = {states: kind for kind, states in _STATE_ENUMS.items()}
+
+# The one lifecycle table, read by the live checks and by replay: action ->
+# (states the action needs, state it leads to); the state's enum names the
+# artifact kind, and an action that needs no state creates its record.
+# Derived actions (slice_ready and friends) let the log rebuild every record.
+TRANSITIONS: dict[str, tuple[tuple[Enum, ...], Enum]] = {
+    "onboard_vf": ((), VfState.DRAFT),
+    "certify_vf": ((VfState.DRAFT,), VfState.CERTIFIED),
+    "create_service": ((), ServiceState.DESIGNED),
+    "test_service": ((ServiceState.DESIGNED,), ServiceState.TESTED),
+    "approve_service": ((ServiceState.TESTED,), ServiceState.APPROVED),
+    "distribute_service": ((ServiceState.APPROVED,), ServiceState.DISTRIBUTED),
+    "instantiate_service": ((ServiceState.DISTRIBUTED,), ServiceState.INSTANTIATED),
+    "terminate_service": ((ServiceState.INSTANTIATED,), ServiceState.TERMINATED),
+    "create_slice": ((), SliceState.DRAFTED),
+    "slice_ready": ((SliceState.DRAFTED,), SliceState.READY),
+    "instantiate_slice": ((SliceState.READY,), SliceState.ACTIVE),
     "partially_instantiate_slice": (
-        ArtifactKind.SLICE,
+        (SliceState.READY,),
         SliceState.PARTIALLY_INSTANTIATED,
-        False,
     ),
-    "teardown_slice": (ArtifactKind.SLICE, SliceState.TERMINATED, False),
+    "teardown_slice": (
+        (SliceState.ACTIVE, SliceState.PARTIALLY_INSTANTIATED),
+        SliceState.TERMINATED,
+    ),
 }
 
-# advance_service step -> (audit action, state the step needs).
-_ADVANCE_STEPS: dict[str, tuple[str, ServiceState]] = {
-    "test": ("test_service", ServiceState.DESIGNED),
-    "approve": ("approve_service", ServiceState.TESTED),
-    "distribute": ("distribute_service", ServiceState.APPROVED),
-}
+# The advance_service steps; each logs f"{step}_service".
+_ADVANCE_STEPS = ("test", "approve", "distribute")
 
 
 @dataclass(frozen=True)
@@ -175,13 +184,6 @@ class AuditEvent:
     subject: str
     timestamp: float
     outcome: Outcome
-
-
-_STATE_ENUMS = {
-    ArtifactKind.VF: VfState,
-    ArtifactKind.SERVICE: ServiceState,
-    ArtifactKind.SLICE: SliceState,
-}
 
 
 @dataclass
@@ -219,28 +221,53 @@ class Catalog:
     template_blobs: dict[str, str] = field(default_factory=dict)
 
 
+def check_transition(
+    records: Mapping[str, LifecycleRecord], action: str, subject: str
+) -> LifecycleRecord | None:
+    """The record action moves (None for a create); raise if TRANSITIONS
+    does not allow the action on subject."""
+    needs, leads_to = TRANSITIONS[action]
+    kind = _KINDS[type(leads_to)]
+    record = records.get(subject)
+    if not needs:
+        if record is not None:
+            raise InvalidTransition(f"id {subject!r} already exists")
+        return None
+    if record is None or record.kind is not kind:
+        raise UnknownEntity(f"no {kind.value} record for {subject!r}")
+    if record.state not in needs:
+        verb = action.split("_")[0]
+        raise InvalidTransition(
+            f"{kind.value} {subject!r} is {record.state.value},"
+            f" {verb} needs {' or '.join(state.value for state in needs)}"
+        )
+    return record
+
+
 def apply_event(
     records: dict[str, LifecycleRecord], event: AuditEvent
 ) -> LifecycleRecord | None:
-    """Fold one audit event into the records through ACTION_EFFECTS.
+    """Fold one audit event into the records through check_transition.
 
-    A creating action starts a record; any other ok action moves its
-    subject's record to the action's state and appends the event to its
-    history. Denied and failed events, actions without an effect, and
-    subjects with no record of the action's kind change nothing. Returns
-    the record the event moved, or None.
+    An ok event creates or moves its subject's record and appends itself
+    to the history. An ok event that TRANSITIONS refuses or does not know
+    raises LogDiverged and changes nothing. Denied and failed events change
+    nothing. Returns the record the event moved, or None.
     """
-    effect = ACTION_EFFECTS.get(event.action)
-    if event.outcome is not Outcome.OK or effect is None:
+    if event.outcome is not Outcome.OK:
         return None
-    kind, state, creates = effect
-    if creates:
-        record = LifecycleRecord(event.subject, kind, state, [event.sequence_no])
-        records[event.subject] = record
-        return record
-    record = records.get(event.subject)
-    if record is None or record.kind is not kind:
-        return None
+    where = f"audit event {event.sequence_no}"
+    if event.action not in TRANSITIONS:
+        raise LogDiverged(f"{where}: unknown action {event.action!r}")
+    try:
+        record = check_transition(records, event.action, event.subject)
+    except (InvalidTransition, UnknownEntity) as exc:
+        raise LogDiverged(f"{where}: {exc}") from exc
+    _, state = TRANSITIONS[event.action]
+    if record is None:
+        record = records[event.subject] = LifecycleRecord(
+            event.subject, _KINDS[type(state)], state
+        )
     record.state = state
     record.history.append(event.sequence_no)
     return record
@@ -340,24 +367,6 @@ class Orchestrator:
         event = self._emit(actor, action, subject, Outcome.OK)
         return apply_event(self.catalog.records, event)
 
-    def _record(
-        self,
-        kind: ArtifactKind,
-        subject: str,
-        verb: str = "",
-        *states: VfState | ServiceState | SliceState,
-    ) -> LifecycleRecord:
-        """The subject's record; when states are given, it must be in one."""
-        record = self.catalog.records.get(subject)
-        if record is None or record.kind is not kind:
-            raise UnknownEntity(f"no {kind.value} record for {subject!r}")
-        if states and record.state not in states:
-            raise InvalidTransition(
-                f"{kind.value} {subject!r} is {record.state.value},"
-                f" {verb} needs {' or '.join(state.value for state in states)}"
-            )
-        return record
-
     def _fresh_id(self, base: str) -> str:
         if base not in self.catalog.records:
             return base
@@ -432,7 +441,7 @@ class Orchestrator:
 
     def certify_vf(self, actor: Role, vf_id: str) -> LifecycleRecord:
         with self._attempt(actor, "certify_vf", vf_id):
-            self._record(ArtifactKind.VF, vf_id, "certify", VfState.DRAFT)
+            check_transition(self.catalog.records, "certify_vf", vf_id)
         return self._commit(actor, "certify_vf", vf_id)
 
     # -- services -----------------------------------------------------------
@@ -455,8 +464,8 @@ class Orchestrator:
                     raise UnknownEntity(f"unknown vf {vf_id!r}")
                 if record.state is not VfState.CERTIFIED:
                     raise UncertifiedVf(f"vf {vf_id!r} is not certified")
-            if service_id is not None and service_id in self.catalog.records:
-                raise InvalidTransition(f"id {service_id!r} already exists")
+            if service_id is not None:
+                check_transition(self.catalog.records, "create_service", service_id)
         sid = service_id or self._fresh_id(f"svc-{_slug(name)}")
         service = NetworkService(id=sid, name=name, functions=tuple(vf_ids))
         record = self._commit(actor, "create_service", sid)
@@ -467,15 +476,14 @@ class Orchestrator:
         self, actor: Role, service_id: str, action: str
     ) -> LifecycleRecord:
         """Advance one workflow step: test, approve, or distribute."""
-        step = _ADVANCE_STEPS.get(action)
-        if step is None:
+        if action not in _ADVANCE_STEPS:
             raise ValueError(
                 f"unknown action {action!r}, expected one of"
                 f" {sorted(_ADVANCE_STEPS)}"
             )
-        audit_action, pre_state = step
+        audit_action = f"{action}_service"
         with self._attempt(actor, audit_action, service_id):
-            self._record(ArtifactKind.SERVICE, service_id, action, pre_state)
+            check_transition(self.catalog.records, audit_action, service_id)
         record = self._commit(actor, audit_action, service_id)
         if record.state is ServiceState.DISTRIBUTED:
             self._propagate_readiness(actor, service_id)
@@ -492,8 +500,7 @@ class Orchestrator:
                 f"template belongs to {template.slice_id!r}, not {slice.id!r}"
             )
         with self._attempt(actor, "create_slice", slice.id):
-            if slice.id in self.catalog.records:
-                raise InvalidTransition(f"id {slice.id!r} already exists")
+            check_transition(self.catalog.records, "create_slice", slice.id)
             for service_id in slice.services:
                 record = self.catalog.records.get(service_id)
                 if record is None or record.kind is not ArtifactKind.SERVICE:
@@ -521,13 +528,12 @@ class Orchestrator:
         # Derived transition: a drafted slice becomes ready the moment its
         # last member service is distributed. Logged explicitly so replay
         # needs no catalog lookups.
-        record = self.catalog.records[slice_id]
-        if record.state is not SliceState.DRAFTED:
+        needs, _ = TRANSITIONS["slice_ready"]
+        if self.catalog.records[slice_id].state not in needs:
             return
         slc = self.catalog.slices[slice_id]
         for service_id in slc.services:
-            member = self.catalog.records.get(service_id)
-            if member is None or member.state is not ServiceState.DISTRIBUTED:
+            if self.catalog.records[service_id].state is not ServiceState.DISTRIBUTED:
                 return
         self._commit(actor, "slice_ready", slice_id)
 
@@ -604,15 +610,13 @@ class Orchestrator:
         """
         with self._attempt(actor, "instantiate_slice", slice_id):
             infra = self._require_infra()
-            self._record(
-                ArtifactKind.SLICE, slice_id, "instantiate", SliceState.READY
-            )
+            check_transition(self.catalog.records, "instantiate_slice", slice_id)
             slc = self.catalog.slices[slice_id]
+            needs, _ = TRANSITIONS["instantiate_service"]
             lagging = [
                 service_id
                 for service_id in slc.services
-                if self._record(ArtifactKind.SERVICE, service_id).state
-                is not ServiceState.DISTRIBUTED
+                if self.catalog.records[service_id].state not in needs
             ]
             if lagging:
                 raise InvalidTransition(
@@ -687,16 +691,11 @@ class Orchestrator:
         """
         with self._attempt(actor, "teardown_slice", slice_id):
             self._require_infra()
-            self._record(
-                ArtifactKind.SLICE,
-                slice_id,
-                "teardown",
-                SliceState.ACTIVE,
-                SliceState.PARTIALLY_INSTANTIATED,
-            )
+            check_transition(self.catalog.records, "teardown_slice", slice_id)
         slc = self.catalog.slices[slice_id]
+        needs, _ = TRANSITIONS["terminate_service"]
         for service_id in slc.services:
-            if self.catalog.records[service_id].state is ServiceState.INSTANTIATED:
+            if self.catalog.records[service_id].state in needs:
                 self._commit(actor, "terminate_service", service_id)
                 self._release_held({service_id})
         record = self._commit(actor, "teardown_slice", slice_id)

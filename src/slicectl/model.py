@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -399,33 +399,6 @@ def _slug(name: str) -> str:
         ch if ch.isalnum() else "-" for ch in name.lower()
     )).strip("-")
     return slug or "x"
-
-
-def compose_slice(
-    customer: str,
-    provider: str,
-    services: Sequence[NetworkService],
-    profile: ServiceProfile,
-    *,
-    name: str,
-    slice_id: str | None = None,
-    chain_order: bool = True,
-) -> NetworkSlice:
-    """Compose a slice from services, preserving their order; sla stays unset."""
-    if not services:
-        raise EmptySlice("a slice needs at least one service")
-    if slice_id is None:
-        slice_id = f"slice-{_slug(name)}"
-    return NetworkSlice(
-        id=slice_id,
-        name=name,
-        customer=customer,
-        provider=provider,
-        services=tuple(s.id for s in services),
-        profile=profile,
-        sla=None,
-        chain_order=chain_order,
-    )
 
 
 def derive_service_sla(

@@ -6,7 +6,8 @@ lines). Snapshots are written atomically (temp file, fsync, rename), so an
 interrupted save never corrupts the previous file. The audit file is the
 write-ahead record of the lifecycle engine; replay_states folds it back
 into lifecycle records with lifecycle.apply_event, the fold the engine
-applies to each event it logs.
+applies to each event it logs, which checks each ok event against the
+lifecycle table and raises LogDiverged for one the table does not allow.
 
 Catalog, inventory entities and audit events all go through one codec,
 encode/decode, driven by the dataclasses' type hints; decoding calls the
@@ -385,6 +386,8 @@ def replay_states(
 
     Replay over the full log from an empty catalog reconstructs the live
     records exactly; denied and failed events change nothing by design.
+    An ok event that lifecycle.TRANSITIONS, the table the live checks
+    read, does not allow raises LogDiverged; initial is never changed.
     """
     records = {
         key: dataclasses.replace(record, history=list(record.history))

@@ -4,7 +4,8 @@ Templates are YAML documents with top-level keys name, parameters,
 resources, environment (schema in schemas/template.schema.json). Resource
 kinds are carried as the external type strings of the orchestration
 platform and mapped to a small internal enum; unknown kinds are preserved
-as OTHER. Parsing raises for structural defects. The onboarding rules are
+as OTHER. Parsing raises for structural defects, and for a key the schema
+does not allow, read from the schema itself. The onboarding rules are
 fixed and take no settings: validate_template and validate_environment
 report findings and never raise, and resource_footprint then raises
 MissingSizing for a compute that is not sized in whole numbers. Onboarding
@@ -13,6 +14,9 @@ and lint-template both run these three checks, in that order.
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
+import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -138,6 +142,22 @@ def _require_mapping(value, what: str) -> dict:
     return value
 
 
+@functools.cache
+def _schema() -> dict:
+    path = importlib.resources.files("slicectl") / "schemas" / "template.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _refuse_unknown_keys(raw: dict, what: str, *path: str) -> None:
+    """Raise for a key the schema does not allow in the object at path."""
+    node = _schema()
+    for step in path:
+        node = node["properties"][step]["additionalProperties"]
+    for key in raw:
+        if key not in node["properties"]:
+            raise TemplateSyntaxError(f"{what} has unknown key {key!r}")
+
+
 def _iter_references(value):
     """Yield ("param"|"resource", target) pairs found anywhere in a value."""
     if isinstance(value, dict):
@@ -175,9 +195,9 @@ def referenced_resources(value) -> list[str]:
 def parse_template(text: str) -> TemplateDocument:
     """Parse and structurally check one template document.
 
-    Raises TemplateSyntaxError for malformed documents and
-    DanglingReference when a resource points at an undeclared parameter or
-    resource, or when subnet/port wiring does not resolve.
+    Raises TemplateSyntaxError for malformed documents (an unknown key
+    too) and DanglingReference when a resource points at an undeclared
+    parameter or resource, or when subnet/port wiring does not resolve.
     """
     try:
         raw = yaml.safe_load(text)
@@ -185,6 +205,7 @@ def parse_template(text: str) -> TemplateDocument:
         raise TemplateSyntaxError(f"malformed template: {exc}") from exc
     if not isinstance(raw, dict):
         raise TemplateSyntaxError("template root must be a mapping")
+    _refuse_unknown_keys(raw, "the template")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise TemplateSyntaxError("template needs a non-empty 'name'")
@@ -192,6 +213,7 @@ def parse_template(text: str) -> TemplateDocument:
     parameters: set[str] = set()
     for pname, praw in _require_mapping(raw.get("parameters"), "parameters").items():
         praw = _require_mapping(praw, f"parameter {pname!r}")
+        _refuse_unknown_keys(praw, f"parameter {pname!r}", "parameters")
         if not isinstance(praw.get("type", "string"), str):
             raise TemplateSyntaxError(f"parameter {pname!r} type must be a string")
         parameters.add(str(pname))
@@ -200,6 +222,7 @@ def parse_template(text: str) -> TemplateDocument:
     for rname, rraw in _require_mapping(raw.get("resources"), "resources").items():
         rname = str(rname)
         rraw = _require_mapping(rraw, f"resource {rname!r}")
+        _refuse_unknown_keys(rraw, f"resource {rname!r}", "resources")
         external = rraw.get("type")
         if not isinstance(external, str) or not external:
             raise TemplateSyntaxError(f"resource {rname!r} needs a 'type' string")

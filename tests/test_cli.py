@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources as ilr
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import yaml
 import scenario
 import slicectl
 from slicectl.cli import ENV_CATALOG, main, run
-from slicectl.model import ResourceDemand, ServiceProfile, compose_slice
+from slicectl.model import ResourceDemand
 from slicectl.store import load_audit, load_catalog, load_inventory, save_inventory
 
 
@@ -276,6 +277,47 @@ class TestLintTemplate:
             assert expected in result.summary
             assert result.detail["verdict"] == "rejected"
 
+    @pytest.mark.parametrize("level", ["top", "resource", "parameter"])
+    def test_misspelt_key_is_refused(self, root, tmp_path, level):
+        raw = yaml.safe_load(scenario.minimal_template())
+        raw["parameters"] = {"flavor": {"type": "string"}}
+        home = {
+            "top": raw,
+            "resource": raw["resources"]["node"],
+            "parameter": raw["parameters"]["flavor"],
+        }[level]
+        home["enviroment"] = {"flavor": "small"}
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        linted = run(["lint-template", str(path)])
+        assert linted.exit_code == 1
+        assert linted.summary.startswith("TemplateSyntaxError")
+        assert "'enviroment'" in linted.summary
+        onboarded = run(
+            [
+                "onboard-vf",
+                str(path),
+                "--vsp",
+                "vsp-lab",
+                "--vendor",
+                "LabVendor",
+                "--catalog",
+                str(root),
+            ]
+        )
+        assert onboarded.exit_code == 1
+        assert onboarded.summary == linted.summary
+        last = load_audit(root / "audit.log")[-1]
+        assert (last.action, last.outcome.value) == ("onboard_vf", "failed")
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            (ilr.files("slicectl") / "schemas" / "template.schema.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        with pytest.raises(jsonschema.ValidationError, match="enviroment"):
+            jsonschema.validate(raw, schema)
+
     def test_syntax_errors_reject(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("name: [unclosed\n")
@@ -429,11 +471,7 @@ class TestWorkflow:
         descriptor.write_text(yaml.safe_dump(doc))
         created = run(["create-slice", str(descriptor), "--catalog", str(root)])
         assert created.exit_code == 0, created.summary
-        service = load_catalog(root / "catalog.json").services["svc-probe"]
-        composed = compose_slice(
-            "c-lab", "p-lab", [service], ServiceProfile(**doc["profile"]), name=name
-        )
-        assert created.detail["slice"] == composed.id == slice_id
+        assert created.detail["slice"] == slice_id
 
     def test_best_effort_with_every_member_refused_fails(self, root, tmp_path):
         seed_service(root, tmp_path)

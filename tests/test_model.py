@@ -34,7 +34,6 @@ from slicectl.model import (
     VendorSoftwareProduct,
     VirtualLink,
     aggregate_sla,
-    compose_slice,
     derive_service_sla,
     make_slice_template,
     with_sla,
@@ -197,13 +196,6 @@ class TestSliceAssembly:
     def test_duplicate_services_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
             slice_of(("svc-a", "svc-a"))
-
-    def test_compose_slice_derives_id_from_name(self):
-        service = NetworkService(id="svc-a", name="A", functions=("vf-a",))
-        slc = compose_slice("c", "p", [service], profile(), name="Slice A")
-        assert slc.id == "slice-slice-a"
-        assert slc.services == ("svc-a",)
-        assert slc.sla is None
 
     def test_template_requires_entry_per_member(self):
         slc = slice_of(("svc-a", "svc-b"))

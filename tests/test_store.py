@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,13 @@ import scenario
 from slicectl.errors import (
     InvalidTransition,
     IoFailure,
+    LogDiverged,
     RoleDenied,
     SchemaMismatch,
     SequenceGap,
 )
 from slicectl.infra import build_testbed
-from slicectl.lifecycle import AuditEvent, Outcome, Role
+from slicectl.lifecycle import AuditEvent, Outcome, Role, apply_event
 from slicectl.model import ResourceDemand
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
@@ -341,6 +344,49 @@ class TestReplay:
         tail = replay_states(engine.events[midpoint:], initial=head)
         assert {k: list(r.history) for k, r in head.items()} == frozen
         assert tail == engine.catalog.records
+
+    def test_golden_log_replays_to_golden_records(self):
+        catalog = load_catalog(GOLDEN / "catalog.json")
+        assert replay_states(load_audit(GOLDEN / "audit.log")) == catalog.records
+
+    @pytest.mark.parametrize(
+        "action, subject, reason",
+        [
+            # A crash after the audit append, then a retry: the log forks.
+            ("onboard_vf", "vf-core-cp", "id 'vf-core-cp' already exists"),
+            (
+                "certify_vf",
+                "vf-core-cp",
+                "vf 'vf-core-cp' is certified, certify needs draft",
+            ),
+            (
+                "teardown_slice",
+                "slice-a",
+                "slice 'slice-a' is ready,"
+                " teardown needs active or partially_instantiated",
+            ),
+            ("test_service", "svc-ghost", "no service record for 'svc-ghost'"),
+            ("rename_slice", "slice-a", "unknown action 'rename_slice'"),
+        ],
+        ids=[
+            "duplicate-onboard",
+            "second-certify",
+            "teardown-ready",
+            "unknown-subject",
+            "unknown-action",
+        ],
+    )
+    def test_illegal_ok_event_is_refused(self, action, subject, reason):
+        engine = scenario.slice_a_engine()
+        bad = event(len(engine.events) + 1, action, subject)
+        match = f"audit event {bad.sequence_no}: {re.escape(reason)}$"
+        with pytest.raises(LogDiverged, match=match):
+            replay_states(engine.events + [bad])
+        records = replay_states(engine.events)
+        before = copy.deepcopy(records)
+        with pytest.raises(LogDiverged, match=match):
+            apply_event(records, bad)
+        assert records == before == engine.catalog.records
 
 
 class TestPlanDocuments:
