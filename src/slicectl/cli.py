@@ -26,16 +26,16 @@ import yaml
 from .errors import (
     DanglingReference,
     IoFailure,
+    LogDiverged,
     MissingSizing,
     SliceError,
     TemplateSyntaxError,
 )
 from .infra import build_testbed
-from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role
+from .lifecycle import ArtifactKind, AuditEvent, Catalog, Orchestrator, Role
 from .model import (
     Customer,
     NetworkSlice,
-    ServiceProfile,
     ServiceRequirement,
     SliceProvider,
     SliceTemplate,
@@ -61,10 +61,12 @@ from .store import (
     load_catalog,
     load_inventory,
     load_plan,
+    replay_states,
     save_catalog,
     save_inventory,
     save_plan,
     _load_yaml,
+    _read_text,
 )
 from .template import (
     merge_reports,
@@ -115,7 +117,8 @@ def _locked(root: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _open_engine(root: Path) -> Orchestrator:
+def _open_engine(root: Path) -> tuple[Orchestrator, list[AuditEvent]]:
+    """The engine on root's files, and the audit events it was opened at."""
     catalog_path = root / CATALOG_FILE
     catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
     inventory_path = root / INVENTORY_FILE
@@ -123,13 +126,14 @@ def _open_engine(root: Path) -> Orchestrator:
     audit_path = root / AUDIT_FILE
     events = load_audit(audit_path) if audit_path.exists() else []
     log = FileAuditLog(audit_path, expected_next=len(events) + 1)
-    return Orchestrator(
+    engine = Orchestrator(
         infra,
         catalog=catalog,
         audit_sink=log.append,
         start_sequence=len(events) + 1,
         last_timestamp=events[-1].timestamp if events else 0.0,
     )
+    return engine, events
 
 
 def _save_state(root: Path, engine: Orchestrator) -> None:
@@ -147,7 +151,7 @@ def _engine_for(args):
     saving must not run inside."""
     root = _resolve_root(args)
     with _locked(root):
-        engine = _open_engine(root)
+        engine, _ = _open_engine(root)
         yield engine
         _save_state(root, engine)
 
@@ -161,13 +165,6 @@ def _record_result(args, record, summary: str, **detail) -> CommandResult:
         {record.kind.value: record.subject, "state": record.state.value, **detail},
         args.json,
     )
-
-
-def _read_file(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _fixture_text(name: str) -> str:
@@ -200,19 +197,17 @@ def _slice_from_descriptor(
         unknown += sorted(set(slice_raw) - _SLICE_KEYS)
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        name = slice_raw["name"]
         requirements = {
             service_id: decode(ServiceRequirement, entry)
             for service_id, entry in raw["requirements"].items()
         }
-        slc = NetworkSlice(
-            id=slice_raw.get("id") or f"slice-{_slug(name)}",
-            name=name,
-            customer=slice_raw["customer"],
-            provider=slice_raw["provider"],
-            services=decode(tuple[str, ...], slice_raw["services"]),
-            profile=decode(ServiceProfile, raw["profile"]),
-            chain_order=slice_raw.get("chain_order", True),
+        slc = decode(
+            NetworkSlice,
+            {
+                **slice_raw,
+                "id": slice_raw.get("id") or f"slice-{_slug(slice_raw['name'])}",
+                "profile": raw["profile"],
+            },
         )
         if isinstance(raw.get("customer"), dict):
             engine.register_customer(
@@ -247,7 +242,7 @@ def _slice_from_descriptor(
 def _cmd_lint_template(args) -> CommandResult:
     """Onboarding's checks in onboarding's order, without the catalog."""
     try:
-        doc = parse_template(_read_file(args.template))
+        doc = parse_template(_read_text(args.template))
         report = merge_reports(
             validate_template(doc), validate_environment(doc.environment)
         )
@@ -286,7 +281,7 @@ def _cmd_lint_template(args) -> CommandResult:
 
 def _cmd_onboard_vf(args) -> CommandResult:
     with _engine_for(args) as engine:
-        text = _read_file(args.template)
+        text = _read_text(args.template)
         if args.vsp not in engine.catalog.vsps:
             engine.register_vsp(
                 VendorSoftwareProduct(
@@ -376,7 +371,7 @@ def _plan_verified(
 def _cmd_place_slice(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root):
-        engine = _open_engine(root)
+        engine, _ = _open_engine(root)
         plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
             return CommandResult(
@@ -436,7 +431,7 @@ def _cmd_teardown_slice(args) -> CommandResult:
 
 def _cmd_status(args) -> CommandResult:
     root = _resolve_root(args)
-    engine = _open_engine(root)
+    engine, events = _open_engine(root)
     catalog = engine.catalog
     if args.subject:
         record = catalog.records.get(args.subject)
@@ -491,7 +486,22 @@ def _cmd_status(args) -> CommandResult:
             }
     if not lines:
         lines.append("catalog is empty")
-    return CommandResult(0, "\n".join(lines), detail, args.json)
+    # The log must explain the catalog: folded from empty, it gives the
+    # records.
+    try:
+        replayed = replay_states(events)
+        differ = sorted(
+            subject
+            for subject in replayed.keys() | catalog.records.keys()
+            if replayed.get(subject) != catalog.records.get(subject)
+        )
+        problem = f"differs from the catalog on {', '.join(differ)}" if differ else None
+    except LogDiverged as exc:
+        problem = f"LogDiverged: {exc}"
+    lines.append(f"audit log: {problem or 'agrees with the catalog'}")
+    detail["log"] = {"agrees": problem is None, "problem": problem}
+    code = 0 if problem is None else 1
+    return CommandResult(code, "\n".join(lines), detail, args.json)
 
 
 def _cmd_audit(args) -> CommandResult:
@@ -557,16 +567,6 @@ def _cmd_demo(args) -> CommandResult:
             build_testbed(),
             catalog=Catalog(),
             audit_sink=FileAuditLog(root / AUDIT_FILE).append,
-        )
-        engine.register_customer(
-            Customer(id="c-companyx", name="CompanyX", category="enterprise")
-        )
-        engine.register_provider(
-            SliceProvider(
-                id="p-greyop",
-                name="GreyOp",
-                administrative_domains=frozenset({"core"}),
-            )
         )
         engine.register_vsp(
             VendorSoftwareProduct(

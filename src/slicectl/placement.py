@@ -659,62 +659,3 @@ def verify_plan(
 
     ok = not any(v.severity is Severity.ERROR for v in violations)
     return ok, violations
-
-
-def plan_to_mapping(plan: PlacementPlan) -> dict:
-    """Plain-data form of a plan for the plan document file."""
-    return {
-        "slice": plan.slice_id,
-        "e2e_latency": plan.e2e_latency,
-        "assignments": [
-            {"service": a.service, "tenant": a.tenant} for a in plan.assignments
-        ],
-    }
-
-
-def plan_from_mapping(raw: object) -> PlacementPlan:
-    """Load an externally supplied plan document.
-
-    Shape defects raise PlanInvalid; semantic defects (duplicate tenants for
-    one service and the like) are deliberately preserved for verify_plan to
-    report.
-    """
-    if not isinstance(raw, dict):
-        raise PlanInvalid("plan document must be a mapping")
-    _refuse_unknown_keys(raw, ("slice", "e2e_latency", "assignments"))
-    slice_id = raw.get("slice")
-    if not isinstance(slice_id, str) or not slice_id:
-        raise PlanInvalid("plan document needs a 'slice' id")
-    entries = raw.get("assignments")
-    if not isinstance(entries, list):
-        raise PlanInvalid("plan document needs an 'assignments' list")
-    assignments = []
-    for entry in entries:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("service"), str)
-            or not isinstance(entry.get("tenant"), str)
-        ):
-            raise PlanInvalid(
-                "each assignment needs 'service' and 'tenant' strings"
-            )
-        _refuse_unknown_keys(entry, ("service", "tenant"))
-        assignments.append(
-            Assignment(service=entry["service"], tenant=entry["tenant"])
-        )
-    e2e = raw.get("e2e_latency", 0.0)
-    if not isinstance(e2e, (int, float)) or isinstance(e2e, bool):
-        raise PlanInvalid("e2e_latency must be a number")
-    return PlacementPlan(
-        slice_id=slice_id,
-        assignments=tuple(assignments),
-        e2e_latency=float(e2e),
-        feasible=True,
-    )
-
-
-def _refuse_unknown_keys(raw: dict, known: tuple[str, ...]) -> None:
-    # A misspelt key would otherwise be read as if it were absent.
-    for key in raw:
-        if key not in known:
-            raise PlanInvalid(f"plan document has unknown key {key!r}")

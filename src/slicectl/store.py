@@ -9,12 +9,14 @@ into lifecycle records with lifecycle.apply_event, the fold the engine
 applies to each event it logs, which checks each ok event against the
 lifecycle table and raises LogDiverged for one the table does not allow.
 
-Catalog, inventory entities and audit events all go through one codec,
-encode/decode, driven by the dataclasses' type hints; decoding calls the
-constructors, so every invariant check runs on load, and refuses keys that
-name no field. Plan documents are outside input and keep their own
-field-by-field reader in placement. A file that does not decode raises
-IoFailure naming the file as corrupt.
+Every file decodes through one codec, encode/decode, driven by the
+dataclasses' type hints: catalog, inventory entities, audit events, plan
+documents and the sections of a slice descriptor; InventoryDocument and
+PlanDocument declare the shape of the two YAML files. Decoding refuses keys
+that name no field, refuses a scalar whose type is not its hint's (text,
+true or false, a whole number, a number; a boolean is never a number), and
+calls the constructors, so every invariant check runs on load. A file that
+does not decode raises IoFailure naming the file as corrupt.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Any, TypeVar
 
 import yaml
 
-from .errors import IoFailure, PlanInvalid, SchemaMismatch, SequenceGap, SliceError
+from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
     CATALOG_VERSION,
@@ -45,7 +47,7 @@ from .lifecycle import (
     LifecycleRecord,
     apply_event,
 )
-from .placement import PlacementPlan, plan_from_mapping, plan_to_mapping
+from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
 INVENTORY_FILE = "inventory.yaml"
@@ -104,9 +106,21 @@ def _load_yaml(path: Path) -> object:
 # maps to plain JSON/YAML data: an enum to its value, a frozenset to a sorted
 # list, a tuple or list to a list, a mapping to a dict, a nested dataclass to
 # a dict of its init fields. A converter is built once per type; None stands
-# for "store the value as it is" (str, int, float, bool).
+# for "store the value as it is" (str, int, float, bool). On the way in, such
+# a scalar must have the type its hint names, wherever it sits.
 
 _Convert = Callable[[Any], Any] | None
+
+# The raw types each scalar hint accepts, and their name in an error; an
+# optional scalar needs its own entry. Types are compared exactly, so a bool
+# is neither a number nor a whole number.
+_SCALARS: dict[Any, tuple[tuple[type, ...], str]] = {
+    str: ((str,), "text"),
+    str | None: ((str, type(None)), "text or null"),
+    bool: ((bool,), "true or false"),
+    int: ((int,), "a whole number"),
+    float: ((int, float), "a number"),
+}
 
 
 def _item_type(tp: Any) -> Any:
@@ -157,20 +171,34 @@ def _decoder(tp: Any) -> _Convert:
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         fields = {
-            f.name: _decoder(hints[f.name]) for f in dataclasses.fields(tp) if f.init
+            f.name: (_SCALARS.get(hints[f.name]), _decoder(hints[f.name]))
+            for f in dataclasses.fields(tp)
+            if f.init
         }
 
         def decode_fields(raw):
             # Keys absent from the file take the field default; a key that
             # names no field is refused, since a misspelt one would
-            # otherwise load as that default. The constructor runs every
-            # __post_init__ check.
+            # otherwise load as that default. Scalars are checked here, not
+            # through a call each, because a catalog holds many thousands.
+            # The constructor runs every __post_init__ check.
             kwargs = {}
             for name, value in raw.items():
                 if name not in fields:
                     raise ValueError(f"{tp.__name__} has no field {name!r}")
-                dec = fields[name]
-                kwargs[name] = value if dec is None else dec(value)
+                scalar, dec = fields[name]
+                if scalar is not None:
+                    if type(value) not in scalar[0]:
+                        raise TypeError(
+                            f"{tp.__name__} field {name} must be {scalar[1]},"
+                            f" got {value!r}"
+                        )
+                elif dec is not None:
+                    try:
+                        value = dec(value)
+                    except TypeError as exc:
+                        raise TypeError(f"{tp.__name__} field {name}: {exc}") from exc
+                kwargs[name] = value
             return tp(**kwargs)
 
         return decode_fields
@@ -188,18 +216,22 @@ def _decoder(tp: Any) -> _Convert:
             return None
         return lambda raw: None if raw is None else dec(raw)
     if origin in (dict, Mapping):
-        dec = _decoder(typing.get_args(tp)[1])
-        if dec is None:
-            return lambda raw: dict(raw.items())
-        return lambda raw: {key: dec(value) for key, value in raw.items()}
+        # The values decode as a list of them would; the keys stay as they are.
+        values = _decoder(list[typing.get_args(tp)[1]])
+        return lambda raw: dict(zip(raw, values(list(raw.values()))))
     if origin in (tuple, list, frozenset):
-        dec = _decoder(_item_type(tp))
+        item_tp = _item_type(tp)
+        scalar, dec = _SCALARS.get(item_tp), _decoder(item_tp)
 
         def decode_items(raw):
             # A string or mapping would iterate, and decode as its characters
             # or keys.
             if not isinstance(raw, list):
                 raise TypeError(f"expected a list, got {type(raw).__name__}")
+            if scalar is not None:
+                for item in raw:
+                    if type(item) not in scalar[0]:
+                        raise TypeError(f"items must be {scalar[1]}, got {item!r}")
             return origin(raw) if dec is None else origin(map(dec, raw))
 
         return decode_items
@@ -257,40 +289,45 @@ def load_catalog(path: str | Path) -> Catalog:
 
 # -- inventory ----------------------------------------------------------------
 
-_ENTITY_KINDS = ("hosts", "tenants", "links", "allocations")
+
+@dataclasses.dataclass(frozen=True)
+class InventoryDocument:
+    """inventory.yaml: each entity kind as a list sorted by id."""
+
+    hosts: tuple[Host, ...] = ()
+    tenants: tuple[Tenant, ...] = ()
+    links: tuple[PhysicalLink, ...] = ()
+    allocations: tuple[Allocation, ...] = ()
+    next_allocation_id: int = 1
 
 
 def inventory_to_dict(infra: Infrastructure) -> dict:
-    """Each entity kind as a list sorted by id, then the allocation counter."""
     by_id = operator.attrgetter("id")
-    layout: dict = {
-        kind: [encode(e) for e in sorted(getattr(infra, kind).values(), key=by_id)]
-        for kind in _ENTITY_KINDS
+    entities = {
+        kind: sorted(getattr(infra, kind).values(), key=by_id)
+        for kind in ("hosts", "tenants", "links", "allocations")
     }
-    layout["next_allocation_id"] = infra.next_allocation_id
-    return layout
+    return encode(
+        InventoryDocument(**entities, next_allocation_id=infra.next_allocation_id)
+    )
 
 
 def inventory_from_dict(raw: Mapping) -> Infrastructure:
-    for key in raw:
-        if key not in _ENTITY_KINDS and key != "next_allocation_id":
-            raise ValueError(f"inventory has no section {key!r}")
-    infra = Infrastructure()
-    for entry in raw.get("hosts", ()):
-        infra.add_host(decode(Host, entry))
-    for entry in raw.get("tenants", ()):
-        infra.add_tenant(decode(Tenant, entry))
-    for entry in raw.get("links", ()):
-        infra.add_link(decode(PhysicalLink, entry))
-    for entry in raw.get("allocations", ()):
-        allocation = decode(Allocation, entry)
+    doc = decode(InventoryDocument, raw)
+    infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
+    for host in doc.hosts:
+        infra.add_host(host)
+    for tenant in doc.tenants:
+        infra.add_tenant(tenant)
+    for link in doc.links:
+        infra.add_link(link)
+    for allocation in doc.allocations:
         if allocation.tenant not in infra.tenants:
             raise ValueError(
                 f"allocation {allocation.id!r} references unknown tenant"
                 f" {allocation.tenant!r}"
             )
         infra.allocations[allocation.id] = allocation
-    infra.next_allocation_id = raw.get("next_allocation_id", 1)
     return infra
 
 
@@ -401,14 +438,33 @@ def replay_states(
 # -- plan documents -----------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class PlanDocument:
+    """A plan file as operators write it: the tenant of each service."""
+
+    slice: str
+    e2e_latency: float = 0.0
+    assignments: tuple[Assignment, ...]
+
+    def __post_init__(self):
+        if not self.slice:
+            raise ValueError("plan document needs a 'slice' id")
+
+
 def save_plan(plan: PlacementPlan, path: str | Path) -> None:
-    payload = yaml.safe_dump(plan_to_mapping(plan), sort_keys=False)
-    _atomic_write(Path(path), payload)
+    doc = PlanDocument(
+        slice=plan.slice_id, e2e_latency=plan.e2e_latency, assignments=plan.assignments
+    )
+    _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
 
 
 def load_plan(path: str | Path) -> PlacementPlan:
     raw = _load_yaml(Path(path))
+    if not isinstance(raw, dict):
+        raise IoFailure(f"{path}: plan root must be a mapping")
     try:
-        return plan_from_mapping(raw)
-    except PlanInvalid as exc:
+        doc = decode(PlanDocument, raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"{path}: corrupt plan: {exc}") from exc
+    # One service on two tenants, and the like, loads for verify_plan to report.
+    return PlacementPlan(doc.slice, doc.assignments, float(doc.e2e_latency), True)

@@ -31,8 +31,9 @@ from slicectl.model import (
 )
 from slicectl.placement import (
     VIOLATION_DUPLICATE,
+    Assignment,
+    PlacementPlan,
     offered_capabilities,
-    plan_from_mapping,
     plan_placement,
     verify_plan,
 )
@@ -44,6 +45,7 @@ from slicectl.store import (
     replay_states,
     save_catalog,
     save_inventory,
+    save_plan,
 )
 from slicectl.template import parse_template, validate_environment, validate_template
 
@@ -153,7 +155,7 @@ def test_placement_matches_exhaustive_oracle(monkeypatch):
 
 def test_duplicate_tenant_plan_rejected(tmp_path):
     """A plan document that maps one service to two tenants never verifies,
-    whether it arrives as a mapping or from a file."""
+    whether save_plan wrote it or it was written by hand."""
     engine, slice_id = scenario.chain3_engine()
     doc = {
         "slice": slice_id,
@@ -169,7 +171,17 @@ def test_duplicate_tenant_plan_rejected(tmp_path):
     offers = offered_capabilities(engine.infra)
     slc = engine.catalog.slices[slice_id]
 
-    plan = plan_from_mapping(doc)
+    saved = tmp_path / "saved.yaml"
+    save_plan(
+        PlacementPlan(
+            slice_id,
+            tuple(Assignment(**entry) for entry in doc["assignments"]),
+            doc["e2e_latency"],
+            True,
+        ),
+        saved,
+    )
+    plan = load_plan(saved)
     ok, violations = verify_plan(
         plan, requirements, offers, engine.infra, slice=slc
     )

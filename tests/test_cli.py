@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources as ilr
 from pathlib import Path
 
@@ -16,7 +17,13 @@ import scenario
 import slicectl
 from slicectl.cli import ENV_CATALOG, main, run
 from slicectl.model import ResourceDemand
-from slicectl.store import load_audit, load_catalog, load_inventory, save_inventory
+from slicectl.store import (
+    encode,
+    load_audit,
+    load_catalog,
+    load_inventory,
+    save_inventory,
+)
 
 
 def descriptor_doc(
@@ -134,6 +141,26 @@ BAD_DESCRIPTORS = [
         edited_descriptor(lambda d: d["slice"].update(services="svc-probe")),
         "expected a list, got str",
         id="services-as-string",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["slice"].update(sla=None)),
+        "unknown keys ['sla']",
+        id="sla-in-slice-section",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["slice"].update(chain_order="false")),
+        "NetworkSlice field chain_order must be true or false, got 'false'",
+        id="string-chain-order",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: (
+                d["profile"].update(end_to_end_latency=True),
+                d["requirements"]["svc-probe"].update(latency_budget=True),
+            )
+        ),
+        "ServiceRequirement field latency_budget must be a number, got True",
+        id="boolean-latency",
     ),
 ]
 
@@ -627,6 +654,33 @@ class TestDemo:
         events = load_audit(root / "audit.log")
         assert [e.sequence_no for e in events] == list(range(1, len(events) + 1))
         assert events[-1].action == "teardown_slice"
+
+    def test_status_reports_whether_the_log_agrees(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        agrees = run(["status", "--catalog", str(root)])
+        assert agrees.exit_code == 0, agrees.summary
+        assert "audit log: agrees with the catalog" in agrees.summary
+        assert agrees.detail["log"] == {"agrees": True, "problem": None}
+
+        log = root / "audit.log"
+        text = log.read_text()
+        events = load_audit(log)
+        # Without its last event the log leaves svc-core-dp distributed.
+        log.write_text("".join(text.splitlines(keepends=True)[:-1]))
+        short = run(["status", "--catalog", str(root)])
+        assert short.exit_code == 1
+        assert "audit log: differs from the catalog on svc-core-dp" in short.summary
+        assert short.detail["log"]["agrees"] is False
+
+        # A crash after the audit append and before the catalog save, then a
+        # retry, leaves a second create of the same VF in the log.
+        onboard = next(e for e in events if e.action == "onboard_vf")
+        fork = replace(onboard, sequence_no=len(events) + 1)
+        log.write_text(text + json.dumps(encode(fork)) + "\n")
+        forked = run(["status", "--catalog", str(root)])
+        assert forked.exit_code == 1
+        assert f"LogDiverged: audit event {fork.sequence_no}" in forked.summary
+        assert "already exists" in forked.detail["log"]["problem"]
 
 
 def test_cli_import_leaves_networkx_out():

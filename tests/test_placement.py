@@ -7,11 +7,12 @@ import random
 from dataclasses import replace
 
 import pytest
+import yaml
 
 import oracles
 import scenario
 
-from slicectl.errors import MissingFootprint, PlanInvalid
+from slicectl.errors import IoFailure, MissingFootprint
 from slicectl.infra import (
     Host,
     Infrastructure,
@@ -46,12 +47,11 @@ from slicectl.placement import (
     VIOLATION_UNKNOWN_SERVICE,
     VIOLATION_UNKNOWN_TENANT,
     offered_capabilities,
-    plan_from_mapping,
     plan_placement,
-    plan_to_mapping,
     required_capabilities,
     verify_plan,
 )
+from slicectl.store import load_plan, save_plan
 
 
 def two_service_slice(**profile_overrides) -> NetworkSlice:
@@ -690,32 +690,47 @@ class TestVerifyPlan:
         assert budget and all(v.severity is Severity.WARNING for v in budget)
 
 
+def load_plan_document(tmp_path, raw) -> PlacementPlan:
+    path = tmp_path / "plan.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return load_plan(path)
+
+
 class TestPlanDocuments:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         plan = PlacementPlan(
             "slice-t",
             (Assignment("svc-a", "t-a"), Assignment("svc-b", "t-b")),
             1.0,
             True,
         )
-        again = plan_from_mapping(plan_to_mapping(plan))
-        assert again == plan
+        save_plan(plan, tmp_path / "plan.yaml")
+        assert load_plan(tmp_path / "plan.yaml") == plan
 
-    def test_shape_defects_raise(self):
-        with pytest.raises(PlanInvalid, match="mapping"):
-            plan_from_mapping(["not", "a", "mapping"])
-        with pytest.raises(PlanInvalid):
-            plan_from_mapping({"assignments": []})
-        with pytest.raises(PlanInvalid):
-            plan_from_mapping({"slice": "s", "assignments": "oops"})
-        with pytest.raises(PlanInvalid):
-            plan_from_mapping({"slice": "s", "assignments": [{"service": "x"}]})
-        with pytest.raises(PlanInvalid):
-            plan_from_mapping(
-                {"slice": "s", "assignments": [], "e2e_latency": True}
+    def test_shape_defects_raise(self, tmp_path):
+        with pytest.raises(IoFailure, match="mapping"):
+            load_plan_document(tmp_path, ["not", "a", "mapping"])
+        with pytest.raises(IoFailure):
+            load_plan_document(tmp_path, {"assignments": []})
+        with pytest.raises(IoFailure, match="'slice' id"):
+            load_plan_document(tmp_path, {"slice": "", "assignments": []})
+        with pytest.raises(IoFailure):
+            load_plan_document(tmp_path, {"slice": "s", "assignments": "oops"})
+        with pytest.raises(IoFailure):
+            load_plan_document(
+                tmp_path, {"slice": "s", "assignments": [{"service": "x"}]}
+            )
+        with pytest.raises(IoFailure, match="tenant must be text, got 5"):
+            load_plan_document(
+                tmp_path,
+                {"slice": "s", "assignments": [{"service": "x", "tenant": 5}]},
+            )
+        with pytest.raises(IoFailure, match="e2e_latency must be a number"):
+            load_plan_document(
+                tmp_path, {"slice": "s", "assignments": [], "e2e_latency": True}
             )
 
-    def test_semantic_defects_are_preserved_for_the_verifier(self):
+    def test_semantic_defects_are_preserved_for_the_verifier(self, tmp_path):
         raw = {
             "slice": "slice-t",
             "e2e_latency": 0.0,
@@ -724,6 +739,6 @@ class TestPlanDocuments:
                 {"service": "svc-a", "tenant": "t-b"},
             ],
         }
-        plan = plan_from_mapping(raw)
+        plan = load_plan_document(tmp_path, raw)
         assert len(plan.assignments) == 2
         assert plan.feasible

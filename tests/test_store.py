@@ -207,6 +207,7 @@ class TestInventorySnapshots:
             lambda raw: raw["hosts"][0].update(isolation="dedicated"),
             lambda raw: raw.update(link=[]),
             lambda raw: raw["tenants"][0]["quota"].update(vcpu=0.5),
+            lambda raw: raw["links"][0].update(latency=True),
         ],
         ids=[
             "missing-field",
@@ -215,6 +216,7 @@ class TestInventorySnapshots:
             "misspelt-key",
             "misspelt-section",
             "fractional-quota",
+            "boolean-link-latency",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage):
@@ -285,12 +287,22 @@ class TestAuditLog:
 
     def test_load_rejects_corrupt_lines_with_position(self, tmp_path):
         path = tmp_path / "audit.log"
-        log = FileAuditLog(path)
-        log.append(event(1))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
-        with pytest.raises(IoFailure, match=r"audit\.log:2"):
-            load_audit(path)
+        FileAuditLog(path).append(event(1))
+        first = path.read_text()
+        string_timestamp = {**encode(event(2)), "timestamp": "soon"}
+        for line, reason in [
+            ("{not json", "Expecting property name"),
+            (
+                json.dumps(string_timestamp),
+                "AuditEvent field timestamp must be a number, got 'soon'",
+            ),
+        ]:
+            path.write_text(first + line + "\n")
+            with pytest.raises(
+                IoFailure,
+                match=r"audit\.log:2: corrupt audit record: " + re.escape(reason),
+            ):
+                load_audit(path)
 
     def test_misspelt_key_is_refused(self, tmp_path):
         path = tmp_path / "audit.log"

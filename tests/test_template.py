@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from importlib import resources as ilr
 
@@ -368,3 +369,54 @@ def test_published_schema_requires_whole_number_sizing(vcpu):
         resource_footprint(parse_template(yaml.safe_dump(raw)))
     sizing["vcpu"] = 2.0
     jsonschema.validate(raw, schema)
+
+
+def first_sections(doc: dict) -> list[dict]:
+    """The template, its first resource and its first parameter, if any."""
+    return [
+        doc,
+        next(iter(doc["resources"].values())),
+        *list(doc.get("parameters", {}).values())[:1],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        scenario.fixture_text("core_cp.yaml"),
+        scenario.fixture_text("core_dp.yaml"),
+        scenario.minimal_template(),
+    ],
+    ids=["core_cp", "core_dp", "minimal"],
+)
+def test_parser_accepts_exactly_what_the_schema_accepts(text):
+    """With a Heat key or a misspelt one added at each level, parse_template
+    accepts a template exactly when the published schema does."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(
+        (ilr.files("slicectl") / "schemas" / "template.schema.json").read_text(
+            encoding="utf-8"
+        )
+    )
+
+    def verdicts(raw: dict) -> tuple[bool, bool]:
+        try:
+            parse_template(yaml.safe_dump(raw))
+            parsed = True
+        except TemplateSyntaxError:
+            parsed = False
+        try:
+            jsonschema.validate(raw, schema)
+            valid = True
+        except jsonschema.ValidationError:
+            valid = False
+        return parsed, valid
+
+    base = yaml.safe_load(text)
+    assert verdicts(base) == (True, True)
+    for key in ("description", "depends_on", "heat_template_version", "enviroment"):
+        for level in range(len(first_sections(base))):
+            doc = copy.deepcopy(base)
+            first_sections(doc)[level][key] = "x"
+            parsed, valid = verdicts(doc)
+            assert parsed == valid, (key, level, parsed)
