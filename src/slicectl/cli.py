@@ -156,14 +156,13 @@ def _engine_for(args):
         _save_state(root, engine)
 
 
-def _record_result(args, record, summary: str, **detail) -> CommandResult:
+def _record_result(record, summary: str, **detail) -> CommandResult:
     """Success of a lifecycle command: the record's id under its kind, its
     new state, and any further detail."""
     return CommandResult(
         0,
         summary,
         {record.kind.value: record.subject, "state": record.state.value, **detail},
-        args.json,
     )
 
 
@@ -181,18 +180,21 @@ _SLICE_KEYS = {"id", "name", "customer", "provider", "services", "chain_order"}
 
 
 def _slice_from_descriptor(
-    raw: object, engine: Orchestrator
+    raw: object, engine: Orchestrator, source: str
 ) -> tuple[NetworkSlice, SliceTemplate]:
-    """Build slice and template from a descriptor document.
+    """Build slice and template from a descriptor document read from source.
 
     Optional customer/provider sections are registered as a side effect so
     a descriptor is self-contained. The sections decode like catalog
     entities, and a key that names no field is refused, not dropped.
     """
-    if not isinstance(raw, dict):
-        raise IoFailure("slice descriptor must be a mapping")
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("the descriptor must be a mapping")
         slice_raw = raw["slice"]
+        for section in ("slice", "requirements", "customer", "provider"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ValueError(f"the {section} section must be a mapping")
         unknown = sorted(set(raw) - _DESCRIPTOR_SECTIONS)
         unknown += sorted(set(slice_raw) - _SLICE_KEYS)
         if unknown:
@@ -209,14 +211,14 @@ def _slice_from_descriptor(
                 "profile": raw["profile"],
             },
         )
-        if isinstance(raw.get("customer"), dict):
+        if "customer" in raw:
             engine.register_customer(
                 decode(
                     Customer,
                     {"name": slc.customer, **raw["customer"], "id": slc.customer},
                 )
             )
-        if isinstance(raw.get("provider"), dict):
+        if "provider" in raw:
             engine.register_provider(
                 decode(
                     SliceProvider,
@@ -231,7 +233,8 @@ def _slice_from_descriptor(
     except SliceError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"bad slice descriptor: {exc!r}") from exc
+        reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise IoFailure(f"{source}: bad slice descriptor: {reason}") from exc
     template = make_slice_template(slc, requirements)
     return slc, template
 
@@ -253,7 +256,6 @@ def _cmd_lint_template(args) -> CommandResult:
             1,
             f"{type(exc).__name__}: {exc}",
             {"verdict": "rejected", "error": str(exc)},
-            args.json,
         )
     lines = [f"{doc.name}: {report.verdict.value}"]
     for finding in report.findings:
@@ -274,9 +276,7 @@ def _cmd_lint_template(args) -> CommandResult:
             for f in report.findings
         ],
     }
-    return CommandResult(
-        0 if report.accepted else 1, "\n".join(lines), detail, args.json
-    )
+    return CommandResult(0 if report.accepted else 1, "\n".join(lines), detail)
 
 
 def _cmd_onboard_vf(args) -> CommandResult:
@@ -293,7 +293,6 @@ def _cmd_onboard_vf(args) -> CommandResult:
             )
         record = engine.onboard_vf(Role(args.role), args.vsp, text)
     return _record_result(
-        args,
         record,
         f"onboarded {record.subject} under {args.vsp} ({record.state.value})",
     )
@@ -302,9 +301,7 @@ def _cmd_onboard_vf(args) -> CommandResult:
 def _cmd_certify_vf(args) -> CommandResult:
     with _engine_for(args) as engine:
         record = engine.certify_vf(Role(args.role), args.vf)
-    return _record_result(
-        args, record, f"{record.subject} is now {record.state.value}"
-    )
+    return _record_result(record, f"{record.subject} is now {record.state.value}")
 
 
 def _cmd_create_service(args) -> CommandResult:
@@ -313,26 +310,23 @@ def _cmd_create_service(args) -> CommandResult:
             Role(args.role), args.name, args.vf, service_id=args.id
         )
     return _record_result(
-        args, record, f"created service {record.subject} ({record.state.value})"
+        record, f"created service {record.subject} ({record.state.value})"
     )
 
 
 def _cmd_advance_service(args) -> CommandResult:
     with _engine_for(args) as engine:
         record = engine.advance_service(Role(args.role), args.service, args.step)
-    return _record_result(
-        args, record, f"{record.subject} is now {record.state.value}"
-    )
+    return _record_result(record, f"{record.subject} is now {record.state.value}")
 
 
 def _cmd_create_slice(args) -> CommandResult:
     with _engine_for(args) as engine:
         raw = _load_yaml(Path(args.descriptor))
-        slc, template = _slice_from_descriptor(raw, engine)
+        slc, template = _slice_from_descriptor(raw, engine, args.descriptor)
         record = engine.create_slice(Role(args.role), slc, template)
     sla = engine.catalog.slices[slc.id].sla
     return _record_result(
-        args,
         record,
         f"created slice {record.subject} ({record.state.value}),"
         f" committed latency {sla.committed_latency} ms",
@@ -378,7 +372,6 @@ def _cmd_place_slice(args) -> CommandResult:
                 1,
                 f"no feasible placement for {args.slice}",
                 {"slice": args.slice, "feasible": False},
-                args.json,
             )
         out = Path(args.out) if args.out else root / f"plan-{args.slice}.yaml"
         save_plan(plan, out)
@@ -405,7 +398,6 @@ def _cmd_place_slice(args) -> CommandResult:
                 if v.severity is Severity.WARNING
             ],
         },
-        args.json,
     )
 
 
@@ -418,15 +410,13 @@ def _cmd_instantiate_slice(args) -> CommandResult:
     lines = [f"slice {record.subject} is now {record.state.value}"]
     for assignment in plan.assignments:
         lines.append(f"  {assignment.service} on {assignment.tenant}")
-    return _record_result(args, record, "\n".join(lines))
+    return _record_result(record, "\n".join(lines))
 
 
 def _cmd_teardown_slice(args) -> CommandResult:
     with _engine_for(args) as engine:
         record = engine.teardown_slice(Role(args.role), args.slice)
-    return _record_result(
-        args, record, f"slice {record.subject} is now {record.state.value}"
-    )
+    return _record_result(record, f"slice {record.subject} is now {record.state.value}")
 
 
 def _cmd_status(args) -> CommandResult:
@@ -440,7 +430,6 @@ def _cmd_status(args) -> CommandResult:
                 1,
                 f"no record for {args.subject!r}",
                 {"subject": args.subject},
-                args.json,
             )
         return CommandResult(
             0,
@@ -451,7 +440,6 @@ def _cmd_status(args) -> CommandResult:
                 "state": record.state.value,
                 "history": list(record.history),
             },
-            args.json,
         )
     lines = []
     detail: dict = {"records": {}, "tenants": {}}
@@ -501,7 +489,7 @@ def _cmd_status(args) -> CommandResult:
     lines.append(f"audit log: {problem or 'agrees with the catalog'}")
     detail["log"] = {"agrees": problem is None, "problem": problem}
     code = 0 if problem is None else 1
-    return CommandResult(code, "\n".join(lines), detail, args.json)
+    return CommandResult(code, "\n".join(lines), detail)
 
 
 def _cmd_audit(args) -> CommandResult:
@@ -521,7 +509,6 @@ def _cmd_audit(args) -> CommandResult:
         0,
         "\n".join(lines),
         {"events": [encode(e) for e in events]},
-        args.json,
     )
 
 
@@ -531,10 +518,7 @@ def _cmd_init_testbed(args) -> CommandResult:
         inventory_path = root / INVENTORY_FILE
         if inventory_path.exists() and not args.force:
             return CommandResult(
-                1,
-                f"{inventory_path} already exists; pass --force to replace it",
-                None,
-                args.json,
+                1, f"{inventory_path} already exists; pass --force to replace it"
             )
         infra = build_testbed()
         save_inventory(infra, inventory_path)
@@ -548,7 +532,6 @@ def _cmd_init_testbed(args) -> CommandResult:
             "tenants": sorted(infra.tenants),
             "links": sorted(infra.links),
         },
-        args.json,
     )
 
 
@@ -558,10 +541,7 @@ def _cmd_demo(args) -> CommandResult:
         for name in (CATALOG_FILE, AUDIT_FILE):
             if (root / name).exists():
                 return CommandResult(
-                    1,
-                    f"demo needs a fresh catalog directory, found {root / name}",
-                    None,
-                    args.json,
+                    1, f"demo needs a fresh catalog directory, found {root / name}"
                 )
         engine = Orchestrator(
             build_testbed(),
@@ -603,14 +583,12 @@ def _cmd_demo(args) -> CommandResult:
             engine.advance_service(Role.GOVERNOR, service_id, "approve")
             engine.advance_service(Role.OPERATOR, service_id, "distribute")
         slc, template = _slice_from_descriptor(
-            yaml.safe_load(_fixture_text("slice_a.yaml")), engine
+            yaml.safe_load(_fixture_text("slice_a.yaml")), engine, "slice_a.yaml"
         )
         engine.create_slice(Role.DESIGNER, slc, template)
         plan, _ = _plan_verified(engine, slc.id)
         if not plan.feasible:
-            return CommandResult(
-                1, f"no feasible placement for {slc.id}", None, args.json
-            )
+            return CommandResult(1, f"no feasible placement for {slc.id}")
         record = engine.instantiate_slice(Role.OPERATOR, slc.id, plan)
         save_plan(plan, root / f"plan-{slc.id}.yaml")
         _save_state(root, engine)
@@ -637,7 +615,6 @@ def _cmd_demo(args) -> CommandResult:
             "e2e_latency": plan.e2e_latency,
             "audit_events": len(engine.events),
         },
-        args.json,
     )
 
 
@@ -823,18 +800,19 @@ def run(argv: list[str] | None = None) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(0 if code == 0 else 2, "")
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except _Usage as exc:
         return CommandResult(2, f"usage error: {exc}")
     except SliceError as exc:
-        return CommandResult(
+        result = CommandResult(
             1,
             f"{type(exc).__name__}: {exc}",
             {"error": type(exc).__name__, "message": str(exc)},
-            args.json,
         )
     except Exception as exc:  # the CLI boundary must map bugs to exit 3
         return CommandResult(3, f"internal error: {type(exc).__name__}: {exc}")
+    result.machine = args.json
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -77,6 +77,12 @@ def _atomic_write(path: Path, text: str) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
             raise
+        # The renamed entry is durable only once its directory is synced.
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -1,15 +1,19 @@
 """VF template parsing, onboarding rules, and resource footprints.
 
 Templates are YAML documents with top-level keys name, parameters,
-resources, environment (schema in schemas/template.schema.json). Resource
+resources, environment. The published schema, schemas/template.schema.json,
+is the format, and parsing checks the document against it: every key,
+type, required key and non-empty value the schema states, at every level.
+Its conditional rules are checked after that: metadata only on a compute
+by the parser, compute sizing by resource_footprint. References are
+checked last; they are the one rule the schema cannot state. Resource
 kinds are carried as the external type strings of the orchestration
 platform and mapped to a small internal enum; unknown kinds are preserved
-as OTHER. Parsing raises for structural defects, and for a key the schema
-does not allow, read from the schema itself. The onboarding rules are
-fixed and take no settings: validate_template and validate_environment
-report findings and never raise, and resource_footprint then raises
-MissingSizing for a compute that is not sized in whole numbers. Onboarding
-and lint-template both run these three checks, in that order.
+as OTHER. The onboarding rules are fixed and take no settings:
+validate_template and validate_environment report findings and never
+raise, and resource_footprint then raises MissingSizing for a compute that
+is not sized in whole numbers. Onboarding and lint-template both run these
+three checks, in that order.
 """
 
 from __future__ import annotations
@@ -134,28 +138,57 @@ class TemplateDocument:
         return [r for r in self.resources.values() if r.kind is kind]
 
 
-def _require_mapping(value, what: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise TemplateSyntaxError(f"{what} must be a mapping, got {type(value).__name__}")
-    return value
-
-
 @functools.cache
 def _schema() -> dict:
     path = importlib.resources.files("slicectl") / "schemas" / "template.schema.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _refuse_unknown_keys(raw: dict, what: str, *path: str) -> None:
-    """Raise for a key the schema does not allow in the object at path."""
-    node = _schema()
-    for step in path:
-        node = node["properties"][step]["additionalProperties"]
-    for key in raw:
-        if key not in node["properties"]:
-            raise TemplateSyntaxError(f"{what} has unknown key {key!r}")
+# The Python types yaml.safe_load gives each JSON Schema type, and their
+# name in an error. Types are compared exactly: a boolean is not a number,
+# and a YAML date is not text.
+_JSON_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    "object": ((dict,), "a mapping"),
+    "string": ((str,), "text"),
+    "number": ((int, float), "a number"),
+    "boolean": ((bool,), "a boolean"),
+}
+# The keywords _conform applies, then those it leaves alone: the
+# conditional rules, checked after parsing, and the annotations.
+_KEYWORDS = frozenset(
+    {"type", "minLength", "required", "properties", "additionalProperties"}
+    | {"if", "then", "else", "$schema", "$comment", "title", "description"}
+)
+
+
+def _conform(value, schema: dict, where: str) -> None:
+    """Raise TemplateSyntaxError unless value meets the schema's structural
+    keywords, at every level. A keyword this walker does not know raises
+    NotImplementedError, so the schema cannot state a rule nobody checks."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"parse_template cannot check {sorted(unknown)}")
+    if "type" in schema:
+        names = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(type(value) in _JSON_TYPES[name][0] for name in names):
+            expected = " or ".join(_JSON_TYPES[name][1] for name in names)
+            raise TemplateSyntaxError(f"{where} must be {expected}, got {value!r}")
+    if type(value) is str and len(value) < schema.get("minLength", 0):
+        raise TemplateSyntaxError(
+            f"{where} needs {schema['minLength']} or more characters, got {value!r}"
+        )
+    if type(value) is dict:
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise TemplateSyntaxError(f"{where} needs {key!r}")
+        properties = schema.get("properties", {})
+        others = schema.get("additionalProperties", {})
+        for key, inner in value.items():
+            rule = properties.get(key, others)
+            if rule is False:
+                raise TemplateSyntaxError(f"{where} has unknown key {key!r}")
+            if rule:  # the empty schema allows anything
+                _conform(inner, rule, f"{where}.{key}")
 
 
 def _iter_references(value):
@@ -193,77 +226,41 @@ def referenced_resources(value) -> list[str]:
 
 
 def parse_template(text: str) -> TemplateDocument:
-    """Parse and structurally check one template document.
+    """Parse one template document and check its structure.
 
-    Raises TemplateSyntaxError for malformed documents (an unknown key
-    too) and DanglingReference when a resource points at an undeclared
+    Raises TemplateSyntaxError for malformed YAML, for anything the
+    published schema refuses apart from compute sizing (resource_footprint
+    checks that), and for metadata on a resource that is not a compute.
+    Raises DanglingReference when a resource points at an undeclared
     parameter or resource, or when subnet/port wiring does not resolve.
     """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise TemplateSyntaxError(f"malformed template: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise TemplateSyntaxError("template root must be a mapping")
-    _refuse_unknown_keys(raw, "the template")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise TemplateSyntaxError("template needs a non-empty 'name'")
-
-    parameters: set[str] = set()
-    for pname, praw in _require_mapping(raw.get("parameters"), "parameters").items():
-        praw = _require_mapping(praw, f"parameter {pname!r}")
-        _refuse_unknown_keys(praw, f"parameter {pname!r}", "parameters")
-        if not isinstance(praw.get("type", "string"), str):
-            raise TemplateSyntaxError(f"parameter {pname!r} type must be a string")
-        parameters.add(str(pname))
+    _conform(raw, _schema(), "template")
 
     resources: dict[str, ResourceDescriptor] = {}
-    for rname, rraw in _require_mapping(raw.get("resources"), "resources").items():
+    for rname, rraw in raw["resources"].items():
         rname = str(rname)
-        rraw = _require_mapping(rraw, f"resource {rname!r}")
-        _refuse_unknown_keys(rraw, f"resource {rname!r}", "resources")
-        external = rraw.get("type")
-        if not isinstance(external, str) or not external:
-            raise TemplateSyntaxError(f"resource {rname!r} needs a 'type' string")
-        kind = EXTERNAL_TO_KIND.get(external, ResourceKind.OTHER)
-        properties = _require_mapping(
-            rraw.get("properties"), f"resource {rname!r} properties"
-        )
-        metadata_raw = _require_mapping(
-            rraw.get("metadata"), f"resource {rname!r} metadata"
-        )
-        if metadata_raw and kind is not ResourceKind.COMPUTE:
+        kind = EXTERNAL_TO_KIND.get(rraw["type"], ResourceKind.OTHER)
+        metadata = {str(k): str(v) for k, v in rraw.get("metadata", {}).items()}
+        if metadata and kind is not ResourceKind.COMPUTE:
             raise TemplateSyntaxError(
                 f"resource {rname!r}: metadata is only valid on compute resources"
             )
-        metadata: dict[str, str] = {}
-        for mname, mvalue in metadata_raw.items():
-            if isinstance(mvalue, (dict, list)):
-                raise TemplateSyntaxError(
-                    f"resource {rname!r} metadata {mname!r} must be text"
-                )
-            metadata[str(mname)] = str(mvalue)
         resources[rname] = ResourceDescriptor(
             name=rname,
             kind=kind,
-            external_type=external,
-            properties=properties,
+            external_type=rraw["type"],
+            properties=rraw.get("properties", {}),
             metadata=metadata,
         )
-
-    environment_raw = _require_mapping(raw.get("environment"), "environment")
-    environment: dict[str, str] = {}
-    for ename, evalue in environment_raw.items():
-        if isinstance(evalue, (dict, list)) or evalue is None:
-            raise TemplateSyntaxError(f"environment entry {ename!r} must be text")
-        environment[str(ename)] = str(evalue)
-
     doc = TemplateDocument(
-        name=name,
-        parameters=parameters,
+        name=raw["name"],
+        parameters={str(pname) for pname in raw.get("parameters", {})},
         resources=resources,
-        environment=environment,
+        environment={str(k): str(v) for k, v in raw.get("environment", {}).items()},
     )
     _check_references(doc)
     return doc

@@ -162,6 +162,31 @@ BAD_DESCRIPTORS = [
         "ServiceRequirement field latency_budget must be a number, got True",
         id="boolean-latency",
     ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: (
+                d["slice"].update(customer="c-new"),
+                d.update(customer="New Customer Inc"),
+            )
+        ),
+        "the customer section must be a mapping",
+        id="string-customer",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d.update(slice="slice-p")),
+        "the slice section must be a mapping",
+        id="slice-as-string",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d.update(requirements=None)),
+        "the requirements section must be a mapping",
+        id="null-requirements",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d.pop("profile")),
+        "bad slice descriptor: missing 'profile'",
+        id="missing-profile",
+    ),
 ]
 
 # Every command that saves state, under a role its gate denies. {tmp} is
@@ -367,6 +392,16 @@ class TestLintTemplate:
         assert payload["detail"]["verdict"] == "accepted"
         assert payload["detail"]["findings"] == []
 
+        root = str(tmp_path / "catalog")
+        assert main(["init-testbed", "--json", "--catalog", root]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "tenant-cp" in payload["detail"]["tenants"]
+        argv = ["certify-vf", "vf-none", "--as", "designer", "--json", "--catalog", root]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 1
+        assert payload["detail"]["error"] == "RoleDenied"
+
 
 class TestWorkflow:
     def test_init_testbed_refuses_overwrite_without_force(self, root):
@@ -453,9 +488,11 @@ class TestWorkflow:
         descriptor.write_text(text)
         result = run(["create-slice", str(descriptor), "--catalog", str(root)])
         assert result.exit_code == 1
-        assert result.summary.startswith("IoFailure")
+        assert result.summary.startswith(f"IoFailure: {descriptor}: ")
         assert reason in result.summary
-        assert "slice-p" not in load_catalog(root / "catalog.json").records
+        catalog = load_catalog(root / "catalog.json")
+        assert "slice-p" not in catalog.records
+        assert "c-new" not in catalog.customers
 
     @pytest.mark.parametrize("argv", DENIED_COMMANDS)
     def test_denied_command_saves_nothing(self, root, tmp_path, argv):

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,24 @@ class TestCatalogSnapshots:
         monkeypatch.undo()
         assert load_catalog(path) == first
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+
+    def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        """fsync(2): the new directory entry needs its own fsync."""
+        calls = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst, *args, **kwargs):
+            calls.append("replace")
+            return real_replace(src, dst, *args, **kwargs)
+
+        def fsync(fd):
+            calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            return real_fsync(fd)
+
+        monkeypatch.setattr("slicectl.store.os.replace", replace)
+        monkeypatch.setattr("slicectl.store.os.fsync", fsync)
+        save_catalog(scenario.slice_a_engine().catalog, tmp_path / "catalog.json")
+        assert calls == ["file", "replace", "dir"]
 
 
 class TestInventorySnapshots:

@@ -27,6 +27,7 @@ from slicectl.template import (
     Severity,
     ValidationReport,
     Verdict,
+    _conform,
     env_char_count,
     merge_reports,
     parse_template,
@@ -101,9 +102,15 @@ class TestParsing:
 
     def test_environment_values_must_be_text(self):
         with pytest.raises(TemplateSyntaxError, match="text"):
-            parse_template("name: probe\nenvironment:\n  flavors: [a, b]\n")
+            parse_template(
+                "name: probe\nresources: {}\nenvironment:\n  flavors: [a, b]\n"
+            )
         with pytest.raises(TemplateSyntaxError, match="text"):
-            parse_template("name: probe\nenvironment:\n  empty:\n")
+            parse_template("name: probe\nresources: {}\nenvironment:\n  empty:\n")
+
+    def test_a_schema_rule_the_parser_cannot_check_raises(self):
+        with pytest.raises(NotImplementedError, match="pattern"):
+            _conform("x", {"type": "string", "pattern": "^a"}, "template.name")
 
     def test_reference_target_must_be_string(self):
         text = (
@@ -420,3 +427,80 @@ def test_parser_accepts_exactly_what_the_schema_accepts(text):
             first_sections(doc)[level][key] = "x"
             parsed, valid = verdicts(doc)
             assert parsed == valid, (key, level, parsed)
+
+
+# A parameter, a sized compute with metadata, and an environment entry.
+DIFFERENTIAL_TEMPLATE = """\
+name: probe
+parameters:
+  image: {type: string, default: img}
+resources:
+  node:
+    type: OS::Nova::Server
+    properties: {vcpu: 1, ram: 512, storage: 4}
+    metadata: {vnf_name: probe, vnf_id: vnf-probe, vf_module_id: probe_base}
+environment:
+  flavor: small
+"""
+REPLACEMENTS = [None, 7, True, "x", "", ["x"], {"k": "x"}]
+DELETED = object()
+
+
+def template_mutations(base: dict) -> list[tuple[str, object]]:
+    """(label, document) for the template as written, every key deleted,
+    every value (the root too) replaced by each of REPLACEMENTS, and a key
+    added at every mapping. The free-form resource properties are not
+    entered."""
+
+    def nodes(node, path):
+        yield path, node
+        if isinstance(node, dict) and path[-1] != "properties":
+            for key, inner in node.items():
+                yield from nodes(inner, path + (key,))
+
+    def edited(path, value=DELETED):
+        holder = {"root": copy.deepcopy(base)}
+        parent = holder
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return holder.get("root")
+
+    cases = [("as written", base)]
+    for path, node in nodes(base, ("root",)):
+        where = ".".join(map(str, path))
+        if len(path) > 1:
+            cases.append((f"{where} deleted", edited(path)))
+        for value in REPLACEMENTS:
+            cases.append((f"{where} = {value!r}", edited(path, value)))
+        if isinstance(node, dict):
+            cases.append((f"{where} + extra", edited(path + ("extra",), "x")))
+    return cases
+
+
+def test_parser_refuses_exactly_what_the_schema_refuses():
+    """parse_template raises TemplateSyntaxError exactly when the published
+    schema, without its sizing rule (resource_footprint's), refuses."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(
+        (ilr.files("slicectl") / "schemas" / "template.schema.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    del schema["properties"]["resources"]["additionalProperties"]["then"]
+    validator = jsonschema.Draft7Validator(schema)
+    cases = template_mutations(yaml.safe_load(DIFFERENTIAL_TEMPLATE))
+    disagreements = []
+    for label, raw in cases:
+        try:
+            parse_template(yaml.safe_dump(raw))
+            refused = False
+        except TemplateSyntaxError:
+            refused = True
+        if refused == validator.is_valid(raw):
+            disagreements.append((label, "refused" if refused else "accepted"))
+    assert disagreements == []
+    assert len(cases) > 100
