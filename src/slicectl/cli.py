@@ -177,6 +177,7 @@ def _fixture_text(name: str) -> str:
 
 _DESCRIPTOR_SECTIONS = {"slice", "profile", "requirements", "customer", "provider"}
 _SLICE_KEYS = {"id", "name", "customer", "provider", "services", "chain_order"}
+_PROVIDER_DEFAULTS = {"administrative_domains": ["default"]}
 
 
 def _slice_from_descriptor(
@@ -184,9 +185,10 @@ def _slice_from_descriptor(
 ) -> tuple[NetworkSlice, SliceTemplate]:
     """Build slice and template from a descriptor document read from source.
 
-    Optional customer/provider sections are registered as a side effect so
-    a descriptor is self-contained. The sections decode like catalog
-    entities, and a key that names no field is refused, not dropped.
+    Optional customer/provider sections register the slice's customer and
+    provider as a side effect, so a descriptor is self-contained; a section
+    that differs from a registered entity is refused. The sections decode
+    like catalog entities, and a key that names no field is refused.
     """
     try:
         if not isinstance(raw, dict):
@@ -207,32 +209,27 @@ def _slice_from_descriptor(
             NetworkSlice,
             {
                 **slice_raw,
-                "id": slice_raw.get("id") or f"slice-{_slug(slice_raw['name'])}",
+                "id": slice_raw.get("id") or f"slice-{_slug(str(slice_raw['name']))}",
                 "profile": raw["profile"],
             },
         )
-        if "customer" in raw:
-            engine.register_customer(
-                decode(
-                    Customer,
-                    {"name": slc.customer, **raw["customer"], "id": slc.customer},
-                )
-            )
-        if "provider" in raw:
-            engine.register_provider(
-                decode(
-                    SliceProvider,
-                    {
-                        "name": slc.provider,
-                        "administrative_domains": ["default"],
-                        **raw["provider"],
-                        "id": slc.provider,
-                    },
-                )
-            )
+        for section, cls, register, defaults in (
+            ("customer", Customer, engine.register_customer, {}),
+            ("provider", SliceProvider, engine.register_provider, _PROVIDER_DEFAULTS),
+        ):
+            if section in raw:
+                entity_id = getattr(slc, section)
+                given = raw[section].get("id", entity_id)
+                if given != entity_id:
+                    raise ValueError(
+                        f"the {section} section's id {given!r} is not the slice's"
+                        f" {section} {entity_id!r}"
+                    )
+                fields = {"id": entity_id, "name": entity_id, **defaults, **raw[section]}
+                register(decode(cls, fields))
     except SliceError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
         raise IoFailure(f"{source}: bad slice descriptor: {reason}") from exc
     template = make_slice_template(slc, requirements)

@@ -273,6 +273,13 @@ def apply_event(
     return record
 
 
+def _register(table: dict, entity) -> None:
+    """Add entity under its id; other fields under a known id are refused."""
+    known = table.setdefault(entity.id, entity)
+    if known != entity:
+        raise ValueError(f"{entity} differs from the registered {known}")
+
+
 class Orchestrator:
     """Serialized command interface over one catalog and its infrastructure."""
 
@@ -298,10 +305,10 @@ class Orchestrator:
     # -- registration (catalog plumbing, no lifecycle records) -------------
 
     def register_customer(self, customer: Customer) -> None:
-        self.catalog.customers[customer.id] = customer
+        _register(self.catalog.customers, customer)
 
     def register_provider(self, provider: SliceProvider) -> None:
-        self.catalog.providers[provider.id] = provider
+        _register(self.catalog.providers, provider)
 
     def register_vsp(self, vsp: VendorSoftwareProduct) -> None:
         triple = (vsp.vendor_name, vsp.product_name, vsp.version)

@@ -12,11 +12,13 @@ lifecycle table and raises LogDiverged for one the table does not allow.
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
 documents and the sections of a slice descriptor; InventoryDocument and
-PlanDocument declare the shape of the two YAML files. Decoding refuses keys
-that name no field, refuses a scalar whose type is not its hint's (text,
-true or false, a whole number, a number; a boolean is never a number), and
-calls the constructors, so every invariant check runs on load. A file that
-does not decode raises IoFailure naming the file as corrupt.
+PlanDocument declare the shape of the two YAML files. The codec is the one
+shape check: it refuses keys that name no field, a mapping or list that is
+something else, and a scalar whose type is not its hint's (text, true or
+false, a whole number, a number; a boolean is never a number), naming each
+field on the way down. It calls the constructors, so every invariant check
+runs on load. _decode_file reports a file that does not decode as
+IoFailure naming the file as corrupt.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import json
 import operator
 import os
+import re
 import tempfile
 import types
 import typing
@@ -188,6 +191,8 @@ def _decoder(tp: Any) -> _Convert:
             # otherwise load as that default. Scalars are checked here, not
             # through a call each, because a catalog holds many thousands.
             # The constructor runs every __post_init__ check.
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected a mapping, got {type(raw).__name__}")
             kwargs = {}
             for name, value in raw.items():
                 if name not in fields:
@@ -224,7 +229,13 @@ def _decoder(tp: Any) -> _Convert:
     if origin in (dict, Mapping):
         # The values decode as a list of them would; the keys stay as they are.
         values = _decoder(list[typing.get_args(tp)[1]])
-        return lambda raw: dict(zip(raw, values(list(raw.values()))))
+
+        def decode_mapping(raw):
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected a mapping, got {type(raw).__name__}")
+            return dict(zip(raw, values(list(raw.values()))))
+
+        return decode_mapping
     if origin in (tuple, list, frozenset):
         item_tp = _item_type(tp)
         scalar, dec = _SCALARS.get(item_tp), _decoder(item_tp)
@@ -254,6 +265,14 @@ def decode(cls: type[T], raw: Any) -> T:
     return _decoder(cls)(raw)
 
 
+def _decode_file(cls: type[T], raw: Any, where: str) -> T:
+    """decode, reporting a refusal as IoFailure after where."""
+    try:
+        return decode(cls, raw)
+    except (KeyError, TypeError, ValueError, SliceError) as exc:
+        raise IoFailure(f"{where}: {exc}") from exc
+
+
 # -- catalog ------------------------------------------------------------------
 
 
@@ -279,10 +298,7 @@ def load_catalog(path: str | Path) -> Catalog:
             f"{path}: catalog version {version!r}, this build reads"
             f" version {CATALOG_VERSION}"
         )
-    try:
-        catalog = decode(Catalog, raw)
-    except (AttributeError, KeyError, TypeError, ValueError, SliceError) as exc:
-        raise IoFailure(f"{path}: corrupt catalog: {exc}") from exc
+    catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
     for digest, blob in catalog.template_blobs.items():
         actual = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         if actual != digest:
@@ -307,49 +323,42 @@ class InventoryDocument:
     next_allocation_id: int = 1
 
 
-def inventory_to_dict(infra: Infrastructure) -> dict:
-    by_id = operator.attrgetter("id")
+def save_inventory(infra: Infrastructure, path: str | Path) -> None:
     entities = {
-        kind: sorted(getattr(infra, kind).values(), key=by_id)
+        kind: sorted(getattr(infra, kind).values(), key=operator.attrgetter("id"))
         for kind in ("hosts", "tenants", "links", "allocations")
     }
-    return encode(
-        InventoryDocument(**entities, next_allocation_id=infra.next_allocation_id)
-    )
-
-
-def inventory_from_dict(raw: Mapping) -> Infrastructure:
-    doc = decode(InventoryDocument, raw)
-    infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
-    for host in doc.hosts:
-        infra.add_host(host)
-    for tenant in doc.tenants:
-        infra.add_tenant(tenant)
-    for link in doc.links:
-        infra.add_link(link)
-    for allocation in doc.allocations:
-        if allocation.tenant not in infra.tenants:
-            raise ValueError(
-                f"allocation {allocation.id!r} references unknown tenant"
-                f" {allocation.tenant!r}"
-            )
-        infra.allocations[allocation.id] = allocation
-    return infra
-
-
-def save_inventory(infra: Infrastructure, path: str | Path) -> None:
-    payload = yaml.safe_dump(inventory_to_dict(infra), sort_keys=False)
-    _atomic_write(Path(path), payload)
+    doc = InventoryDocument(**entities, next_allocation_id=infra.next_allocation_id)
+    _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
 
 
 def load_inventory(path: str | Path) -> Infrastructure:
-    raw = _load_yaml(Path(path))
-    if not isinstance(raw, dict):
-        raise IoFailure(f"{path}: inventory root must be a mapping")
+    where = f"{path}: corrupt inventory"
+    doc = _decode_file(InventoryDocument, _load_yaml(Path(path)), where)
+    infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
     try:
-        infra = inventory_from_dict(raw)
-    except (AttributeError, KeyError, TypeError, ValueError, SliceError) as exc:
-        raise IoFailure(f"{path}: corrupt inventory: {exc}") from exc
+        for host in doc.hosts:
+            infra.add_host(host)
+        for tenant in doc.tenants:
+            infra.add_tenant(tenant)
+        for link in doc.links:
+            infra.add_link(link)
+        for allocation in doc.allocations:
+            if allocation.tenant not in infra.tenants:
+                raise ValueError(
+                    f"allocation {allocation.id!r} references unknown tenant"
+                    f" {allocation.tenant!r}"
+                )
+            # allocate would mint this id again and replace the allocation.
+            minted = re.fullmatch(r"alloc-(0|-?[1-9][0-9]*)", allocation.id)
+            if minted and int(minted[1]) >= doc.next_allocation_id:
+                raise ValueError(
+                    f"allocation {allocation.id!r} is not below"
+                    f" next_allocation_id {doc.next_allocation_id}"
+                )
+            infra.allocations[allocation.id] = allocation
+    except ValueError as exc:
+        raise IoFailure(f"{where}: {exc}") from exc
     # Conservation: the stored used vectors are redundant with the
     # allocation list; any disagreement means the snapshot is corrupt.
     for tenant in infra.tenants.values():
@@ -380,10 +389,6 @@ class FileAuditLog:
             expected_next = events[-1].sequence_no + 1 if events else 1
         self._next = expected_next
 
-    @property
-    def next_sequence(self) -> int:
-        return self._next
-
     def append(self, event: AuditEvent) -> None:
         if event.sequence_no != self._next:
             raise SequenceGap(
@@ -407,11 +412,12 @@ def load_audit(path: str | Path) -> list[AuditEvent]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}: corrupt audit record"
         try:
             raw = json.loads(line)
-            events.append(decode(AuditEvent, raw))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise IoFailure(f"{path}:{lineno}: corrupt audit record: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise IoFailure(f"{where}: {exc}") from exc
+        events.append(_decode_file(AuditEvent, raw, where))
     for position, event in enumerate(events, start=1):
         if event.sequence_no != position:
             raise SequenceGap(
@@ -421,21 +427,15 @@ def load_audit(path: str | Path) -> list[AuditEvent]:
     return events
 
 
-def replay_states(
-    events: Iterable[AuditEvent],
-    initial: Mapping[str, LifecycleRecord] | None = None,
-) -> dict[str, LifecycleRecord]:
+def replay_states(events: Iterable[AuditEvent]) -> dict[str, LifecycleRecord]:
     """Fold ok events into lifecycle records.
 
-    Replay over the full log from an empty catalog reconstructs the live
-    records exactly; denied and failed events change nothing by design.
-    An ok event that lifecycle.TRANSITIONS, the table the live checks
-    read, does not allow raises LogDiverged; initial is never changed.
+    Replay over the full log reconstructs the live records exactly; denied
+    and failed events change nothing by design. An ok event that
+    lifecycle.TRANSITIONS, the table the live checks read, does not allow
+    raises LogDiverged.
     """
-    records = {
-        key: dataclasses.replace(record, history=list(record.history))
-        for key, record in (initial or {}).items()
-    }
+    records: dict[str, LifecycleRecord] = {}
     for event in events:
         apply_event(records, event)
     return records
@@ -465,12 +465,6 @@ def save_plan(plan: PlacementPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> PlacementPlan:
-    raw = _load_yaml(Path(path))
-    if not isinstance(raw, dict):
-        raise IoFailure(f"{path}: plan root must be a mapping")
-    try:
-        doc = decode(PlanDocument, raw)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"{path}: corrupt plan: {exc}") from exc
+    doc = _decode_file(PlanDocument, _load_yaml(Path(path)), f"{path}: corrupt plan")
     # One service on two tenants, and the like, loads for verify_plan to report.
     return PlacementPlan(doc.slice, doc.assignments, float(doc.e2e_latency), True)

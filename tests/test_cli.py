@@ -187,6 +187,21 @@ BAD_DESCRIPTORS = [
         "bad slice descriptor: missing 'profile'",
         id="missing-profile",
     ),
+    pytest.param(
+        edited_descriptor(lambda d: d["customer"].update(id="c-new")),
+        "the customer section's id 'c-new' is not the slice's customer 'c-lab'",
+        id="other-customer-id",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: d["provider"].update(id="p-other")),
+        "the provider section's id 'p-other' is not the slice's provider 'p-lab'",
+        id="other-provider-id",
+    ),
+    pytest.param(
+        edited_descriptor(lambda d: (d["slice"].pop("id"), d["slice"].update(name=5))),
+        "NetworkSlice field name must be text, got 5",
+        id="number-name-without-id",
+    ),
 ]
 
 # Every command that saves state, under a role its gate denies. {tmp} is
@@ -494,6 +509,48 @@ class TestWorkflow:
         assert "slice-p" not in catalog.records
         assert "c-new" not in catalog.customers
 
+    @pytest.mark.parametrize(
+        "section, edit, reason",
+        [
+            (
+                "customer",
+                {"name": "Renamed Inc"},
+                "differs from the registered Customer(id='c-lab', name='Lab',",
+            ),
+            (
+                "provider",
+                {"administrative_domains": ["edge"]},
+                "differs from the registered SliceProvider(id='p-lab',",
+            ),
+        ],
+        ids=["renamed-customer", "provider-domains"],
+    )
+    def test_descriptor_cannot_change_a_registered_entity(
+        self, root, tmp_path, section, edit, reason
+    ):
+        seed_service(root, tmp_path)
+        first = tmp_path / "slice-p.yaml"
+        first.write_text(yaml.safe_dump(descriptor_doc()))
+        assert run(["create-slice", str(first), "--catalog", str(root)]).exit_code == 0
+        before = load_catalog(root / "catalog.json")
+        # The same sections again change nothing, and are accepted.
+        same = tmp_path / "slice-q.yaml"
+        same.write_text(yaml.safe_dump(descriptor_doc(slice_id="slice-q")))
+        assert run(["create-slice", str(same), "--catalog", str(root)]).exit_code == 0
+        after = load_catalog(root / "catalog.json")
+        assert (after.customers, after.providers) == (before.customers, before.providers)
+        saved = (root / "catalog.json").read_bytes()
+
+        doc = descriptor_doc(slice_id="slice-r")
+        doc[section].update(edit)
+        changed = tmp_path / "slice-r.yaml"
+        changed.write_text(yaml.safe_dump(doc))
+        result = run(["create-slice", str(changed), "--catalog", str(root)])
+        assert result.exit_code == 1
+        assert result.summary.startswith(f"IoFailure: {changed}: bad slice descriptor: ")
+        assert reason in result.summary
+        assert (root / "catalog.json").read_bytes() == saved
+
     @pytest.mark.parametrize("argv", DENIED_COMMANDS)
     def test_denied_command_saves_nothing(self, root, tmp_path, argv):
         seed_service(root, tmp_path)
@@ -691,6 +748,33 @@ class TestDemo:
         events = load_audit(root / "audit.log")
         assert [e.sequence_no for e in events] == list(range(1, len(events) + 1))
         assert events[-1].action == "teardown_slice"
+
+    def test_place_slice_reports_budget_warnings(self, root, tmp_path):
+        """A hop over a service's latency budget is a warning, not a refusal."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        doc = yaml.safe_load(
+            (ilr.files("slicectl") / "fixtures" / "slice_a.yaml").read_text()
+        )
+        doc["slice"]["id"] = "slice-w"
+        doc["requirements"]["svc-core-cp"]["latency_budget"] = 9.5
+        doc["requirements"]["svc-core-dp"]["latency_budget"] = 0.5
+        descriptor = tmp_path / "slice-w.yaml"
+        descriptor.write_text(yaml.safe_dump(doc))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+
+        message = "hop into service 'svc-core-dp' takes 1.0 ms, budget is 0.5 ms"
+        placed = run(["place-slice", "slice-w", "--catalog", str(root)])
+        assert placed.exit_code == 0, placed.summary
+        assert f"  warning [latency_budget_exceeded]: {message}" in (
+            placed.summary.splitlines()
+        )
+        machine = run(["place-slice", "slice-w", "--json", "--catalog", str(root)])
+        assert machine.exit_code == 0
+        assert machine.detail["warnings"] == [
+            {"code": "latency_budget_exceeded", "message": message}
+        ]
 
     def test_status_reports_whether_the_log_agrees(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
