@@ -32,7 +32,7 @@ from .errors import (
     TemplateSyntaxError,
 )
 from .infra import build_testbed
-from .lifecycle import ArtifactKind, AuditEvent, Catalog, Orchestrator, Role
+from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role
 from .model import (
     Customer,
     NetworkSlice,
@@ -61,6 +61,7 @@ from .store import (
     load_catalog,
     load_inventory,
     load_plan,
+    relabel,
     replay_states,
     save_catalog,
     save_inventory,
@@ -117,23 +118,16 @@ def _locked(root: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _open_engine(root: Path) -> tuple[Orchestrator, list[AuditEvent]]:
-    """The engine on root's files, and the audit events it was opened at."""
+def _open_engine(root: Path) -> Orchestrator:
+    """The engine on root's files, continuing the audit log it loaded."""
     catalog_path = root / CATALOG_FILE
     catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
     inventory_path = root / INVENTORY_FILE
     infra = load_inventory(inventory_path) if inventory_path.exists() else None
     audit_path = root / AUDIT_FILE
     events = load_audit(audit_path) if audit_path.exists() else []
-    log = FileAuditLog(audit_path, expected_next=len(events) + 1)
-    engine = Orchestrator(
-        infra,
-        catalog=catalog,
-        audit_sink=log.append,
-        start_sequence=len(events) + 1,
-        last_timestamp=events[-1].timestamp if events else 0.0,
-    )
-    return engine, events
+    sink = FileAuditLog(audit_path, expected_next=len(events) + 1)
+    return Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
 
 
 def _save_state(root: Path, engine: Orchestrator) -> None:
@@ -151,7 +145,7 @@ def _engine_for(args):
     saving must not run inside."""
     root = _resolve_root(args)
     with _locked(root):
-        engine, _ = _open_engine(root)
+        engine = _open_engine(root)
         yield engine
         _save_state(root, engine)
 
@@ -201,10 +195,10 @@ def _slice_from_descriptor(
         unknown += sorted(set(slice_raw) - _SLICE_KEYS)
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        requirements = {
-            service_id: decode(ServiceRequirement, entry)
-            for service_id, entry in raw["requirements"].items()
-        }
+        try:
+            requirements = decode(dict[str, ServiceRequirement], raw["requirements"])
+        except (TypeError, ValueError) as exc:
+            raise relabel(exc, "requirements") from exc
         slc = decode(
             NetworkSlice,
             {
@@ -254,7 +248,8 @@ def _cmd_lint_template(args) -> CommandResult:
             f"{type(exc).__name__}: {exc}",
             {"verdict": "rejected", "error": str(exc)},
         )
-    lines = [f"{doc.name}: {report.verdict.value}"]
+    verdict = "accepted" if report.accepted else "rejected"
+    lines = [f"{doc.name}: {verdict}"]
     for finding in report.findings:
         lines.append(
             f"  [{finding.severity.value}] {finding.rule_id}"
@@ -262,7 +257,7 @@ def _cmd_lint_template(args) -> CommandResult:
         )
     detail = {
         "template": doc.name,
-        "verdict": report.verdict.value,
+        "verdict": verdict,
         "findings": [
             {
                 "rule_id": f.rule_id,
@@ -362,7 +357,7 @@ def _plan_verified(
 def _cmd_place_slice(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root):
-        engine, _ = _open_engine(root)
+        engine = _open_engine(root)
         plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
             return CommandResult(
@@ -418,7 +413,7 @@ def _cmd_teardown_slice(args) -> CommandResult:
 
 def _cmd_status(args) -> CommandResult:
     root = _resolve_root(args)
-    engine, events = _open_engine(root)
+    engine = _open_engine(root)
     catalog = engine.catalog
     if args.subject:
         record = catalog.records.get(args.subject)
@@ -474,7 +469,7 @@ def _cmd_status(args) -> CommandResult:
     # The log must explain the catalog: folded from empty, it gives the
     # records.
     try:
-        replayed = replay_states(events)
+        replayed = replay_states(engine.events)
         differ = sorted(
             subject
             for subject in replayed.keys() | catalog.records.keys()

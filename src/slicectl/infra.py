@@ -241,12 +241,7 @@ class Infrastructure:
         self.tenants[allocation.tenant].used = self.held_by(allocation.tenant)
 
 
-def build_testbed(
-    *,
-    orch_cp_ms: float = 1.0,
-    cp_dp_ms: float = 1.0,
-    include_links: bool = True,
-) -> Infrastructure:
+def build_testbed() -> Infrastructure:
     """The reference topology: three private tenants on three linked hosts.
 
     One tenant each for orchestration, control plane, and data plane. The
@@ -284,20 +279,12 @@ def build_testbed(
             quota=ResourceDemand(vcpu=4, ram=8192, storage=48, ports=8),
         )
     )
-    if include_links:
+    for a, b in (("orch", "cp"), ("cp", "dp")):
         infra.add_link(
             PhysicalLink(
-                id="link-orch-cp",
-                endpoints=("host-orch", "host-cp"),
-                latency=orch_cp_ms,
-                bandwidth=10000,
-            )
-        )
-        infra.add_link(
-            PhysicalLink(
-                id="link-cp-dp",
-                endpoints=("host-cp", "host-dp"),
-                latency=cp_dp_ms,
+                id=f"link-{a}-{b}",
+                endpoints=(f"host-{a}", f"host-{b}"),
+                latency=1.0,
                 bandwidth=10000,
             )
         )

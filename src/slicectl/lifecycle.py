@@ -69,7 +69,7 @@ from .placement import (
     verify_plan,
 )
 from .template import (
-    ResourceKind,
+    KIND_COMPUTE,
     Severity,
     merge_reports,
     parse_template,
@@ -281,7 +281,10 @@ def _register(table: dict, entity) -> None:
 
 
 class Orchestrator:
-    """Serialized command interface over one catalog and its infrastructure."""
+    """Serialized command interface over one catalog and its infrastructure.
+
+    engine.events starts as log, the audit log the engine is opened on, and
+    each new event continues it: the next number, at a later instant."""
 
     def __init__(
         self,
@@ -289,17 +292,14 @@ class Orchestrator:
         *,
         catalog: Catalog | None = None,
         audit_sink: Callable[[AuditEvent], None] | None = None,
-        start_sequence: int = 1,
-        last_timestamp: float = 0.0,
+        log: list[AuditEvent] | None = None,
         clock: Callable[[], float] = time.time,
     ):
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
-        self.events: list[AuditEvent] = []
+        self.events: list[AuditEvent] = log if log is not None else []
         self._sink = audit_sink
         self._clock = clock
-        self._next_seq = start_sequence
-        self._last_ts = last_timestamp
         self._footprint_cache: dict[str, ResourceDemand] = {}
 
     # -- registration (catalog plumbing, no lifecycle records) -------------
@@ -329,13 +329,14 @@ class Orchestrator:
         self, actor: Role, action: str, subject: str, outcome: Outcome
     ) -> AuditEvent:
         actor = Role(actor)
+        last = self.events[-1] if self.events else None
+        floor = last.timestamp if last else 0.0
         now = self._clock()
         # Wall clocks may stall or step back; the log's instants must not.
-        if now <= self._last_ts:
-            now = math.nextafter(self._last_ts, math.inf)
-        self._last_ts = now
+        if now <= floor:
+            now = math.nextafter(floor, math.inf)
         event = AuditEvent(
-            sequence_no=self._next_seq,
+            sequence_no=last.sequence_no + 1 if last else 1,
             actor=actor,
             actor_id=actor.value,
             action=action,
@@ -348,7 +349,6 @@ class Orchestrator:
             # or reports anything.
             self._sink(event)
         self.events.append(event)
-        self._next_seq += 1
         return event
 
     def _gate(self, actor: Role, action: str, subject: str) -> None:
@@ -417,7 +417,7 @@ class Orchestrator:
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
         components = []
-        for compute in doc.resources_of_kind(ResourceKind.COMPUTE):
+        for compute in doc.resources_of_kind(KIND_COMPUTE):
             port_names = tuple(
                 referenced_resources(compute.properties.get("ports") or [])
             )

@@ -16,8 +16,9 @@ PlanDocument declare the shape of the two YAML files. The codec is the one
 shape check: it refuses keys that name no field, a mapping or list that is
 something else, and a scalar whose type is not its hint's (text, true or
 false, a whole number, a number; a boolean is never a number), naming each
-field on the way down. It calls the constructors, so every invariant check
-runs on load. _decode_file reports a file that does not decode as
+field, key and index on the way down, and it names them on an enum or
+constructor's refusal too. It calls the constructors, so every invariant
+check runs on load. _decode_file reports a file that does not decode as
 IoFailure naming the file as corrupt.
 """
 
@@ -132,6 +133,17 @@ _SCALARS: dict[Any, tuple[tuple[type, ...], str]] = {
 }
 
 
+# What a constructor or a converter raises for a value it refuses.
+_REFUSALS = (TypeError, ValueError, SliceError)
+
+
+def relabel(exc: Exception, label: str) -> Exception:
+    """exc's class again, its message after label: "label: message", or
+    "label[key]: ..." when the message starts at an item."""
+    message = str(exc)
+    return type(exc)(f"{label}{'' if message.startswith('[') else ': '}{message}")
+
+
 def _item_type(tp: Any) -> Any:
     """Element type of a homogeneous list, frozenset or tuple hint."""
     kinds = {arg for arg in typing.get_args(tp) if arg is not Ellipsis}
@@ -207,8 +219,8 @@ def _decoder(tp: Any) -> _Convert:
                 elif dec is not None:
                     try:
                         value = dec(value)
-                    except TypeError as exc:
-                        raise TypeError(f"{tp.__name__} field {name}: {exc}") from exc
+                    except _REFUSALS as exc:
+                        raise relabel(exc, f"{tp.__name__} field {name}") from exc
                 kwargs[name] = value
             return tp(**kwargs)
 
@@ -226,30 +238,39 @@ def _decoder(tp: Any) -> _Convert:
         if dec is None:
             return None
         return lambda raw: None if raw is None else dec(raw)
-    if origin in (dict, Mapping):
-        # The values decode as a list of them would; the keys stay as they are.
-        values = _decoder(list[typing.get_args(tp)[1]])
-
-        def decode_mapping(raw):
-            if not isinstance(raw, dict):
-                raise TypeError(f"expected a mapping, got {type(raw).__name__}")
-            return dict(zip(raw, values(list(raw.values()))))
-
-        return decode_mapping
-    if origin in (tuple, list, frozenset):
-        item_tp = _item_type(tp)
+    if origin in (dict, Mapping, tuple, list, frozenset):
+        mapping = origin in (dict, Mapping)
+        item_tp = typing.get_args(tp)[1] if mapping else _item_type(tp)
         scalar, dec = _SCALARS.get(item_tp), _decoder(item_tp)
 
+        def decode_item(raw):
+            if scalar is not None and type(raw) not in scalar[0]:
+                raise TypeError(f"must be {scalar[1]}, got {raw!r}")
+            return raw if dec is None else dec(raw)
+
         def decode_items(raw):
-            # A string or mapping would iterate, and decode as its characters
-            # or keys.
-            if not isinstance(raw, list):
-                raise TypeError(f"expected a list, got {type(raw).__name__}")
-            if scalar is not None:
-                for item in raw:
-                    if type(item) not in scalar[0]:
-                        raise TypeError(f"items must be {scalar[1]}, got {item!r}")
-            return origin(raw) if dec is None else origin(map(dec, raw))
+            # A string would iterate, and decode as its characters. A
+            # mapping's values decode as a list would; its keys stay.
+            if not isinstance(raw, dict if mapping else list):
+                wanted = "a mapping" if mapping else "a list"
+                raise TypeError(f"expected {wanted}, got {type(raw).__name__}")
+            items = list(raw.values()) if mapping else raw
+            try:
+                if scalar is not None:
+                    for item in items:
+                        if type(item) not in scalar[0]:
+                            raise TypeError  # named below
+                values = items if dec is None else list(map(dec, items))
+            except _REFUSALS as exc:
+                # Only a failed decode walks the items again, so a good file
+                # pays nothing to have the failing one named by key or index.
+                for key, item in raw.items() if mapping else enumerate(raw):
+                    try:
+                        decode_item(item)
+                    except _REFUSALS as inner:
+                        raise relabel(inner, f"[{key!r}]") from exc
+                raise
+            return dict(zip(raw, values)) if mapping else origin(values)
 
         return decode_items
     return None

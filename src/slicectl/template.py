@@ -6,10 +6,10 @@ is the format, and parsing checks the document against it: every key,
 type, required key and non-empty value the schema states, at every level.
 Its conditional rules are checked after that: metadata only on a compute
 by the parser, compute sizing by resource_footprint. References are
-checked last; they are the one rule the schema cannot state. Resource
-kinds are carried as the external type strings of the orchestration
-platform and mapped to a small internal enum; unknown kinds are preserved
-as OTHER. The onboarding rules are fixed and take no settings:
+checked last; they are the one rule the schema cannot state. A
+resource's type is the Heat type string it is declared with (KIND_*),
+with no internal enum beside it; a type no rule names is kept as
+written. The onboarding rules are fixed and take no settings:
 validate_template and validate_environment report findings and never
 raise, and resource_footprint then raises MissingSizing for a compute that
 is not sized in whole numbers. Onboarding and lint-template both run these
@@ -32,14 +32,6 @@ from .errors import DanglingReference, MissingSizing, TemplateSyntaxError
 from .model import ResourceDemand
 
 
-class ResourceKind(str, Enum):
-    COMPUTE = "compute"
-    NETWORK = "network"
-    SUBNET = "subnet"
-    PORT = "port"
-    OTHER = "other"
-
-
 # External kind strings are contractual and matched bit-exactly.
 KIND_COMPUTE = "OS::Nova::Server"
 KIND_NETWORK = "OS::Neutron::Net"
@@ -47,13 +39,6 @@ KIND_SUBNET = "OS::Neutron::Subnet"
 KIND_PORT = "OS::Neutron::Port"
 KIND_FLOATING_IP = "OS::Neutron::FloatingIP"
 KIND_FLOATING_IP_ASSOCIATION = "OS::Neutron::FloatingIPAssociation"
-
-EXTERNAL_TO_KIND = {
-    KIND_COMPUTE: ResourceKind.COMPUTE,
-    KIND_NETWORK: ResourceKind.NETWORK,
-    KIND_SUBNET: ResourceKind.SUBNET,
-    KIND_PORT: ResourceKind.PORT,
-}
 
 # The fixed onboarding rules.
 NAME_PATTERN = re.compile(r"^[a-z0-9_]{1,63}$")
@@ -72,11 +57,6 @@ RULE_ENV_LIMIT = "env-limit"
 class Severity(str, Enum):
     ERROR = "error"
     WARNING = "warning"
-
-
-class Verdict(str, Enum):
-    ACCEPTED = "accepted"
-    REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
@@ -100,10 +80,6 @@ class ValidationReport:
     def accepted(self) -> bool:
         return not any(f.severity is Severity.ERROR for f in self.findings)
 
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.ACCEPTED if self.accepted else Verdict.REJECTED
-
 
 def merge_reports(*reports: ValidationReport) -> ValidationReport:
     return ValidationReport([f for r in reports for f in r.findings])
@@ -112,7 +88,6 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
 @dataclass(frozen=True)
 class ResourceDescriptor:
     name: str
-    kind: ResourceKind
     external_type: str
     properties: Mapping[str, object] = field(default_factory=dict)
     metadata: Mapping[str, str] = field(default_factory=dict)
@@ -134,8 +109,8 @@ class TemplateDocument:
         object.__setattr__(self, "resources", dict(self.resources))
         object.__setattr__(self, "environment", dict(self.environment))
 
-    def resources_of_kind(self, kind: ResourceKind) -> list[ResourceDescriptor]:
-        return [r for r in self.resources.values() if r.kind is kind]
+    def resources_of_kind(self, kind: str) -> list[ResourceDescriptor]:
+        return [r for r in self.resources.values() if r.external_type == kind]
 
 
 @functools.cache
@@ -243,15 +218,13 @@ def parse_template(text: str) -> TemplateDocument:
     resources: dict[str, ResourceDescriptor] = {}
     for rname, rraw in raw["resources"].items():
         rname = str(rname)
-        kind = EXTERNAL_TO_KIND.get(rraw["type"], ResourceKind.OTHER)
         metadata = {str(k): str(v) for k, v in rraw.get("metadata", {}).items()}
-        if metadata and kind is not ResourceKind.COMPUTE:
+        if metadata and rraw["type"] != KIND_COMPUTE:
             raise TemplateSyntaxError(
                 f"resource {rname!r}: metadata is only valid on compute resources"
             )
         resources[rname] = ResourceDescriptor(
             name=rname,
-            kind=kind,
             external_type=rraw["type"],
             properties=rraw.get("properties", {}),
             metadata=metadata,
@@ -279,27 +252,26 @@ def _check_references(doc: TemplateDocument) -> None:
                     f"resource {resource.name!r} references undeclared"
                     f" resource {target!r}"
                 )
-        if resource.kind is ResourceKind.SUBNET:
-            target = _reference_target(resource.properties.get("network"))
-            if target is None or doc.resources.get(target) is None:
+        # The loop above refused every undeclared get_resource target.
+        network = _reference_target(resource.properties.get("network"))
+        if resource.external_type == KIND_SUBNET:
+            if network is None:
                 raise DanglingReference(
                     f"subnet {resource.name!r} must reference a network resource"
                 )
-            if doc.resources[target].kind is not ResourceKind.NETWORK:
+            if doc.resources[network].external_type != KIND_NETWORK:
                 raise DanglingReference(
-                    f"subnet {resource.name!r} references {target!r}, which is"
+                    f"subnet {resource.name!r} references {network!r}, which is"
                     f" not a network"
                 )
-        if resource.kind is ResourceKind.PORT:
-            net = _reference_target(resource.properties.get("network"))
-            sub = _reference_target(resource.properties.get("subnet"))
-            net_ok = net is not None and getattr(
-                doc.resources.get(net), "kind", None
-            ) is ResourceKind.NETWORK
-            sub_ok = sub is not None and getattr(
-                doc.resources.get(sub), "kind", None
-            ) is ResourceKind.SUBNET
-            if not (net_ok or sub_ok):
+        if resource.external_type == KIND_PORT:
+            subnet = _reference_target(resource.properties.get("subnet"))
+            if not (
+                network is not None
+                and doc.resources[network].external_type == KIND_NETWORK
+                or subnet is not None
+                and doc.resources[subnet].external_type == KIND_SUBNET
+            ):
                 raise DanglingReference(
                     f"port {resource.name!r} must reference a network or subnet"
                 )
@@ -311,7 +283,7 @@ def validate_template(doc: TemplateDocument) -> ValidationReport:
     violation; never raises."""
     findings: list[Finding] = []
     for resource in doc.resources.values():
-        if resource.kind is ResourceKind.COMPUTE:
+        if resource.external_type == KIND_COMPUTE:
             for required in REQUIRED_METADATA:
                 if required not in resource.metadata:
                     findings.append(
@@ -349,7 +321,7 @@ def validate_template(doc: TemplateDocument) -> ValidationReport:
                     ),
                 )
             )
-    if not doc.resources_of_kind(ResourceKind.COMPUTE):
+    if not doc.resources_of_kind(KIND_COMPUTE):
         findings.append(
             Finding(
                 rule_id=RULE_VF_STRUCTURE,
@@ -398,10 +370,10 @@ def resource_footprint(doc: TemplateDocument) -> ResourceDemand:
     total = ResourceDemand()
     ports = 0
     for resource in doc.resources.values():
-        if resource.kind is ResourceKind.PORT:
+        if resource.external_type == KIND_PORT:
             ports += 1
             continue
-        if resource.kind is not ResourceKind.COMPUTE:
+        if resource.external_type != KIND_COMPUTE:
             continue
         sizing = {p: resource.properties.get(p) for p in ("vcpu", "ram", "storage")}
         try:

@@ -183,6 +183,12 @@ BAD_DESCRIPTORS = [
         id="null-requirements",
     ),
     pytest.param(
+        edited_descriptor(lambda d: d["requirements"].update({"svc-probe": None})),
+        "bad slice descriptor: requirements['svc-probe']: expected a mapping,"
+        " got NoneType",
+        id="null-requirement",
+    ),
+    pytest.param(
         edited_descriptor(lambda d: d.pop("profile")),
         "bad slice descriptor: missing 'profile'",
         id="missing-profile",

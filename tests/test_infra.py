@@ -40,6 +40,23 @@ def small_tenant(tenant_id: str, host_id: str) -> Tenant:
     )
 
 
+LINE_HOSTS = ("host-orch", "host-cp", "host-dp")
+
+
+def host_line(*latencies: float) -> Infrastructure:
+    """The testbed's three hosts in a line, one tenant on each (tenant-orch,
+    tenant-cp, tenant-dp), joined in order by links of these latencies."""
+    infra = Infrastructure()
+    for host_id in LINE_HOSTS:
+        infra.add_host(big_host(host_id))
+        infra.add_tenant(small_tenant(host_id.replace("host-", "tenant-"), host_id))
+    for a, b, latency in zip(LINE_HOSTS, LINE_HOSTS[1:], latencies):
+        infra.add_link(
+            PhysicalLink(id=f"{a}-{b}", endpoints=(a, b), latency=latency, bandwidth=1.0)
+        )
+    return infra
+
+
 class TestConstruction:
     def test_used_may_not_exceed_quota(self):
         with pytest.raises(ValueError, match="exceeds quota"):
@@ -100,12 +117,12 @@ class TestLatency:
             infra.tenant_latency("tenant-cp", "t-ghost")
 
     def test_two_hop_path(self):
-        infra = build_testbed(orch_cp_ms=2.0, cp_dp_ms=3.0)
+        infra = host_line(2.0, 3.0)
         assert infra.tenant_latency("tenant-orch", "tenant-dp") == 5.0
         assert infra.tenant_latency("tenant-dp", "tenant-orch") == 5.0
 
     def test_disconnected_hosts_raise(self):
-        infra = build_testbed(include_links=False)
+        infra = host_line()
         with pytest.raises(Unreachable):
             infra.tenant_latency("tenant-orch", "tenant-dp")
 
@@ -124,7 +141,7 @@ class TestLatency:
         assert infra.tenant_latency("t1", "t2") == 2.0
 
     def test_new_links_invalidate_the_cached_graph(self):
-        infra = build_testbed(orch_cp_ms=4.0, cp_dp_ms=4.0)
+        infra = host_line(4.0, 4.0)
         assert infra.tenant_latency("tenant-orch", "tenant-dp") == 8.0
         infra.add_link(
             PhysicalLink(
@@ -137,7 +154,7 @@ class TestLatency:
         assert infra.tenant_latency("tenant-orch", "tenant-dp") == 1.0
 
     def test_new_hosts_join_the_cached_distances(self):
-        infra = build_testbed(orch_cp_ms=2.0, cp_dp_ms=3.0)
+        infra = host_line(2.0, 3.0)
         # Fills the distances cached for host-orch.
         assert infra.tenant_latency("tenant-orch", "tenant-dp") == 5.0
         infra.add_host(big_host("h-new"))

@@ -91,12 +91,27 @@ class TestAuditPlumbing:
         assert first.timestamp == 100.0
         assert second.timestamp == math.nextafter(100.0, math.inf)
 
-    def test_start_sequence_and_string_actors(self):
-        engine = Orchestrator(start_sequence=7)
+    def test_engine_continues_the_log_it_is_opened_on(self):
+        log = scenario.slice_a_engine().events[:6]
+        last = log[-1]
+        # A clock that stepped back behind the log's last instant.
+        engine = Orchestrator(log=log, clock=lambda: last.timestamp - 60.0)
         scenario.register_vsp(engine)
         engine.onboard_vf("designer", "vsp-lab", scenario.minimal_template())
-        assert engine.events[0].sequence_no == 7
-        assert engine.events[0].actor is Role.DESIGNER
+        assert engine.events is log
+        assert len(log) == 7
+        event = log[-1]
+        assert event.sequence_no == 7
+        assert event.timestamp == math.nextafter(last.timestamp, math.inf)
+        assert event.actor is Role.DESIGNER
+
+    def test_empty_log_starts_at_one_after_instant_zero(self):
+        engine = Orchestrator(clock=lambda: 0.0)
+        scenario.register_vsp(engine)
+        engine.onboard_vf(Role.DESIGNER, "vsp-lab", scenario.minimal_template())
+        [event] = engine.events
+        assert event.sequence_no == 1
+        assert event.timestamp > 0.0
 
     def test_events_reach_the_sink_before_the_caller(self):
         seen = []

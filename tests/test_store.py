@@ -20,6 +20,7 @@ from slicectl.errors import (
     RoleDenied,
     SchemaMismatch,
     SequenceGap,
+    SliceError,
 )
 from slicectl.infra import build_testbed
 from slicectl.lifecycle import AuditEvent, Outcome, Role, apply_event
@@ -27,6 +28,9 @@ from slicectl.model import ResourceDemand
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
     FileAuditLog,
+    InventoryDocument,
+    PlanDocument,
+    decode,
     encode,
     load_audit,
     load_catalog,
@@ -122,7 +126,7 @@ class TestCatalogSnapshots:
             ),
             (
                 lambda raw: raw["functions"].update({"vf-core-cp": ["vf-core-cp"]}),
-                "Catalog field functions: expected a mapping, got list",
+                "Catalog field functions['vf-core-cp']: expected a mapping, got list",
             ),
             (
                 lambda raw: raw["slices"]["slice-a"].update(profile=[10.0]),
@@ -152,18 +156,41 @@ class TestCatalogSnapshots:
             ),
             (
                 lambda raw: raw["slices"]["slice-a"].update(profile="fast"),
-                "Catalog field slices: NetworkSlice field profile:"
+                "Catalog field slices['slice-a']: NetworkSlice field profile:"
                 " expected a mapping, got str",
             ),
             (
                 lambda raw: raw["customers"].update({"c-companyx": None}),
-                "Catalog field customers: expected a mapping, got NoneType",
+                "Catalog field customers['c-companyx']: expected a mapping, got NoneType",
             ),
             (
                 lambda raw: raw["functions"]["vf-core-cp"]["components"][0].update(
                     compute_demand=[2, 4096, 20, 4]
                 ),
                 "FunctionComponent field compute_demand: expected a mapping, got list",
+            ),
+            (
+                lambda raw: raw["slices"]["slice-a"]["profile"].update(
+                    degree_of_isolation="text"
+                ),
+                "Catalog field slices['slice-a']: NetworkSlice field profile:"
+                " ServiceProfile field degree_of_isolation:"
+                " 'text' is not a valid IsolationLevel",
+            ),
+            (
+                lambda raw: raw["records"]["slice-a"].update(state="text"),
+                "Catalog field records['slice-a']: 'text' is not a valid SliceState",
+            ),
+            (
+                lambda raw: raw["records"].update({"slice-a": []}),
+                "Catalog field records['slice-a']: expected a mapping, got list",
+            ),
+            (
+                lambda raw: raw["functions"]["vf-core-cp"]["components"].__setitem__(
+                    1, "x"
+                ),
+                "Catalog field functions['vf-core-cp']:"
+                " NetworkFunction field components[1]: expected a mapping, got str",
             ),
         ],
         ids=[
@@ -178,6 +205,10 @@ class TestCatalogSnapshots:
             "string-for-nested-entity",
             "null-for-entity",
             "list-for-demand",
+            "enum-value",
+            "record-state",
+            "list-for-record",
+            "text-for-second-component",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage, reason):
@@ -262,7 +293,7 @@ class TestInventorySnapshots:
             (lambda raw: raw["hosts"][0].pop("capacity"), "capacity"),
             (
                 lambda raw: raw["hosts"].append(["host-x"]),
-                "InventoryDocument field hosts: expected a mapping, got list",
+                "InventoryDocument field hosts[3]: expected a mapping, got list",
             ),
             (
                 lambda raw: raw["tenants"][0].update(quota=[1, 2]),
@@ -274,12 +305,26 @@ class TestInventorySnapshots:
             (lambda raw: raw["links"][0].update(latency=True), "latency"),
             (
                 lambda raw: raw["hosts"][0].update(capacity="big"),
-                "InventoryDocument field hosts: Host field capacity:"
+                "InventoryDocument field hosts[0]: Host field capacity:"
                 " expected a mapping, got str",
             ),
             (
                 lambda raw: raw["tenants"][0].update(used=None),
                 "Tenant field used: expected a mapping, got NoneType",
+            ),
+            (
+                lambda raw: raw["hosts"][1].update(isolation_class="text"),
+                "InventoryDocument field hosts[1]: Host field isolation_class:"
+                " 'text' is not a valid IsolationClass",
+            ),
+            (
+                lambda raw: raw["tenants"].__setitem__(2, "x"),
+                "InventoryDocument field tenants[2]: expected a mapping, got str",
+            ),
+            (
+                lambda raw: raw["links"][1]["endpoints"].__setitem__(1, 5),
+                "InventoryDocument field links[1]: PhysicalLink field endpoints[1]:"
+                " must be text, got 5",
             ),
         ],
         ids=[
@@ -292,6 +337,9 @@ class TestInventorySnapshots:
             "boolean-link-latency",
             "string-for-nested-entity",
             "null-for-nested-entity",
+            "enum-value",
+            "text-for-third-tenant",
+            "number-for-second-endpoint",
         ],
     )
     def test_corrupt_entity_payload(self, tmp_path, damage, reason):
@@ -549,12 +597,12 @@ class TestPlanDocuments:
             ("", "corrupt plan: expected a mapping, got NoneType"),
             (
                 "slice: slice-a\nassignments:\n- svc-core-cp\n",
-                "corrupt plan: PlanDocument field assignments:"
+                "corrupt plan: PlanDocument field assignments[0]:"
                 " expected a mapping, got str",
             ),
             (
                 "slice: slice-a\nassignments:\n- null\n",
-                "corrupt plan: PlanDocument field assignments:"
+                "corrupt plan: PlanDocument field assignments[0]:"
                 " expected a mapping, got NoneType",
             ),
         ],
@@ -604,7 +652,8 @@ def _value_paths(node, prefix=()):
 
 
 def _mutations(raw):
-    """raw with each value in turn deleted or replaced by each replacement."""
+    """(path, replacement, document): raw with each value in turn deleted or
+    replaced by each replacement."""
     for path in _value_paths(raw):
         for replacement in _REPLACEMENTS:
             doc = copy.deepcopy(raw)
@@ -615,14 +664,26 @@ def _mutations(raw):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = copy.deepcopy(replacement)
-            yield doc
+            yield path, replacement, doc
+
+
+def _place(path, replacement) -> str:
+    """How a codec refusal names where the refused value sits: the field
+    below the root, then the key or index in it, as `field hosts[0]`; a
+    deleted field by its quoted name."""
+    if len(path) == 1 and replacement is _DELETE:
+        return repr(path[0])
+    return f"field {path[0]}" + "".join(f"[{key!r}]" for key in path[1:2])
 
 
 def test_every_refusal_of_a_mutated_file_gives_its_reason(tmp_path, monkeypatch):
     """Every value of an inventory, a plan and one audit line, deleted or
     replaced by null, a number, a boolean, text, a list or a mapping: each
     file loads, or is refused with a reason (an audit line with another
-    sequence number is a SequenceGap)."""
+    sequence number is a SequenceGap). Where the codec is what refuses the
+    file, the reason names the place of the value, as _place renders it;
+    checks across entities, such as a tenant on an unknown host, name the
+    entities instead."""
     plan_path = tmp_path / "plan.yaml"
     save_plan(scenario.slice_a_engine().plan_slice("slice-a"), plan_path)
     # The YAML loaders read the parsed documents from here: parsing each
@@ -646,19 +707,32 @@ def test_every_refusal_of_a_mutated_file_gives_its_reason(tmp_path, monkeypatch)
     cases = [
         (
             load_yaml_with(load_inventory, tmp_path / "inventory.yaml"),
+            InventoryDocument,
             yaml.safe_load((GOLDEN / "inventory.yaml").read_text()),
         ),
-        (load_yaml_with(load_plan, plan_path), yaml.safe_load(plan_path.read_text())),
-        (load_audit_with_first, json.loads(first)),
+        (
+            load_yaml_with(load_plan, plan_path),
+            PlanDocument,
+            yaml.safe_load(plan_path.read_text()),
+        ),
+        (load_audit_with_first, AuditEvent, json.loads(first)),
     ]
-    outcomes = {"loaded": 0, "refused": 0}
-    for load, raw in cases:
-        for doc in _mutations(raw):
+    outcomes = {"loaded": 0, "refused": 0, "by the codec": 0}
+    for load, cls, raw in cases:
+        for path, replacement, doc in _mutations(raw):
             try:
                 load(doc)
             except (IoFailure, SequenceGap) as exc:
-                assert "has no attribute" not in str(exc)
+                reason = str(exc)
+                assert "has no attribute" not in reason
                 outcomes["refused"] += 1
             else:
                 outcomes["loaded"] += 1
-    assert outcomes["refused"] > outcomes["loaded"] > 0
+                continue
+            try:
+                decode(cls, doc)
+            except (TypeError, ValueError, SliceError) as exc:
+                assert reason.endswith(str(exc))
+                assert _place(path, replacement) in str(exc), (path, replacement)
+                outcomes["by the codec"] += 1
+    assert outcomes["refused"] > outcomes["by the codec"] > outcomes["loaded"] > 0

@@ -17,8 +17,11 @@ from slicectl.errors import DanglingReference, MissingSizing, TemplateSyntaxErro
 from slicectl.template import (
     ENV_CHAR_LIMIT,
     Finding,
+    KIND_COMPUTE,
     KIND_FLOATING_IP,
-    ResourceKind,
+    KIND_NETWORK,
+    KIND_PORT,
+    KIND_SUBNET,
     RULE_ENV_LIMIT,
     RULE_FORBIDDEN_KIND,
     RULE_NAME_PATTERN,
@@ -26,7 +29,6 @@ from slicectl.template import (
     RULE_VF_STRUCTURE,
     Severity,
     ValidationReport,
-    Verdict,
     _conform,
     env_char_count,
     merge_reports,
@@ -59,10 +61,10 @@ class TestParsing:
     def test_bundled_control_plane_template(self):
         doc = parse_template(scenario.fixture_text("core_cp.yaml"))
         assert doc.name == "core_cp"
-        assert len(doc.resources_of_kind(ResourceKind.COMPUTE)) == 4
-        assert len(doc.resources_of_kind(ResourceKind.NETWORK)) == 5
-        assert len(doc.resources_of_kind(ResourceKind.SUBNET)) == 5
-        assert len(doc.resources_of_kind(ResourceKind.PORT)) == 8
+        assert len(doc.resources_of_kind(KIND_COMPUTE)) == 4
+        assert len(doc.resources_of_kind(KIND_NETWORK)) == 5
+        assert len(doc.resources_of_kind(KIND_SUBNET)) == 5
+        assert len(doc.resources_of_kind(KIND_PORT)) == 8
         assert "mme_image" in doc.parameters
 
     def test_malformed_yaml(self):
@@ -190,7 +192,62 @@ class TestReferences:
 
     def test_port_via_subnet_accepted(self):
         doc = parse_template(wired_port_doc())
-        assert len(doc.resources_of_kind(ResourceKind.PORT)) == 1
+        assert len(doc.resources_of_kind(KIND_PORT)) == 1
+
+    @pytest.mark.parametrize(
+        "resources, message",
+        [
+            (
+                "  sub:\n    type: OS::Neutron::Subnet\n",
+                "subnet 'sub' must reference a network resource",
+            ),
+            (
+                "  net:\n    type: OS::Neutron::Net\n"
+                "  sub:\n    type: OS::Neutron::Subnet\n"
+                "    properties: {network: {get_resource: net}}\n"
+                "  sub2:\n    type: OS::Neutron::Subnet\n"
+                "    properties: {network: {get_resource: sub}}\n",
+                "subnet 'sub2' references 'sub', which is not a network",
+            ),
+            (
+                "  nic:\n    type: OS::Neutron::Port\n",
+                "port 'nic' must reference a network or subnet",
+            ),
+            (
+                "  net:\n    type: OS::Neutron::Net\n"
+                "  sub:\n    type: OS::Neutron::Subnet\n"
+                "    properties: {network: {get_resource: net}}\n"
+                "  nic:\n    type: OS::Neutron::Port\n"
+                "    properties:\n"
+                "      network: {get_resource: sub}\n"
+                "      subnet: {get_resource: net}\n",
+                "port 'nic' must reference a network or subnet",
+            ),
+            (
+                "  net:\n    type: OS::Neutron::Net\n"
+                "  sub:\n    type: OS::Neutron::Subnet\n"
+                "    properties: {network: {get_resource: net}}\n"
+                "  nic:\n    type: OS::Neutron::Port\n"
+                "    properties: {subnet: {get_resource: sub}}\n",
+                None,
+            ),
+        ],
+        ids=[
+            "subnet-without-network",
+            "subnet-on-a-subnet",
+            "unwired-port",
+            "port-with-swapped-references",
+            "port-through-a-subnet",
+        ],
+    )
+    def test_wiring(self, resources, message):
+        text = f"name: probe\nresources:\n{resources}"
+        if message is None:
+            assert parse_template(text).resources["nic"].external_type == KIND_PORT
+            return
+        with pytest.raises(DanglingReference) as refused:
+            parse_template(text)
+        assert str(refused.value) == message
 
     def test_referenced_resources_preserves_order(self):
         value = ["x", {"get_resource": "a"}, {"deep": [{"get_resource": "b"}]}]
@@ -203,7 +260,7 @@ class TestOnboardingRules:
             "name: probe\nresources:\n  node:\n    type: OS::Nova::Server\n"
         )
         report = validate_template(doc)
-        assert report.verdict is Verdict.REJECTED
+        assert not report.accepted
         assert [f.rule_id for f in report.findings] == [RULE_REQUIRED_METADATA] * 3
         # Findings come out in sorted metadata-name order.
         assert "vf_module_id" in report.findings[0].message
@@ -222,7 +279,7 @@ class TestOnboardingRules:
             f"    type: {KIND_FLOATING_IP}\n"
         )
         report = validate_template(parse_template(text))
-        assert report.verdict is Verdict.REJECTED
+        assert not report.accepted
         finding = report.findings[0]
         assert finding.rule_id == RULE_FORBIDDEN_KIND
         assert finding.location == "fip"
@@ -253,7 +310,7 @@ class TestOnboardingRules:
             "name: probe\nresources:\n  net:\n    type: OS::Neutron::Net\n"
         )
         report = validate_template(doc)
-        assert report.verdict is Verdict.REJECTED
+        assert not report.accepted
         [finding] = report.findings
         assert finding.rule_id == RULE_VF_STRUCTURE
         assert finding.location == "probe"
@@ -265,7 +322,7 @@ class TestOnboardingRules:
     def test_merge_reports_combines_findings(self):
         error = Finding(RULE_ENV_LIMIT, Severity.ERROR, "environment", "big")
         merged = merge_reports(ValidationReport(()), ValidationReport((error,)))
-        assert merged.verdict is Verdict.REJECTED
+        assert not merged.accepted
         assert merged.findings == (error,)
 
 
@@ -277,7 +334,7 @@ class TestEnvironmentLimit:
     def test_one_over_limit_rejected(self):
         env = {"blob": "x" * (ENV_CHAR_LIMIT - 1)}
         report = validate_environment(env)
-        assert report.verdict is Verdict.REJECTED
+        assert not report.accepted
         finding = report.findings[0]
         assert finding.rule_id == RULE_ENV_LIMIT
         assert f"counts {ENV_CHAR_LIMIT + 1} characters" in finding.message
