@@ -182,7 +182,8 @@ def _slice_from_descriptor(
     Optional customer/provider sections register the slice's customer and
     provider as a side effect, so a descriptor is self-contained; a section
     that differs from a registered entity is refused. The sections decode
-    like catalog entities, and a key that names no field is refused.
+    like catalog entities, and a key that names no field is refused. Every
+    refusal names source; one from a model rule keeps its class.
     """
     try:
         if not isinstance(raw, dict):
@@ -221,12 +222,15 @@ def _slice_from_descriptor(
                     )
                 fields = {"id": entity_id, "name": entity_id, **defaults, **raw[section]}
                 register(decode(cls, fields))
-    except SliceError:
-        raise
+        try:
+            template = make_slice_template(slc, requirements)
+        except SliceError as exc:
+            raise relabel(exc, "requirements") from exc
+    except SliceError as exc:
+        raise relabel(exc, f"{source}: bad slice descriptor") from exc
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
         raise IoFailure(f"{source}: bad slice descriptor: {reason}") from exc
-    template = make_slice_template(slc, requirements)
     return slc, template
 
 
@@ -335,8 +339,9 @@ def _plan_verified(
 ) -> tuple[PlacementPlan, list[Violation]]:
     """Plan a slice and re-check a feasible plan with the verifier.
 
-    The verifier shares no code with the solver, so a plan that fails here
-    means the solver is wrong, not the input.
+    The verifier shares member_refusals with the executor and only
+    isolation_refusal with the solver, none of its search, so a plan that
+    fails here means the solver is wrong, not the input.
     """
     plan = engine.plan_slice(slice_id)
     if not plan.feasible:

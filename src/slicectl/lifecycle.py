@@ -14,9 +14,9 @@ plan-driven instantiation, and teardown. Both take and give back capacity
 in the order decide, log, apply: instantiation decides every member
 without touching the inventory, so there is nothing to undo, and an
 allocation or release happens only after its event is logged.
-Instantiation judges isolation with placement.isolation_refusal, the rule
-the solver plans with; placement.verify_plan keeps its own copy, as the
-independent check on both.
+Instantiation judges members with verify_plan's placement.member_refusals:
+isolation_refusal, the solver's rule, and Infrastructure.capacity_refusal,
+allocate's check. tests/oracles.py is the independent check of both.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ from .model import (
     with_sla,
 )
 from .placement import (
+    VIOLATION_ISOLATION,
+    VIOLATION_OVERFLOW,
     CapabilityRequirement,
     PlacementPlan,
-    isolation_refusal,
     offered_capabilities,
     plan_placement,
     required_capabilities,
@@ -170,6 +171,9 @@ TRANSITIONS: dict[str, tuple[tuple[Enum, ...], Enum]] = {
         SliceState.TERMINATED,
     ),
 }
+
+# verify_plan's codes for a refused member; its other errors are PlanInvalid.
+_MEMBER_REFUSAL_CODES = frozenset({VIOLATION_ISOLATION, VIOLATION_OVERFLOW})
 
 # The advance_service steps; each logs f"{step}_service".
 _ADVANCE_STEPS = ("test", "approve", "distribute")
@@ -603,10 +607,10 @@ class Orchestrator:
     ) -> LifecycleRecord:
         """Execute a placement plan: decide, log, then allocate.
 
-        Structural plan defects are rejected up front as PlanInvalid. Each
-        member, in slice order, is then checked for isolation and capacity
-        against the infrastructure as it stands, which may have drifted
-        since planning, and against the members accepted before it. Atomic
+        verify_plan's errors other than member refusals reject the plan up
+        front as PlanInvalid. Its member refusals, judged in slice order
+        against the infrastructure as it stands, which may have drifted since
+        planning, and the members accepted before, are the refused ones. Atomic
         mode (the default) accepts nothing once a member is refused;
         best-effort mode (atomic=False) keeps the accepted members and the
         slice lands in partially_instantiated. With no member accepted,
@@ -630,57 +634,30 @@ class Orchestrator:
                     f"member services not distributed: {lagging}"
                 )
             requirements = self.requirements_for(slice_id)
-            offers = offered_capabilities(infra)
-            ok, violations = verify_plan(
-                plan,
-                requirements,
-                offers,
-                infra,
-                slice=slc,
-                check_resources=False,
+            _, violations = verify_plan(
+                plan, requirements, offered_capabilities(infra), infra, slice=slc
             )
-            if not ok:
-                codes = sorted(
-                    {
-                        v.code
-                        for v in violations
-                        if v.severity is Severity.ERROR
-                    }
-                )
+            refusals = [v for v in violations if v.code in _MEMBER_REFUSAL_CODES]
+            codes = sorted(
+                {v.code for v in violations if v.severity is Severity.ERROR}
+                - _MEMBER_REFUSAL_CODES
+            )
+            if codes:
                 raise PlanInvalid(f"plan rejected: {', '.join(codes)}")
 
         demand_of = {r.service: r.demand for r in requirements}
         tenant_of = {a.service: a.tenant for a in plan.assignments}
-        isolation = slc.profile.degree_of_isolation
-        holders = {a.tenant for a in infra.allocations.values()}
-        accepted: list[str] = []
-        failures: list[str] = []
-        reason = ""
-        for service_id in slc.services:
-            tenant_id = tenant_of[service_id]
-            refusal = isolation_refusal(
-                isolation, tenant_id, tenant_id in holders, infra
-            ) or infra.capacity_refusal(
-                tenant_id,
-                service_id,
-                demand_of[service_id],
-                *(demand_of[s] for s in accepted if tenant_of[s] == tenant_id),
-            )
-            if refusal is None:
-                accepted.append(service_id)
-                holders.add(tenant_id)
-                continue
-            failures.append(service_id)
-            reason = reason or refusal
-            if atomic:
-                accepted = []
-                break
+        failures = [v.service for v in refusals]
+        if atomic and failures:
+            failures, accepted = failures[:1], []
+        else:
+            accepted = [s for s in slc.services if s not in failures]
 
         for service_id in failures:
             self._emit(actor, "instantiate_service", service_id, Outcome.FAILED)
         if not accepted:
             self._emit(actor, "instantiate_slice", slice_id, Outcome.FAILED)
-            raise PartialFailure(failures[0], reason)
+            raise PartialFailure(failures[0], refusals[0].message)
         action = "partially_instantiate_slice" if failures else "instantiate_slice"
         record = self._commit(actor, action, slice_id)
         for service_id in accepted:

@@ -15,10 +15,12 @@ bound counts capacity: remaining services that cannot all stay on the
 current tenant must hop away at least once, and each further group that
 no tenant can hold together needs another hop. Among plans of exactly
 equal cost the one first in tenant-id order wins, whatever order the
-search meets them in. The solver and the executor in lifecycle share one
-isolation rule, isolation_refusal. verify_plan re-checks every constraint
-through a separate flat code path, isolation included, so that defects in
-the solver or in the shared rule cannot hide.
+search meets them in. The solver plans with isolation_refusal, the one
+isolation rule. Whether a finished plan's members fit is decided in one
+place, member_refusals, which verify_plan and the executor in lifecycle
+share; it asks isolation_refusal and Infrastructure.capacity_refusal and
+none of the solver's flat state, so it checks the plan, not the search.
+tests/oracles.py is the independent check of the rules themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -191,6 +194,49 @@ def isolation_refusal(
         if len(infra.tenants_on_host(host_id)) != 1:
             return f"host {host_id!r} carries other tenants"
     return None
+
+
+def member_refusals(
+    ordered: list[CapabilityRequirement],
+    tenant_of: Mapping[str, str],
+    infra: Infrastructure,
+) -> list[Violation]:
+    """Why members of a plan may not land on their tenants, in chain order.
+
+    Each service is judged on its tenant against the infrastructure as it
+    stands and the members accepted before it: isolation_refusal, where a
+    tenant is occupied if it holds a live allocation or an accepted member;
+    then a tenant held by an accepted exclusive member; then
+    infra.capacity_refusal on top of the members accepted on the tenant. A
+    refused member is not counted for later ones, and its refusal's reason
+    is its Violation's message.
+    """
+    holders = {a.tenant for a in infra.allocations.values()}
+    locked: set[str] = set()
+    accepted: dict[str, list[ResourceDemand]] = {}
+    refusals: list[Violation] = []
+    for requirement in ordered:
+        service_id, demand = requirement.service, requirement.demand
+        tenant_id = tenant_of[service_id]
+        held = accepted.setdefault(tenant_id, [])
+        code, reason = VIOLATION_ISOLATION, isolation_refusal(
+            requirement.isolation, tenant_id, tenant_id in holders, infra
+        )
+        if reason is None and tenant_id in locked:
+            reason = f"tenant {tenant_id!r} already hosts an exclusive service"
+        if reason is None:
+            code = VIOLATION_OVERFLOW
+            reason = infra.capacity_refusal(tenant_id, service_id, demand, *held)
+        if reason is None:
+            held.append(demand)
+            holders.add(tenant_id)
+            if requirement.isolation is not IsolationLevel.SHARED:
+                locked.add(tenant_id)
+        else:
+            refusals.append(
+                Violation(code, service=service_id, tenant=tenant_id, message=reason)
+            )
+    return refusals
 
 
 class _Flat(NamedTuple):
@@ -465,14 +511,14 @@ def verify_plan(
     infra: Infrastructure,
     *,
     slice: NetworkSlice,
-    check_resources: bool = True,
 ) -> tuple[bool, list[Violation]]:
-    """Independently re-check every planning constraint.
+    """Re-check every planning constraint on a finished plan.
 
     Returns (ok, violations); ok is true when no error-severity violation
     was found. Latency-budget findings are warnings and never flip the
-    verdict. With check_resources false only structural rules run, which is
-    what execution-time staleness checking wants.
+    verdict. A structurally sound plan's members are judged by
+    member_refusals against infra, with requirements in chain order, as
+    required_capabilities gives them; offers name the tenants a plan may use.
     """
     violations: list[Violation] = []
     req_by_service = {r.service: r for r in requirements}
@@ -519,68 +565,9 @@ def verify_plan(
             )
 
     structurally_sound = not violations
-
-    if check_resources:
-        by_tenant: dict[str, list[CapabilityRequirement]] = {}
-        for assignment in plan.assignments:
-            requirement = req_by_service.get(assignment.service)
-            if requirement is None or assignment.tenant not in offer_by_tenant:
-                continue
-            by_tenant.setdefault(assignment.tenant, []).append(requirement)
-        for tenant_id, reqs in sorted(by_tenant.items()):
-            total = ResourceDemand()
-            for requirement in reqs:
-                total = total + requirement.demand
-            offer = offer_by_tenant[tenant_id]
-            if not total.fits_within(offer.free):
-                violations.append(
-                    Violation(
-                        code=VIOLATION_OVERFLOW,
-                        tenant=tenant_id,
-                        message=(
-                            f"services on tenant {tenant_id!r} need {total},"
-                            f" only {offer.free} is free"
-                        ),
-                    )
-                )
-            occupied = bool(infra.allocations_on(tenant_id)) if (
-                tenant_id in infra.tenants
-            ) else False
-            for requirement in reqs:
-                if requirement.isolation is IsolationLevel.SHARED:
-                    continue
-                if occupied or len(reqs) > 1:
-                    violations.append(
-                        Violation(
-                            code=VIOLATION_ISOLATION,
-                            service=requirement.service,
-                            tenant=tenant_id,
-                            message=(
-                                f"service {requirement.service!r} demands"
-                                f" {requirement.isolation.value} but tenant"
-                                f" {tenant_id!r} is shared with other services"
-                            ),
-                        )
-                    )
-                if requirement.isolation is IsolationLevel.DEDICATED_HOST and (
-                    tenant_id in infra.tenants
-                ):
-                    host_id = infra.tenants[tenant_id].host
-                    host = infra.hosts[host_id]
-                    sole = len(infra.tenants_on_host(host_id)) == 1
-                    if host.isolation_class is not IsolationClass.DEDICATED or not sole:
-                        violations.append(
-                            Violation(
-                                code=VIOLATION_ISOLATION,
-                                service=requirement.service,
-                                tenant=tenant_id,
-                                message=(
-                                    f"service {requirement.service!r} demands a"
-                                    f" dedicated host but {host_id!r} is not"
-                                    f" exclusively dedicated to tenant {tenant_id!r}"
-                                ),
-                            )
-                        )
+    tenant_of = {a.service: a.tenant for a in plan.assignments}
+    if structurally_sound:
+        violations += member_refusals(requirements, tenant_of, infra)
 
     if plan.slice_id != slice.id:
         violations.append(
@@ -593,7 +580,6 @@ def verify_plan(
             )
         )
     elif structurally_sound:
-        tenant_of = {a.service: a.tenant for a in plan.assignments}
         e2e = 0.0
         reachable = True
         previous: str | None = None

@@ -49,6 +49,48 @@ def shortest_latency(
     return best
 
 
+def assignment_fits(
+    services: list[str],
+    combo: tuple[str, ...],
+    demands: dict[str, tuple[int, int, int, int]],
+    free: dict[str, tuple[int, int, int, int]],
+    *,
+    isolation: dict[str, str] | None = None,
+    occupied: dict[str, bool] | None = None,
+    dedicated_host: dict[str, bool] | None = None,
+) -> bool:
+    """Whether services may land on combo's tenants, one tenant each.
+
+    Per service, isolation is "shared" (the default), "dedicated_tenant"
+    or "dedicated_host". Per tenant, occupied says it already carries
+    foreign allocations, and dedicated_host that its host is of the
+    dedicated class and carries no other tenant. A service that is not
+    shared must be the only one on its tenant, and that tenant unoccupied;
+    a dedicated-host one also needs a dedicated host. The demands on each
+    tenant, summed, must fit its free capacity field by field.
+    """
+    isolation = isolation or {}
+    occupied = occupied or {}
+    dedicated_host = dedicated_host or {}
+    on_tenant: dict[str, list[str]] = {}
+    for service, tenant in zip(services, combo):
+        level = isolation.get(service, "shared")
+        if level != "shared" and occupied.get(tenant, False):
+            return False
+        if level == "dedicated_host" and not dedicated_host.get(tenant, False):
+            return False
+        on_tenant.setdefault(tenant, []).append(service)
+    for tenant, placed in on_tenant.items():
+        if len(placed) > 1 and any(
+            isolation.get(s, "shared") != "shared" for s in placed
+        ):
+            return False
+        load = [sum(axis) for axis in zip(*(demands[s] for s in placed))]
+        if any(value > capacity for value, capacity in zip(load, free[tenant])):
+            return False
+    return True
+
+
 def best_assignment(
     services: list[str],
     demands: dict[str, tuple[int, int, int, int]],
@@ -56,56 +98,19 @@ def best_assignment(
     free: dict[str, tuple[int, int, int, int]],
     hop_latency,
     limit: float,
-    *,
-    isolation: dict[str, str] | None = None,
-    occupied: dict[str, bool] | None = None,
-    dedicated_host: dict[str, bool] | None = None,
+    **constraints,
 ) -> tuple[float, dict[str, str]] | None:
     """Brute-force optimum over every assignment tuple.
 
     hop_latency(a, b) must return the tenant-to-tenant latency (inf when
-    unreachable). Per service, isolation is "shared" (the default),
-    "dedicated_tenant" or "dedicated_host". Per tenant, occupied says it
-    already carries foreign allocations, and dedicated_host that its host
-    is of the dedicated class and carries no other tenant. A service that is not
-    shared must be the only one on its tenant, and that tenant unoccupied;
-    a dedicated-host one also needs a dedicated host. Returns (e2e,
-    assignment) for the cheapest feasible tuple, lexicographically first
-    among ties, or None.
+    unreachable). A tuple is feasible when assignment_fits accepts it under
+    constraints (isolation, occupied, dedicated_host) and its chain stays
+    within limit. Returns (e2e, assignment) for the cheapest feasible
+    tuple, lexicographically first among ties, or None.
     """
-    isolation = isolation or {}
-    occupied = occupied or {}
-    dedicated_host = dedicated_host or {}
-
-    def allowed(service: str, tenant: str) -> bool:
-        level = isolation.get(service, "shared")
-        if level != "shared" and occupied.get(tenant, False):
-            return False
-        return level != "dedicated_host" or dedicated_host.get(tenant, False)
-
     best: tuple[float, tuple[str, ...]] | None = None
     for combo in itertools.product(sorted(tenants), repeat=len(services)):
-        if not all(allowed(s, t) for s, t in zip(services, combo)):
-            continue
-        on_tenant: dict[str, list[str]] = {}
-        for service, tenant in zip(services, combo):
-            on_tenant.setdefault(tenant, []).append(service)
-        if any(
-            len(placed) > 1
-            and any(isolation.get(s, "shared") != "shared" for s in placed)
-            for placed in on_tenant.values()
-        ):
-            continue
-        load: dict[str, list[int]] = {}
-        for service, tenant in zip(services, combo):
-            vector = load.setdefault(tenant, [0, 0, 0, 0])
-            for axis, value in enumerate(demands[service]):
-                vector[axis] += value
-        if any(
-            value > capacity
-            for tenant, vector in load.items()
-            for value, capacity in zip(vector, free[tenant])
-        ):
+        if not assignment_fits(services, combo, demands, free, **constraints):
             continue
         e2e = 0.0
         for a, b in zip(combo, combo[1:]):

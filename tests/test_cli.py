@@ -516,6 +516,45 @@ class TestWorkflow:
         assert "c-new" not in catalog.customers
 
     @pytest.mark.parametrize(
+        "edit, error, reason",
+        [
+            pytest.param(
+                lambda d: d["profile"].update(end_to_end_latency=4.0),
+                "SlaViolatesProfile",
+                "requirements: latency budgets sum to 5.0 ms, profile allows 4.0 ms",
+                id="budgets-past-the-profile",
+            ),
+            pytest.param(
+                lambda d: d["requirements"].update(
+                    {"svc-other": d["requirements"]["svc-probe"]}
+                ),
+                "UnknownService",
+                "requirements: template entry 'svc-other' is not a member",
+                id="entry-for-a-non-member",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(end_to_end_latency=-1.0),
+                "InvalidProfile",
+                "NetworkSlice field profile: ",
+                id="negative-latency",
+            ),
+        ],
+    )
+    def test_descriptor_refused_by_a_slice_rule_names_the_file(
+        self, root, tmp_path, edit, error, reason
+    ):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(edited_descriptor(edit))
+        result = run(["create-slice", str(descriptor), "--catalog", str(root)])
+        assert result.exit_code == 1
+        assert result.summary.startswith(
+            f"{error}: {descriptor}: bad slice descriptor: "
+        )
+        assert reason in result.summary
+        assert "slice-p" not in load_catalog(root / "catalog.json").records
+
+    @pytest.mark.parametrize(
         "section, edit, reason",
         [
             (

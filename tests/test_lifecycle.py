@@ -41,7 +41,13 @@ from slicectl.model import (
     ResourceDemand,
     VendorSoftwareProduct,
 )
-from slicectl.placement import Assignment, PlacementPlan
+from slicectl.placement import (
+    VIOLATION_ISOLATION,
+    Assignment,
+    PlacementPlan,
+    offered_capabilities,
+    verify_plan,
+)
 from slicectl.store import replay_states
 
 
@@ -532,13 +538,21 @@ class TestSliceExecution:
         # tenant and leaves room enough for svc-core-dp, so only isolation
         # can refuse it.
         engine.infra.allocate("tenant-dp", "svc-squatter", ResourceDemand(vcpu=1))
+        # The verifier refuses the member in the executor's words.
+        _, violations = verify_plan(
+            plan,
+            engine.requirements_for("slice-iso"),
+            offered_capabilities(engine.infra),
+            engine.infra,
+            slice=engine.catalog.slices["slice-iso"],
+        )
+        refusals = [v.message for v in violations if v.code == VIOLATION_ISOLATION]
+        assert refusals == ["tenant 'tenant-dp' already hosts another service"]
         if atomic:
             with pytest.raises(PartialFailure) as info:
                 engine.instantiate_slice(Role.OPERATOR, "slice-iso", plan)
             assert info.value.service_id == "svc-core-dp"
-            assert info.value.reason == (
-                "tenant 'tenant-dp' already hosts another service"
-            )
+            assert info.value.reason == refusals[0]
             held = {a.service for a in engine.infra.allocations.values()}
             assert held == {"svc-squatter"}
             failed = [

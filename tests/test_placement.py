@@ -458,9 +458,9 @@ class TestVerifyPlan:
             True,
         )
 
-    def codes(self, plan, **kwargs):
+    def codes(self, plan):
         ok, violations = verify_plan(
-            plan, self.reqs, self.offers, self.infra, slice=self.slc, **kwargs
+            plan, self.reqs, self.offers, self.infra, slice=self.slc
         )
         return ok, [v.code for v in violations]
 
@@ -512,11 +512,6 @@ class TestVerifyPlan:
         assert not ok
         assert VIOLATION_OVERFLOW in codes
 
-    def test_overflow_ignored_without_resource_checks(self):
-        self.reqs = [requirement("svc-a", vcpu=2), requirement("svc-b", vcpu=2)]
-        ok, codes = self.codes(self.good_plan(), check_resources=False)
-        assert ok and codes == []
-
     def test_isolation_needs_empty_tenant(self):
         self.infra.allocate("t-a", "svc-old", ResourceDemand(vcpu=1))
         self.offers = offered_capabilities(self.infra)
@@ -534,14 +529,71 @@ class TestVerifyPlan:
         assert not ok
         assert VIOLATION_ISOLATION in codes
 
-    def test_isolation_refuses_sharing_within_the_plan(self):
+    @pytest.mark.parametrize(
+        "levels",
+        [("dedicated_tenant", "shared"), ("shared", "dedicated_tenant")],
+        ids=["exclusive-first", "shared-first"],
+    )
+    def test_isolation_refuses_sharing_within_the_plan(self, levels):
+        # One tenant, both orders: the second member is refused either way.
         self.reqs = [
-            requirement("svc-a", isolation="dedicated_tenant"),
-            requirement("svc-b"),
+            requirement(s, isolation=level)
+            for s, level in zip(("svc-a", "svc-b"), levels)
         ]
-        ok, codes = self.codes(self.good_plan())
+        ok, violations = verify_plan(
+            self.good_plan(), self.reqs, self.offers, self.infra, slice=self.slc
+        )
         assert not ok
-        assert VIOLATION_ISOLATION in codes
+        assert [(v.code, v.service) for v in violations] == [
+            (VIOLATION_ISOLATION, "svc-b")
+        ]
+
+    def test_member_refusals_match_the_oracle(self):
+        """On 300 random assignment tuples, shared-only and constrained,
+        with foreign allocations on some tenants, the verifier reports an
+        isolation breach or an overflow exactly when the oracle refuses
+        the tuple."""
+        refused = 0
+        for index in range(150):
+            rng = random.Random(20261019 + index)
+            if index % 2:
+                slc, reqs, _, infra, info = scenario.random_constrained_instance(rng)
+            else:
+                slc, reqs, _, infra, info = scenario.random_instance(rng)
+                info["occupied"] = dict.fromkeys(info["tenants"], False)
+                if rng.random() < 0.5:
+                    tenant = rng.choice(info["tenants"])
+                    held = ResourceDemand(1, 512, 4, 1)
+                    infra.allocate(tenant, f"foreign-{tenant}", held)
+                    info["free"][tenant] = infra.tenants[tenant].free.as_tuple()
+                    info["occupied"][tenant] = True
+            offers = offered_capabilities(infra)
+            for _ in range(2):
+                combo = tuple(rng.choice(info["tenants"]) for _ in info["services"])
+                plan = PlacementPlan(
+                    slc.id,
+                    tuple(Assignment(s, t) for s, t in zip(info["services"], combo)),
+                    0.0,
+                    True,
+                )
+                _, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
+                reported = {v.code for v in violations} & {
+                    VIOLATION_ISOLATION,
+                    VIOLATION_OVERFLOW,
+                }
+                fits = oracles.assignment_fits(
+                    info["services"],
+                    combo,
+                    info["demands"],
+                    info["free"],
+                    isolation=info.get("isolation"),
+                    occupied=info["occupied"],
+                    dedicated_host=info.get("dedicated_host"),
+                )
+                assert bool(reported) != fits, f"instance {index}: {combo}"
+                refused += not fits
+        # The draw must reach both verdicts.
+        assert 0 < refused < 300
 
     def test_dedicated_host_needs_dedicated_class(self):
         self.reqs = [
