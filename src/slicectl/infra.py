@@ -3,13 +3,17 @@
 Hosts carry capacity, tenants carry quotas and usage, physical links carry
 latency. This is the offered-capability side of placement: allocation is
 plain bookkeeping with a conservation invariant (used equals the sum of
-live allocations), and inter-tenant latency is the shortest path over the
-physical links.
+live allocations, kept by allocate and release), and inter-tenant latency
+is the shortest path over the physical links. The host adjacency is built
+once per topology, with each link latency as a whole number on one shared
+power-of-two scale, so a path's latency is summed exactly and rounded
+once: the latency from a to b is the same number as from b to a.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,10 +80,11 @@ class PhysicalLink:
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
         if len(self.endpoints) != 2 or self.endpoints[0] == self.endpoints[1]:
             raise ValueError("link endpoints must be two distinct hosts")
-        if self.latency <= 0:
-            raise ValueError("link latency must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be > 0")
+        # Comparisons with nan are false, so nan is refused too.
+        if not 0 < self.latency < math.inf:
+            raise ValueError("link latency must be a finite number > 0")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("link bandwidth must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,12 @@ class Infrastructure:
     links: dict[str, PhysicalLink] = field(default_factory=dict)
     allocations: dict[str, Allocation] = field(default_factory=dict)
     next_allocation_id: int = 1
-    # Shortest latencies from each source host already asked about; cleared
-    # whenever the topology changes.
+    # Built on first use and cleared whenever the topology changes: the
+    # weighted neighbour map, and the shortest latencies from each source
+    # host already asked about.
+    _graph: tuple[int, dict[str, dict[str, int]]] | None = field(
+        default=None, compare=False, repr=False, init=False
+    )
     _distances: dict[str, dict[str, float]] = field(
         default_factory=dict, compare=False, repr=False, init=False
     )
@@ -109,7 +118,7 @@ class Infrastructure:
         if host.id in self.hosts:
             raise ValueError(f"host {host.id!r} already exists")
         self.hosts[host.id] = host
-        self._distances = {}
+        self._graph, self._distances = None, {}
 
     def add_tenant(self, tenant: Tenant) -> None:
         if tenant.id in self.tenants:
@@ -135,21 +144,12 @@ class Infrastructure:
             if endpoint not in self.hosts:
                 raise ValueError(f"link {link.id!r} references unknown host")
         self.links[link.id] = link
-        self._distances = {}
+        self._graph, self._distances = None, {}
 
     # -- queries -----------------------------------------------------------
 
     def tenants_on_host(self, host_id: str) -> list[Tenant]:
         return [t for t in self.tenants.values() if t.host == host_id]
-
-    def allocations_on(self, tenant_id: str) -> list[Allocation]:
-        return [a for a in self.allocations.values() if a.tenant == tenant_id]
-
-    def held_by(self, tenant_id: str, *extra: ResourceDemand) -> ResourceDemand:
-        """What the tenant's live allocations (plus extra) hold in total."""
-        demands = [a.demand.as_tuple() for a in self.allocations_on(tenant_id)]
-        demands.extend(d.as_tuple() for d in extra)
-        return ResourceDemand(*map(sum, zip(*demands)))
 
     def usage_snapshot(self) -> dict[str, ResourceDemand]:
         return {tid: t.used for tid, t in self.tenants.items()}
@@ -170,27 +170,49 @@ class Infrastructure:
             )
         return latency
 
+    def _adjacency(self) -> tuple[int, dict[str, dict[str, int]]]:
+        """The neighbour map in whole units of 1 / scale, and the scale.
+
+        A latency is num / den with den a power of two; scale is the
+        largest den, so every weight is whole and path sums are exact.
+        """
+        if self._graph is None:
+            ratios = [
+                (link.endpoints, *link.latency.as_integer_ratio())
+                for link in self.links.values()
+            ]
+            scale = max((den for _, _, den in ratios), default=1)
+            neighbors: dict[str, dict[str, int]] = {h: {} for h in self.hosts}
+            for (u, v), num, den in ratios:
+                weight = num * (scale // den)
+                # Parallel links: keep the faster one, Dijkstra never takes
+                # the slower.
+                if v not in neighbors[u] or weight < neighbors[u][v]:
+                    neighbors[u][v] = neighbors[v][u] = weight
+            self._graph = scale, neighbors
+        return self._graph
+
     def _distances_from(self, source: str) -> dict[str, float]:
-        """Dijkstra from one host: latency to every host it reaches."""
+        """Dijkstra from one host: latency to every host it reaches.
+
+        Each distance is an exact sum of _adjacency's whole weights,
+        divided by the scale once, so it is correctly rounded and the same
+        number from either end.
+        """
         if source in self._distances:
             return self._distances[source]
-        neighbors: dict[str, dict[str, float]] = {h: {} for h in self.hosts}
-        for link in self.links.values():
-            u, v = link.endpoints
-            # Parallel links: keep the faster one, Dijkstra never takes the
-            # slower.
-            if link.latency < neighbors[u].get(v, float("inf")):
-                neighbors[u][v] = neighbors[v][u] = link.latency
-        distances: dict[str, float] = {}
-        frontier = [(0.0, source)]
+        scale, neighbors = self._adjacency()
+        reached: dict[str, int] = {}
+        frontier = [(0, source)]
         while frontier:
             distance, host = heapq.heappop(frontier)
-            if host in distances:
+            if host in reached:
                 continue
-            distances[host] = distance
-            for neighbor, latency in neighbors[host].items():
-                if neighbor not in distances:
-                    heapq.heappush(frontier, (distance + latency, neighbor))
+            reached[host] = distance
+            for neighbor, weight in neighbors[host].items():
+                if neighbor not in reached:
+                    heapq.heappush(frontier, (distance + weight, neighbor))
+        distances = {host: total / scale for host, total in reached.items()}
         self._distances[source] = distances
         return distances
 
@@ -205,15 +227,18 @@ class Infrastructure:
     ) -> str | None:
         """Why the tenant cannot also hold demand, or None.
 
-        The demand is counted on top of the tenant's live allocations and
-        of the demands already accepted for it but not yet allocated. The
-        sum is exact, so a demand accepted here is never refused by
-        allocate.
+        The demand is counted on top of what the tenant's live allocations
+        use and of the demands already accepted for it but not yet
+        allocated. Demands are whole numbers, so the sum is exact and a
+        demand accepted here is never refused by allocate.
         """
         tenant = self.tenants.get(tenant_id)
         if tenant is None:
             raise UnknownEntity(f"unknown tenant {tenant_id!r}")
-        if self.held_by(tenant_id, *accepted, demand).fits_within(tenant.quota):
+        held = tenant.used
+        for other in accepted:
+            held = held + other
+        if (held + demand).fits_within(tenant.quota):
             return None
         return f"tenant {tenant_id!r} cannot hold {demand} for service {service_id!r}"
 
@@ -231,14 +256,16 @@ class Infrastructure:
         )
         self.next_allocation_id += 1
         self.allocations[allocation.id] = allocation
-        self.tenants[tenant_id].used = self.held_by(tenant_id)
+        tenant = self.tenants[tenant_id]
+        tenant.used = tenant.used + demand
         return allocation
 
     def release(self, allocation_id: str) -> None:
         allocation = self.allocations.pop(allocation_id, None)
         if allocation is None:
             raise UnknownAllocation(f"allocation {allocation_id!r} is not held")
-        self.tenants[allocation.tenant].used = self.held_by(allocation.tenant)
+        tenant = self.tenants[allocation.tenant]
+        tenant.used = tenant.used - allocation.demand
 
 
 def build_testbed() -> Infrastructure:

@@ -8,7 +8,11 @@ services in slice order, so only chain-ordered slices can be planned.
 
 Instances of up to EXHAUSTIVE_MAX_PAIRS service-tenant pairs are solved
 exactly, larger ones greedily; both solvers run on flat per-plan state
-addressed by index (_flat_state). The exact search is a branch and bound
+addressed by index (_flat_state). Latencies come in rows made on demand
+(_latency_rows), and each tenant pair is asked of the infrastructure at
+most once per plan. Greedy asks only for the rows of the tenants it
+places on; the exact search asks for every row, since its bound needs
+each tenant's nearest other tenant. The exact search is a branch and bound
 that tries the nearest tenant first and cuts a branch when its cost plus a
 lower bound on the hops still to come cannot beat the best plan found. The
 bound counts capacity: remaining services that cannot all stay on the
@@ -29,7 +33,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -154,20 +158,34 @@ def offered_capabilities(infra: Infrastructure) -> list[CapabilityOffer]:
     ]
 
 
-def _latency_matrix(
+def _latency_rows(
     infra: Infrastructure, tenant_ids: list[str]
-) -> list[list[float]]:
-    """Tenant-to-tenant latency by index: 0 on the diagonal, inf where no
-    path exists, and each pair asked once, (b, a) mirroring (a, b)."""
+) -> Callable[[int], list[float]]:
+    """Tenant-to-tenant latency rows by index, each made on first use.
+
+    A row holds 0 on its diagonal and inf where no path exists. Each
+    unordered pair is asked of infra once per plan: an entry whose other
+    row was made already mirrors it.
+    """
     size = len(tenant_ids)
-    rows = [[0.0] * size for _ in range(size)]
-    for i, a in enumerate(tenant_ids):
-        for j in range(i + 1, size):
-            try:
-                hop = infra.tenant_latency(a, tenant_ids[j])
-            except Unreachable:
-                hop = math.inf
-            rows[i][j] = rows[j][i] = hop
+    made: list[list[float] | None] = [None] * size
+
+    def rows(i: int) -> list[float]:
+        row = made[i]
+        if row is None:
+            a = tenant_ids[i]
+            row = [0.0] * size
+            for j, other in enumerate(made):
+                if other is not None:
+                    row[j] = other[i]
+                elif j != i:
+                    try:
+                        row[j] = infra.tenant_latency(a, tenant_ids[j])
+                    except Unreachable:
+                        row[j] = math.inf
+            made[i] = row
+        return row
+
     return rows
 
 
@@ -297,7 +315,7 @@ def _solve_exhaustive(
     ordered: list[CapabilityRequirement],
     offers: list[CapabilityOffer],
     infra: Infrastructure,
-    latency: list[list[float]],
+    rows: Callable[[int], list[float]],
     limit: float,
 ) -> tuple[list[int], float] | None:
     """Exact branch and bound over assignment tuples.
@@ -325,6 +343,8 @@ def _solve_exhaustive(
     free, load, placed, locked, demand, exclusive, admissible = _flat_state(
         ordered, offers, infra
     )
+    # The bound needs every tenant's nearest other tenant, so every row.
+    latency = [rows(t) for t in range(size)]
     nearest = [
         min((hop for t, hop in enumerate(row) if t != c), default=math.inf)
         for c, row in enumerate(latency)
@@ -417,7 +437,7 @@ def _solve_greedy(
     ordered: list[CapabilityRequirement],
     offers: list[CapabilityOffer],
     infra: Infrastructure,
-    latency: list[list[float]],
+    rows: Callable[[int], list[float]],
     limit: float,
 ) -> tuple[list[int], float] | None:
     """One pass in chain order: each service goes to the tenant nearest
@@ -429,7 +449,7 @@ def _solve_greedy(
     chosen: list[int] = []
     total = 0.0
     for need, alone, allowed in zip(demand, exclusive, admissible):
-        row = latency[chosen[-1]] if chosen else [0.0] * len(offers)
+        row = rows(chosen[-1]) if chosen else [0.0] * len(offers)
         pick, pick_hop = None, math.inf
         for t, hop in enumerate(row):
             # Strict improvement keeps the first tenant among ties.
@@ -485,13 +505,13 @@ def plan_placement(
     ordered = [req_by_service[s] for s in slice.services]
     offers_sorted = sorted(offers, key=lambda o: o.tenant)
     tenant_ids = [o.tenant for o in offers_sorted]
-    latency = _latency_matrix(infra, tenant_ids)
+    rows = _latency_rows(infra, tenant_ids)
     if len(ordered) * len(tenant_ids) <= EXHAUSTIVE_MAX_PAIRS:
         solve = _solve_exhaustive
     else:
         solve = _solve_greedy
     result = solve(
-        ordered, offers_sorted, infra, latency, slice.profile.end_to_end_latency
+        ordered, offers_sorted, infra, rows, slice.profile.end_to_end_latency
     )
 
     if result is None:

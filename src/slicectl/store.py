@@ -51,6 +51,7 @@ from .lifecycle import (
     LifecycleRecord,
     apply_event,
 )
+from .model import ResourceDemand
 from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
@@ -382,8 +383,13 @@ def load_inventory(path: str | Path) -> Infrastructure:
         raise IoFailure(f"{where}: {exc}") from exc
     # Conservation: the stored used vectors are redundant with the
     # allocation list; any disagreement means the snapshot is corrupt.
+    held: dict[str, ResourceDemand] = {}
+    for allocation in infra.allocations.values():
+        held[allocation.tenant] = (
+            held.get(allocation.tenant, ResourceDemand()) + allocation.demand
+        )
     for tenant in infra.tenants.values():
-        recomputed = infra.held_by(tenant.id)
+        recomputed = held.get(tenant.id, ResourceDemand())
         if recomputed != tenant.used:
             raise IoFailure(
                 f"{path}: tenant {tenant.id!r} used vector"

@@ -25,18 +25,22 @@ def quoted_env_count(entries: dict[str, str]) -> int:
 def shortest_latency(
     links: list[tuple[str, str, float]], start: str, goal: str
 ) -> float:
-    """Minimum total latency by exhaustive simple-path enumeration."""
+    """Minimum total latency by exhaustive simple-path enumeration.
+
+    Each path is summed in rational arithmetic, so the result is the exact
+    minimum, rounded once to the nearest float.
+    """
     if start == goal:
         return 0.0
-    adjacency: dict[str, list[tuple[str, float]]] = {}
+    adjacency: dict[str, list[tuple[str, Fraction]]] = {}
     for a, b, weight in links:
-        adjacency.setdefault(a, []).append((b, weight))
-        adjacency.setdefault(b, []).append((a, weight))
-    best = INF
+        adjacency.setdefault(a, []).append((b, Fraction(weight)))
+        adjacency.setdefault(b, []).append((a, Fraction(weight)))
+    best: Fraction | None = None
 
-    def walk(node: str, seen: frozenset, acc: float) -> None:
+    def walk(node: str, seen: frozenset, acc: Fraction) -> None:
         nonlocal best
-        if acc >= best:
+        if best is not None and acc >= best:
             return
         if node == goal:
             best = acc
@@ -45,8 +49,8 @@ def shortest_latency(
             if nxt not in seen:
                 walk(nxt, seen | {nxt}, acc + weight)
 
-    walk(start, frozenset({start}), 0.0)
-    return best
+    walk(start, frozenset({start}), Fraction(0))
+    return INF if best is None else float(best)
 
 
 def assignment_fits(

@@ -75,6 +75,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="latency"):
             PhysicalLink(id="l", endpoints=("h1", "h2"), latency=0.0, bandwidth=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["latency", "bandwidth"])
+    def test_link_numbers_must_be_finite_and_positive(self, name, value):
+        numbers = {"latency": 1.0, "bandwidth": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"link {name} must be a finite number"):
+            PhysicalLink(id="l", endpoints=("h1", "h2"), **numbers)
+
     def test_duplicate_ids_rejected(self):
         infra = Infrastructure()
         infra.add_host(big_host("h1"))
@@ -211,6 +218,49 @@ class TestLatency:
                 infra.tenant_latency(f"t{a}", f"t{b}")
         else:
             assert infra.tenant_latency(f"t{a}", f"t{b}") == expected
+
+    @given(data=st.data())
+    def test_latency_is_exact_and_the_same_from_either_end(self, data):
+        """With latencies of two decimals, whose float sums round, each
+        tenant pair's latency is the exact shortest path sum rounded once,
+        whichever tenant is asked first."""
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        infra = Infrastructure()
+        for i in range(n):
+            infra.add_host(big_host(f"h{i}"))
+            infra.add_tenant(small_tenant(f"t{i}", f"h{i}"))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.integers(5, 300),
+                ),
+                max_size=10,
+            )
+        )
+        links = []
+        for serial, (i, j, hundredths) in enumerate(pairs):
+            if i == j:
+                continue
+            latency = hundredths / 100
+            infra.add_link(
+                PhysicalLink(
+                    id=f"l{serial}",
+                    endpoints=(f"h{i}", f"h{j}"),
+                    latency=latency,
+                    bandwidth=100.0,
+                )
+            )
+            links.append((f"h{i}", f"h{j}", latency))
+        for a in range(n):
+            for b in range(a + 1, n):
+                expected = oracles.shortest_latency(links, f"h{a}", f"h{b}")
+                if math.isinf(expected):
+                    continue
+                forth = infra.tenant_latency(f"t{a}", f"t{b}")
+                back = infra.tenant_latency(f"t{b}", f"t{a}")
+                assert forth == back == expected
 
 
 class TestAllocation:

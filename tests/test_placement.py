@@ -360,6 +360,56 @@ class TestPlanPlacement:
             n_services - 1
         )
 
+    @pytest.mark.parametrize("shape", ["line", "tree"])
+    @pytest.mark.parametrize(
+        "n_services, n_tenants, most_pairs",
+        [(6, 40, 5 * 39), (7, 9, 9 * 8 // 2)],
+        ids=["greedy", "exact"],
+    )
+    def test_planner_asks_each_pair_once_and_only_the_rows_it_reads(
+        self, monkeypatch, shape, n_services, n_tenants, most_pairs
+    ):
+        # Greedy reads the rows of the first n_services - 1 tenants of its
+        # chain, the exact search every row; no pair is asked twice.
+        rng = random.Random(f"{shape}-{n_services}x{n_tenants}")
+        tenants = [f"t{i:02}" for i in range(n_tenants)]
+        links = []
+        for i in range(1, n_tenants):
+            parent = i - 1 if shape == "line" else rng.randrange(i)
+            links.append((tenants[parent], tenants[i], rng.randint(1, 8) * 0.25))
+        # One vcpu per tenant: every service needs a tenant of its own.
+        infra = tiny_infra(dict.fromkeys(tenants, 1), links=links)
+        services = [f"svc-{i}" for i in range(n_services)]
+        slc = NetworkSlice(
+            id="slice-t",
+            name="t",
+            customer="c",
+            provider="p",
+            services=services,
+            profile=ServiceProfile(
+                end_to_end_latency=100.0,
+                guaranteed_data_rate=50.0,
+                service_availability=0.99,
+            ),
+        )
+        reqs = [requirement(s) for s in services]
+        offers = offered_capabilities(infra)
+        asked = []
+        tenant_latency = Infrastructure.tenant_latency
+
+        def counted(self, a, b):
+            asked.append(frozenset((a, b)))
+            return tenant_latency(self, a, b)
+
+        monkeypatch.setattr(Infrastructure, "tenant_latency", counted)
+        plan = plan_placement(slc, reqs, offers, infra)
+        assert 1 <= len(asked) <= most_pairs
+        assert len(set(asked)) == len(asked)
+        assert plan.feasible
+        assert len({a.tenant for a in plan.assignments}) == n_services
+        ok, violations = verify_plan(plan, reqs, offers, infra, slice=slc)
+        assert ok, violations
+
     def test_testbed_fixture_demands_have_one_home(self):
         # Effective control-plane demand only fits tenant-cp, and the two
         # services together overflow it, so the optimum is forced.
@@ -387,10 +437,6 @@ class TestPlanPlacement:
             slc, reqs, offers, infra, info = scenario.random_constrained_instance(rng)
 
             def hop(a: str, b: str) -> float:
-                # The solver reads each pair from the tenant first in id
-                # order; a float path sum can differ in its last bit when
-                # added up from the other end.
-                a, b = sorted((a, b))
                 return oracles.shortest_latency(
                     info["links"], info["host_of"][a], info["host_of"][b]
                 )

@@ -287,6 +287,18 @@ class TestInventorySnapshots:
         with pytest.raises(IoFailure, match="does not equal the sum"):
             load_inventory(path)
 
+    def test_non_finite_link_latency_is_refused(self, tmp_path):
+        path = tmp_path / "inventory.yaml"
+        save_inventory(build_testbed(), path)
+        text = path.read_text()
+        assert text.count("latency: 1.0") == 2
+        path.write_text(text.replace("latency: 1.0", "latency: .nan", 1))
+        with pytest.raises(
+            IoFailure,
+            match=r"field links\[0\]: link latency must be a finite number > 0",
+        ):
+            load_inventory(path)
+
     @pytest.mark.parametrize(
         "damage, reason",
         [
