@@ -32,7 +32,7 @@ from .errors import (
     TemplateSyntaxError,
 )
 from .infra import build_testbed
-from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role
+from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role, ServiceState
 from .model import (
     Customer,
     NetworkSlice,
@@ -262,15 +262,7 @@ def _cmd_lint_template(args) -> CommandResult:
     detail = {
         "template": doc.name,
         "verdict": verdict,
-        "findings": [
-            {
-                "rule_id": f.rule_id,
-                "severity": f.severity.value,
-                "location": f.location,
-                "message": f.message,
-            }
-            for f in report.findings
-        ],
+        "findings": [encode(f) for f in report.findings],
     }
     return CommandResult(0 if report.accepted else 1, "\n".join(lines), detail)
 
@@ -517,6 +509,20 @@ def _cmd_init_testbed(args) -> CommandResult:
             return CommandResult(
                 1, f"{inventory_path} already exists; pass --force to replace it"
             )
+        # Replacing the inventory drops its allocations, so capacity that
+        # live services hold could be handed out again.
+        catalog_path = root / CATALOG_FILE
+        if inventory_path.exists() and catalog_path.exists():
+            records = load_catalog(catalog_path).records.values()
+            live = sorted(
+                r.subject for r in records if r.state is ServiceState.INSTANTIATED
+            )
+            if live:
+                return CommandResult(
+                    1,
+                    f"{inventory_path} holds the allocations of instantiated"
+                    f" services {', '.join(live)}; tear their slices down first",
+                )
         infra = build_testbed()
         save_inventory(infra, inventory_path)
     return CommandResult(

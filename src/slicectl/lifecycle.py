@@ -57,7 +57,6 @@ from .model import (
     _slug,
     aggregate_sla,
     derive_service_sla,
-    with_sla,
 )
 from .placement import (
     VIOLATION_ISOLATION,
@@ -519,11 +518,10 @@ class Orchestrator:
                         f"slice member {service_id!r} is not a catalog service"
                     )
             service_slas = {
-                service_id: derive_service_sla(slice.profile, template, service_id)
+                service_id: derive_service_sla(template, service_id)
                 for service_id in slice.services
             }
-            slice_sla = aggregate_sla(slice, service_slas)
-        stored = with_sla(slice, slice_sla)
+            stored = replace(slice, sla=aggregate_sla(slice, service_slas))
         record = self._commit(actor, "create_slice", slice.id)
         self.catalog.slices[slice.id] = stored
         self.catalog.slice_templates[slice.id] = template

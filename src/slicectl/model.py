@@ -6,6 +6,10 @@ runtime state (tenant usage, lifecycle positions) lives in the infra and
 lifecycle modules instead. Invariant violations that amount to programming
 errors raise ValueError; domain outcomes raise the dedicated exceptions
 from errors.py.
+
+The profile rule is stated here once: compose_latency and latency_refusal
+for latency, aggregate_sla for the whole SLA. make_slice_template, the
+lifecycle's create_slice and placement.verify_plan all judge a slice by it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -297,8 +301,8 @@ class NetworkSlice:
     """The slice aggregate: ordered services plus profile and derived SLA.
 
     chain_order states whether end-to-end traffic traverses the services in
-    list order; it selects the SLA latency composition rule (sum along a
-    chain, maximum otherwise). Placement minimises chain latency only, so
+    list order; it selects compose_latency's rule (sum along a chain,
+    maximum otherwise). Placement minimises chain latency only, so
     plan_placement rejects a slice without chain order.
     """
 
@@ -342,7 +346,7 @@ class SliceTemplate:
     """Technical descriptor mapping a slice to per-service guarantees.
 
     Build instances through make_slice_template, which checks coverage and
-    budget consistency against the slice; direct construction only validates
+    the profile against the slice; direct construction only validates
     field-local invariants.
     """
 
@@ -367,9 +371,11 @@ def make_slice_template(
 ) -> SliceTemplate:
     """Validated constructor for SliceTemplate.
 
-    Every member service needs an entry, entries may not reference
-    non-members, and for a chain the latency budgets may not sum past the
-    profile's end-to-end limit.
+    Entries may not reference non-members, and the SLA the entries give
+    must meet the profile: the template is checked by composing that SLA
+    with derive_service_sla and aggregate_sla, which refuse a member
+    without an entry (MissingServiceSla) and an SLA that breaks a profile
+    rule (SlaViolatesProfile).
     """
     members = set(slice.services)
     for service_id in requirements:
@@ -377,19 +383,9 @@ def make_slice_template(
             raise UnknownService(
                 f"template entry {service_id!r} is not a member of slice {slice.id!r}"
             )
-    missing = [s for s in slice.services if s not in requirements]
-    if missing:
-        raise MissingServiceSla(
-            f"slice {slice.id!r} services without a template entry: {missing}"
-        )
-    if slice.chain_order:
-        total_budget = sum(requirements[s].latency_budget for s in slice.services)
-        if total_budget > slice.profile.end_to_end_latency + EPSILON:
-            raise SlaViolatesProfile(
-                f"latency budgets sum to {total_budget} ms, profile allows"
-                f" {slice.profile.end_to_end_latency} ms"
-            )
-    return SliceTemplate(slice.id, dict(requirements))
+    template = SliceTemplate(slice.id, dict(requirements))
+    aggregate_sla(slice, {s: derive_service_sla(template, s) for s in requirements})
+    return template
 
 
 def _slug(name: str) -> str:
@@ -401,9 +397,7 @@ def _slug(name: str) -> str:
     return slug or "x"
 
 
-def derive_service_sla(
-    profile: ServiceProfile, template: SliceTemplate, service: str
-) -> Sla:
+def derive_service_sla(template: SliceTemplate, service: str) -> Sla:
     """Per-service SLA: identity mapping from the template entry."""
     entry = template.per_service_requirements.get(service)
     if entry is None:
@@ -418,29 +412,43 @@ def derive_service_sla(
     )
 
 
+def compose_latency(slice: NetworkSlice, latencies: Iterable[float]) -> float:
+    """Per-service or per-hop latencies, in slice order, as one: their sum
+    along a chain, the largest (0.0 when there are none) side by side."""
+    if slice.chain_order:
+        return sum(latencies, 0.0)
+    return max(latencies, default=0.0)
+
+
+def latency_refusal(slice: NetworkSlice, latency: float) -> str | None:
+    """Why a composed latency breaks the slice's profile, or None."""
+    if latency > slice.profile.end_to_end_latency + EPSILON:
+        return (
+            f"end-to-end latency {latency} ms exceeds the profile limit"
+            f" {slice.profile.end_to_end_latency} ms"
+        )
+    return None
+
+
 def aggregate_sla(slice: NetworkSlice, service_slas: Mapping[str, Sla]) -> Sla:
     """Compose the slice SLA from per-service SLAs.
 
-    Chain composition: latency is the sum over services, availability the
-    product, data rate the minimum. Without chain order the services operate
-    side by side, so latency becomes the maximum; the other two rules are
-    unchanged. The aggregate must be no weaker than the profile demands.
+    Latency is composed by compose_latency, availability is the product and
+    data rate the minimum. The aggregate must be no weaker than the profile
+    demands: latency_refusal judges the latency.
     """
     missing = [s for s in slice.services if s not in service_slas]
     if missing:
         raise MissingServiceSla(f"no SLA supplied for services: {missing}")
     slas = [service_slas[s] for s in slice.services]
-    latencies = [s.committed_latency for s in slas]
-    latency = sum(latencies) if slice.chain_order else max(latencies)
+    latency = compose_latency(slice, (s.committed_latency for s in slas))
     availability = math.prod(s.committed_availability for s in slas)
     data_rate = min(s.committed_data_rate for s in slas)
 
     profile = slice.profile
-    if latency > profile.end_to_end_latency + EPSILON:
-        raise SlaViolatesProfile(
-            f"aggregate latency {latency} ms exceeds profile limit"
-            f" {profile.end_to_end_latency} ms"
-        )
+    reason = latency_refusal(slice, latency)
+    if reason is not None:
+        raise SlaViolatesProfile(reason)
     if availability < profile.service_availability - EPSILON:
         raise SlaViolatesProfile(
             f"aggregate availability {availability} is below profile"
@@ -457,12 +465,3 @@ def aggregate_sla(slice: NetworkSlice, service_slas: Mapping[str, Sla]) -> Sla:
         committed_availability=availability,
         committed_data_rate=data_rate,
     )
-
-
-def with_sla(slice: NetworkSlice, sla: Sla) -> NetworkSlice:
-    """Return a copy of the slice carrying the derived SLA."""
-    if sla.slice_id != slice.id:
-        raise ValueError(
-            f"sla belongs to slice {sla.slice_id!r}, not {slice.id!r}"
-        )
-    return replace(slice, sla=sla)

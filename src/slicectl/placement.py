@@ -46,6 +46,8 @@ from .model import (
     NetworkSlice,
     ResourceDemand,
     SliceTemplate,
+    compose_latency,
+    latency_refusal,
 )
 from .template import Severity
 
@@ -539,6 +541,8 @@ def verify_plan(
     verdict. A structurally sound plan's members are judged by
     member_refusals against infra, with requirements in chain order, as
     required_capabilities gives them; offers name the tenants a plan may use.
+    Its hops are composed by compose_latency and judged by latency_refusal,
+    the rule the slice's SLA is held to.
     """
     violations: list[Violation] = []
     req_by_service = {r.service: r for r in requirements}
@@ -600,47 +604,43 @@ def verify_plan(
             )
         )
     elif structurally_sound:
-        e2e = 0.0
-        reachable = True
-        previous: str | None = None
-        for service_id in slice.services:
-            tenant = tenant_of[service_id]
-            if previous is not None:
-                try:
-                    hop = infra.tenant_latency(previous, tenant)
-                except Unreachable:
-                    reachable = False
-                    violations.append(
-                        Violation(
-                            code=VIOLATION_LATENCY_EXCEEDED,
-                            service=service_id,
-                            tenant=tenant,
-                            message=(
-                                f"no physical path into service"
-                                f" {service_id!r} on tenant {tenant!r}"
-                            ),
-                        )
+        tenants = [tenant_of[s] for s in slice.services]
+        hops: list[float] = []
+        for service_id, previous, tenant in zip(
+            slice.services[1:], tenants, tenants[1:]
+        ):
+            try:
+                hop = infra.tenant_latency(previous, tenant)
+            except Unreachable:
+                violations.append(
+                    Violation(
+                        code=VIOLATION_LATENCY_EXCEEDED,
+                        service=service_id,
+                        tenant=tenant,
+                        message=(
+                            f"no physical path into service"
+                            f" {service_id!r} on tenant {tenant!r}"
+                        ),
                     )
-                    break
-                # Compose as the slice SLA does: a sum along a chain,
-                # the largest hop for services side by side.
-                e2e = e2e + hop if slice.chain_order else max(e2e, hop)
-                budget = req_by_service[service_id].latency_budget
-                if hop > budget + EPSILON:
-                    violations.append(
-                        Violation(
-                            code=VIOLATION_BUDGET,
-                            severity=Severity.WARNING,
-                            service=service_id,
-                            tenant=tenant,
-                            message=(
-                                f"hop into service {service_id!r} takes"
-                                f" {hop} ms, budget is {budget} ms"
-                            ),
-                        )
+                )
+                break
+            hops.append(hop)
+            budget = req_by_service[service_id].latency_budget
+            if hop > budget + EPSILON:
+                violations.append(
+                    Violation(
+                        code=VIOLATION_BUDGET,
+                        severity=Severity.WARNING,
+                        service=service_id,
+                        tenant=tenant,
+                        message=(
+                            f"hop into service {service_id!r} takes"
+                            f" {hop} ms, budget is {budget} ms"
+                        ),
                     )
-            previous = tenant
-        if reachable:
+                )
+        else:  # every hop has a path
+            e2e = compose_latency(slice, hops)
             if abs(e2e - plan.e2e_latency) > EPSILON:
                 violations.append(
                     Violation(
@@ -651,16 +651,10 @@ def verify_plan(
                         ),
                     )
                 )
-            if e2e > slice.profile.end_to_end_latency + EPSILON:
+            reason = latency_refusal(slice, e2e)
+            if reason is not None:
                 violations.append(
-                    Violation(
-                        code=VIOLATION_LATENCY_EXCEEDED,
-                        message=(
-                            f"end-to-end latency {e2e} ms exceeds the"
-                            f" profile limit"
-                            f" {slice.profile.end_to_end_latency} ms"
-                        ),
-                    )
+                    Violation(code=VIOLATION_LATENCY_EXCEEDED, message=reason)
                 )
 
     ok = not any(v.severity is Severity.ERROR for v in violations)

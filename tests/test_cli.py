@@ -403,6 +403,32 @@ class TestLintTemplate:
         assert result.exit_code == 1
         assert "cannot read" in result.summary
 
+    def test_json_findings_name_rule_severity_location_and_message(
+        self, tmp_path, capsys
+    ):
+        raw = yaml.safe_load(scenario.minimal_template())
+        del raw["resources"]["node"]["metadata"]["vnf_id"]
+        raw["environment"] = {"flavor": "x" * 1999}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["lint-template", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["detail"]["findings"] == [
+            {
+                "rule_id": "required-metadata",
+                "severity": "error",
+                "location": "node",
+                "message": "compute resource 'node' is missing required metadata"
+                " 'vnf_id'",
+            },
+            {
+                "rule_id": "env-limit",
+                "severity": "error",
+                "location": "environment",
+                "message": "environment counts 2001 characters including quotes,"
+                " limit is 2000",
+            },
+        ]
+
     def test_json_mode_prints_machine_payload(self, tmp_path, capsys):
         path = tmp_path / "ok.yaml"
         path.write_text(scenario.minimal_template())
@@ -432,6 +458,22 @@ class TestWorkflow:
         assert "--force" in again.summary
         forced = run(["init-testbed", "--force", "--catalog", str(root)])
         assert forced.exit_code == 0
+
+    def test_init_testbed_force_refuses_while_services_are_instantiated(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        inventory = (root / "inventory.yaml").read_bytes()
+        forced = run(["init-testbed", "--force", "--catalog", str(root)])
+        assert forced.exit_code == 1
+        assert "instantiated services svc-core-cp, svc-core-dp" in forced.summary
+        assert (root / "inventory.yaml").read_bytes() == inventory
+        teardown = ["teardown-slice", "slice-a", "--as", "operator"]
+        assert run(teardown + ["--catalog", str(root)]).exit_code == 0
+        forced = run(["init-testbed", "--force", "--catalog", str(root)])
+        assert forced.exit_code == 0
+        assert all(
+            t.used == ResourceDemand()
+            for t in load_inventory(root / "inventory.yaml").tenants.values()
+        )
 
     def test_full_flow_to_teardown(self, root, tmp_path):
         seed_service(root, tmp_path)
@@ -521,8 +563,29 @@ class TestWorkflow:
             pytest.param(
                 lambda d: d["profile"].update(end_to_end_latency=4.0),
                 "SlaViolatesProfile",
-                "requirements: latency budgets sum to 5.0 ms, profile allows 4.0 ms",
+                "requirements: end-to-end latency 5.0 ms exceeds the profile limit 4.0 ms",
                 id="budgets-past-the-profile",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(service_availability=0.9999),
+                "SlaViolatesProfile",
+                "requirements: aggregate availability 0.999 is below profile 0.9999",
+                id="availability-below-the-profile",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(guaranteed_data_rate=60.0),
+                "SlaViolatesProfile",
+                "requirements: aggregate data rate 50.0 Mbit/s is below profile 60.0",
+                id="data-rate-below-the-profile",
+            ),
+            pytest.param(
+                lambda d: (
+                    d["slice"].update(chain_order=False),
+                    d["profile"].update(end_to_end_latency=4.0),
+                ),
+                "SlaViolatesProfile",
+                "requirements: end-to-end latency 5.0 ms exceeds the profile limit 4.0 ms",
+                id="side-by-side-budget-past-the-profile",
             ),
             pytest.param(
                 lambda d: d["requirements"].update(
@@ -544,6 +607,7 @@ class TestWorkflow:
         self, root, tmp_path, edit, error, reason
     ):
         seed_service(root, tmp_path)
+        log_before = (root / "audit.log").read_bytes()
         descriptor = tmp_path / "slice.yaml"
         descriptor.write_text(edited_descriptor(edit))
         result = run(["create-slice", str(descriptor), "--catalog", str(root)])
@@ -553,6 +617,7 @@ class TestWorkflow:
         )
         assert reason in result.summary
         assert "slice-p" not in load_catalog(root / "catalog.json").records
+        assert (root / "audit.log").read_bytes() == log_before
 
     @pytest.mark.parametrize(
         "section, edit, reason",

@@ -36,7 +36,6 @@ from slicectl.model import (
     aggregate_sla,
     derive_service_sla,
     make_slice_template,
-    with_sla,
 )
 
 
@@ -212,28 +211,43 @@ class TestSliceAssembly:
     def test_chain_budgets_may_not_outgrow_profile(self):
         slc = slice_of(("svc-a", "svc-b"))
         entry = ServiceRequirement(latency_budget=6.0, reliability=0.99, data_rate=100.0)
-        with pytest.raises(SlaViolatesProfile, match="budgets sum"):
+        with pytest.raises(
+            SlaViolatesProfile,
+            match=r"end-to-end latency 12\.0 ms exceeds the profile limit 10\.0 ms",
+        ):
             make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
 
     def test_chain_budgets_exactly_at_profile_pass(self):
         slc = slice_of(("svc-a", "svc-b"))
-        entry = ServiceRequirement(latency_budget=5.0, reliability=0.99, data_rate=100.0)
+        entry = ServiceRequirement(latency_budget=5.0, reliability=0.999, data_rate=100.0)
         template = make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
         assert set(template.per_service_requirements) == {"svc-a", "svc-b"}
 
     def test_unordered_slice_skips_budget_sum(self):
         slc = slice_of(("svc-a", "svc-b"), chain_order=False)
-        entry = ServiceRequirement(latency_budget=9.0, reliability=0.99, data_rate=100.0)
+        entry = ServiceRequirement(latency_budget=9.0, reliability=0.999, data_rate=100.0)
         template = make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
         assert template.slice_id == slc.id
 
-    def test_with_sla_checks_ownership(self):
-        slc = slice_of(("svc-a",))
-        foreign = Sla("slice-other", 1.0, 0.99, 10.0)
-        with pytest.raises(ValueError, match="slice-other"):
-            with_sla(slc, foreign)
-        own = Sla(slc.id, 1.0, 0.99, 10.0)
-        assert with_sla(slc, own).sla == own
+    @pytest.mark.parametrize(
+        "chain_order, budget, reliability, rate, reason",
+        [
+            (True, 5.5, 0.999, 100.0, "end-to-end latency 11.0 ms exceeds"),
+            (False, 10.5, 0.999, 100.0, "end-to-end latency 10.5 ms exceeds"),
+            (True, 5.0, 0.99, 100.0, "aggregate availability 0.9801 is below"),
+            (True, 5.0, 0.999, 40.0, "aggregate data rate 40.0 Mbit/s is below"),
+        ],
+        ids=["chain-latency", "side-by-side-latency", "availability", "data-rate"],
+    )
+    def test_template_refuses_an_sla_that_misses_the_profile(
+        self, chain_order, budget, reliability, rate, reason
+    ):
+        slc = slice_of(("svc-a", "svc-b"), chain_order=chain_order)
+        entry = ServiceRequirement(
+            latency_budget=budget, reliability=reliability, data_rate=rate
+        )
+        with pytest.raises(SlaViolatesProfile, match=reason):
+            make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
 
 
 class TestSlaComposition:
@@ -241,11 +255,11 @@ class TestSlaComposition:
         slc = slice_of(("svc-a",))
         entry = ServiceRequirement(latency_budget=4.0, reliability=0.995, data_rate=80.0)
         template = make_slice_template(slc, {"svc-a": entry})
-        sla = derive_service_sla(slc.profile, template, "svc-a")
+        sla = derive_service_sla(template, "svc-a")
         assert (sla.committed_latency, sla.committed_availability) == (4.0, 0.995)
         assert sla.committed_data_rate == 80.0
         with pytest.raises(UnknownService):
-            derive_service_sla(slc.profile, template, "svc-zz")
+            derive_service_sla(template, "svc-zz")
 
     def test_worked_chain_example(self):
         slc = slice_of(

@@ -126,7 +126,7 @@ class TestCapabilityDerivation:
         slc = two_service_slice(degree_of_isolation="dedicated_tenant")
         entry = ServiceRequirement(
             latency_budget=4.0,
-            reliability=0.99,
+            reliability=0.999,
             data_rate=100.0,
             demand=ResourceDemand(2, 4096, 20, 4),
         )
@@ -144,7 +144,7 @@ class TestCapabilityDerivation:
 
     def test_missing_footprint_raises(self):
         slc = two_service_slice()
-        entry = ServiceRequirement(latency_budget=4.0, reliability=0.99, data_rate=1.0)
+        entry = ServiceRequirement(latency_budget=4.0, reliability=0.999, data_rate=50.0)
         template = make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
         with pytest.raises(MissingFootprint, match="svc-b"):
             required_capabilities(slc, template, {"svc-a": ResourceDemand()})
