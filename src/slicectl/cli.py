@@ -509,10 +509,11 @@ def _cmd_init_testbed(args) -> CommandResult:
             return CommandResult(
                 1, f"{inventory_path} already exists; pass --force to replace it"
             )
-        # Replacing the inventory drops its allocations, so capacity that
-        # live services hold could be handed out again.
+        # A fresh inventory holds no allocations, so capacity that live
+        # services hold could be handed out again, whether the inventory
+        # that records it is replaced or already gone.
         catalog_path = root / CATALOG_FILE
-        if inventory_path.exists() and catalog_path.exists():
+        if catalog_path.exists():
             records = load_catalog(catalog_path).records.values()
             live = sorted(
                 r.subject for r in records if r.state is ServiceState.INSTANTIATED
@@ -520,8 +521,9 @@ def _cmd_init_testbed(args) -> CommandResult:
             if live:
                 return CommandResult(
                     1,
-                    f"{inventory_path} holds the allocations of instantiated"
-                    f" services {', '.join(live)}; tear their slices down first",
+                    f"{catalog_path} records instantiated services"
+                    f" {', '.join(live)}, whose allocations a fresh inventory"
+                    f" would drop; tear their slices down first",
                 )
         infra = build_testbed()
         save_inventory(infra, inventory_path)

@@ -299,7 +299,13 @@ def _decode_file(cls: type[T], raw: Any, where: str) -> T:
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    payload = json.dumps(encode(catalog), indent=2, sort_keys=True)
+    """Write the catalog as one line of compact JSON with sorted keys.
+
+    Every mutating command rewrites the whole file, and `indent` would force
+    json's pure-Python encoder, which took about twice as long as the C one
+    on a 1,000-VF catalog. Indented files from older builds load
+    unchanged, so the format version stays the same."""
+    payload = json.dumps(encode(catalog), sort_keys=True, separators=(",", ":"))
     _atomic_write(Path(path), payload + "\n")
 
 

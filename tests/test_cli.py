@@ -475,6 +475,14 @@ class TestWorkflow:
             for t in load_inventory(root / "inventory.yaml").tenants.values()
         )
 
+    def test_init_testbed_without_inventory_refuses_while_instantiated(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        (root / "inventory.yaml").unlink()
+        refused = run(["init-testbed", "--catalog", str(root)])
+        assert refused.exit_code == 1
+        assert "instantiated services svc-core-cp, svc-core-dp" in refused.summary
+        assert not (root / "inventory.yaml").exists()
+
     def test_full_flow_to_teardown(self, root, tmp_path):
         seed_service(root, tmp_path)
         descriptor = tmp_path / "slice.yaml"

@@ -24,7 +24,7 @@ from slicectl.errors import (
 )
 from slicectl.infra import build_testbed
 from slicectl.lifecycle import AuditEvent, Outcome, Role, apply_event
-from slicectl.model import ResourceDemand
+from slicectl.model import ResourceDemand, VendorSoftwareProduct
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
     FileAuditLog,
@@ -44,7 +44,10 @@ from slicectl.store import (
 
 
 # catalog.json, inventory.yaml and audit.log as `slicectl demo slice-a`
-# wrote them before the generic codec replaced the per-type ones.
+# wrote them before the generic codec replaced the per-type ones. That
+# catalog.json is indented, as older builds wrote it, and stays the fixture
+# every catalog load test reads; catalog.compact.json is the same catalog as
+# this build writes it: one line of compact JSON with sorted keys.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -627,6 +630,10 @@ class TestPlanDocuments:
             load_plan(path)
 
 
+# The golden file a golden file is saved as, where that is another file.
+_SAVED_AS = {"catalog.json": "catalog.compact.json"}
+
+
 def _rewrite_audit(source, target):
     log = FileAuditLog(target)
     for loaded in load_audit(source):
@@ -642,8 +649,66 @@ def _rewrite_audit(source, target):
     ],
 )
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
-    rewrite(GOLDEN / name, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    """Each golden file, loaded and saved, gives the bytes this build writes:
+    its own bytes, except that the indented golden catalog of older builds
+    is saved as the compact golden catalog, which saves as itself."""
+    saved = _SAVED_AS.get(name, name)
+    for source in dict.fromkeys((name, saved)):
+        target = tmp_path / f"from-{source}"
+        rewrite(GOLDEN / source, target)
+        assert target.read_bytes() == (GOLDEN / saved).read_bytes(), source
+
+
+def test_indented_and_compact_golden_catalogs_are_one_catalog():
+    indented = load_catalog(GOLDEN / "catalog.json")
+    assert load_catalog(GOLDEN / "catalog.compact.json") == indented
+    assert (GOLDEN / "catalog.compact.json").read_text().count("\n") == 1
+
+
+def _many_vf_catalog():
+    """slice-a's catalog plus 201 VFs onboarded from generated templates,
+    the first from a vendor whose name is not ASCII."""
+    engine = scenario.slice_a_engine()
+    vsp_id = scenario.register_vsp(engine)
+    engine.register_vsp(
+        VendorSoftwareProduct(
+            id="vsp-unicode",
+            vendor_name="Réseaux Ωmega 東京",
+            product_name="probe",
+            version=(1, 0, 0),
+        )
+    )
+    engine.onboard_vf(Role.DESIGNER, "vsp-unicode", scenario.minimal_template())
+    for index in range(200):
+        text = scenario.minimal_template(
+            name=f"gen-{index}", vcpu=1 + index % 4, ram=512 * (1 + index % 3)
+        )
+        engine.onboard_vf(Role.DESIGNER, vsp_id, text)
+    return engine.catalog
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [lambda: load_catalog(GOLDEN / "catalog.json"), _many_vf_catalog],
+    ids=["golden", "many-vfs"],
+)
+def test_compact_catalog_holds_what_the_indented_one_held(tmp_path, catalog):
+    """The compact file parses to the same document as the indented JSON
+    that older builds wrote for the same catalog, and loads back equal."""
+    catalog = catalog()
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, path)
+    indented = json.dumps(encode(catalog), indent=2, sort_keys=True)
+    assert json.loads(path.read_text()) == json.loads(indented)
+    assert load_catalog(path) == catalog
+
+
+def test_truncated_compact_catalog_reports_position(tmp_path):
+    text = (GOLDEN / "catalog.compact.json").read_text()
+    path = tmp_path / "catalog.json"
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(IoFailure, match=r"invalid JSON at line 1 column \d+:"):
+        load_catalog(path)
 
 
 _DELETE = object()
