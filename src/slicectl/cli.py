@@ -3,9 +3,10 @@
 Thin shell over the library: each subcommand delegates to exactly one
 lifecycle, placement, or template operation, so anything the CLI can do is
 reproducible through library calls. State lives in one catalog directory
-(catalog.json, inventory.yaml, audit.log) selected with --catalog or the
-SLICECTL_CATALOG environment variable; mutating commands hold an advisory
-lock on it for the duration of the command.
+(catalog.json, blobs/, inventory.yaml, audit.log) selected with --catalog or
+the SLICECTL_CATALOG environment variable. Mutating commands hold an
+exclusive advisory lock on it for the duration of the command, and status
+and audit a shared one.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -107,11 +108,17 @@ def _resolve_root(args) -> Path:
 
 
 @contextlib.contextmanager
-def _locked(root: Path):
-    """Advisory exclusive lock for mutating commands; one writer at a time."""
+def _locked(root: Path, operation: int = fcntl.LOCK_EX):
+    """Advisory lock on root: exclusive for a command that writes, so one
+    writer runs at a time, and shared (LOCK_SH) for one that only reads, so
+    it never sees a writer's files half saved. A read of a directory that
+    does not exist takes no lock and creates nothing."""
+    if operation == fcntl.LOCK_SH and not root.is_dir():
+        yield
+        return
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / ".lock", "w", encoding="utf-8") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+    with open(root / ".lock", "a", encoding="utf-8") as handle:
+        fcntl.flock(handle.fileno(), operation)
         try:
             yield
         finally:
@@ -408,9 +415,49 @@ def _cmd_teardown_slice(args) -> CommandResult:
     return _record_result(record, f"slice {record.subject} is now {record.state.value}")
 
 
+def _lab_problems(engine: Orchestrator) -> list[str]:
+    """What the lab's files break, apart from the log: a function's template
+    blob that is missing or whose SHA-256 is not its name, an instantiated
+    service that holds no allocation, and an allocation held by a catalog
+    service that is not instantiated. An allocation for a service the
+    catalog does not know is not judged."""
+    catalog = engine.catalog
+    problems = []
+    for function in sorted(catalog.functions.values(), key=lambda f: f.id):
+        if function.template_ref is None:
+            continue
+        try:
+            if catalog.template_blobs.get(function.template_ref) is None:
+                problems.append(
+                    f"{function.id}: no template blob {function.template_ref[:12]}"
+                )
+        except IoFailure as exc:
+            problems.append(f"{function.id}: {exc}")
+    held: dict[str, list[str]] = {}
+    allocations = engine.infra.allocations.values() if engine.infra else ()
+    for allocation in allocations:
+        held.setdefault(allocation.service, []).append(allocation.id)
+    instantiated = {
+        r.subject
+        for r in catalog.records.values()
+        if r.state is ServiceState.INSTANTIATED
+    }
+    for service_id in sorted(instantiated - held.keys()):
+        problems.append(f"{service_id} is instantiated but holds no allocation")
+    for service_id in sorted(held.keys() & catalog.services.keys() - instantiated):
+        record = catalog.records.get(service_id)
+        state = record.state.value if record else "unrecorded"
+        problems.append(
+            f"{service_id} is {state} but holds {', '.join(sorted(held[service_id]))}"
+        )
+    return problems
+
+
 def _cmd_status(args) -> CommandResult:
     root = _resolve_root(args)
-    engine = _open_engine(root)
+    with _locked(root, fcntl.LOCK_SH):
+        engine = _open_engine(root)
+        problems = [] if args.subject else _lab_problems(engine)
     catalog = engine.catalog
     if args.subject:
         record = catalog.records.get(args.subject)
@@ -477,14 +524,17 @@ def _cmd_status(args) -> CommandResult:
         problem = f"LogDiverged: {exc}"
     lines.append(f"audit log: {problem or 'agrees with the catalog'}")
     detail["log"] = {"agrees": problem is None, "problem": problem}
-    code = 0 if problem is None else 1
+    lines.extend(f"problem: {reason}" for reason in problems)
+    detail["problems"] = problems
+    code = 0 if problem is None and not problems else 1
     return CommandResult(code, "\n".join(lines), detail)
 
 
 def _cmd_audit(args) -> CommandResult:
     root = _resolve_root(args)
     audit_path = root / AUDIT_FILE
-    events = load_audit(audit_path) if audit_path.exists() else []
+    with _locked(root, fcntl.LOCK_SH):
+        events = load_audit(audit_path) if audit_path.exists() else []
     if args.tail is not None:
         events = events[-args.tail :]
     lines = [

@@ -25,7 +25,7 @@ import contextlib
 import hashlib
 import math
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -79,7 +79,7 @@ from .template import (
     validate_template,
 )
 
-CATALOG_VERSION = 1
+CATALOG_VERSION = 2
 
 
 class Role(str, Enum):
@@ -221,7 +221,9 @@ class Catalog:
     slices: dict[str, NetworkSlice] = field(default_factory=dict)
     slice_templates: dict[str, SliceTemplate] = field(default_factory=dict)
     records: dict[str, LifecycleRecord] = field(default_factory=dict)
-    template_blobs: dict[str, str] = field(default_factory=dict)
+    # Template texts by SHA-256. Not in the snapshot: the store writes each
+    # once as its own file, and a loaded catalog reads them from there.
+    template_blobs: MutableMapping[str, str] = field(default_factory=dict, init=False)
 
 
 def check_transition(
@@ -400,8 +402,8 @@ class Orchestrator:
     ) -> LifecycleRecord:
         """Validate and freeze one VF template under a vendor product.
 
-        The template text is content-addressed into the catalog so the
-        certified artifact can never drift from what was validated.
+        The template text is content-addressed into the catalog's blobs,
+        so the certified artifact can never drift from what was validated.
         """
         with self._attempt(actor, "onboard_vf", vsp_id):
             vsp = self.catalog.vsps.get(vsp_id)

@@ -1,13 +1,16 @@
 """File persistence for catalog, inventory, audit log, and plan documents.
 
 One directory holds one deployment: catalog.json (design-time entities),
+blobs/ (one file per onboarded template, named by its SHA-256),
 inventory.yaml (infrastructure snapshot), audit.log (append-only JSON
 lines). Snapshots are written atomically (temp file, fsync, rename), so an
-interrupted save never corrupts the previous file. The audit file is the
-write-ahead record of the lifecycle engine; replay_states folds it back
-into lifecycle records with lifecycle.apply_event, the fold the engine
-applies to each event it logs, which checks each ok event against the
-lifecycle table and raises LogDiverged for one the table does not allow.
+interrupted save never corrupts the previous file. A blob is written once,
+before the catalog that refers to it, and never rewritten; reading one
+checks that its SHA-256 is its name. The audit file is the write-ahead
+record of the lifecycle engine; replay_states folds it back into lifecycle
+records with lifecycle.apply_event, the fold the engine applies to each
+event it logs, which checks each ok event against the lifecycle table and
+raises LogDiverged for one the table does not allow.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -35,7 +38,7 @@ import re
 import tempfile
 import types
 import typing
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from enum import Enum
 from pathlib import Path
 from typing import Any, TypeVar
@@ -64,30 +67,40 @@ T = TypeVar("T")
 # -- low-level file plumbing ------------------------------------------------
 
 
+def _write_file(path: Path, data: bytes) -> None:
+    """Replace path with data through a synced temp file; the new entry is
+    durable once its directory is synced too."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
+def _sync_dir(directory: Path) -> None:
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write text so readers see either the old file or the new, never less."""
     path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        _write_file(path, text.encode("utf-8"))
         # The renamed entry is durable only once its directory is synced.
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        _sync_dir(path.parent)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -297,20 +310,109 @@ def _decode_file(cls: type[T], raw: Any, where: str) -> T:
 
 # -- catalog ------------------------------------------------------------------
 
+BLOBS_DIR = "blobs"
+
+
+def _check_blob(where: Path, digest: str, data: bytes) -> None:
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise IoFailure(
+            f"{where}: template blob {digest[:12]} does not match its content hash"
+        )
+
+
+def _read_blob(directory: Path, digest: str) -> str:
+    """The template text in directory/digest, refused unless the file's
+    SHA-256 is its name."""
+    path = directory / digest
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    _check_blob(path, digest, data)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: template blob is not UTF-8 text: {exc}") from exc
+
+
+class TemplateBlobs(MutableMapping[str, str]):
+    """A loaded catalog's template texts by SHA-256. A stored text is read
+    from its blob file at each access, so the check runs on every read and
+    no text stays in memory; a text added since the load is held until a
+    save writes it."""
+
+    def __init__(self, directory: Path, stored: Iterable[str]):
+        self.directory = directory
+        self._stored = set(stored)
+        self._added: dict[str, str] = {}
+
+    def __getitem__(self, digest: str) -> str:
+        if digest in self._added:
+            return self._added[digest]
+        if digest in self._stored:
+            return _read_blob(self.directory, digest)
+        raise KeyError(digest)
+
+    def __contains__(self, digest: object) -> bool:
+        return digest in self._added or digest in self._stored
+
+    def __setitem__(self, digest: str, text: str) -> None:
+        self._added[digest] = text
+
+    def __delitem__(self, digest: str) -> None:
+        if self._added.pop(digest, None) is None:
+            self._stored.remove(digest)
+
+    def __iter__(self):
+        return iter(self._stored | self._added.keys())
+
+    def __len__(self) -> int:
+        return len(self._stored | self._added.keys())
+
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write the catalog as one line of compact JSON with sorted keys.
+    """Write the template blobs not yet on disk, then the catalog as one
+    line of compact JSON with sorted keys.
 
-    Every mutating command rewrites the whole file, and `indent` would force
-    json's pure-Python encoder, which took about twice as long as the C one
-    on a 1,000-VF catalog. Indented files from older builds load
-    unchanged, so the format version stays the same."""
+    Each new blob goes to blobs/<sha256> beside the catalog through its own
+    synced temp file, and blobs/ is synced once before catalog.json is
+    replaced, so a crash leaves at worst a blob no catalog refers to. A
+    blob file already there is neither read nor rewritten. `indent` would
+    force json's pure-Python encoder, which took about twice as long as
+    the C one on a 1,000-VF catalog."""
+    path = Path(path)
+    directory = path.parent / BLOBS_DIR
+    blobs = catalog.template_blobs
+    if isinstance(blobs, TemplateBlobs) and blobs.directory == directory:
+        # Only texts added since the load can be new here. A blob file of
+        # the load that has gone since is for status to report, and reading
+        # it would fail this save after its command's audit event.
+        blobs = blobs._added
+    try:
+        created = not directory.is_dir()
+        on_disk = set() if created else set(os.listdir(directory))
+        new = [digest for digest in blobs if digest not in on_disk]
+        for digest in new:
+            _write_file(directory / digest, blobs[digest].encode("utf-8"))
+        if new:
+            _sync_dir(directory)
+            if created:
+                # blobs/ is itself a new entry of the catalog's directory.
+                _sync_dir(path.parent)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {directory}: {exc}") from exc
     payload = json.dumps(encode(catalog), sort_keys=True, separators=(",", ":"))
-    _atomic_write(Path(path), payload + "\n")
+    _atomic_write(path, payload + "\n")
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    text = _read_text(Path(path))
+    """The catalog in path; its template_blobs read blobs/ beside it.
+
+    A version-1 file holds its blobs inline. Each is checked against its
+    digest here, and the next save writes them to blobs/ and the catalog
+    as version 2."""
+    path = Path(path)
+    text = _read_text(path)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -321,19 +423,27 @@ def load_catalog(path: str | Path) -> Catalog:
     if not isinstance(raw, dict):
         raise IoFailure(f"{path}: catalog root must be an object")
     version = raw.get("version")
-    if version != CATALOG_VERSION:
+    inline = None
+    if version == 1:
+        try:
+            inline = decode(dict[str, str], raw.pop("template_blobs", {}))
+        except _REFUSALS as exc:
+            field = relabel(exc, "Catalog field template_blobs")
+            raise IoFailure(f"{path}: corrupt catalog: {field}") from exc
+        for digest, blob in inline.items():
+            _check_blob(path, digest, blob.encode("utf-8"))
+        raw["version"] = CATALOG_VERSION
+    elif version != CATALOG_VERSION:
         raise SchemaMismatch(
             f"{path}: catalog version {version!r}, this build reads"
-            f" version {CATALOG_VERSION}"
+            f" versions 1 and {CATALOG_VERSION}"
         )
     catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
-    for digest, blob in catalog.template_blobs.items():
-        actual = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        if actual != digest:
-            raise IoFailure(
-                f"{path}: template blob {digest[:12]} does not match its"
-                f" content hash"
-            )
+    if inline is not None:
+        catalog.template_blobs = inline
+    else:
+        refs = {f.template_ref for f in catalog.functions.values()} - {None}
+        catalog.template_blobs = TemplateBlobs(path.parent / BLOBS_DIR, refs)
     return catalog
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from importlib import resources as ilr
 from pathlib import Path
@@ -920,6 +923,140 @@ class TestDemo:
         assert forked.exit_code == 1
         assert f"LogDiverged: audit event {fork.sequence_no}" in forked.summary
         assert "already exists" in forked.detail["log"]["problem"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _problems(root) -> list[str]:
+    """status's reasons for root, after checking it exits 1 with them."""
+    result = run(["status", "--catalog", str(root)])
+    assert result.exit_code == 1, result.summary
+    problems = result.detail["problems"]
+    assert problems
+    for reason in problems:
+        assert f"problem: {reason}" in result.summary.splitlines()
+    return problems
+
+
+class TestStatusChecks:
+    def test_tampered_blob_file_is_named(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        digest = load_catalog(root / "catalog.json").functions["vf-core-dp"].template_ref
+        with open(root / "blobs" / digest, "ab") as handle:
+            handle.write(b" ")
+        assert _problems(root) == [
+            f"vf-core-dp: {root / 'blobs' / digest}: template blob {digest[:12]}"
+            " does not match its content hash"
+        ]
+
+    def test_missing_blob_file_is_named(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        digest = load_catalog(root / "catalog.json").functions["vf-core-cp"].template_ref
+        (root / "blobs" / digest).unlink()
+        (problem,) = _problems(root)
+        assert problem.startswith(f"vf-core-cp: cannot read {root / 'blobs' / digest}")
+        # A write neither needs the blob nor fails for it, and logs nothing
+        # that its catalog lacks.
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        assert _problems(root) == [problem]
+        assert "audit log: agrees with the catalog" in run(
+            ["status", "--catalog", str(root)]
+        ).summary
+
+    def test_instantiated_services_without_an_inventory(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        (root / "inventory.yaml").unlink()
+        assert _problems(root) == [
+            "svc-core-cp is instantiated but holds no allocation",
+            "svc-core-dp is instantiated but holds no allocation",
+        ]
+
+    def test_terminated_services_that_still_hold_capacity(self, root, monkeypatch):
+        """A crash in the inventory save of a teardown, after catalog.json
+        was written, leaves slice-a terminated and its capacity held."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+
+        def crash(infra, path):
+            raise OSError("simulated crash in the inventory save")
+
+        monkeypatch.setattr("slicectl.cli.save_inventory", crash)
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 3
+        monkeypatch.undo()
+        problems = _problems(root)
+        assert problems == [
+            "svc-core-cp is terminated but holds alloc-1",
+            "svc-core-dp is terminated but holds alloc-2",
+        ]
+        assert "tenant-cp on host-cp: used 5/6 vcpu" in run(
+            ["status", "--catalog", str(root)]
+        ).summary
+
+    def test_allocations_of_unknown_services_are_not_judged(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        infra = load_inventory(root / "inventory.yaml")
+        infra.allocate("tenant-orch", "svc-squatter", ResourceDemand(vcpu=1))
+        save_inventory(infra, root / "inventory.yaml")
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        assert status.detail["problems"] == []
+
+    def test_older_lab_converts_on_its_next_write(self, root):
+        root.mkdir()
+        for name in ("catalog.json", "inventory.yaml", "audit.log"):
+            (root / name).write_bytes((GOLDEN / name).read_bytes())
+        before = run(["status", "--catalog", str(root)])
+        assert before.exit_code == 0, before.summary
+        assert not (root / "blobs").exists()
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        raw = json.loads((root / "catalog.json").read_text())
+        assert raw["version"] == 2 and "template_blobs" not in raw
+        blobs = sorted((root / "blobs").iterdir())
+        assert [p.name for p in blobs] == sorted(
+            json.loads((GOLDEN / "catalog.json").read_text())["template_blobs"]
+        )
+        for blob in blobs:
+            assert hashlib.sha256(blob.read_bytes()).hexdigest() == blob.name
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "audit log: agrees with the catalog" in after.summary
+
+    @pytest.mark.parametrize("command", ["status", "audit"])
+    def test_read_of_a_missing_directory_creates_nothing(self, root, command):
+        result = run([command, "--catalog", str(root)])
+        assert result.exit_code == 0, result.summary
+        assert result.summary.startswith(
+            "catalog is empty" if command == "status" else "audit log is empty"
+        )
+        assert not root.exists()
+
+    @pytest.mark.parametrize("command", ["status", "audit"])
+    def test_reads_wait_for_a_writer(self, root, command):
+        """status and audit take the lab's lock shared, so they do not
+        read while a writer holds it exclusively."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        results = []
+        with open(root / ".lock", "a") as writer:
+            fcntl.flock(writer.fileno(), fcntl.LOCK_EX)
+            reader = threading.Thread(
+                target=lambda: results.append(run([command, "--catalog", str(root)]))
+            )
+            reader.start()
+            reader.join(0.5)
+            assert reader.is_alive() and not results
+            fcntl.flock(writer.fileno(), fcntl.LOCK_UN)
+        reader.join(10)
+        assert not reader.is_alive()
+        assert results[0].exit_code == 0, results[0].summary
+
+    def test_readers_share_the_lock(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        with open(root / ".lock", "a") as other:
+            fcntl.flock(other.fileno(), fcntl.LOCK_SH)
+            assert run(["status", "--catalog", str(root)]).exit_code == 0
 
 
 def test_cli_import_leaves_networkx_out():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import copy
+import hashlib
+import io
 import json
 import os
 import re
@@ -13,6 +16,7 @@ import pytest
 import yaml
 
 import scenario
+from slicectl import store
 from slicectl.errors import (
     InvalidTransition,
     IoFailure,
@@ -23,13 +27,14 @@ from slicectl.errors import (
     SliceError,
 )
 from slicectl.infra import build_testbed
-from slicectl.lifecycle import AuditEvent, Outcome, Role, apply_event
+from slicectl.lifecycle import AuditEvent, Orchestrator, Outcome, Role, apply_event
 from slicectl.model import ResourceDemand, VendorSoftwareProduct
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
     FileAuditLog,
     InventoryDocument,
     PlanDocument,
+    TemplateBlobs,
     decode,
     encode,
     load_audit,
@@ -46,9 +51,12 @@ from slicectl.store import (
 # catalog.json, inventory.yaml and audit.log as `slicectl demo slice-a`
 # wrote them before the generic codec replaced the per-type ones. That
 # catalog.json is indented, as older builds wrote it, and stays the fixture
-# every catalog load test reads; catalog.compact.json is the same catalog as
-# this build writes it: one line of compact JSON with sorted keys.
+# every catalog load test reads; catalog.compact.json is the same version-1
+# catalog as one line of compact JSON with sorted keys. Both hold the
+# template blobs inline. v2/catalog.json and v2/blobs/ are the same catalog
+# as this build writes it: version 2, each blob a file named by its SHA-256.
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
 
 
 def active_engine():
@@ -83,8 +91,11 @@ class TestCatalogSnapshots:
         path = tmp_path / "catalog.json"
         save_catalog(engine.catalog, path)
         raw = json.loads(path.read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == 2
+        assert "template_blobs" not in raw
         assert raw["records"]["slice-a"]["state"] == "ready"
+        refs = {f["template_ref"] for f in raw["functions"].values()}
+        assert {p.name for p in (tmp_path / "blobs").iterdir()} == refs
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -109,14 +120,70 @@ class TestCatalogSnapshots:
             load_catalog(path)
 
     def test_tampered_template_blob_detected(self, tmp_path):
-        engine = scenario.slice_a_engine()
+        """A version-1 file's inline blobs are all checked on load."""
         path = tmp_path / "catalog.json"
-        save_catalog(engine.catalog, path)
-        raw = json.loads(path.read_text())
+        raw = json.loads((GOLDEN / "catalog.json").read_text())
         digest = next(iter(raw["template_blobs"]))
         raw["template_blobs"][digest] += "# tampered\n"
         path.write_text(json.dumps(raw))
-        with pytest.raises(IoFailure, match="content hash"):
+        with pytest.raises(IoFailure, match=f"blob {digest[:12]} .*content hash"):
+            load_catalog(path)
+
+    def test_tampered_blob_file_detected(self, tmp_path):
+        """A blob file is checked each time it is read."""
+        engine = scenario.slice_a_engine()
+        path = tmp_path / "catalog.json"
+        save_catalog(engine.catalog, path)
+        digest = engine.catalog.functions["vf-core-cp"].template_ref
+        with open(tmp_path / "blobs" / digest, "a", encoding="utf-8") as handle:
+            handle.write("# tampered\n")
+        loaded = load_catalog(path)
+        assert digest in loaded.template_blobs
+        for _ in range(2):
+            with pytest.raises(IoFailure, match=f"blob {digest[:12]} .*content hash"):
+                loaded.template_blobs[digest]
+
+    def test_missing_blob_file_is_reported_when_read(self, tmp_path):
+        engine = scenario.slice_a_engine()
+        path = tmp_path / "catalog.json"
+        save_catalog(engine.catalog, path)
+        digest = engine.catalog.functions["vf-core-dp"].template_ref
+        (tmp_path / "blobs" / digest).unlink()
+        loaded = load_catalog(path)
+        with pytest.raises(IoFailure, match=f"cannot read .*{digest}"):
+            loaded.template_blobs.get(digest)
+
+    def test_blob_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        save_catalog(scenario.slice_a_engine().catalog, path)
+        data = b"\xff\xfe not text\n"
+        digest = hashlib.sha256(data).hexdigest()
+        (tmp_path / "blobs" / digest).write_bytes(data)
+        blobs = TemplateBlobs(tmp_path / "blobs", [digest])
+        with pytest.raises(IoFailure, match="not UTF-8 text"):
+            blobs[digest]
+
+    def test_version_2_file_with_inline_blobs_is_refused(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        raw = json.loads((GOLDEN / "catalog.json").read_text())
+        raw["version"] = 2
+        path.write_text(json.dumps(raw))
+        with pytest.raises(IoFailure, match="Catalog has no field 'template_blobs'"):
+            load_catalog(path)
+
+    def test_version_1_inline_blobs_must_be_text(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        raw = json.loads((GOLDEN / "catalog.json").read_text())
+        digest = next(iter(raw["template_blobs"]))
+        raw["template_blobs"][digest] = 7
+        path.write_text(json.dumps(raw))
+        with pytest.raises(
+            IoFailure,
+            match=re.escape(
+                f"corrupt catalog: Catalog field template_blobs['{digest}']:"
+                " must be text, got 7"
+            ),
+        ):
             load_catalog(path)
 
     @pytest.mark.parametrize(
@@ -244,7 +311,45 @@ class TestCatalogSnapshots:
             save_catalog(engine.catalog, path)
         monkeypatch.undo()
         assert load_catalog(path) == first
-        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs", "catalog.json"]
+        assert {p.name for p in (tmp_path / "blobs").iterdir()} == set(
+            first.template_blobs
+        )
+
+    def test_crash_after_the_blobs_leaves_an_unreferenced_blob(
+        self, tmp_path, monkeypatch
+    ):
+        """A save that dies in the catalog write, after the new blob was
+        written, leaves the previous catalog, which opens, and a blob it
+        does not refer to; the next save finishes the job."""
+        engine = scenario.slice_a_engine()
+        path = tmp_path / "catalog.json"
+        save_catalog(engine.catalog, path)
+        before = path.read_bytes()
+        vsp_id = scenario.register_vsp(engine)
+        engine.onboard_vf(Role.DESIGNER, vsp_id, scenario.minimal_template())
+        new = set(engine.catalog.template_blobs) - set(load_catalog(path).template_blobs)
+        assert len(new) == 1
+
+        real_write = store._write_file
+
+        def crash(target, data):
+            if target.name == "catalog.json":
+                raise OSError("simulated crash in the catalog write")
+            return real_write(target, data)
+
+        monkeypatch.setattr(store, "_write_file", crash)
+        with pytest.raises(IoFailure, match="cannot write"):
+            save_catalog(engine.catalog, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert (tmp_path / "blobs" / new.pop()).exists()
+        previous = load_catalog(path)
+        assert set(previous.template_blobs) < set(engine.catalog.template_blobs)
+        assert replay_states(engine.events[:-1]) == previous.records
+        assert all(previous.template_blobs[d] for d in previous.template_blobs)
+        save_catalog(engine.catalog, path)
+        assert load_catalog(path) == engine.catalog
 
     def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
         """fsync(2): the new directory entry needs its own fsync."""
@@ -261,8 +366,58 @@ class TestCatalogSnapshots:
 
         monkeypatch.setattr("slicectl.store.os.replace", replace)
         monkeypatch.setattr("slicectl.store.os.fsync", fsync)
-        save_catalog(scenario.slice_a_engine().catalog, tmp_path / "catalog.json")
+        engine = scenario.slice_a_engine()
+        save_catalog(engine.catalog, tmp_path / "catalog.json")
+        # Two new blobs, blobs/ once, the new blobs/ entry, then the catalog.
+        blobs = ["file", "replace"] * 2 + ["dir", "dir"]
+        assert calls == blobs + ["file", "replace", "dir"]
+        # A later save writes only the blob that is new, and syncs blobs/ once.
+        calls.clear()
+        engine.onboard_vf(
+            Role.DESIGNER, scenario.register_vsp(engine), scenario.minimal_template()
+        )
+        save_catalog(engine.catalog, tmp_path / "catalog.json")
+        assert calls == ["file", "replace", "dir", "file", "replace", "dir"]
+        calls.clear()
+        save_catalog(engine.catalog, tmp_path / "catalog.json")
         assert calls == ["file", "replace", "dir"]
+
+    def test_save_opens_no_existing_blob_file(self, tmp_path, monkeypatch):
+        """Blobs are written once: a save of a loaded catalog, with one new
+        template, neither reads nor rewrites a blob file already there."""
+        engine = scenario.slice_a_engine()
+        path = tmp_path / "catalog.json"
+        save_catalog(engine.catalog, path)
+        reopened = Orchestrator(catalog=load_catalog(path), log=engine.events)
+        catalog = reopened.catalog
+        blobs = tmp_path / "blobs"
+        existing = {p.name for p in blobs.iterdir()}
+        vsp_id = scenario.register_vsp(reopened)
+        reopened.onboard_vf(Role.DESIGNER, vsp_id, scenario.minimal_template())
+        opened = []
+
+        def counting(real):
+            def open_(file, *args, **kwargs):
+                target = Path(os.fsdecode(file)) if not isinstance(file, int) else None
+                if target is not None and target.parent == blobs:
+                    opened.append(target.name)
+                return real(file, *args, **kwargs)
+
+            return open_
+
+        for owner, name in ((os, "open"), (io, "open"), (builtins, "open")):
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+        # The count sees a read of a blob file.
+        catalog.template_blobs[next(iter(existing))]
+        assert opened == [next(iter(existing))]
+        opened.clear()
+        save_catalog(catalog, path)
+        monkeypatch.undo()
+        assert not existing & set(opened)
+        assert {p.name for p in blobs.iterdir()} == existing | set(
+            catalog.template_blobs
+        )
+        assert load_catalog(path) == catalog
 
 
 class TestInventorySnapshots:
@@ -631,7 +786,7 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": "catalog.compact.json"}
+_SAVED_AS = {"catalog.json": "v2/catalog.json"}
 
 
 def _rewrite_audit(source, target):
@@ -650,19 +805,52 @@ def _rewrite_audit(source, target):
 )
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
-    its own bytes, except that the indented golden catalog of older builds
-    is saved as the compact golden catalog, which saves as itself."""
+    its own bytes, except that the two version-1 golden catalogs of older
+    builds are saved as the version-2 golden catalog and blob files, which
+    save as themselves."""
     saved = _SAVED_AS.get(name, name)
-    for source in dict.fromkeys((name, saved)):
-        target = tmp_path / f"from-{source}"
+    sources = GOLDEN_V1 if name == "catalog.json" else (name,)
+    for source in dict.fromkeys((*sources, saved)):
+        target = tmp_path / source.replace("/", "-") / name
+        target.parent.mkdir()
         rewrite(GOLDEN / source, target)
         assert target.read_bytes() == (GOLDEN / saved).read_bytes(), source
+        assert _blob_files(target.parent) == _blob_files((GOLDEN / saved).parent)
+
+
+def _blob_files(directory: Path) -> dict[str, bytes]:
+    blobs = directory / "blobs"
+    return {p.name: p.read_bytes() for p in blobs.iterdir()} if blobs.is_dir() else {}
+
+
+def test_golden_blob_files_are_named_by_their_hash():
+    blobs = _blob_files(GOLDEN / "v2")
+    assert len(blobs) == 2
+    for name, data in blobs.items():
+        assert hashlib.sha256(data).hexdigest() == name
+
+
+@pytest.mark.parametrize("source", GOLDEN_V1)
+def test_version_1_golden_catalog_converts_to_the_version_2_golden(tmp_path, source):
+    """A version-1 catalog loads, saves as the version-2 golden files, and
+    those load back as the same catalog."""
+    catalog = load_catalog(GOLDEN / source)
+    assert isinstance(catalog.template_blobs, dict)
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, path)
+    assert path.read_bytes() == (GOLDEN / "v2" / "catalog.json").read_bytes()
+    assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v2")
+    again = load_catalog(path)
+    assert isinstance(again.template_blobs, TemplateBlobs)
+    assert again == catalog == load_catalog(GOLDEN / "v2" / "catalog.json")
+    assert replay_states(load_audit(GOLDEN / "audit.log")) == again.records
 
 
 def test_indented_and_compact_golden_catalogs_are_one_catalog():
     indented = load_catalog(GOLDEN / "catalog.json")
     assert load_catalog(GOLDEN / "catalog.compact.json") == indented
     assert (GOLDEN / "catalog.compact.json").read_text().count("\n") == 1
+    assert (GOLDEN / "v2" / "catalog.json").read_text().count("\n") == 1
 
 
 def _many_vf_catalog():
@@ -701,6 +889,8 @@ def test_compact_catalog_holds_what_the_indented_one_held(tmp_path, catalog):
     indented = json.dumps(encode(catalog), indent=2, sort_keys=True)
     assert json.loads(path.read_text()) == json.loads(indented)
     assert load_catalog(path) == catalog
+    for digest, text in catalog.template_blobs.items():
+        assert (tmp_path / "blobs" / digest).read_bytes() == text.encode("utf-8")
 
 
 def test_truncated_compact_catalog_reports_position(tmp_path):
