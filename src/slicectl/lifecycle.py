@@ -45,7 +45,6 @@ from .errors import (
 from .infra import Infrastructure
 from .model import (
     Customer,
-    FunctionComponent,
     FunctionKind,
     NetworkFunction,
     NetworkService,
@@ -69,17 +68,15 @@ from .placement import (
     verify_plan,
 )
 from .template import (
-    KIND_COMPUTE,
     Severity,
     merge_reports,
     parse_template,
-    referenced_resources,
     resource_footprint,
     validate_environment,
     validate_template,
 )
 
-CATALOG_VERSION = 2
+CATALOG_VERSION = 3
 
 
 class Role(str, Enum):
@@ -404,6 +401,9 @@ class Orchestrator:
 
         The template text is content-addressed into the catalog's blobs,
         so the certified artifact can never drift from what was validated.
+        The function is that blob's digest: its components are the
+        template's compute resources, and footprints read them from the
+        blob, so the catalog holds no copy of them.
         """
         with self._attempt(actor, "onboard_vf", vsp_id):
             vsp = self.catalog.vsps.get(vsp_id)
@@ -421,31 +421,10 @@ class Orchestrator:
         self.catalog.template_blobs[digest] = template_text
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
-        components = []
-        for compute in doc.resources_of_kind(KIND_COMPUTE):
-            port_names = tuple(
-                referenced_resources(compute.properties.get("ports") or [])
-            )
-            components.append(
-                FunctionComponent(
-                    name=compute.name,
-                    compute_demand=ResourceDemand(
-                        vcpu=compute.properties["vcpu"],
-                        ram=compute.properties["ram"],
-                        storage=compute.properties["storage"],
-                        ports=len(port_names),
-                    ),
-                    ports=port_names,
-                )
-            )
-        function = NetworkFunction(
-            id=vf_id,
-            kind=FunctionKind.VIRTUAL,
-            components=tuple(components),
-            template_ref=digest,
-        )
         record = self._commit(actor, "onboard_vf", vf_id)
-        self.catalog.functions[vf_id] = function
+        self.catalog.functions[vf_id] = NetworkFunction(
+            id=vf_id, kind=FunctionKind.VIRTUAL, template_ref=digest
+        )
         self.catalog.vsps[vsp_id] = replace(
             vsp, owned_resources=vsp.owned_resources | {vf_id}
         )

@@ -169,35 +169,17 @@ class VirtualLink:
 
 
 @dataclass(frozen=True)
-class FunctionComponent:
-    """Sub-function of a network function (one deployable unit)."""
-
-    name: str
-    compute_demand: ResourceDemand
-    ports: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("component name must be non-empty")
-        object.__setattr__(self, "ports", tuple(self.ports))
-
-
-@dataclass(frozen=True)
 class NetworkFunction:
-    """A VNF or PNF; virtual functions carry exactly one frozen template."""
+    """A VNF or PNF. A virtual function is its one frozen template, named by
+    the SHA-256 of its text; its components are that template's compute
+    resources, read from the blob, not stored here. A physical function is
+    an id with no template."""
 
     id: str
     kind: FunctionKind
-    components: tuple[FunctionComponent, ...]
     template_ref: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise ValueError("network function needs at least one component")
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            raise ValueError("component names must be unique within a function")
         if self.kind is FunctionKind.VIRTUAL and not self.template_ref:
             raise ValueError("virtual function must reference a template")
         if self.kind is FunctionKind.PHYSICAL and self.template_ref is not None:

@@ -1,7 +1,8 @@
 """File persistence for catalog, inventory, audit log, and plan documents.
 
-One directory holds one deployment: catalog.json (design-time entities),
-blobs/ (one file per onboarded template, named by its SHA-256),
+One directory holds one deployment: catalog.json (design-time entities,
+where a VF is the digest of its template), blobs/ (one file per onboarded
+template, named by its SHA-256, which alone holds the VF's components),
 inventory.yaml (infrastructure snapshot), audit.log (append-only JSON
 lines). Snapshots are written atomically (temp file, fsync, rename), so an
 interrupted save never corrupts the previous file. A blob is written once,
@@ -35,7 +36,6 @@ import json
 import operator
 import os
 import re
-import tempfile
 import types
 import typing
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
@@ -71,9 +71,10 @@ def _write_file(path: Path, data: bytes) -> None:
     """Replace path with data through a synced temp file; the new entry is
     durable once its directory is synced too."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 less the umask, as open() gives audit.log; mkstemp's 0o600
+    # would survive the rename.
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -408,9 +409,11 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 def load_catalog(path: str | Path) -> Catalog:
     """The catalog in path; its template_blobs read blobs/ beside it.
 
-    A version-1 file holds its blobs inline. Each is checked against its
-    digest here, and the next save writes them to blobs/ and the catalog
-    as version 2."""
+    Versions 1 and 2 also held each VF's compute resources as its
+    `components`, a copy of what its template says; the key is dropped
+    unread and the rest decodes as version 3. A version-1 file also holds
+    its blobs inline. Each is checked against its digest here, and the
+    next save writes them to blobs/ and the catalog as version 3."""
     path = Path(path)
     text = _read_text(path)
     try:
@@ -423,6 +426,12 @@ def load_catalog(path: str | Path) -> Catalog:
     if not isinstance(raw, dict):
         raise IoFailure(f"{path}: catalog root must be an object")
     version = raw.get("version")
+    # true == 1 and 2.0 == 2 in Python, so the type is checked first.
+    if type(version) is not int or version not in (1, 2, CATALOG_VERSION):
+        raise SchemaMismatch(
+            f"{path}: catalog version {version!r}, this build reads"
+            f" versions 1 to {CATALOG_VERSION}"
+        )
     inline = None
     if version == 1:
         try:
@@ -432,12 +441,12 @@ def load_catalog(path: str | Path) -> Catalog:
             raise IoFailure(f"{path}: corrupt catalog: {field}") from exc
         for digest, blob in inline.items():
             _check_blob(path, digest, blob.encode("utf-8"))
+    if version != CATALOG_VERSION:
+        functions = raw.get("functions")
+        for function in functions.values() if isinstance(functions, dict) else ():
+            if isinstance(function, dict):
+                function.pop("components", None)
         raw["version"] = CATALOG_VERSION
-    elif version != CATALOG_VERSION:
-        raise SchemaMismatch(
-            f"{path}: catalog version {version!r}, this build reads"
-            f" versions 1 and {CATALOG_VERSION}"
-        )
     catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
     if inline is not None:
         catalog.template_blobs = inline

@@ -6,6 +6,8 @@ import fcntl
 import hashlib
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -842,6 +844,21 @@ class TestDemo:
         assert again.exit_code == 1
         assert "fresh" in again.summary
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_lab_files_follow_the_umask(self, root, umask, mode):
+        """Every file a command writes is created 0o666 less the umask, the
+        snapshots and blobs as audit.log, so one lab's files agree."""
+        old = os.umask(umask)
+        try:
+            assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        finally:
+            os.umask(old)
+        names = ["catalog.json", "inventory.yaml", "plan-slice-a.yaml", "audit.log"]
+        files = [root / name for name in names] + list((root / "blobs").iterdir())
+        assert len(files) == 6
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in files}
+        assert modes == dict.fromkeys(modes, mode)
+
     def test_demo_is_deterministic_apart_from_timestamps(self, tmp_path):
         roots = [tmp_path / "one", tmp_path / "two"]
         for r in roots:
@@ -1013,13 +1030,31 @@ class TestStatusChecks:
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
         raw = json.loads((root / "catalog.json").read_text())
-        assert raw["version"] == 2 and "template_blobs" not in raw
+        assert raw["version"] == 3 and "template_blobs" not in raw
+        assert not any("components" in f for f in raw["functions"].values())
         blobs = sorted((root / "blobs").iterdir())
         assert [p.name for p in blobs] == sorted(
             json.loads((GOLDEN / "catalog.json").read_text())["template_blobs"]
         )
         for blob in blobs:
             assert hashlib.sha256(blob.read_bytes()).hexdigest() == blob.name
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "audit log: agrees with the catalog" in after.summary
+
+    def test_version_2_lab_converts_on_its_next_write(self, root):
+        """A format-2 lab opens, and its next write drops the components
+        that format 2 copied out of each template; the blobs stay."""
+        shutil.copytree(GOLDEN / "v2", root)
+        for name in ("inventory.yaml", "audit.log"):
+            shutil.copy(GOLDEN / name, root)
+        before = run(["status", "--catalog", str(root)])
+        assert before.exit_code == 0, before.summary
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        raw = json.loads((root / "catalog.json").read_text())
+        assert raw["version"] == 3
+        assert not any("components" in f for f in raw["functions"].values())
         after = run(["status", "--catalog", str(root)])
         assert after.exit_code == 0, after.summary
         assert "audit log: agrees with the catalog" in after.summary

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -33,7 +34,6 @@ from slicectl.lifecycle import (
     VfState,
 )
 from slicectl.model import (
-    FunctionComponent,
     FunctionKind,
     IsolationLevel,
     NetworkFunction,
@@ -49,6 +49,7 @@ from slicectl.placement import (
     verify_plan,
 )
 from slicectl.store import replay_states
+from slicectl.template import KIND_COMPUTE, parse_template, referenced_resources
 
 
 def states_of(engine: Orchestrator) -> dict[str, tuple[str, str]]:
@@ -257,20 +258,40 @@ class TestVfOnboarding:
             f.rule_id == "vf-structure" for f in info.value.report.findings
         )
 
-    def test_onboarding_freezes_template_and_builds_components(self):
-        record = self.engine.onboard_vf(
-            Role.DESIGNER, "vsp-lab", scenario.fixture_text("core_cp.yaml")
-        )
+    def test_onboarding_freezes_template_and_reads_its_computes(self):
+        """A VF is the digest of its template: its components are the
+        blob's compute resources, and its footprint is read from the blob."""
+        text = scenario.fixture_text("core_cp.yaml")
+        record = self.engine.onboard_vf(Role.DESIGNER, "vsp-lab", text)
         assert record.subject == "vf-core-cp"
         assert record.state is VfState.DRAFT
         function = self.engine.catalog.functions["vf-core-cp"]
-        assert function.kind is FunctionKind.VIRTUAL
-        assert function.template_ref in self.engine.catalog.template_blobs
-        by_name = {c.name: c for c in function.components}
-        assert by_name["mme"].compute_demand.as_tuple() == (2, 4096, 10, 2)
-        assert by_name["mme"].ports == ("mme_management_port", "mme_lte_ctl_port")
+        assert function == NetworkFunction(
+            id="vf-core-cp",
+            kind=FunctionKind.VIRTUAL,
+            template_ref=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        )
+        blob = self.engine.catalog.template_blobs[function.template_ref]
+        assert blob == text
+        computes = {
+            r.name: r.properties
+            for r in parse_template(blob).resources_of_kind(KIND_COMPUTE)
+        }
+        assert sorted(computes) == ["aaa", "dhcp", "hss", "mme"]
+        mme = computes["mme"]
+        assert (mme["vcpu"], mme["ram"], mme["storage"]) == (2, 4096, 10)
+        assert referenced_resources(mme["ports"]) == [
+            "mme_management_port",
+            "mme_lte_ctl_port",
+        ]
         vsp = self.engine.catalog.vsps["vsp-lab"]
         assert "vf-core-cp" in vsp.owned_resources
+        # An engine opened on the catalog has no footprint cached: it
+        # parses the blob.
+        self.engine.certify_vf(Role.TESTER, "vf-core-cp")
+        sid = self.engine.create_service(Role.DESIGNER, "CP", ["vf-core-cp"]).subject
+        reopened = Orchestrator(catalog=self.engine.catalog, log=self.engine.events)
+        assert reopened.footprint_of_service(sid).as_tuple() == (5, 8192, 40, 8)
 
     def test_same_template_name_gets_fresh_ids(self):
         first = self.engine.onboard_vf(
@@ -424,11 +445,7 @@ class TestSliceWorkflow:
     def test_footprints_skip_physical_functions(self):
         engine = scenario.slice_a_engine()
         engine.catalog.functions["pnf-box"] = NetworkFunction(
-            id="pnf-box",
-            kind=FunctionKind.PHYSICAL,
-            components=(
-                FunctionComponent(name="box", compute_demand=ResourceDemand(4)),
-            ),
+            id="pnf-box", kind=FunctionKind.PHYSICAL
         )
         service = engine.catalog.services["svc-core-cp"]
         engine.catalog.services["svc-core-cp"] = NetworkService(

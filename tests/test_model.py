@@ -20,7 +20,6 @@ from slicectl.errors import (
     UnknownService,
 )
 from slicectl.model import (
-    FunctionComponent,
     FunctionKind,
     IsolationLevel,
     NetworkFunction,
@@ -110,27 +109,13 @@ class TestEntities:
             VirtualLink(name="l", endpoints=frozenset({"vf-a/eth0"}))
 
     def test_virtual_function_requires_template(self):
-        component = FunctionComponent(name="c", compute_demand=ResourceDemand(1))
         with pytest.raises(ValueError, match="template"):
-            NetworkFunction(id="f", kind=FunctionKind.VIRTUAL, components=(component,))
+            NetworkFunction(id="f", kind=FunctionKind.VIRTUAL)
 
     def test_physical_function_forbids_template(self):
-        component = FunctionComponent(name="c", compute_demand=ResourceDemand(1))
         with pytest.raises(ValueError, match="template"):
             NetworkFunction(
-                id="f",
-                kind=FunctionKind.PHYSICAL,
-                components=(component,),
-                template_ref="sha256:abc",
-            )
-
-    def test_duplicate_component_names_rejected(self):
-        component = FunctionComponent(name="c", compute_demand=ResourceDemand(1))
-        with pytest.raises(ValueError, match="unique"):
-            NetworkFunction(
-                id="f",
-                kind=FunctionKind.PHYSICAL,
-                components=(component, component),
+                id="f", kind=FunctionKind.PHYSICAL, template_ref="sha256:abc"
             )
 
 

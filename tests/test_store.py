@@ -54,9 +54,17 @@ from slicectl.store import (
 # every catalog load test reads; catalog.compact.json is the same version-1
 # catalog as one line of compact JSON with sorted keys. Both hold the
 # template blobs inline. v2/catalog.json and v2/blobs/ are the same catalog
-# as this build writes it: version 2, each blob a file named by its SHA-256.
+# in version 2, each blob a file named by its SHA-256, and each VF's compute
+# resources copied in as its components. v3/ is the same catalog as this
+# build writes it: version 3, a VF is its id, kind and template digest.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
+
+
+def _requirement(raw: dict) -> dict:
+    """svc-core-cp's requirement in slice-a's template, in a raw catalog."""
+    template = raw["slice_templates"]["slice-a"]
+    return template["per_service_requirements"]["svc-core-cp"]
 
 
 def active_engine():
@@ -91,8 +99,10 @@ class TestCatalogSnapshots:
         path = tmp_path / "catalog.json"
         save_catalog(engine.catalog, path)
         raw = json.loads(path.read_text())
-        assert raw["version"] == 2
+        assert raw["version"] == 3
         assert "template_blobs" not in raw
+        for function in raw["functions"].values():
+            assert set(function) == {"id", "kind", "template_ref"}
         assert raw["records"]["slice-a"]["state"] == "ready"
         refs = {f["template_ref"] for f in raw["functions"].values()}
         assert {p.name for p in (tmp_path / "blobs").iterdir()} == refs
@@ -117,6 +127,15 @@ class TestCatalogSnapshots:
         path = tmp_path / "catalog.json"
         path.write_text('{"version": 99}\n')
         with pytest.raises(SchemaMismatch, match="99"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "3"])
+    def test_version_must_be_a_whole_number(self, tmp_path, version):
+        path = tmp_path / "catalog.json"
+        raw = json.loads((GOLDEN / "catalog.json").read_text())
+        raw["version"] = version
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaMismatch, match=re.escape(f"version {version!r}")):
             load_catalog(path)
 
     def test_tampered_template_blob_detected(self, tmp_path):
@@ -219,10 +238,11 @@ class TestCatalogSnapshots:
                 "'chain_ordr'",
             ),
             (
-                lambda raw: raw["functions"]["vf-core-cp"]["components"][0][
-                    "compute_demand"
-                ].update(vcpu=1.5),
-                "1.5",
+                lambda raw: _requirement(raw)["demand"].update(vcpu=1.5),
+                "Catalog field slice_templates['slice-a']: SliceTemplate field"
+                " per_service_requirements['svc-core-cp']:"
+                " ServiceRequirement field demand:"
+                " ResourceDemand field vcpu must be a whole number, got 1.5",
             ),
             (
                 lambda raw: raw["slices"]["slice-a"].update(profile="fast"),
@@ -234,10 +254,10 @@ class TestCatalogSnapshots:
                 "Catalog field customers['c-companyx']: expected a mapping, got NoneType",
             ),
             (
-                lambda raw: raw["functions"]["vf-core-cp"]["components"][0].update(
-                    compute_demand=[2, 4096, 20, 4]
-                ),
-                "FunctionComponent field compute_demand: expected a mapping, got list",
+                lambda raw: _requirement(raw).update(demand=[2, 4096, 20, 4]),
+                "Catalog field slice_templates['slice-a']: SliceTemplate field"
+                " per_service_requirements['svc-core-cp']:"
+                " ServiceRequirement field demand: expected a mapping, got list",
             ),
             (
                 lambda raw: raw["slices"]["slice-a"]["profile"].update(
@@ -256,11 +276,12 @@ class TestCatalogSnapshots:
                 "Catalog field records['slice-a']: expected a mapping, got list",
             ),
             (
-                lambda raw: raw["functions"]["vf-core-cp"]["components"].__setitem__(
-                    1, "x"
+                lambda raw: raw["services"]["svc-core-cp"]["functions"].append(
+                    {"id": "vf-core-dp"}
                 ),
-                "Catalog field functions['vf-core-cp']:"
-                " NetworkFunction field components[1]: expected a mapping, got str",
+                "Catalog field services['svc-core-cp']:"
+                " NetworkService field functions[1]:"
+                " must be text, got {'id': 'vf-core-dp'}",
             ),
         ],
         ids=[
@@ -786,7 +807,7 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": "v2/catalog.json"}
+_SAVED_AS = {"catalog.json": "v3/catalog.json"}
 
 
 def _rewrite_audit(source, target):
@@ -805,11 +826,11 @@ def _rewrite_audit(source, target):
 )
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
-    its own bytes, except that the two version-1 golden catalogs of older
-    builds are saved as the version-2 golden catalog and blob files, which
-    save as themselves."""
+    its own bytes, except that the two version-1 golden catalogs and the
+    version-2 one, of older builds, are saved as the version-3 golden
+    catalog and blob files, which save as themselves."""
     saved = _SAVED_AS.get(name, name)
-    sources = GOLDEN_V1 if name == "catalog.json" else (name,)
+    sources = (*GOLDEN_V1, "v2/catalog.json") if name == "catalog.json" else (name,)
     for source in dict.fromkeys((*sources, saved)):
         target = tmp_path / source.replace("/", "-") / name
         target.parent.mkdir()
@@ -828,22 +849,50 @@ def test_golden_blob_files_are_named_by_their_hash():
     assert len(blobs) == 2
     for name, data in blobs.items():
         assert hashlib.sha256(data).hexdigest() == name
+    assert _blob_files(GOLDEN / "v3") == blobs
+
+
+def _converts_to_the_version_3_golden(tmp_path, source):
+    """The catalog in source loads, saves as the version-3 golden files,
+    and those load back as the same catalog, the fold of the golden log."""
+    catalog = load_catalog(GOLDEN / source)
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, path)
+    assert path.read_bytes() == (GOLDEN / "v3" / "catalog.json").read_bytes()
+    assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v3")
+    again = load_catalog(path)
+    assert isinstance(again.template_blobs, TemplateBlobs)
+    assert again == catalog == load_catalog(GOLDEN / "v3" / "catalog.json")
+    assert replay_states(load_audit(GOLDEN / "audit.log")) == again.records
+    return catalog
 
 
 @pytest.mark.parametrize("source", GOLDEN_V1)
-def test_version_1_golden_catalog_converts_to_the_version_2_golden(tmp_path, source):
-    """A version-1 catalog loads, saves as the version-2 golden files, and
-    those load back as the same catalog."""
-    catalog = load_catalog(GOLDEN / source)
+def test_version_1_golden_catalog_converts_to_the_version_3_golden(tmp_path, source):
+    catalog = _converts_to_the_version_3_golden(tmp_path, source)
     assert isinstance(catalog.template_blobs, dict)
+
+
+def test_version_2_golden_catalog_converts_to_the_version_3_golden(tmp_path):
+    catalog = _converts_to_the_version_3_golden(tmp_path, "v2/catalog.json")
+    assert catalog.template_blobs.directory == GOLDEN / "v2" / "blobs"
+
+
+def test_version_3_file_with_components_is_refused(tmp_path):
+    """Only versions 1 and 2 held components; in version 3 the key names
+    no field, as any other misspelt one."""
     path = tmp_path / "catalog.json"
-    save_catalog(catalog, path)
-    assert path.read_bytes() == (GOLDEN / "v2" / "catalog.json").read_bytes()
-    assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v2")
-    again = load_catalog(path)
-    assert isinstance(again.template_blobs, TemplateBlobs)
-    assert again == catalog == load_catalog(GOLDEN / "v2" / "catalog.json")
-    assert replay_states(load_audit(GOLDEN / "audit.log")) == again.records
+    raw = json.loads((GOLDEN / "v2" / "catalog.json").read_text())
+    raw["version"] = 3
+    path.write_text(json.dumps(raw))
+    with pytest.raises(
+        IoFailure,
+        match=re.escape(
+            "corrupt catalog: Catalog field functions['vf-core-cp']:"
+            " NetworkFunction has no field 'components'"
+        ),
+    ):
+        load_catalog(path)
 
 
 def test_indented_and_compact_golden_catalogs_are_one_catalog():
@@ -851,6 +900,7 @@ def test_indented_and_compact_golden_catalogs_are_one_catalog():
     assert load_catalog(GOLDEN / "catalog.compact.json") == indented
     assert (GOLDEN / "catalog.compact.json").read_text().count("\n") == 1
     assert (GOLDEN / "v2" / "catalog.json").read_text().count("\n") == 1
+    assert (GOLDEN / "v3" / "catalog.json").read_text().count("\n") == 1
 
 
 def _many_vf_catalog():
