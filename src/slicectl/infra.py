@@ -2,12 +2,13 @@
 
 Hosts carry capacity, tenants carry quotas and usage, physical links carry
 latency. This is the offered-capability side of placement: allocation is
-plain bookkeeping with a conservation invariant (used equals the sum of
-live allocations, kept by allocate and release), and inter-tenant latency
-is the shortest path over the physical links. The host adjacency is built
-once per topology, with each link latency as a whole number on one shared
-power-of-two scale, so a path's latency is summed exactly and rounded
-once: the latency from a to b is the same number as from b to a.
+plain bookkeeping, where a tenant's use is the sum of its live allocations
+(hold, the one path that takes capacity for allocate and for a loaded
+inventory alike, adds one; release takes it away), and inter-tenant
+latency is the shortest path over the physical links. The host adjacency
+is built once per topology, with each link latency as a whole number on
+one shared power-of-two scale, so a path's latency is summed exactly and
+rounded once: the latency from a to b is the same number as from b to a.
 """
 
 from __future__ import annotations
@@ -49,20 +50,20 @@ class Host:
 
 @dataclass
 class Tenant:
-    """Isolated resource quota on one host; used tracks live allocations."""
+    """Isolated resource quota on one host. used is the sum of the tenant's
+    live allocations, kept by Infrastructure.hold and release, so it is not
+    an init field and is never stored."""
 
     id: str
     name: str
     owner: str
     host: str
     quota: ResourceDemand
-    used: ResourceDemand = field(default_factory=ResourceDemand)
+    used: ResourceDemand = field(default_factory=ResourceDemand, init=False)
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("tenant id must be non-empty")
-        if not self.used.fits_within(self.quota):
-            raise ValueError(f"tenant {self.id!r}: used exceeds quota")
 
     @property
     def free(self) -> ResourceDemand:
@@ -242,22 +243,32 @@ class Infrastructure:
             return None
         return f"tenant {tenant_id!r} cannot hold {demand} for service {service_id!r}"
 
+    def hold(self, allocation: Allocation) -> None:
+        """Record allocation and add its demand to its tenant's use. An
+        unknown tenant, an id already held and a demand past the quota are
+        refused, in that order, and the refusal changes nothing."""
+        refusal = self.capacity_refusal(
+            allocation.tenant, allocation.service, allocation.demand
+        )
+        if allocation.id in self.allocations:
+            raise ValueError(f"allocation {allocation.id!r} is already held")
+        if refusal is not None:
+            raise InsufficientCapacity(refusal)
+        self.allocations[allocation.id] = allocation
+        tenant = self.tenants[allocation.tenant]
+        tenant.used = tenant.used + allocation.demand
+
     def allocate(
         self, tenant_id: str, service_id: str, demand: ResourceDemand
     ) -> Allocation:
-        refusal = self.capacity_refusal(tenant_id, service_id, demand)
-        if refusal is not None:
-            raise InsufficientCapacity(refusal)
         allocation = Allocation(
             id=f"alloc-{self.next_allocation_id}",
             tenant=tenant_id,
             service=service_id,
             demand=demand,
         )
+        self.hold(allocation)
         self.next_allocation_id += 1
-        self.allocations[allocation.id] = allocation
-        tenant = self.tenants[tenant_id]
-        tenant.used = tenant.used + demand
         return allocation
 
     def release(self, allocation_id: str) -> None:

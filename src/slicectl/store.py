@@ -3,15 +3,17 @@
 One directory holds one deployment: catalog.json (design-time entities,
 where a VF is the digest of its template), blobs/ (one file per onboarded
 template, named by its SHA-256, which alone holds the VF's components),
-inventory.yaml (infrastructure snapshot), audit.log (append-only JSON
-lines). Snapshots are written atomically (temp file, fsync, rename), so an
-interrupted save never corrupts the previous file. A blob is written once,
-before the catalog that refers to it, and never rewritten; reading one
-checks that its SHA-256 is its name. The audit file is the write-ahead
-record of the lifecycle engine; replay_states folds it back into lifecycle
-records with lifecycle.apply_event, the fold the engine applies to each
-event it logs, which checks each ok event against the lifecycle table and
-raises LogDiverged for one the table does not allow.
+inventory.yaml (hosts, tenants, links, allocations and the next allocation
+number; a tenant's use is the sum of its allocations, not stored),
+audit.log (append-only JSON lines). Snapshots are written atomically (temp
+file, fsync, rename), so an interrupted save never corrupts the previous
+file. A blob is written once, before the catalog that refers to it, and
+never rewritten; reading one checks that its SHA-256 is its name. The
+audit file is the write-ahead record of the lifecycle engine;
+replay_states folds it back into lifecycle records with
+lifecycle.apply_event, the fold the engine applies to each event it logs,
+which checks each ok event against the lifecycle table and raises
+LogDiverged for one the table does not allow.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -54,7 +56,6 @@ from .lifecycle import (
     LifecycleRecord,
     apply_event,
 )
-from .model import ResourceDemand
 from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
@@ -480,8 +481,17 @@ def save_inventory(infra: Infrastructure, path: str | Path) -> None:
 
 
 def load_inventory(path: str | Path) -> Infrastructure:
+    """The infrastructure in path, each stored allocation taken through
+    Infrastructure.hold, so a tenant's use is the sum of its allocations.
+    Older builds also stored that sum as each tenant's `used`; the key is
+    dropped unread."""
     where = f"{path}: corrupt inventory"
-    doc = _decode_file(InventoryDocument, _load_yaml(Path(path)), where)
+    raw = _load_yaml(Path(path))
+    tenants = raw.get("tenants") if isinstance(raw, dict) else None
+    for tenant in tenants if isinstance(tenants, list) else ():
+        if isinstance(tenant, dict):
+            tenant.pop("used", None)
+    doc = _decode_file(InventoryDocument, raw, where)
     infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
     try:
         for host in doc.hosts:
@@ -491,11 +501,7 @@ def load_inventory(path: str | Path) -> Infrastructure:
         for link in doc.links:
             infra.add_link(link)
         for allocation in doc.allocations:
-            if allocation.tenant not in infra.tenants:
-                raise ValueError(
-                    f"allocation {allocation.id!r} references unknown tenant"
-                    f" {allocation.tenant!r}"
-                )
+            infra.hold(allocation)
             # allocate would mint this id again and replace the allocation.
             minted = re.fullmatch(r"alloc-(0|-?[1-9][0-9]*)", allocation.id)
             if minted and int(minted[1]) >= doc.next_allocation_id:
@@ -503,24 +509,8 @@ def load_inventory(path: str | Path) -> Infrastructure:
                     f"allocation {allocation.id!r} is not below"
                     f" next_allocation_id {doc.next_allocation_id}"
                 )
-            infra.allocations[allocation.id] = allocation
-    except ValueError as exc:
+    except (ValueError, SliceError) as exc:
         raise IoFailure(f"{where}: {exc}") from exc
-    # Conservation: the stored used vectors are redundant with the
-    # allocation list; any disagreement means the snapshot is corrupt.
-    held: dict[str, ResourceDemand] = {}
-    for allocation in infra.allocations.values():
-        held[allocation.tenant] = (
-            held.get(allocation.tenant, ResourceDemand()) + allocation.demand
-        )
-    for tenant in infra.tenants.values():
-        recomputed = held.get(tenant.id, ResourceDemand())
-        if recomputed != tenant.used:
-            raise IoFailure(
-                f"{path}: tenant {tenant.id!r} used vector"
-                f" {tenant.used.as_tuple()} does not equal the sum of its"
-                f" allocations {recomputed.as_tuple()}"
-            )
     return infra
 
 

@@ -195,11 +195,6 @@ def _reference_target(value) -> str | None:
     return None
 
 
-def referenced_resources(value) -> list[str]:
-    """Resource names referenced anywhere in a property value, in order."""
-    return [target for kind, target in _iter_references(value) if kind == "resource"]
-
-
 def parse_template(text: str) -> TemplateDocument:
     """Parse one template document and check its structure.
 

@@ -1059,6 +1059,44 @@ class TestStatusChecks:
         assert after.exit_code == 0, after.summary
         assert "audit log: agrees with the catalog" in after.summary
 
+    @pytest.mark.parametrize(
+        "catalog", ["catalog.json", "v2/catalog.json", "v3/catalog.json"]
+    )
+    def test_golden_catalogs_open_beside_the_older_inventory(self, root, catalog):
+        """Each golden catalog opens beside the golden inventory, whose
+        tenants hold `used` as older builds wrote it: the use shown is the
+        sum of the allocations, and the next write saves no `used`."""
+        source = (GOLDEN / catalog).parent
+        root.mkdir()
+        shutil.copy(GOLDEN / catalog, root)
+        if (source / "blobs").is_dir():
+            shutil.copytree(source / "blobs", root / "blobs")
+        for name in ("inventory.yaml", "audit.log"):
+            shutil.copy(GOLDEN / name, root)
+        before = run(["status", "--catalog", str(root)])
+        assert before.exit_code == 0, before.summary
+        assert "tenant-cp on host-cp: used 5/6 vcpu" in before.summary
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        assert "used" not in (root / "inventory.yaml").read_text()
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "tenant-cp on host-cp: used 0/6 vcpu" in after.summary
+        assert "audit log: agrees with the catalog" in after.summary
+
+    def test_duplicated_allocation_makes_the_inventory_corrupt(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        path = root / "inventory.yaml"
+        raw = yaml.safe_load(path.read_text())
+        raw["allocations"].append(raw["allocations"][0])
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 1
+        assert (
+            f"{path}: corrupt inventory: allocation 'alloc-1' is already held"
+            in status.summary
+        )
+
     @pytest.mark.parametrize("command", ["status", "audit"])
     def test_read_of_a_missing_directory_creates_nothing(self, root, command):
         result = run([command, "--catalog", str(root)])

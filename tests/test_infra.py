@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from slicectl.errors import (
     InsufficientCapacity,
+    IoFailure,
     UnknownAllocation,
     UnknownEntity,
     Unreachable,
 )
 from slicectl.infra import (
+    Allocation,
     Host,
     Infrastructure,
     IsolationClass,
@@ -24,6 +29,10 @@ from slicectl.infra import (
     build_testbed,
 )
 from slicectl.model import ResourceDemand
+from slicectl.store import load_inventory
+
+# The inventory `slicectl demo slice-a` writes, as an older build wrote it.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def big_host(host_id: str) -> Host:
@@ -58,8 +67,11 @@ def host_line(*latencies: float) -> Infrastructure:
 
 
 class TestConstruction:
-    def test_used_may_not_exceed_quota(self):
-        with pytest.raises(ValueError, match="exceeds quota"):
+    def test_used_may_not_exceed_quota(self, tmp_path):
+        """A tenant's use is the sum of its allocations: it cannot be passed
+        in, and an inventory whose allocations sum past a quota is refused,
+        naming the file and the tenant."""
+        with pytest.raises(TypeError, match="used"):
             Tenant(
                 id="t",
                 name="t",
@@ -68,6 +80,23 @@ class TestConstruction:
                 quota=ResourceDemand(1),
                 used=ResourceDemand(2),
             )
+        raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
+        # tenant-cp holds 5 of its 6 vcpu through alloc-1 already.
+        raw["allocations"].append(
+            {
+                "id": "alloc-0",
+                "tenant": "tenant-cp",
+                "service": "svc-x",
+                "demand": {"vcpu": 2, "ram": 0, "storage": 0, "ports": 0},
+            }
+        )
+        path = tmp_path / "inventory.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(
+            IoFailure,
+            match=re.escape(f"{path}: corrupt inventory: tenant 'tenant-cp' cannot hold"),
+        ):
+            load_inventory(path)
 
     def test_link_must_join_distinct_hosts(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -286,6 +315,15 @@ class TestAllocation:
         infra.release(held.id)
         assert infra.tenants["tenant-dp"].used.as_tuple() == (0, 0, 0, 0)
         assert oracles.recompute_used(infra)["tenant-dp"] == (0, 0, 0, 0)
+
+    def test_held_id_is_refused_and_changes_nothing(self):
+        infra = build_testbed()
+        held = infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
+        before = infra.usage_snapshot()
+        with pytest.raises(ValueError, match="allocation 'alloc-1' is already held"):
+            infra.hold(Allocation(held.id, "tenant-dp", "svc-y", ResourceDemand(1)))
+        assert infra.usage_snapshot() == before
+        assert infra.allocations == {held.id: held}
 
     def test_release_unknown_allocation(self):
         infra = build_testbed()

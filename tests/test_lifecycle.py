@@ -49,7 +49,7 @@ from slicectl.placement import (
     verify_plan,
 )
 from slicectl.store import replay_states
-from slicectl.template import KIND_COMPUTE, parse_template, referenced_resources
+from slicectl.template import KIND_COMPUTE, parse_template
 
 
 def states_of(engine: Orchestrator) -> dict[str, tuple[str, str]]:
@@ -280,9 +280,9 @@ class TestVfOnboarding:
         assert sorted(computes) == ["aaa", "dhcp", "hss", "mme"]
         mme = computes["mme"]
         assert (mme["vcpu"], mme["ram"], mme["storage"]) == (2, 4096, 10)
-        assert referenced_resources(mme["ports"]) == [
-            "mme_management_port",
-            "mme_lte_ctl_port",
+        assert mme["ports"] == [
+            {"get_resource": "mme_management_port"},
+            {"get_resource": "mme_lte_ctl_port"},
         ]
         vsp = self.engine.catalog.vsps["vsp-lab"]
         assert "vf-core-cp" in vsp.owned_resources

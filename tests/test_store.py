@@ -59,6 +59,9 @@ from slicectl.store import (
 # build writes it: version 3, a VF is its id, kind and template digest.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
+# inventory.yaml stores each tenant's use as `used`, as older builds did;
+# this is the same inventory as this build writes it, without that key.
+SAVED_INVENTORY = "inventory.saved.yaml"
 
 
 def _requirement(raw: dict) -> dict:
@@ -452,19 +455,28 @@ class TestInventorySnapshots:
         assert loaded == infra
         assert loaded.next_allocation_id == infra.next_allocation_id
 
-    def test_conservation_violation_detected(self, tmp_path):
-        infra = build_testbed()
-        infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
-        path = tmp_path / "inventory.yaml"
-        save_inventory(infra, path)
-        raw = yaml.safe_load(path.read_text())
-        # Claim more usage than the allocation list supports.
+    def test_stored_use_gives_way_to_the_allocations(self, tmp_path):
+        """Older builds stored each tenant's use as `used`; whatever it says,
+        the use is the sum of the tenant's allocations."""
+        raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
         for entry in raw["tenants"]:
-            if entry["id"] == "tenant-cp":
-                entry["used"]["vcpu"] = 3
+            entry["used"]["vcpu"] = 1
+        path = tmp_path / "inventory.yaml"
         path.write_text(yaml.safe_dump(raw))
-        with pytest.raises(IoFailure, match="does not equal the sum"):
-            load_inventory(path)
+        infra = load_inventory(path)
+        assert infra == load_inventory(GOLDEN / "inventory.yaml")
+        assert infra.usage_snapshot() == {
+            "tenant-cp": ResourceDemand(5, 8192, 40, 8),
+            "tenant-dp": ResourceDemand(3, 5120, 30, 4),
+            "tenant-orch": ResourceDemand(),
+        }
+
+    def test_golden_inventory_is_the_testbed_holding_its_allocations(self):
+        infra = build_testbed()
+        infra.allocate("tenant-cp", "svc-core-cp", ResourceDemand(5, 8192, 40, 8))
+        infra.allocate("tenant-dp", "svc-core-dp", ResourceDemand(3, 5120, 30, 4))
+        assert load_inventory(GOLDEN / "inventory.yaml") == infra
+        assert load_inventory(GOLDEN / SAVED_INVENTORY) == infra
 
     def test_non_finite_link_latency_is_refused(self, tmp_path):
         path = tmp_path / "inventory.yaml"
@@ -500,8 +512,8 @@ class TestInventorySnapshots:
                 " expected a mapping, got str",
             ),
             (
-                lambda raw: raw["tenants"][0].update(used=None),
-                "Tenant field used: expected a mapping, got NoneType",
+                lambda raw: raw["tenants"][0].update(quota=None),
+                "Tenant field quota: expected a mapping, got NoneType",
             ),
             (
                 lambda raw: raw["hosts"][1].update(isolation_class="text"),
@@ -582,18 +594,17 @@ class TestInventorySnapshots:
         )
         assert len(infra.allocations) == len(raw["allocations"]) + 1
 
-    def test_integer_usage_is_saved_as_integers(self, tmp_path):
+    def test_use_is_not_saved_and_loads_as_whole_numbers(self, tmp_path):
         infra = build_testbed()
         infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
         infra.allocate("tenant-cp", "svc-y", ResourceDemand(1, 512, 4, 1))
         path = tmp_path / "inventory.yaml"
         save_inventory(infra, path)
-        tenant = next(
-            t for t in yaml.safe_load(path.read_text())["tenants"]
-            if t["id"] == "tenant-cp"
-        )
-        assert tenant["used"] == {"vcpu": 3, "ram": 1536, "storage": 12, "ports": 3}
-        assert all(type(value) is int for value in tenant["used"].values())
+        raw = yaml.safe_load(path.read_text())
+        assert all("used" not in tenant for tenant in raw["tenants"])
+        used = load_inventory(path).tenants["tenant-cp"].used
+        assert used.as_tuple() == (3, 1536, 12, 3)
+        assert all(type(value) is int for value in used.as_tuple())
 
     def test_yaml_syntax_errors_report_position(self, tmp_path):
         path = tmp_path / "inventory.yaml"
@@ -616,6 +627,23 @@ class TestInventorySnapshots:
         ]
         path.write_text(yaml.safe_dump(raw))
         with pytest.raises(IoFailure, match="unknown tenant"):
+            load_inventory(path)
+
+    def test_duplicated_allocation_id_is_refused(self, tmp_path):
+        """A second alloc-1 would replace the first and leave tenant-cp's
+        use without the allocation that makes it."""
+        raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
+        ghost = dict(raw["allocations"][0], service="svc-ghost")
+        raw["allocations"].append(ghost)
+        path = tmp_path / "inventory.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(
+            IoFailure,
+            match=re.escape(
+                f"{path}: corrupt inventory: allocation 'alloc-1' is already held"
+            )
+            + "$",
+        ):
             load_inventory(path)
 
 
@@ -807,7 +835,7 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": "v3/catalog.json"}
+_SAVED_AS = {"catalog.json": "v3/catalog.json", "inventory.yaml": SAVED_INVENTORY}
 
 
 def _rewrite_audit(source, target):
@@ -828,7 +856,8 @@ def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
     its own bytes, except that the two version-1 golden catalogs and the
     version-2 one, of older builds, are saved as the version-3 golden
-    catalog and blob files, which save as themselves."""
+    catalog and blob files, and the golden inventory, whose tenants hold
+    `used`, as the inventory without it; each of those saves as itself."""
     saved = _SAVED_AS.get(name, name)
     sources = (*GOLDEN_V1, "v2/catalog.json") if name == "catalog.json" else (name,)
     for source in dict.fromkeys((*sources, saved)):
@@ -997,10 +1026,10 @@ def test_every_refusal_of_a_mutated_file_gives_its_reason(tmp_path, monkeypatch)
     """Every value of an inventory, a plan and one audit line, deleted or
     replaced by null, a number, a boolean, text, a list or a mapping: each
     file loads, or is refused with a reason (an audit line with another
-    sequence number is a SequenceGap). Where the codec is what refuses the
-    file, the reason names the place of the value, as _place renders it;
-    checks across entities, such as a tenant on an unknown host, name the
-    entities instead."""
+    sequence number is a SequenceGap); a change to a tenant's `used`
+    loads. Where the codec is what refuses the file, the reason names the
+    place of the value, as _place renders it; checks across entities, such
+    as a tenant on an unknown host, name the entities instead."""
     plan_path = tmp_path / "plan.yaml"
     save_plan(scenario.slice_a_engine().plan_slice("slice-a"), plan_path)
     # The YAML loaders read the parsed documents from here: parsing each
@@ -1037,10 +1066,15 @@ def test_every_refusal_of_a_mutated_file_gives_its_reason(tmp_path, monkeypatch)
     outcomes = {"loaded": 0, "refused": 0, "by the codec": 0}
     for load, cls, raw in cases:
         for path, replacement, doc in _mutations(raw):
+            # The golden inventory's tenants hold `used`, which is dropped
+            # unread, whatever it holds.
+            dropped = cls is InventoryDocument and path[0] == "tenants"
+            dropped = dropped and path[2:3] == ("used",)
             try:
                 load(doc)
             except (IoFailure, SequenceGap) as exc:
                 reason = str(exc)
+                assert not dropped, (path, replacement, reason)
                 assert "has no attribute" not in reason
                 outcomes["refused"] += 1
             else:

@@ -33,7 +33,6 @@ from slicectl.template import (
     env_char_count,
     merge_reports,
     parse_template,
-    referenced_resources,
     resource_footprint,
     validate_environment,
     validate_template,
@@ -248,10 +247,6 @@ class TestReferences:
         with pytest.raises(DanglingReference) as refused:
             parse_template(text)
         assert str(refused.value) == message
-
-    def test_referenced_resources_preserves_order(self):
-        value = ["x", {"get_resource": "a"}, {"deep": [{"get_resource": "b"}]}]
-        assert referenced_resources(value) == ["a", "b"]
 
 
 class TestOnboardingRules:
