@@ -4,7 +4,9 @@ Thin shell over the library: each subcommand delegates to exactly one
 lifecycle, placement, or template operation, so anything the CLI can do is
 reproducible through library calls. State lives in one catalog directory
 (catalog.json, blobs/, inventory.yaml, audit.log) selected with --catalog or
-the SLICECTL_CATALOG environment variable. Mutating commands hold an
+the SLICECTL_CATALOG environment variable; the lifecycle records are the
+fold of audit.log, made when a command opens the engine, and a log the
+fold refuses makes every such command exit 1. Mutating commands hold an
 exclusive advisory lock on it for the duration of the command, and status
 and audit a shared one.
 
@@ -27,7 +29,6 @@ import yaml
 from .errors import (
     DanglingReference,
     IoFailure,
-    LogDiverged,
     MissingSizing,
     SliceError,
     TemplateSyntaxError,
@@ -510,18 +511,11 @@ def _cmd_status(args) -> CommandResult:
             }
     if not lines:
         lines.append("catalog is empty")
-    # The log must explain the catalog: folded from empty, it gives the
-    # records.
-    try:
-        replayed = replay_states(engine.events)
-        differ = sorted(
-            subject
-            for subject in replayed.keys() | catalog.records.keys()
-            if replayed.get(subject) != catalog.records.get(subject)
-        )
-        problem = f"differs from the catalog on {', '.join(differ)}" if differ else None
-    except LogDiverged as exc:
-        problem = f"LogDiverged: {exc}"
+    # The log must explain the catalog: each record, the log's fold, names
+    # a function, service or slice, and each of those has a record.
+    entities = {*catalog.functions, *catalog.services, *catalog.slices}
+    differ = sorted(entities ^ catalog.records.keys())
+    problem = f"differs from the catalog on {', '.join(differ)}" if differ else None
     lines.append(f"audit log: {problem or 'agrees with the catalog'}")
     detail["log"] = {"agrees": problem is None, "problem": problem}
     lines.extend(f"problem: {reason}" for reason in problems)
@@ -562,16 +556,16 @@ def _cmd_init_testbed(args) -> CommandResult:
         # A fresh inventory holds no allocations, so capacity that live
         # services hold could be handed out again, whether the inventory
         # that records it is replaced or already gone.
-        catalog_path = root / CATALOG_FILE
-        if catalog_path.exists():
-            records = load_catalog(catalog_path).records.values()
+        audit_path = root / AUDIT_FILE
+        if audit_path.exists():
+            records = replay_states(load_audit(audit_path)).values()
             live = sorted(
                 r.subject for r in records if r.state is ServiceState.INSTANTIATED
             )
             if live:
                 return CommandResult(
                     1,
-                    f"{catalog_path} records instantiated services"
+                    f"{audit_path} records instantiated services"
                     f" {', '.join(live)}, whose allocations a fresh inventory"
                     f" would drop; tear their slices down first",
                 )
@@ -857,7 +851,7 @@ def run(argv: list[str] | None = None) -> CommandResult:
     try:
         result = args.handler(args)
     except _Usage as exc:
-        return CommandResult(2, f"usage error: {exc}")
+        result = CommandResult(2, f"usage error: {exc}")
     except SliceError as exc:
         result = CommandResult(
             1,
@@ -865,7 +859,7 @@ def run(argv: list[str] | None = None) -> CommandResult:
             {"error": type(exc).__name__, "message": str(exc)},
         )
     except Exception as exc:  # the CLI boundary must map bugs to exit 3
-        return CommandResult(3, f"internal error: {type(exc).__name__}: {exc}")
+        result = CommandResult(3, f"internal error: {type(exc).__name__}: {exc}")
     result.machine = args.json
     return result
 

@@ -4,16 +4,17 @@ The orchestration engine owns all catalog mutation. Every operation is
 gated by the acting role and records exactly one audit event per outcome
 (ok, denied, failed). Which states each action needs and leads to is one
 table, TRANSITIONS, and check_transition reads it for every live check.
-Orchestrator._commit is the only place an ok event is logged and applied:
-it appends the event first, then folds it into the lifecycle records with
-apply_event, the same fold that replays the log, so the log always explains
-the catalog. apply_event checks each ok event against that table too, and
-refuses one it does not allow with LogDiverged. Slice-level operations add
-the abstraction the per-service workflow lacks: readiness derivation,
-plan-driven instantiation, and teardown. Both take and give back capacity
-in the order decide, log, apply: instantiation decides every member
-without touching the inventory, so there is nothing to undo, and an
-allocation or release happens only after its event is logged.
+The audit log is the one store of the lifecycle records: an engine opened
+on a log folds it into them with replay_states, and Orchestrator._commit,
+the only place an ok event is logged and applied, appends the event first,
+then folds it in with apply_event, the same fold. apply_event checks each
+ok event against that table too, and refuses one it does not allow with
+LogDiverged. Slice-level operations add the abstraction the per-service
+workflow lacks: readiness derivation, plan-driven instantiation, and
+teardown. Both take and give back capacity in the order decide, log,
+apply: instantiation decides every member without touching the inventory,
+so there is nothing to undo, and an allocation or release happens only
+after its event is logged.
 Instantiation judges members with verify_plan's placement.member_refusals:
 isolation_refusal, the solver's rule, and Infrastructure.capacity_refusal,
 allocate's check. tests/oracles.py is the independent check of both.
@@ -25,7 +26,7 @@ import contextlib
 import hashlib
 import math
 import time
-from collections.abc import Callable, Mapping, MutableMapping
+from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -76,7 +77,7 @@ from .template import (
     validate_template,
 )
 
-CATALOG_VERSION = 3
+CATALOG_VERSION = 4
 
 
 class Role(str, Enum):
@@ -135,12 +136,11 @@ PERMISSIONS: dict[str, frozenset[Role]] = {
     "teardown_slice": frozenset({Role.OPERATOR}),
 }
 
-_STATE_ENUMS = {
-    ArtifactKind.VF: VfState,
-    ArtifactKind.SERVICE: ServiceState,
-    ArtifactKind.SLICE: SliceState,
+_KINDS = {
+    VfState: ArtifactKind.VF,
+    ServiceState: ArtifactKind.SERVICE,
+    SliceState: ArtifactKind.SLICE,
 }
-_KINDS = {states: kind for kind, states in _STATE_ENUMS.items()}
 
 # The one lifecycle table, read by the live checks and by replay: action ->
 # (states the action needs, state it leads to); the state's enum names the
@@ -199,15 +199,13 @@ class LifecycleRecord:
     state: VfState | ServiceState | SliceState
     history: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        # "terminated" is a value of two state enums, so the kind decides.
-        self.kind = ArtifactKind(self.kind)
-        self.state = _STATE_ENUMS[self.kind](self.state)
-
 
 @dataclass
 class Catalog:
-    """Design-time entity store; persisted by the store module."""
+    """Design-time entity store; persisted by the store module.
+
+    records are the lifecycle records, the fold of the audit log: the
+    engine sets them when it opens, and they are not in the snapshot."""
 
     version: int = CATALOG_VERSION
     customers: dict[str, Customer] = field(default_factory=dict)
@@ -217,7 +215,7 @@ class Catalog:
     services: dict[str, NetworkService] = field(default_factory=dict)
     slices: dict[str, NetworkSlice] = field(default_factory=dict)
     slice_templates: dict[str, SliceTemplate] = field(default_factory=dict)
-    records: dict[str, LifecycleRecord] = field(default_factory=dict)
+    records: dict[str, LifecycleRecord] = field(default_factory=dict, init=False)
     # Template texts by SHA-256. Not in the snapshot: the store writes each
     # once as its own file, and a loaded catalog reads them from there.
     template_blobs: MutableMapping[str, str] = field(default_factory=dict, init=False)
@@ -275,6 +273,19 @@ def apply_event(
     return record
 
 
+def replay_states(events: Iterable[AuditEvent]) -> dict[str, LifecycleRecord]:
+    """Fold ok events into lifecycle records with apply_event, from empty.
+
+    Denied and failed events change nothing by design. An ok event that
+    TRANSITIONS, the table the live checks read, does not allow raises
+    LogDiverged.
+    """
+    records: dict[str, LifecycleRecord] = {}
+    for event in events:
+        apply_event(records, event)
+    return records
+
+
 def _register(table: dict, entity) -> None:
     """Add entity under its id; other fields under a known id are refused."""
     known = table.setdefault(entity.id, entity)
@@ -286,7 +297,9 @@ class Orchestrator:
     """Serialized command interface over one catalog and its infrastructure.
 
     engine.events starts as log, the audit log the engine is opened on, and
-    each new event continues it: the next number, at a later instant."""
+    each new event continues it: the next number, at a later instant. The
+    catalog's records are set to the fold of log, so an engine opened on a
+    log that TRANSITIONS does not allow raises LogDiverged."""
 
     def __init__(
         self,
@@ -300,6 +313,7 @@ class Orchestrator:
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
         self.events: list[AuditEvent] = log if log is not None else []
+        self.catalog.records = replay_states(self.events)
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}

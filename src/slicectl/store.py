@@ -1,19 +1,20 @@
 """File persistence for catalog, inventory, audit log, and plan documents.
 
 One directory holds one deployment: catalog.json (design-time entities,
-where a VF is the digest of its template), blobs/ (one file per onboarded
-template, named by its SHA-256, which alone holds the VF's components),
-inventory.yaml (hosts, tenants, links, allocations and the next allocation
-number; a tenant's use is the sum of its allocations, not stored),
-audit.log (append-only JSON lines). Snapshots are written atomically (temp
-file, fsync, rename), so an interrupted save never corrupts the previous
-file. A blob is written once, before the catalog that refers to it, and
-never rewritten; reading one checks that its SHA-256 is its name. The
-audit file is the write-ahead record of the lifecycle engine;
-replay_states folds it back into lifecycle records with
-lifecycle.apply_event, the fold the engine applies to each event it logs,
-which checks each ok event against the lifecycle table and raises
-LogDiverged for one the table does not allow.
+where a VF is the digest of its template, and no lifecycle records),
+blobs/ (one file per onboarded template, named by its SHA-256, which alone
+holds the VF's components), inventory.yaml (hosts, tenants, links,
+allocations and the next allocation number; a tenant's use is the sum of
+its allocations, not stored), audit.log (append-only JSON lines).
+Snapshots are written atomically (temp file, fsync, rename), so an
+interrupted save never corrupts the previous file. A blob is written once,
+before the catalog that refers to it, and never rewritten; reading one
+checks that its SHA-256 is its name. The audit file is the write-ahead
+record of the lifecycle engine and the one store of the lifecycle records:
+replay_states, defined in lifecycle and re-exported here, folds it into
+them with apply_event, as the engine does when it opens and with each
+event it logs. The fold checks each ok event against the lifecycle table
+and raises LogDiverged for one the table does not allow.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -49,13 +50,7 @@ import yaml
 
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
-from .lifecycle import (
-    CATALOG_VERSION,
-    AuditEvent,
-    Catalog,
-    LifecycleRecord,
-    apply_event,
-)
+from .lifecycle import CATALOG_VERSION, AuditEvent, Catalog, replay_states
 from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
@@ -247,9 +242,7 @@ def _decoder(tp: Any) -> _Convert:
     if origin in (typing.Union, types.UnionType):
         members = [arg for arg in typing.get_args(tp) if arg is not type(None)]
         if len(members) > 1:
-            # Only another field can tell which member a raw value is, so
-            # the dataclass's __post_init__ coerces it.
-            return None
+            raise TypeError(f"no codec for {tp!r}: a union of several types")
         dec = _decoder(members[0])
         if dec is None:
             return None
@@ -408,13 +401,15 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """The catalog in path; its template_blobs read blobs/ beside it.
+    """The catalog in path; its template_blobs read blobs/ beside it, and
+    its records are empty until an engine folds the audit log into them.
 
-    Versions 1 and 2 also held each VF's compute resources as its
-    `components`, a copy of what its template says; the key is dropped
-    unread and the rest decodes as version 3. A version-1 file also holds
+    Versions 1 to 3 also held the lifecycle records, a copy of the fold of
+    the audit log, and versions 1 and 2 each VF's compute resources as its
+    `components`, a copy of what its template says; both keys are dropped
+    unread and the rest decodes as version 4. A version-1 file also holds
     its blobs inline. Each is checked against its digest here, and the
-    next save writes them to blobs/ and the catalog as version 3."""
+    next save writes them to blobs/ and the catalog as version 4."""
     path = Path(path)
     text = _read_text(path)
     try:
@@ -428,7 +423,7 @@ def load_catalog(path: str | Path) -> Catalog:
         raise IoFailure(f"{path}: catalog root must be an object")
     version = raw.get("version")
     # true == 1 and 2.0 == 2 in Python, so the type is checked first.
-    if type(version) is not int or version not in (1, 2, CATALOG_VERSION):
+    if type(version) is not int or not 1 <= version <= CATALOG_VERSION:
         raise SchemaMismatch(
             f"{path}: catalog version {version!r}, this build reads"
             f" versions 1 to {CATALOG_VERSION}"
@@ -443,7 +438,8 @@ def load_catalog(path: str | Path) -> Catalog:
         for digest, blob in inline.items():
             _check_blob(path, digest, blob.encode("utf-8"))
     if version != CATALOG_VERSION:
-        functions = raw.get("functions")
+        raw.pop("records", None)
+        functions = raw.get("functions") if version < 3 else None
         for function in functions.values() if isinstance(functions, dict) else ():
             if isinstance(function, dict):
                 function.pop("components", None)
@@ -567,20 +563,6 @@ def load_audit(path: str | Path) -> list[AuditEvent]:
                 f" {event.sequence_no}"
             )
     return events
-
-
-def replay_states(events: Iterable[AuditEvent]) -> dict[str, LifecycleRecord]:
-    """Fold ok events into lifecycle records.
-
-    Replay over the full log reconstructs the live records exactly; denied
-    and failed events change nothing by design. An ok event that
-    lifecycle.TRANSITIONS, the table the live checks read, does not allow
-    raises LogDiverged.
-    """
-    records: dict[str, LifecycleRecord] = {}
-    for event in events:
-        apply_event(records, event)
-    return records
 
 
 # -- plan documents -----------------------------------------------------------

@@ -62,7 +62,7 @@ def test_demo_activates_slice_a(tmp_path):
     assert sum(e.action == "instantiate_service" for e in events) == 2
     assert sum(e.action == "instantiate_slice" for e in events) == 1
 
-    catalog = load_catalog(root / "catalog.json")
+    catalog = Orchestrator(catalog=load_catalog(root / "catalog.json"), log=events).catalog
     assert catalog.records["slice-a"].state.value == "active"
 
     inventory = load_inventory(root / "inventory.yaml")
@@ -489,7 +489,9 @@ def test_catalog_round_trip_and_interrupted_save(tmp_path, monkeypatch):
     inventory_path = tmp_path / "inventory.yaml"
     save_catalog(engine.catalog, catalog_path)
     save_inventory(engine.infra, inventory_path)
-    assert load_catalog(catalog_path) == engine.catalog
+    reopened = Orchestrator(catalog=load_catalog(catalog_path), log=engine.events)
+    assert reopened.catalog == engine.catalog
+    saved = catalog_path.read_bytes()
     assert load_inventory(inventory_path) == engine.infra
 
     import os as real_os
@@ -509,5 +511,6 @@ def test_catalog_round_trip_and_interrupted_save(tmp_path, monkeypatch):
         save_inventory(engine.infra, inventory_path)
     monkeypatch.undo()
 
-    assert load_catalog(catalog_path).records["slice-a"].state.value == "active"
+    assert catalog_path.read_bytes() == saved
+    load_catalog(catalog_path)
     assert load_inventory(inventory_path).tenants["tenant-cp"].used.vcpu > 0

@@ -27,6 +27,7 @@ from slicectl.store import (
     load_audit,
     load_catalog,
     load_inventory,
+    replay_states,
     save_inventory,
 )
 
@@ -271,6 +272,13 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "usage error" in result.summary
 
+    def test_json_holds_on_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.delenv(ENV_CATALOG, raising=False)
+        assert main(["status", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2
+        assert payload["summary"].startswith("usage error: no catalog directory")
+
     def test_denied_role_is_a_validation_failure(self, root, tmp_path):
         template = tmp_path / "probe.yaml"
         template.write_text(scenario.minimal_template())
@@ -320,6 +328,8 @@ class TestExitCodes:
         result = run(["init-testbed", "--catalog", str(root)])
         assert result.exit_code == 3
         assert result.summary.startswith("internal error")
+        machine = run(["init-testbed", "--json", "--catalog", str(root)])
+        assert (machine.exit_code, machine.machine) == (3, True)
 
     def test_environment_variable_selects_the_catalog(self, root, monkeypatch):
         monkeypatch.setenv(ENV_CATALOG, str(root))
@@ -488,6 +498,14 @@ class TestWorkflow:
         assert "instantiated services svc-core-cp, svc-core-dp" in refused.summary
         assert not (root / "inventory.yaml").exists()
 
+    def test_init_testbed_reads_the_audit_log_not_the_catalog(self, root):
+        """The log, not catalog.json, says which services are instantiated."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        (root / "catalog.json").unlink()
+        refused = run(["init-testbed", "--force", "--catalog", str(root)])
+        assert refused.exit_code == 1
+        assert refused.summary.startswith(f"{root / 'audit.log'} records instantiated")
+
     def test_full_flow_to_teardown(self, root, tmp_path):
         seed_service(root, tmp_path)
         descriptor = tmp_path / "slice.yaml"
@@ -542,8 +560,8 @@ class TestWorkflow:
         seed_service(root, tmp_path)
         events = load_audit(root / "audit.log")
         assert [e.sequence_no for e in events] == list(range(1, len(events) + 1))
-        catalog = load_catalog(root / "catalog.json")
-        assert catalog.records["svc-probe"].state.value == "distributed"
+        status = run(["status", "svc-probe", "--catalog", str(root)])
+        assert status.detail["state"] == "distributed"
 
     def test_status_for_unknown_subject(self, root):
         run(["init-testbed", "--catalog", str(root)])
@@ -567,8 +585,9 @@ class TestWorkflow:
         assert result.summary.startswith(f"IoFailure: {descriptor}: ")
         assert reason in result.summary
         catalog = load_catalog(root / "catalog.json")
-        assert "slice-p" not in catalog.records
+        assert "slice-p" not in catalog.slices
         assert "c-new" not in catalog.customers
+        assert run(["status", "slice-p", "--catalog", str(root)]).exit_code == 1
 
     @pytest.mark.parametrize(
         "edit, error, reason",
@@ -629,7 +648,7 @@ class TestWorkflow:
             f"{error}: {descriptor}: bad slice descriptor: "
         )
         assert reason in result.summary
-        assert "slice-p" not in load_catalog(root / "catalog.json").records
+        assert "slice-p" not in load_catalog(root / "catalog.json").slices
         assert (root / "audit.log").read_bytes() == log_before
 
     @pytest.mark.parametrize(
@@ -922,24 +941,46 @@ class TestDemo:
         assert agrees.detail["log"] == {"agrees": True, "problem": None}
 
         log = root / "audit.log"
-        text = log.read_text()
-        events = load_audit(log)
-        # Without its last event the log leaves svc-core-dp distributed.
-        log.write_text("".join(text.splitlines(keepends=True)[:-1]))
+        lines = log.read_text().splitlines(keepends=True)
+        # Without its last event the log leaves svc-core-dp distributed. Each
+        # catalog entity still has a record, but the service holds capacity.
+        log.write_text("".join(lines[:-1]))
         short = run(["status", "--catalog", str(root)])
         assert short.exit_code == 1
-        assert "audit log: differs from the catalog on svc-core-dp" in short.summary
-        assert short.detail["log"]["agrees"] is False
+        assert "audit log: agrees with the catalog" in short.summary
+        assert short.detail["problems"] == [
+            "svc-core-dp is distributed but holds alloc-2"
+        ]
 
-        # A crash after the audit append and before the catalog save, then a
-        # retry, leaves a second create of the same VF in the log.
+        # Without its last five events, create_slice on, slice-a has no record.
+        log.write_text("".join(lines[:-5]))
+        shorter = run(["status", "--catalog", str(root)])
+        assert shorter.exit_code == 1
+        assert "audit log: differs from the catalog on slice-a" in shorter.summary
+        assert shorter.detail["log"]["agrees"] is False
+
+    def test_forked_log_is_refused_by_every_command_that_opens_it(self, root):
+        """A crash after the audit append and before the catalog save, then
+        a retry, forked the log of an older build with a second create of
+        the same VF. No command opens an engine on it; audit still reads it."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        events = load_audit(log)
         onboard = next(e for e in events if e.action == "onboard_vf")
         fork = replace(onboard, sequence_no=len(events) + 1)
-        log.write_text(text + json.dumps(encode(fork)) + "\n")
-        forked = run(["status", "--catalog", str(root)])
-        assert forked.exit_code == 1
-        assert f"LogDiverged: audit event {fork.sequence_no}" in forked.summary
-        assert "already exists" in forked.detail["log"]["problem"]
+        log.write_text(log.read_text() + json.dumps(encode(fork)) + "\n")
+        teardown = ["teardown-slice", "slice-a", "--as", "operator"]
+        for argv in (["status"], teardown):
+            refused = run(argv + ["--catalog", str(root)])
+            assert refused.exit_code == 1
+            assert refused.summary.startswith(
+                f"LogDiverged: audit event {fork.sequence_no}: "
+            )
+            assert "already exists" in refused.summary
+        assert load_audit(log) == events + [fork]
+        audit = run(["audit", "--catalog", str(root)])
+        assert audit.exit_code == 0
+        assert len(audit.detail["events"]) == fork.sequence_no
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1030,7 +1071,8 @@ class TestStatusChecks:
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
         raw = json.loads((root / "catalog.json").read_text())
-        assert raw["version"] == 3 and "template_blobs" not in raw
+        assert raw["version"] == 4 and "template_blobs" not in raw
+        assert "records" not in raw
         assert not any("components" in f for f in raw["functions"].values())
         blobs = sorted((root / "blobs").iterdir())
         assert [p.name for p in blobs] == sorted(
@@ -1044,7 +1086,8 @@ class TestStatusChecks:
 
     def test_version_2_lab_converts_on_its_next_write(self, root):
         """A format-2 lab opens, and its next write drops the components
-        that format 2 copied out of each template; the blobs stay."""
+        that format 2 copied out of each template, and the records; the
+        blobs stay."""
         shutil.copytree(GOLDEN / "v2", root)
         for name in ("inventory.yaml", "audit.log"):
             shutil.copy(GOLDEN / name, root)
@@ -1053,14 +1096,15 @@ class TestStatusChecks:
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
         raw = json.loads((root / "catalog.json").read_text())
-        assert raw["version"] == 3
+        assert raw["version"] == 4 and "records" not in raw
         assert not any("components" in f for f in raw["functions"].values())
         after = run(["status", "--catalog", str(root)])
         assert after.exit_code == 0, after.summary
         assert "audit log: agrees with the catalog" in after.summary
 
     @pytest.mark.parametrize(
-        "catalog", ["catalog.json", "v2/catalog.json", "v3/catalog.json"]
+        "catalog",
+        ["catalog.json", "v2/catalog.json", "v3/catalog.json", "v4/catalog.json"],
     )
     def test_golden_catalogs_open_beside_the_older_inventory(self, root, catalog):
         """Each golden catalog opens beside the golden inventory, whose
@@ -1130,6 +1174,79 @@ class TestStatusChecks:
         with open(root / ".lock", "a") as other:
             fcntl.flock(other.fileno(), fcntl.LOCK_SH)
             assert run(["status", "--catalog", str(root)]).exit_code == 0
+
+
+def _fixture(name: str) -> str:
+    return str(ilr.files("slicectl") / "fixtures" / name)
+
+
+def _crash_in_the_catalog_save(monkeypatch) -> None:
+    def crash(catalog, path):
+        raise OSError("simulated crash in the catalog save")
+
+    monkeypatch.setattr("slicectl.cli.save_catalog", crash)
+
+
+class TestCrashes:
+    """A crash after a command's events are logged and before catalog.json
+    is saved: the log holds the command, the catalog and inventory do not."""
+
+    def test_crash_inside_instantiate_slice(self, root, monkeypatch):
+        steps = [
+            ["init-testbed"],
+            ["onboard-vf", _fixture("core_cp.yaml"), "--vsp", "vsp-core-cp"],
+            ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-core-dp"],
+            ["certify-vf", "vf-core-cp"],
+            ["certify-vf", "vf-core-dp"],
+            ["create-service", "Core CP", "--vf", "vf-core-cp", "--id", "svc-core-cp"],
+            ["create-service", "Core DP", "--vf", "vf-core-dp", "--id", "svc-core-dp"],
+        ]
+        for service in ("svc-core-cp", "svc-core-dp"):
+            for step in ("test", "approve", "distribute"):
+                steps.append([f"{step}-service", service])
+        steps += [["create-slice", _fixture("slice_a.yaml")], ["place-slice", "slice-a"]]
+        for argv in steps:
+            result = run(argv + ["--catalog", str(root)])
+            assert result.exit_code == 0, result.summary
+
+        _crash_in_the_catalog_save(monkeypatch)
+        plan = str(root / "plan-slice-a.yaml")
+        argv = ["instantiate-slice", "slice-a", "--plan", plan, "--as", "operator"]
+        assert run(argv + ["--catalog", str(root)]).exit_code == 3
+        monkeypatch.undo()
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 1
+        assert "  slice-a: active" in status.summary.splitlines()
+        assert status.detail["log"]["agrees"] is True
+        assert status.detail["problems"] == [
+            "svc-core-cp is instantiated but holds no allocation",
+            "svc-core-dp is instantiated but holds no allocation",
+        ]
+
+        teardown = ["teardown-slice", "slice-a", "--as", "operator"]
+        down = run(teardown + ["--catalog", str(root)])
+        assert down.exit_code == 0, down.summary
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "audit log: agrees with the catalog" in after.summary.splitlines()
+
+    def test_crash_inside_onboard_vf_then_a_retry(self, root, monkeypatch):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        argv = ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-core-dp"]
+        argv += ["--catalog", str(root)]
+        _crash_in_the_catalog_save(monkeypatch)
+        assert run(argv).exit_code == 3
+        monkeypatch.undo()
+        retry = run(argv)
+        assert retry.exit_code == 0, retry.summary
+        assert retry.detail["vf"] == "vf-core-dp-3"
+        replay_states(load_audit(root / "audit.log"))
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 1
+        assert (
+            "audit log: differs from the catalog on vf-core-dp-2"
+            in status.summary.splitlines()
+        )
 
 
 def test_cli_import_leaves_networkx_out():

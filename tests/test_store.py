@@ -27,7 +27,14 @@ from slicectl.errors import (
     SliceError,
 )
 from slicectl.infra import build_testbed
-from slicectl.lifecycle import AuditEvent, Orchestrator, Outcome, Role, apply_event
+from slicectl.lifecycle import (
+    AuditEvent,
+    Catalog,
+    Orchestrator,
+    Outcome,
+    Role,
+    apply_event,
+)
 from slicectl.model import ResourceDemand, VendorSoftwareProduct
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
@@ -55,8 +62,10 @@ from slicectl.store import (
 # catalog as one line of compact JSON with sorted keys. Both hold the
 # template blobs inline. v2/catalog.json and v2/blobs/ are the same catalog
 # in version 2, each blob a file named by its SHA-256, and each VF's compute
-# resources copied in as its components. v3/ is the same catalog as this
-# build writes it: version 3, a VF is its id, kind and template digest.
+# resources copied in as its components. v3/ is the same catalog in
+# version 3, a VF its id, kind and template digest. Versions 1 to 3 hold the
+# lifecycle records. v4/ is the same catalog as this build writes it:
+# version 4, without records, which are the fold of the audit log.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
 # inventory.yaml stores each tenant's use as `used`, as older builds did;
@@ -77,6 +86,11 @@ def active_engine():
     return engine
 
 
+def reopened_catalog(path, events) -> Catalog:
+    """The catalog in path as an engine opens it on events."""
+    return Orchestrator(catalog=load_catalog(path), log=events).catalog
+
+
 def event(seq: int, action: str = "certify_vf", subject: str = "vf-x") -> AuditEvent:
     return AuditEvent(
         sequence_no=seq,
@@ -94,19 +108,17 @@ class TestCatalogSnapshots:
         engine = active_engine()
         path = tmp_path / "catalog.json"
         save_catalog(engine.catalog, path)
-        loaded = load_catalog(path)
-        assert loaded == engine.catalog
+        assert reopened_catalog(path, engine.events) == engine.catalog
 
     def test_snapshot_is_plain_sorted_json(self, tmp_path):
         engine = scenario.slice_a_engine()
         path = tmp_path / "catalog.json"
         save_catalog(engine.catalog, path)
         raw = json.loads(path.read_text())
-        assert raw["version"] == 3
-        assert "template_blobs" not in raw
+        assert raw["version"] == 4
+        assert "template_blobs" not in raw and "records" not in raw
         for function in raw["functions"].values():
             assert set(function) == {"id", "kind", "template_ref"}
-        assert raw["records"]["slice-a"]["state"] == "ready"
         refs = {f["template_ref"] for f in raw["functions"].values()}
         assert {p.name for p in (tmp_path / "blobs").iterdir()} == refs
 
@@ -225,10 +237,6 @@ class TestCatalogSnapshots:
                 "NetworkSlice field profile: expected a mapping, got list",
             ),
             (
-                lambda raw: raw["records"]["slice-a"].update(state="certified"),
-                "certified",
-            ),
-            (
                 lambda raw: raw["providers"]["p-greyop"].update(
                     administrative_domains="core"
                 ),
@@ -271,14 +279,6 @@ class TestCatalogSnapshots:
                 " 'text' is not a valid IsolationLevel",
             ),
             (
-                lambda raw: raw["records"]["slice-a"].update(state="text"),
-                "Catalog field records['slice-a']: 'text' is not a valid SliceState",
-            ),
-            (
-                lambda raw: raw["records"].update({"slice-a": []}),
-                "Catalog field records['slice-a']: expected a mapping, got list",
-            ),
-            (
                 lambda raw: raw["services"]["svc-core-cp"]["functions"].append(
                     {"id": "vf-core-dp"}
                 ),
@@ -292,7 +292,6 @@ class TestCatalogSnapshots:
             "list-for-map",
             "list-for-entity",
             "list-for-nested-entity",
-            "state-of-another-kind",
             "string-for-list",
             "misspelt-key",
             "fractional-demand",
@@ -300,8 +299,6 @@ class TestCatalogSnapshots:
             "null-for-entity",
             "list-for-demand",
             "enum-value",
-            "record-state",
-            "list-for-record",
             "text-for-second-component",
         ],
     )
@@ -351,7 +348,7 @@ class TestCatalogSnapshots:
         save_catalog(engine.catalog, path)
         before = path.read_bytes()
         vsp_id = scenario.register_vsp(engine)
-        engine.onboard_vf(Role.DESIGNER, vsp_id, scenario.minimal_template())
+        record = engine.onboard_vf(Role.DESIGNER, vsp_id, scenario.minimal_template())
         new = set(engine.catalog.template_blobs) - set(load_catalog(path).template_blobs)
         assert len(new) == 1
 
@@ -370,10 +367,10 @@ class TestCatalogSnapshots:
         assert (tmp_path / "blobs" / new.pop()).exists()
         previous = load_catalog(path)
         assert set(previous.template_blobs) < set(engine.catalog.template_blobs)
-        assert replay_states(engine.events[:-1]) == previous.records
+        assert record.subject not in previous.functions
         assert all(previous.template_blobs[d] for d in previous.template_blobs)
         save_catalog(engine.catalog, path)
-        assert load_catalog(path) == engine.catalog
+        assert reopened_catalog(path, engine.events) == engine.catalog
 
     def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
         """fsync(2): the new directory entry needs its own fsync."""
@@ -441,7 +438,7 @@ class TestCatalogSnapshots:
         assert {p.name for p in blobs.iterdir()} == existing | set(
             catalog.template_blobs
         )
-        assert load_catalog(path) == catalog
+        assert reopened_catalog(path, reopened.events) == catalog
 
 
 class TestInventorySnapshots:
@@ -731,8 +728,13 @@ class TestReplay:
         assert replay_states(engine.events) == snapshot
 
     def test_golden_log_replays_to_golden_records(self):
-        catalog = load_catalog(GOLDEN / "catalog.json")
-        assert replay_states(load_audit(GOLDEN / "audit.log")) == catalog.records
+        """The records that versions 1 to 3 stored, and version 4 drops
+        unread, are the fold of the golden log."""
+        replayed = replay_states(load_audit(GOLDEN / "audit.log"))
+        encoded = {subject: encode(record) for subject, record in replayed.items()}
+        for source in (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json"):
+            stored = json.loads((GOLDEN / source).read_text())["records"]
+            assert stored == encoded, source
 
     @pytest.mark.parametrize(
         "action, subject, reason",
@@ -835,7 +837,7 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": "v3/catalog.json", "inventory.yaml": SAVED_INVENTORY}
+_SAVED_AS = {"catalog.json": "v4/catalog.json", "inventory.yaml": SAVED_INVENTORY}
 
 
 def _rewrite_audit(source, target):
@@ -854,12 +856,14 @@ def _rewrite_audit(source, target):
 )
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
-    its own bytes, except that the two version-1 golden catalogs and the
-    version-2 one, of older builds, are saved as the version-3 golden
-    catalog and blob files, and the golden inventory, whose tenants hold
-    `used`, as the inventory without it; each of those saves as itself."""
+    its own bytes, except that the golden catalogs of older builds, the two
+    version-1 ones, the version-2 and the version-3 one, are saved as the
+    version-4 golden catalog and blob files, and the golden inventory,
+    whose tenants hold `used`, as the inventory without it; each of those
+    saves as itself."""
     saved = _SAVED_AS.get(name, name)
-    sources = (*GOLDEN_V1, "v2/catalog.json") if name == "catalog.json" else (name,)
+    older = (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json")
+    sources = older if name == "catalog.json" else (name,)
     for source in dict.fromkeys((*sources, saved)):
         target = tmp_path / source.replace("/", "-") / name
         target.parent.mkdir()
@@ -878,33 +882,40 @@ def test_golden_blob_files_are_named_by_their_hash():
     assert len(blobs) == 2
     for name, data in blobs.items():
         assert hashlib.sha256(data).hexdigest() == name
-    assert _blob_files(GOLDEN / "v3") == blobs
+    assert _blob_files(GOLDEN / "v3") == _blob_files(GOLDEN / "v4") == blobs
 
 
-def _converts_to_the_version_3_golden(tmp_path, source):
-    """The catalog in source loads, saves as the version-3 golden files,
-    and those load back as the same catalog, the fold of the golden log."""
+def _converts_to_the_version_4_golden(tmp_path, source):
+    """The catalog in source loads, saves as the version-4 golden files,
+    and those load back as the same catalog; opened on the golden log, it
+    holds that log's fold as its records."""
     catalog = load_catalog(GOLDEN / source)
     path = tmp_path / "catalog.json"
     save_catalog(catalog, path)
-    assert path.read_bytes() == (GOLDEN / "v3" / "catalog.json").read_bytes()
-    assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v3")
+    assert path.read_bytes() == (GOLDEN / "v4" / "catalog.json").read_bytes()
+    assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v4")
     again = load_catalog(path)
     assert isinstance(again.template_blobs, TemplateBlobs)
-    assert again == catalog == load_catalog(GOLDEN / "v3" / "catalog.json")
-    assert replay_states(load_audit(GOLDEN / "audit.log")) == again.records
+    assert again == catalog == load_catalog(GOLDEN / "v4" / "catalog.json")
+    events = load_audit(GOLDEN / "audit.log")
+    opened = Orchestrator(catalog=catalog, log=events).catalog
+    assert opened.records == replay_states(events)
+    entities = {*opened.functions, *opened.services, *opened.slices}
+    assert entities == opened.records.keys()
     return catalog
 
 
 @pytest.mark.parametrize("source", GOLDEN_V1)
-def test_version_1_golden_catalog_converts_to_the_version_3_golden(tmp_path, source):
-    catalog = _converts_to_the_version_3_golden(tmp_path, source)
+def test_version_1_golden_catalog_converts_to_the_version_4_golden(tmp_path, source):
+    catalog = _converts_to_the_version_4_golden(tmp_path, source)
     assert isinstance(catalog.template_blobs, dict)
 
 
-def test_version_2_golden_catalog_converts_to_the_version_3_golden(tmp_path):
-    catalog = _converts_to_the_version_3_golden(tmp_path, "v2/catalog.json")
-    assert catalog.template_blobs.directory == GOLDEN / "v2" / "blobs"
+@pytest.mark.parametrize("version", [2, 3])
+def test_older_golden_catalog_converts_to_the_version_4_golden(tmp_path, version):
+    source = f"v{version}/catalog.json"
+    catalog = _converts_to_the_version_4_golden(tmp_path, source)
+    assert catalog.template_blobs.directory == GOLDEN / f"v{version}" / "blobs"
 
 
 def test_version_3_file_with_components_is_refused(tmp_path):
@@ -924,17 +935,31 @@ def test_version_3_file_with_components_is_refused(tmp_path):
         load_catalog(path)
 
 
+def test_version_4_file_with_records_is_refused(tmp_path):
+    """Only versions 1 to 3 held the records; in version 4 the key names no
+    field, as any other misspelt one."""
+    path = tmp_path / "catalog.json"
+    raw = json.loads((GOLDEN / "v3" / "catalog.json").read_text())
+    raw["version"] = 4
+    path.write_text(json.dumps(raw))
+    with pytest.raises(
+        IoFailure, match=re.escape("corrupt catalog: Catalog has no field 'records'")
+    ):
+        load_catalog(path)
+
+
 def test_indented_and_compact_golden_catalogs_are_one_catalog():
     indented = load_catalog(GOLDEN / "catalog.json")
     assert load_catalog(GOLDEN / "catalog.compact.json") == indented
     assert (GOLDEN / "catalog.compact.json").read_text().count("\n") == 1
     assert (GOLDEN / "v2" / "catalog.json").read_text().count("\n") == 1
     assert (GOLDEN / "v3" / "catalog.json").read_text().count("\n") == 1
+    assert (GOLDEN / "v4" / "catalog.json").read_text().count("\n") == 1
 
 
-def _many_vf_catalog():
-    """slice-a's catalog plus 201 VFs onboarded from generated templates,
-    the first from a vendor whose name is not ASCII."""
+def _many_vf_engine():
+    """slice-a's engine after 201 more VFs are onboarded from generated
+    templates, the first from a vendor whose name is not ASCII."""
     engine = scenario.slice_a_engine()
     vsp_id = scenario.register_vsp(engine)
     engine.register_vsp(
@@ -951,23 +976,29 @@ def _many_vf_catalog():
             name=f"gen-{index}", vcpu=1 + index % 4, ram=512 * (1 + index % 3)
         )
         engine.onboard_vf(Role.DESIGNER, vsp_id, text)
-    return engine.catalog
+    return engine
+
+
+def _golden_engine():
+    return Orchestrator(
+        catalog=load_catalog(GOLDEN / "catalog.json"),
+        log=load_audit(GOLDEN / "audit.log"),
+    )
 
 
 @pytest.mark.parametrize(
-    "catalog",
-    [lambda: load_catalog(GOLDEN / "catalog.json"), _many_vf_catalog],
-    ids=["golden", "many-vfs"],
+    "engine", [_golden_engine, _many_vf_engine], ids=["golden", "many-vfs"]
 )
-def test_compact_catalog_holds_what_the_indented_one_held(tmp_path, catalog):
+def test_compact_catalog_holds_what_the_indented_one_held(tmp_path, engine):
     """The compact file parses to the same document as the indented JSON
     that older builds wrote for the same catalog, and loads back equal."""
-    catalog = catalog()
+    engine = engine()
+    catalog = engine.catalog
     path = tmp_path / "catalog.json"
     save_catalog(catalog, path)
     indented = json.dumps(encode(catalog), indent=2, sort_keys=True)
     assert json.loads(path.read_text()) == json.loads(indented)
-    assert load_catalog(path) == catalog
+    assert reopened_catalog(path, engine.events) == catalog
     for digest, text in catalog.template_blobs.items():
         assert (tmp_path / "blobs" / digest).read_bytes() == text.encode("utf-8")
 
