@@ -4,11 +4,12 @@ Thin shell over the library: each subcommand delegates to exactly one
 lifecycle, placement, or template operation, so anything the CLI can do is
 reproducible through library calls. State lives in one catalog directory
 (catalog.json, blobs/, inventory.yaml, audit.log) selected with --catalog or
-the SLICECTL_CATALOG environment variable; the lifecycle records are the
-fold of audit.log, made when a command opens the engine, and a log the
-fold refuses makes every such command exit 1. Mutating commands hold an
-exclusive advisory lock on it for the duration of the command, and status
-and audit a shared one.
+the SLICECTL_CATALOG environment variable; the lifecycle records and the
+allocations are the fold of audit.log, made when a command opens the
+engine, and a log the fold refuses makes every such command exit 1. So a
+command rewrites catalog.json only; inventory.yaml is written by
+init-testbed and demo. Mutating commands hold an exclusive advisory lock
+on the directory for the command's duration, and status and audit a shared one.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -138,24 +139,19 @@ def _open_engine(root: Path) -> Orchestrator:
     return Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
 
 
-def _save_state(root: Path, engine: Orchestrator) -> None:
-    save_catalog(engine.catalog, root / CATALOG_FILE)
-    if engine.infra is not None:
-        save_inventory(engine.infra, root / INVENTORY_FILE)
-
-
 @contextlib.contextmanager
 def _engine_for(args):
     """The state path of every lifecycle command: lock the catalog
-    directory, open the engine on it, and save catalog and inventory only
-    when the body returns. A denied or failed command keeps its audit
-    events and changes neither file. A command that can return without
-    saving must not run inside."""
+    directory, open the engine on it, and save catalog.json only when the
+    body returns. The records and the allocations are the log's fold, so
+    inventory.yaml is never rewritten. A denied or failed command keeps its
+    audit events and leaves catalog.json as it was. A command that can
+    return without saving must not run inside."""
     root = _resolve_root(args)
     with _locked(root):
         engine = _open_engine(root)
         yield engine
-        _save_state(root, engine)
+        save_catalog(engine.catalog, root / CATALOG_FILE)
 
 
 def _record_result(record, summary: str, **detail) -> CommandResult:
@@ -553,9 +549,8 @@ def _cmd_init_testbed(args) -> CommandResult:
             return CommandResult(
                 1, f"{inventory_path} already exists; pass --force to replace it"
             )
-        # A fresh inventory holds no allocations, so capacity that live
-        # services hold could be handed out again, whether the inventory
-        # that records it is replaced or already gone.
+        # A fresh inventory drops the allocations an older build stored in
+        # it, and replaces the tenants that the log allocates on.
         audit_path = root / AUDIT_FILE
         if audit_path.exists():
             records = replay_states(load_audit(audit_path)).values()
@@ -640,7 +635,8 @@ def _cmd_demo(args) -> CommandResult:
             return CommandResult(1, f"no feasible placement for {slc.id}")
         record = engine.instantiate_slice(Role.OPERATOR, slc.id, plan)
         save_plan(plan, root / f"plan-{slc.id}.yaml")
-        _save_state(root, engine)
+        save_catalog(engine.catalog, root / CATALOG_FILE)
+        save_inventory(build_testbed(), root / INVENTORY_FILE)  # the log allocates
 
     by_outcome: dict[str, int] = {}
     for event in engine.events:

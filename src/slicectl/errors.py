@@ -24,6 +24,10 @@ class InvalidProfile(SliceError, ValueError):
     """A service profile carries a non-positive or out-of-range bound."""
 
 
+class DuplicateEntry(SliceError, ValueError):
+    """One entry given twice: a service's function, or a vendor product."""
+
+
 class UnknownService(SliceError):
     """A referenced service id is not part of the slice or catalog."""
 

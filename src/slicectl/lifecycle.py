@@ -9,12 +9,12 @@ on a log folds it into them with replay_states, and Orchestrator._commit,
 the only place an ok event is logged and applied, appends the event first,
 then folds it in with apply_event, the same fold. apply_event checks each
 ok event against that table too, and refuses one it does not allow with
-LogDiverged. Slice-level operations add the abstraction the per-service
-workflow lacks: readiness derivation, plan-driven instantiation, and
-teardown. Both take and give back capacity in the order decide, log,
-apply: instantiation decides every member without touching the inventory,
-so there is nothing to undo, and an allocation or release happens only
-after its event is logged.
+LogDiverged. The log is the one store of the allocations too: with an
+Infrastructure, the fold allocates what an ok instantiate_service event
+carries and releases what an ok terminate_service's subject holds, so
+capacity moves only after its event is logged. Slice-level operations add
+readiness derivation, plan-driven instantiation, which decides every
+member before it logs one, so there is nothing to undo, and teardown.
 Instantiation judges members with verify_plan's placement.member_refusals:
 isolation_refusal, the solver's rule, and Infrastructure.capacity_refusal,
 allocate's check. tests/oracles.py is the independent check of both.
@@ -31,7 +31,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import (
+    DuplicateEntry,
     EmptyService,
+    InsufficientCapacity,
     InvalidTransition,
     LogDiverged,
     PartialFailure,
@@ -184,6 +186,9 @@ class AuditEvent:
     subject: str
     timestamp: float
     outcome: Outcome
+    # What an ok instantiate_service event allocates; None on every other.
+    tenant: str | None = None
+    demand: ResourceDemand | None = None
 
 
 @dataclass
@@ -245,14 +250,19 @@ def check_transition(
 
 
 def apply_event(
-    records: dict[str, LifecycleRecord], event: AuditEvent
+    records: dict[str, LifecycleRecord],
+    event: AuditEvent,
+    infra: Infrastructure | None = None,
 ) -> LifecycleRecord | None:
-    """Fold one audit event into the records through check_transition.
+    """Fold one audit event into the records, and into infra when given.
 
-    An ok event creates or moves its subject's record and appends itself
-    to the history. An ok event that TRANSITIONS refuses or does not know
-    raises LogDiverged and changes nothing. Denied and failed events change
-    nothing. Returns the record the event moved, or None.
+    An ok event creates or moves its subject's record through
+    check_transition and appends itself to the history; in infra, it
+    allocates the demand it carries on its tenant, and a terminate_service
+    releases all its subject holds. An ok event that TRANSITIONS or infra
+    refuses, or whose action is unknown, raises LogDiverged and changes
+    nothing. Denied and failed events change nothing. Returns the record
+    the event moved, or None.
     """
     if event.outcome is not Outcome.OK:
         return None
@@ -261,8 +271,14 @@ def apply_event(
         raise LogDiverged(f"{where}: unknown action {event.action!r}")
     try:
         record = check_transition(records, event.action, event.subject)
-    except (InvalidTransition, UnknownEntity) as exc:
+        if infra is not None and event.demand is not None:
+            infra.allocate(event.tenant, event.subject, event.demand)
+    except (InvalidTransition, UnknownEntity, InsufficientCapacity) as exc:
         raise LogDiverged(f"{where}: {exc}") from exc
+    if infra is not None and event.action == "terminate_service":
+        for allocation in list(infra.allocations.values()):
+            if allocation.service == event.subject:
+                infra.release(allocation.id)
     _, state = TRANSITIONS[event.action]
     if record is None:
         record = records[event.subject] = LifecycleRecord(
@@ -273,8 +289,10 @@ def apply_event(
     return record
 
 
-def replay_states(events: Iterable[AuditEvent]) -> dict[str, LifecycleRecord]:
-    """Fold ok events into lifecycle records with apply_event, from empty.
+def replay_states(
+    events: Iterable[AuditEvent], infra: Infrastructure | None = None
+) -> dict[str, LifecycleRecord]:
+    """Fold ok events into lifecycle records, and infra, with apply_event.
 
     Denied and failed events change nothing by design. An ok event that
     TRANSITIONS, the table the live checks read, does not allow raises
@@ -282,7 +300,7 @@ def replay_states(events: Iterable[AuditEvent]) -> dict[str, LifecycleRecord]:
     """
     records: dict[str, LifecycleRecord] = {}
     for event in events:
-        apply_event(records, event)
+        apply_event(records, event, infra)
     return records
 
 
@@ -298,8 +316,8 @@ class Orchestrator:
 
     engine.events starts as log, the audit log the engine is opened on, and
     each new event continues it: the next number, at a later instant. The
-    catalog's records are set to the fold of log, so an engine opened on a
-    log that TRANSITIONS does not allow raises LogDiverged."""
+    catalog's records are set to the fold of log, which allocates in infra
+    too, so an engine opened on a log the fold refuses raises LogDiverged."""
 
     def __init__(
         self,
@@ -313,7 +331,7 @@ class Orchestrator:
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
         self.events: list[AuditEvent] = log if log is not None else []
-        self.catalog.records = replay_states(self.events)
+        self.catalog.records = replay_states(self.events, infra)
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}
@@ -334,7 +352,7 @@ class Orchestrator:
                 other.product_name,
                 other.version,
             ) == triple:
-                raise ValueError(
+                raise DuplicateEntry(
                     f"vsp (vendor, product, version) {triple!r} already registered"
                 )
         self.catalog.vsps[vsp.id] = vsp
@@ -342,7 +360,7 @@ class Orchestrator:
     # -- audit plumbing -----------------------------------------------------
 
     def _emit(
-        self, actor: Role, action: str, subject: str, outcome: Outcome
+        self, actor: Role, action: str, subject: str, outcome: Outcome, **held
     ) -> AuditEvent:
         actor = Role(actor)
         last = self.events[-1] if self.events else None
@@ -359,6 +377,7 @@ class Orchestrator:
             subject=subject,
             timestamp=now,
             outcome=outcome,
+            **held,
         )
         if self._sink is not None:
             # Write-ahead: the event is durable before the operation commits
@@ -385,10 +404,10 @@ class Orchestrator:
             self._emit(actor, action, subject, Outcome.FAILED)
             raise
 
-    def _commit(self, actor: Role, action: str, subject: str) -> LifecycleRecord:
-        """Log one ok event, then apply it to the records."""
-        event = self._emit(actor, action, subject, Outcome.OK)
-        return apply_event(self.catalog.records, event)
+    def _commit(self, actor: Role, action: str, subject: str, **held) -> LifecycleRecord:
+        """Log one ok event, then apply it to the records and the inventory."""
+        event = self._emit(actor, action, subject, Outcome.OK, **held)
+        return apply_event(self.catalog.records, event, self.infra)
 
     def _fresh_id(self, base: str) -> str:
         if base not in self.catalog.records:
@@ -471,8 +490,8 @@ class Orchestrator:
                     raise UncertifiedVf(f"vf {vf_id!r} is not certified")
             if service_id is not None:
                 check_transition(self.catalog.records, "create_service", service_id)
-        sid = service_id or self._fresh_id(f"svc-{_slug(name)}")
-        service = NetworkService(id=sid, name=name, functions=tuple(vf_ids))
+            sid = service_id or self._fresh_id(f"svc-{_slug(name)}")
+            service = NetworkService(id=sid, name=name, functions=tuple(vf_ids))
         record = self._commit(actor, "create_service", sid)
         self.catalog.services[sid] = service
         return record
@@ -598,7 +617,7 @@ class Orchestrator:
     def instantiate_slice(
         self, actor: Role, slice_id: str, plan: PlacementPlan, *, atomic: bool = True
     ) -> LifecycleRecord:
-        """Execute a placement plan: decide, log, then allocate.
+        """Execute a placement plan: decide, then log each allocation.
 
         verify_plan's errors other than member refusals reject the plan up
         front as PlanInvalid. Its member refusals, judged in slice order
@@ -609,8 +628,8 @@ class Orchestrator:
         slice lands in partially_instantiated. With no member accepted,
         PartialFailure is raised in either mode. The slice's own event is
         logged first, so a cut later on leaves a slice that teardown can
-        release; an accepted member is allocated only after its
-        instantiate_service event is logged.
+        release; an accepted member's instantiate_service event carries its
+        tenant and demand, which _commit's fold allocates once it is logged.
         """
         with self._attempt(actor, "instantiate_slice", slice_id):
             infra = self._require_infra()
@@ -654,16 +673,15 @@ class Orchestrator:
         action = "partially_instantiate_slice" if failures else "instantiate_slice"
         record = self._commit(actor, action, slice_id)
         for service_id in accepted:
-            self._commit(actor, "instantiate_service", service_id)
-            infra.allocate(tenant_of[service_id], service_id, demand_of[service_id])
+            held = {"tenant": tenant_of[service_id], "demand": demand_of[service_id]}
+            self._commit(actor, "instantiate_service", service_id, **held)
         return record
 
     def teardown_slice(self, actor: Role, slice_id: str) -> LifecycleRecord:
         """Terminate every instantiated member, then the slice.
 
-        Write-ahead: a member's allocations are released only after its
-        terminate_service event is logged, and any other member allocation
-        only after the teardown_slice event, so a failing audit sink leaves
+        Each terminate_service event releases, in _commit's fold, what its
+        member holds once it is logged, so a failing audit sink leaves
         capacity held exactly by the members still recorded instantiated.
         """
         with self._attempt(actor, "teardown_slice", slice_id):
@@ -674,13 +692,4 @@ class Orchestrator:
         for service_id in slc.services:
             if self.catalog.records[service_id].state in needs:
                 self._commit(actor, "terminate_service", service_id)
-                self._release_held({service_id})
-        record = self._commit(actor, "teardown_slice", slice_id)
-        self._release_held(set(slc.services))
-        return record
-
-    def _release_held(self, services: set[str]) -> None:
-        for allocation in [
-            a for a in self.infra.allocations.values() if a.service in services
-        ]:
-            self.infra.release(allocation.id)
+        return self._commit(actor, "teardown_slice", slice_id)

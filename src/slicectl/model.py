@@ -23,6 +23,7 @@ from enum import Enum
 
 from .errors import (
     DanglingReference,
+    DuplicateEntry,
     EmptyService,
     EmptySlice,
     InvalidProfile,
@@ -201,7 +202,7 @@ class NetworkService:
         if not self.functions:
             raise EmptyService(f"service {self.id!r} contains no functions")
         if len(set(self.functions)) != len(self.functions):
-            raise ValueError("service function list contains duplicates")
+            raise DuplicateEntry("service function list contains duplicates")
         # Link endpoints are "<function id>/<port name>" and must point at
         # member functions.
         members = set(self.functions)

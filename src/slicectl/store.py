@@ -3,18 +3,18 @@
 One directory holds one deployment: catalog.json (design-time entities,
 where a VF is the digest of its template, and no lifecycle records),
 blobs/ (one file per onboarded template, named by its SHA-256, which alone
-holds the VF's components), inventory.yaml (hosts, tenants, links,
-allocations and the next allocation number; a tenant's use is the sum of
-its allocations, not stored), audit.log (append-only JSON lines).
+holds the VF's components), inventory.yaml (hosts, tenants and links; an
+older build's also holds allocations, and a tenant's use, the sum of its
+allocations, is not stored), audit.log (append-only JSON lines).
 Snapshots are written atomically (temp file, fsync, rename), so an
 interrupted save never corrupts the previous file. A blob is written once,
 before the catalog that refers to it, and never rewritten; reading one
 checks that its SHA-256 is its name. The audit file is the write-ahead
-record of the lifecycle engine and the one store of the lifecycle records:
-replay_states, defined in lifecycle and re-exported here, folds it into
-them with apply_event, as the engine does when it opens and with each
-event it logs. The fold checks each ok event against the lifecycle table
-and raises LogDiverged for one the table does not allow.
+record of the lifecycle engine and the one store of the lifecycle records
+and the allocations: replay_states, defined in lifecycle and re-exported
+here, folds it into them with apply_event, as the engine does on open and
+with each event it logs, and raises LogDiverged for an ok event that the
+lifecycle table or the inventory refuses.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -172,10 +172,21 @@ def _encoder(tp: Any) -> _Convert:
             for f in dataclasses.fields(tp)
             if f.init
         ]
-        return lambda obj: {
-            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-            for name, enc in fields
-        }
+        # A field whose default is None is left out while it is None, so a
+        # field added that way keeps the bytes of what was written before.
+        optional = [n for n, _ in fields if tp.__dataclass_fields__[n].default is None]
+
+        def encode_fields(obj):
+            raw = {
+                name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+                for name, enc in fields
+            }
+            for name in optional:
+                if raw[name] is None:
+                    del raw[name]
+            return raw
+
+        return encode_fields
     if isinstance(tp, type) and issubclass(tp, Enum):
         return lambda member: member.value
     origin = typing.get_origin(tp)

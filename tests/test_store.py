@@ -10,6 +10,7 @@ import json
 import os
 import re
 import stat
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -700,6 +701,32 @@ class TestAuditLog:
         path.write_text(text.replace("\n", "\n\n"))
         assert [e.sequence_no for e in load_audit(path)] == [1, 2]
 
+    def test_only_an_event_that_allocates_writes_tenant_and_demand(self, tmp_path):
+        """The two fields default to None and the codec leaves them out
+        then, so every other event keeps the bytes older builds wrote."""
+        path = tmp_path / "audit.log"
+        log = FileAuditLog(path)
+        log.append(event(1))
+        held = replace(
+            event(2, "instantiate_service", "svc-x"),
+            tenant="tenant-cp",
+            demand=ResourceDemand(vcpu=2),
+        )
+        log.append(held)
+        first, second = (json.loads(line) for line in path.read_text().splitlines())
+        assert list(first) == list(encode(event(1))) == [
+            "sequence_no",
+            "actor",
+            "actor_id",
+            "action",
+            "subject",
+            "timestamp",
+            "outcome",
+        ]
+        assert second["tenant"] == "tenant-cp"
+        assert second["demand"] == {"vcpu": 2, "ram": 0, "storage": 0, "ports": 0}
+        assert load_audit(path) == [event(1), held]
+
     def test_load_rejects_gaps(self, tmp_path):
         path = tmp_path / "audit.log"
         with open(path, "w", encoding="utf-8") as handle:
@@ -714,6 +741,18 @@ class TestReplay:
         engine = active_engine()
         engine.teardown_slice(Role.OPERATOR, "slice-a")
         assert replay_states(engine.events) == engine.catalog.records
+
+    def test_replay_with_an_inventory_rebuilds_the_allocations(self):
+        engine = active_engine()
+        infra = build_testbed()
+        assert replay_states(engine.events, infra) == engine.catalog.records
+        assert infra.allocations == engine.infra.allocations
+        assert infra.usage_snapshot()["tenant-cp"] == ResourceDemand(5, 8192, 40, 8)
+        engine.teardown_slice(Role.OPERATOR, "slice-a")
+        infra = build_testbed()
+        replay_states(engine.events, infra)
+        assert infra.allocations == engine.infra.allocations == {}
+        assert set(infra.usage_snapshot().values()) == {ResourceDemand()}
 
     def test_denied_and_failed_events_change_nothing(self):
         engine = scenario.slice_a_engine()
