@@ -549,21 +549,23 @@ def _cmd_init_testbed(args) -> CommandResult:
             return CommandResult(
                 1, f"{inventory_path} already exists; pass --force to replace it"
             )
-        # A fresh inventory drops the allocations an older build stored in
-        # it, and replaces the tenants that the log allocates on.
+        # The fold raises LogDiverged for an allocation a fresh inventory cannot
+        # hold; one an older build kept in inventory.yaml has no demand logged.
         audit_path = root / AUDIT_FILE
-        if audit_path.exists():
-            records = replay_states(load_audit(audit_path)).values()
-            live = sorted(
-                r.subject for r in records if r.state is ServiceState.INSTANTIATED
+        events = load_audit(audit_path) if audit_path.exists() else []
+        lost = sorted(
+            r.subject
+            for r in replay_states(events, build_testbed()).values()
+            if r.state is ServiceState.INSTANTIATED
+            and events[r.history[-1] - 1].demand is None
+        )
+        if lost:
+            return CommandResult(
+                1,
+                f"{audit_path} records instantiated services"
+                f" {', '.join(lost)}, whose allocations a fresh inventory"
+                f" would drop; tear their slices down first",
             )
-            if live:
-                return CommandResult(
-                    1,
-                    f"{audit_path} records instantiated services"
-                    f" {', '.join(live)}, whose allocations a fresh inventory"
-                    f" would drop; tear their slices down first",
-                )
         infra = build_testbed()
         save_inventory(infra, inventory_path)
     return CommandResult(

@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import mmap
 import operator
 import os
 import re
@@ -529,6 +530,9 @@ class FileAuditLog:
 
     The lifecycle engine calls append before it commits any state change,
     so after a crash the log is always at least as new as the catalog.
+    An event is a line that ends in a newline. A final fragment is an append
+    that never returned: the first append, or the next after a failed one,
+    truncates it.
     """
 
     def __init__(self, path: str | Path, *, expected_next: int | None = None):
@@ -537,6 +541,7 @@ class FileAuditLog:
             events = load_audit(self.path) if self.path.exists() else []
             expected_next = events[-1].sequence_no + 1 if events else 1
         self._next = expected_next
+        self._tail_checked = False
 
     def append(self, event: AuditEvent) -> None:
         if event.sequence_no != self._next:
@@ -545,20 +550,36 @@ class FileAuditLog:
             )
         line = json.dumps(encode(event))
         try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with open(self.path, "a+b") as handle:
+                if not self._tail_checked:
+                    _drop_fragment(handle)
+                    self._tail_checked = True
+                handle.write(line.encode("utf-8") + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
+            self._tail_checked = False
             raise IoFailure(f"cannot append to {self.path}: {exc}") from exc
         self._next += 1
 
 
+def _drop_fragment(handle) -> None:
+    """Truncate handle's file to just after its last newline; rfind reads
+    the mapped file from its end, so a log that ends in one costs a page."""
+    size = handle.seek(0, os.SEEK_END)
+    if size:
+        with mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ) as data:
+            keep = data.rfind(b"\n") + 1
+        if keep != size:
+            handle.truncate(keep)
+
+
 def load_audit(path: str | Path) -> list[AuditEvent]:
-    """Load and validate the audit log: contiguous sequence from 1."""
+    """Load and validate the audit log: contiguous sequence from 1. A
+    final fragment without a newline is not an event and is left out."""
     text = _read_text(Path(path))
     events: list[AuditEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}: corrupt audit record"

@@ -68,6 +68,15 @@ def root(tmp_path):
     return tmp_path / "catalog"
 
 
+def _lab_bytes(root) -> dict[str, bytes | None]:
+    """The bytes of each file a command may write, None for one that is
+    absent, so a refused command can be shown to leave them all as they were."""
+    return {
+        name: (root / name).read_bytes() if (root / name).exists() else None
+        for name in ("catalog.json", "audit.log", "inventory.yaml")
+    }
+
+
 def seed_service(root, tmp_path) -> None:
     """Drive probe VF and service to distributed through the CLI."""
     template = tmp_path / "probe.yaml"
@@ -350,12 +359,20 @@ class TestLintTemplate:
         del no_vnf_id["resources"]["node"]["metadata"]["vnf_id"]
         big_env = yaml.safe_load(scenario.minimal_template())
         big_env["environment"] = {"flavor": "x" * 1999}
+        core_cp = Path(_fixture("core_cp.yaml")).read_text()
         cases = {
             "required-metadata": yaml.safe_dump(no_vnf_id),
             "env-limit": yaml.safe_dump(big_env),
             # What onboard-vf refuses, lint-template refuses too.
             "vf-structure": "name: probe\nresources:\n  net:\n    type: OS::Neutron::Net\n",
             "MissingSizing": scenario.minimal_template(vcpu=0.5),
+            # Heat allows a description; the template format does not.
+            "unknown key 'description'": core_cp + "description: Heat-style summary\n",
+            # An empty section is refused, as the published schema refuses it.
+            "template.environment must be a mapping, got None": core_cp.split(
+                "environment:"
+            )[0]
+            + "environment:\n",
         }
         for expected, text in cases.items():
             path = tmp_path / "bad.yaml"
@@ -475,12 +492,15 @@ class TestWorkflow:
         assert forced.exit_code == 0
 
     def test_init_testbed_force_refuses_while_services_are_instantiated(self, root):
-        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        inventory = (root / "inventory.yaml").read_bytes()
+        """An older build's lab: its inventory holds slice-a's allocations
+        and its log's instantiate_service events carry none, so a fresh
+        inventory would drop them. Once the slice is down, it drops nothing."""
+        _golden_lab(root)
+        saved = _lab_bytes(root)
         forced = run(["init-testbed", "--force", "--catalog", str(root)])
         assert forced.exit_code == 1
         assert "instantiated services svc-core-cp, svc-core-dp" in forced.summary
-        assert (root / "inventory.yaml").read_bytes() == inventory
+        assert _lab_bytes(root) == saved
         teardown = ["teardown-slice", "slice-a", "--as", "operator"]
         assert run(teardown + ["--catalog", str(root)]).exit_code == 0
         forced = run(["init-testbed", "--force", "--catalog", str(root)])
@@ -491,20 +511,63 @@ class TestWorkflow:
         )
 
     def test_init_testbed_without_inventory_refuses_while_instantiated(self, root):
-        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        _golden_lab(root)
         (root / "inventory.yaml").unlink()
+        saved = _lab_bytes(root)
         refused = run(["init-testbed", "--catalog", str(root)])
         assert refused.exit_code == 1
         assert "instantiated services svc-core-cp, svc-core-dp" in refused.summary
-        assert not (root / "inventory.yaml").exists()
+        assert _lab_bytes(root) == saved
 
     def test_init_testbed_reads_the_audit_log_not_the_catalog(self, root):
-        """The log, not catalog.json, says which services are instantiated."""
-        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        """The log, not catalog.json, says which services are instantiated
+        and whether their events carry what they allocate."""
+        _golden_lab(root)
         (root / "catalog.json").unlink()
         refused = run(["init-testbed", "--force", "--catalog", str(root)])
         assert refused.exit_code == 1
         assert refused.summary.startswith(f"{root / 'audit.log'} records instantiated")
+
+    def test_init_testbed_mends_a_lab_whose_inventory_is_gone(self, root):
+        """A demo lab's events carry its allocations, so a fresh inventory
+        loses none of them, with or without --force."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        inventory = (root / "inventory.yaml").read_bytes()
+        forced = run(["init-testbed", "--force", "--catalog", str(root)])
+        assert forced.exit_code == 0, forced.summary
+        assert (root / "inventory.yaml").read_bytes() == inventory
+        (root / "inventory.yaml").unlink()
+        mended = run(["init-testbed", "--catalog", str(root)])
+        assert mended.exit_code == 0, mended.summary
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        assert "tenant-cp on host-cp: used 5/6 vcpu" in status.summary
+        teardown = ["teardown-slice", "slice-a", "--as", "operator"]
+        assert run(teardown + ["--catalog", str(root)]).exit_code == 0
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        assert "tenant-cp on host-cp: used 0/6 vcpu" in status.summary
+
+    def test_init_testbed_refuses_a_log_a_fresh_inventory_cannot_hold(self, root):
+        """A lab whose inventory was edited to hold more than the reference
+        testbed: the log's allocation does not fit a fresh one."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        path = root / "inventory.yaml"
+        raw = yaml.safe_load(path.read_text())
+        (tenant,) = [t for t in raw["tenants"] if t["id"] == "tenant-cp"]
+        tenant["quota"]["vcpu"] = 8
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        log = root / "audit.log"
+        grown = '"tenant": "tenant-cp", "demand": {"vcpu": 7'
+        log.write_text(
+            log.read_text().replace('"tenant": "tenant-cp", "demand": {"vcpu": 5', grown)
+        )
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
+        saved = _lab_bytes(root)
+        refused = run(["init-testbed", "--force", "--catalog", str(root)])
+        assert refused.exit_code == 1
+        assert refused.summary.startswith("LogDiverged: audit event 16: tenant 'tenant-cp'")
+        assert _lab_bytes(root) == saved
 
     def test_full_flow_to_teardown(self, root, tmp_path):
         seed_service(root, tmp_path)
@@ -578,12 +641,14 @@ class TestWorkflow:
     @pytest.mark.parametrize("text, reason", BAD_DESCRIPTORS)
     def test_bad_descriptor_is_refused(self, root, tmp_path, text, reason):
         seed_service(root, tmp_path)
+        saved = _lab_bytes(root)
         descriptor = tmp_path / "slice.yaml"
         descriptor.write_text(text)
         result = run(["create-slice", str(descriptor), "--catalog", str(root)])
         assert result.exit_code == 1
         assert result.summary.startswith(f"IoFailure: {descriptor}: ")
         assert reason in result.summary
+        assert _lab_bytes(root) == saved
         catalog = load_catalog(root / "catalog.json")
         assert "slice-p" not in catalog.slices
         assert "c-new" not in catalog.customers
@@ -639,7 +704,7 @@ class TestWorkflow:
         self, root, tmp_path, edit, error, reason
     ):
         seed_service(root, tmp_path)
-        log_before = (root / "audit.log").read_bytes()
+        saved = _lab_bytes(root)
         descriptor = tmp_path / "slice.yaml"
         descriptor.write_text(edited_descriptor(edit))
         result = run(["create-slice", str(descriptor), "--catalog", str(root)])
@@ -649,7 +714,7 @@ class TestWorkflow:
         )
         assert reason in result.summary
         assert "slice-p" not in load_catalog(root / "catalog.json").slices
-        assert (root / "audit.log").read_bytes() == log_before
+        assert _lab_bytes(root) == saved
 
     @pytest.mark.parametrize(
         "section, edit, reason",
@@ -938,6 +1003,7 @@ class TestDemo:
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         inventory = (root / "inventory.yaml").read_bytes()
         assert yaml.safe_load(inventory)["allocations"] == []
+        assert all("used" not in t for t in yaml.safe_load(inventory)["tenants"])
         descriptor = tmp_path / "slice-b.yaml"
         descriptor.write_text(
             Path(_fixture("slice_a.yaml"))
@@ -999,6 +1065,7 @@ class TestDemo:
         agrees = run(["status", "--catalog", str(root)])
         assert agrees.exit_code == 0, agrees.summary
         assert "audit log: agrees with the catalog" in agrees.summary
+        assert "tenant-cp on host-cp: used 5/6 vcpu" in agrees.summary
         assert agrees.detail["log"] == {"agrees": True, "problem": None}
 
         log = root / "audit.log"
@@ -1161,7 +1228,9 @@ class TestStatusChecks:
         assert not (root / "blobs").exists()
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
-        raw = json.loads((root / "catalog.json").read_text())
+        text = (root / "catalog.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        raw = json.loads(text)
         assert raw["version"] == 4 and "template_blobs" not in raw
         assert "records" not in raw
         assert not any("components" in f for f in raw["functions"].values())
@@ -1292,6 +1361,72 @@ class TestStatusChecks:
         with open(root / ".lock", "a") as other:
             fcntl.flock(other.fileno(), fcntl.LOCK_SH)
             assert run(["status", "--catalog", str(root)]).exit_code == 0
+
+
+class TestTornAppend:
+    """An event is a line that ends in a newline. A final fragment is an
+    append that never returned: every command leaves it out, and the next
+    that appends truncates it first."""
+
+    def test_cut_last_line(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        whole = log.read_bytes()
+        last = len(whole.splitlines(keepends=True)[-1])
+        prefix = whole[:-last]
+        events = load_audit(log)[:-1]
+        denied = ["certify-vf", "vf-core-cp", "--as", "designer", "--catalog", str(root)]
+        # 1 leaves the line's first byte, last - 1 all of it but its newline.
+        for kept in (1, 2, last // 2, last - 2, last - 1):
+            log.write_bytes(prefix + whole[-last:][:kept])
+            status = run(["status", "--catalog", str(root)])
+            assert status.exit_code == 0, (kept, status.summary)
+            audit = run(["audit", "--catalog", str(root)])
+            assert audit.exit_code == 0
+            assert audit.detail["events"] == [encode(e) for e in events]
+            assert len(audit.summary.splitlines()) == len(events)
+            refused = run(denied)
+            assert refused.summary.startswith("RoleDenied"), refused.summary
+            assert run(["status", "--catalog", str(root)]).exit_code == 0
+            after = load_audit(log)
+            assert after[:-1] == events and after[-1].outcome.value == "denied"
+            assert log.read_bytes().startswith(prefix)
+
+    def test_short_append_in_a_child_process(self, root):
+        """A child whose file size limit stops its append part way through
+        the line, as a full disk would: it exits 1, and the next command
+        works."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        events = load_audit(log)
+        limit = log.stat().st_size + 100
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))\n"
+            "from slicectl.cli import main\n"
+            "raise SystemExit(main(sys.argv[2:]))\n"
+        )
+        denied = ["certify-vf", "vf-core-cp", "--as", "designer", "--catalog", str(root)]
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(limit), *denied],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert child.returncode == 1, child.stdout + child.stderr
+        assert child.stdout.startswith(f"IoFailure: cannot append to {log}: ")
+        assert log.stat().st_size == limit
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
+        assert run(["audit", "--catalog", str(root)]).detail["events"] == [
+            encode(e) for e in events
+        ]
+        assert run(denied).summary.startswith("RoleDenied")
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        after = load_audit(log)
+        assert after[:-1] == events and after[-1].outcome.value == "denied"
 
 
 def _fixture(name: str) -> str:
@@ -1437,14 +1572,57 @@ class TestCrashes:
         )
 
 
-def test_cli_import_leaves_networkx_out():
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this slicectl."""
     package_root = Path(slicectl.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(package_root)}
+
+
+def test_cli_import_leaves_networkx_out():
     code = "import sys, slicectl.cli; print('networkx' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
+        env=_child_env(),
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_as_a_process(tmp_path):
+    """What only a real process shows: the exit code that
+    `raise SystemExit(main())` gives, what is printed where, and --json on
+    stdout. `python -m slicectl.cli` runs the main the entry point calls."""
+    lab = tmp_path / "lab"
+
+    def slicectl(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "slicectl.cli", *argv, "--catalog", str(lab)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+
+    demo = slicectl("demo", "slice-a")
+    assert (demo.returncode, demo.stderr) == (0, "")
+    assert demo.stdout.startswith("slice slice-a is active\n")
+    status = slicectl("status")
+    assert status.returncode == 0, status.stdout
+    assert "audit log: agrees with the catalog" in status.stdout.splitlines()
+    denied = slicectl("certify-vf", "vf-core-cp", "--as", "designer")
+    assert (denied.returncode, denied.stderr) == (1, "")
+    assert denied.stdout.startswith("RoleDenied: ")
+    usage = slicectl("audit", "--tail", "0")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert "expected an integer > 0, got '0'" in usage.stderr
+    machine = slicectl("status", "--json")
+    assert machine.returncode == 0
+    payload = json.loads(machine.stdout)
+    assert payload["exit_code"] == 0
+    events = load_audit(lab / "audit.log")
+    assert any(e.outcome.value == "denied" for e in events)
+    assert payload["detail"]["records"] == {
+        subject: {"kind": r.kind.value, "state": r.state.value}
+        for subject, r in replay_states(events).items()
+    }

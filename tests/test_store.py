@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -726,6 +727,71 @@ class TestAuditLog:
         assert second["tenant"] == "tenant-cp"
         assert second["demand"] == {"vcpu": 2, "ram": 0, "storage": 0, "ports": 0}
         assert load_audit(path) == [event(1), held]
+
+    @pytest.mark.parametrize("kept", [0, 1, 40, -2, -1], ids=lambda k: f"kept{k}")
+    def test_final_fragment_is_not_an_event(self, tmp_path, kept):
+        """An event is a line that ends in a newline: a load leaves a final
+        fragment out, and the next append truncates it before it writes."""
+        path = tmp_path / "audit.log"
+        FileAuditLog(path).append(event(1))
+        whole = path.read_bytes()
+        torn = json.dumps(encode(event(2, "onboard_vf"))).encode() + b"\n"
+        path.write_bytes(whole + torn[:kept])
+        assert load_audit(path) == [event(1)]
+        FileAuditLog(path).append(event(2))
+        line = json.dumps(encode(event(2))).encode() + b"\n"
+        assert path.read_bytes() == whole + line
+
+    def test_bad_line_before_the_last_is_refused(self, tmp_path):
+        """A torn line that ends in a newline is corruption, not a fragment."""
+        path = tmp_path / "audit.log"
+        log = FileAuditLog(path)
+        log.append(event(1))
+        log.append(event(2))
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(first[:40] + "\n" + second)
+        with pytest.raises(IoFailure, match=r"audit\.log:1: corrupt audit record: "):
+            load_audit(path)
+
+    def test_failed_append_leaves_no_fragment_for_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        """A short write, as a full disk or a file size limit makes one,
+        stores part of the line and then fails; the same log's next append
+        truncates that part first."""
+
+        class ShortWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        path = tmp_path / "audit.log"
+        log = FileAuditLog(path)
+        log.append(event(1))
+        whole = path.read_bytes()
+        monkeypatch.setattr(
+            store, "open", lambda *args: ShortWrite(open(*args)), raising=False
+        )
+        with pytest.raises(IoFailure, match="cannot append to .*File too large"):
+            log.append(event(2))
+        monkeypatch.undo()
+        assert len(whole) < path.stat().st_size
+        assert load_audit(path) == [event(1)]
+        log.append(event(2))
+        assert load_audit(path) == [event(1), event(2)]
 
     def test_load_rejects_gaps(self, tmp_path):
         path = tmp_path / "audit.log"
