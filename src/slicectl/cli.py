@@ -3,13 +3,17 @@
 Thin shell over the library: each subcommand delegates to exactly one
 lifecycle, placement, or template operation, so anything the CLI can do is
 reproducible through library calls. State lives in one catalog directory
-(catalog.json, blobs/, inventory.yaml, audit.log) selected with --catalog or
-the SLICECTL_CATALOG environment variable; the lifecycle records and the
-allocations are the fold of audit.log, made when a command opens the
-engine, and a log the fold refuses makes every such command exit 1. So a
-command rewrites catalog.json only; inventory.yaml is written by
-init-testbed and demo. Mutating commands hold an exclusive advisory lock
-on the directory for the command's duration, and status and audit a shared one.
+(audit.log, blobs/, inventory.yaml, and any catalog.json that save_catalog
+or an older build left) selected with --catalog or the SLICECTL_CATALOG
+environment variable; the lifecycle records, the allocations and the
+entities the engine creates are the fold of audit.log onto catalog.json,
+made when a command opens the engine, and a log the fold refuses makes
+every such command exit 1. So a lifecycle command appends to audit.log
+and writes each new template blob before its event, and rewrites nothing:
+catalog.json is a genesis that only its conversion from format 1 to 3
+rewrites, and inventory.yaml is written by init-testbed and demo. Mutating
+commands hold an exclusive advisory lock on the directory for the
+command's duration, and status and audit a shared one.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -55,9 +59,11 @@ from .placement import (
 )
 from .store import (
     AUDIT_FILE,
+    BLOBS_DIR,
     CATALOG_FILE,
     INVENTORY_FILE,
     FileAuditLog,
+    TemplateBlobs,
     decode,
     encode,
     load_audit,
@@ -127,31 +133,39 @@ def _locked(root: Path, operation: int = fcntl.LOCK_EX):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _open_engine(root: Path) -> Orchestrator:
-    """The engine on root's files, continuing the audit log it loaded."""
+def _open_engine(root: Path, *, write: bool = False) -> Orchestrator:
+    """The engine on root's files, continuing the audit log it loaded: the
+    log folded onto catalog.json, the genesis, if there is one. For a
+    write, a genesis of format 1 to 3 is first saved as format 4, the one
+    rewrite it gets, so that every blob is a file before an event names
+    it. The catalog's blobs are then the files that it and the log name."""
     catalog_path = root / CATALOG_FILE
     catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
+    if write and catalog.file_version != catalog.version:
+        save_catalog(catalog, catalog_path)
+        catalog.file_version = catalog.version
     inventory_path = root / INVENTORY_FILE
     infra = load_inventory(inventory_path) if inventory_path.exists() else None
     audit_path = root / AUDIT_FILE
     events = load_audit(audit_path) if audit_path.exists() else []
     sink = FileAuditLog(audit_path, expected_next=len(events) + 1)
-    return Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
+    engine = Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
+    if catalog.file_version != 1:  # a version-1 genesis holds its blobs inline
+        refs = {f.template_ref for f in catalog.functions.values()} - {None}
+        catalog.template_blobs = TemplateBlobs(root / BLOBS_DIR, refs)
+    return engine
 
 
 @contextlib.contextmanager
 def _engine_for(args):
     """The state path of every lifecycle command: lock the catalog
-    directory, open the engine on it, and save catalog.json only when the
-    body returns. The records and the allocations are the log's fold, so
-    inventory.yaml is never rewritten. A denied or failed command keeps its
-    audit events and leaves catalog.json as it was. A command that can
-    return without saving must not run inside."""
+    directory and open the engine on it for a write. The command's audit
+    events are all it stores: each ok create event carries its entity, and
+    a blob is a file before its event, so a command cut after any append
+    leaves the lab as its log says. No file is rewritten afterwards."""
     root = _resolve_root(args)
     with _locked(root):
-        engine = _open_engine(root)
-        yield engine
-        save_catalog(engine.catalog, root / CATALOG_FILE)
+        yield _open_engine(root, write=True)
 
 
 def _record_result(record, summary: str, **detail) -> CommandResult:
@@ -589,11 +603,8 @@ def _cmd_demo(args) -> CommandResult:
                 return CommandResult(
                     1, f"demo needs a fresh catalog directory, found {root / name}"
                 )
-        engine = Orchestrator(
-            build_testbed(),
-            catalog=Catalog(),
-            audit_sink=FileAuditLog(root / AUDIT_FILE).append,
-        )
+        save_inventory(build_testbed(), root / INVENTORY_FILE)  # the log allocates
+        engine = _open_engine(root, write=True)
         engine.register_vsp(
             VendorSoftwareProduct(
                 id="vsp-core-cp",
@@ -637,8 +648,6 @@ def _cmd_demo(args) -> CommandResult:
             return CommandResult(1, f"no feasible placement for {slc.id}")
         record = engine.instantiate_slice(Role.OPERATOR, slc.id, plan)
         save_plan(plan, root / f"plan-{slc.id}.yaml")
-        save_catalog(engine.catalog, root / CATALOG_FILE)
-        save_inventory(build_testbed(), root / INVENTORY_FILE)  # the log allocates
 
     by_outcome: dict[str, int] = {}
     for event in engine.events:
@@ -676,6 +685,12 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected an integer > 0, got {text!r}")
     return value
+
+
+def _entity_id(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty id")
+    return text
 
 
 def _version(text: str) -> tuple[int, ...]:
@@ -728,7 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
         "onboard-vf", parents=[common], help="onboard a VF template"
     )
     p.add_argument("template", help="template file")
-    p.add_argument("--vsp", required=True, help="vendor software product id")
+    p.add_argument(
+        "--vsp", type=_entity_id, required=True, help="vendor software product id"
+    )
     p.add_argument("--vendor", default="unknown-vendor", help="vendor name")
     p.add_argument("--product", default=None, help="product name")
     p.add_argument(
@@ -754,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="member vf id (repeatable)",
     )
-    p.add_argument("--id", default=None, help="explicit service id")
+    p.add_argument("--id", type=_entity_id, default=None, help="explicit service id")
     p.set_defaults(handler=_cmd_create_service)
 
     for action, verb in (

@@ -9,7 +9,11 @@ on a log folds it into them with replay_states, and Orchestrator._commit,
 the only place an ok event is logged and applied, appends the event first,
 then folds it in with apply_event, the same fold. apply_event checks each
 ok event against that table too, and refuses one it does not allow with
-LogDiverged. The log is the one store of the allocations too: with an
+LogDiverged. The log is the one store of the entities an engine creates:
+an ok onboard_vf, create_service or create_slice event carries what the
+fold needs to build its function, service or slice, so the fold writes the
+catalog's entities as it writes the records, onto the catalog the engine
+was opened with. The log is the one store of the allocations too: with an
 Infrastructure, the fold allocates what an ok instantiate_service event
 carries and releases what an ok terminate_service's subject holds, so
 capacity moves only after its event is logged. Slice-level operations add
@@ -33,7 +37,6 @@ from enum import Enum
 from .errors import (
     DuplicateEntry,
     EmptyService,
-    InsufficientCapacity,
     InvalidTransition,
     LogDiverged,
     PartialFailure,
@@ -177,7 +180,7 @@ _MEMBER_REFUSAL_CODES = frozenset({VIOLATION_ISOLATION, VIOLATION_OVERFLOW})
 _ADVANCE_STEPS = ("test", "approve", "distribute")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     sequence_no: int
     actor: Role
@@ -186,9 +189,22 @@ class AuditEvent:
     subject: str
     timestamp: float
     outcome: Outcome
-    # What an ok instantiate_service event allocates; None on every other.
+    # What an ok event carries for the fold; None on every other event, and
+    # on an older build's, whose entities are in catalog.json alone:
+    # instantiate_service its tenant and demand; onboard_vf its VSP and
+    # template digest, and the VSP itself on the first onboard under it;
+    # create_service its service; create_slice its slice, with the SLA, and
+    # the slice's template, customer and provider.
     tenant: str | None = None
     demand: ResourceDemand | None = None
+    vsp: str | None = None
+    template_ref: str | None = None
+    new_vsp: VendorSoftwareProduct | None = None
+    service: NetworkService | None = None
+    slice: NetworkSlice | None = None
+    slice_template: SliceTemplate | None = None
+    customer: Customer | None = None
+    provider: SliceProvider | None = None
 
 
 @dataclass
@@ -207,7 +223,8 @@ class LifecycleRecord:
 
 @dataclass
 class Catalog:
-    """Design-time entity store; persisted by the store module.
+    """Design-time entity store: what catalog.json holds, if anything, with
+    the audit log's entities folded in by the engine that opens it.
 
     records are the lifecycle records, the fold of the audit log: the
     engine sets them when it opens, and they are not in the snapshot."""
@@ -224,6 +241,9 @@ class Catalog:
     # Template texts by SHA-256. Not in the snapshot: the store writes each
     # once as its own file, and a loaded catalog reads them from there.
     template_blobs: MutableMapping[str, str] = field(default_factory=dict, init=False)
+    # The version of the file the catalog was read from; a write converts
+    # an older one.
+    file_version: int = field(default=CATALOG_VERSION, init=False, compare=False)
 
 
 def check_transition(
@@ -249,18 +269,54 @@ def check_transition(
     return record
 
 
+def _carried(catalog: Catalog, event: AuditEvent) -> list[tuple[dict, str, object]]:
+    """Each entity an ok create event carries, as (catalog table, key,
+    entity), refused with ValueError where the catalog holds another under
+    that key; a VSP is compared without the owned_resources that the fold
+    adds to. A slice's template, customer and provider ride with it."""
+    subject, vsp = event.subject, event.new_vsp
+    carried = []
+    if event.template_ref is not None:
+        function = NetworkFunction(subject, FunctionKind.VIRTUAL, event.template_ref)
+        carried.append((catalog.functions, subject, function))
+    if vsp is not None:
+        if vsp.id in catalog.vsps:
+            vsp = replace(vsp, owned_resources=catalog.vsps[vsp.id].owned_resources)
+        carried.append((catalog.vsps, vsp.id, vsp))
+    if event.service is not None:
+        carried.append((catalog.services, subject, event.service))
+    if event.slice is not None:
+        carried.append((catalog.slices, subject, event.slice))
+        carried.append((catalog.slice_templates, subject, event.slice_template))
+        for table, entity in (
+            (catalog.customers, event.customer),
+            (catalog.providers, event.provider),
+        ):
+            if entity is not None:
+                carried.append((table, entity.id, entity))
+    for table, key, entity in carried:
+        if table.get(key, entity) != entity:
+            raise ValueError(f"{entity} differs from the catalog's {table[key]}")
+    return carried
+
+
 def apply_event(
-    records: dict[str, LifecycleRecord],
+    catalog: Catalog,
     event: AuditEvent,
     infra: Infrastructure | None = None,
+    owned: dict[str, set[str]] | None = None,
 ) -> LifecycleRecord | None:
-    """Fold one audit event into the records, and into infra when given.
+    """Fold one audit event into the catalog, and into infra when given.
 
     An ok event creates or moves its subject's record through
-    check_transition and appends itself to the history; in infra, it
-    allocates the demand it carries on its tenant, and a terminate_service
-    releases all its subject holds. An ok event that TRANSITIONS or infra
-    refuses, or whose action is unknown, raises LogDiverged and changes
+    check_transition and appends itself to the history. A create event
+    writes the entities it carries into the catalog, where one already
+    there, as catalog.json holds it, must be equal; an onboarded VF joins
+    its VSP's owned_resources, or owned, for replay_states to add in one
+    step. In infra, an ok event allocates the demand it carries on its
+    tenant, and a terminate_service releases all its subject holds. An ok
+    event that TRANSITIONS or infra refuses, whose entity differs from the
+    catalog's, or whose action is unknown, raises LogDiverged and changes
     nothing. Denied and failed events change nothing. Returns the record
     the event moved, or None.
     """
@@ -269,12 +325,23 @@ def apply_event(
     where = f"audit event {event.sequence_no}"
     if event.action not in TRANSITIONS:
         raise LogDiverged(f"{where}: unknown action {event.action!r}")
+    records = catalog.records
     try:
         record = check_transition(records, event.action, event.subject)
+        carried = _carried(catalog, event) if record is None else ()
         if infra is not None and event.demand is not None:
             infra.allocate(event.tenant, event.subject, event.demand)
-    except (InvalidTransition, UnknownEntity, InsufficientCapacity) as exc:
+    except (ValueError, SliceError) as exc:
         raise LogDiverged(f"{where}: {exc}") from exc
+    for table, key, entity in carried:
+        table[key] = entity
+    vsp = catalog.vsps.get(event.vsp)
+    if vsp is not None and event.subject not in vsp.owned_resources:
+        if owned is None:
+            owns = vsp.owned_resources | {event.subject}
+            catalog.vsps[vsp.id] = replace(vsp, owned_resources=owns)
+        else:
+            owned.setdefault(vsp.id, set()).add(event.subject)
     if infra is not None and event.action == "terminate_service":
         for allocation in list(infra.allocations.values()):
             if allocation.service == event.subject:
@@ -290,18 +357,27 @@ def apply_event(
 
 
 def replay_states(
-    events: Iterable[AuditEvent], infra: Infrastructure | None = None
+    events: Iterable[AuditEvent],
+    infra: Infrastructure | None = None,
+    catalog: Catalog | None = None,
 ) -> dict[str, LifecycleRecord]:
-    """Fold ok events into lifecycle records, and infra, with apply_event.
+    """Fold ok events into lifecycle records, and into catalog (a fresh one
+    by default) and infra, with apply_event; returns the records.
 
     Denied and failed events change nothing by design. An ok event that
     TRANSITIONS, the table the live checks read, does not allow raises
-    LogDiverged.
+    LogDiverged. Each VSP's owned_resources grows once, after the fold, so
+    the fold stays linear in the log.
     """
-    records: dict[str, LifecycleRecord] = {}
+    catalog = Catalog() if catalog is None else catalog
+    catalog.records = {}
+    owned: dict[str, set[str]] = {}
     for event in events:
-        apply_event(records, event, infra)
-    return records
+        apply_event(catalog, event, infra, owned)
+    for vsp_id, vfs in owned.items():
+        vsp = catalog.vsps[vsp_id]
+        catalog.vsps[vsp_id] = replace(vsp, owned_resources=vsp.owned_resources | vfs)
+    return catalog.records
 
 
 def _register(table: dict, entity) -> None:
@@ -331,7 +407,7 @@ class Orchestrator:
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
         self.events: list[AuditEvent] = log if log is not None else []
-        self.catalog.records = replay_states(self.events, infra)
+        replay_states(self.events, infra, self.catalog)
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}
@@ -405,9 +481,9 @@ class Orchestrator:
             raise
 
     def _commit(self, actor: Role, action: str, subject: str, **held) -> LifecycleRecord:
-        """Log one ok event, then apply it to the records and the inventory."""
+        """Log one ok event, then apply it to the catalog and the inventory."""
         event = self._emit(actor, action, subject, Outcome.OK, **held)
-        return apply_event(self.catalog.records, event, self.infra)
+        return apply_event(self.catalog, event, self.infra)
 
     def _fresh_id(self, base: str) -> str:
         if base not in self.catalog.records:
@@ -433,10 +509,12 @@ class Orchestrator:
         """Validate and freeze one VF template under a vendor product.
 
         The template text is content-addressed into the catalog's blobs,
-        so the certified artifact can never drift from what was validated.
-        The function is that blob's digest: its components are the
-        template's compute resources, and footprints read them from the
-        blob, so the catalog holds no copy of them.
+        before the event that names it, so the certified artifact can never
+        drift from what was validated. The function is that blob's digest:
+        its components are the template's compute resources, and footprints
+        read them from the blob, so the catalog holds no copy of them. The
+        event carries the VSP and the digest, and the VSP itself when
+        nothing has been onboarded under it yet.
         """
         with self._attempt(actor, "onboard_vf", vsp_id):
             vsp = self.catalog.vsps.get(vsp_id)
@@ -454,14 +532,10 @@ class Orchestrator:
         self.catalog.template_blobs[digest] = template_text
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
-        record = self._commit(actor, "onboard_vf", vf_id)
-        self.catalog.functions[vf_id] = NetworkFunction(
-            id=vf_id, kind=FunctionKind.VIRTUAL, template_ref=digest
+        first = None if vsp.owned_resources else vsp
+        return self._commit(
+            actor, "onboard_vf", vf_id, vsp=vsp_id, template_ref=digest, new_vsp=first
         )
-        self.catalog.vsps[vsp_id] = replace(
-            vsp, owned_resources=vsp.owned_resources | {vf_id}
-        )
-        return record
 
     def certify_vf(self, actor: Role, vf_id: str) -> LifecycleRecord:
         with self._attempt(actor, "certify_vf", vf_id):
@@ -492,9 +566,7 @@ class Orchestrator:
                 check_transition(self.catalog.records, "create_service", service_id)
             sid = service_id or self._fresh_id(f"svc-{_slug(name)}")
             service = NetworkService(id=sid, name=name, functions=tuple(vf_ids))
-        record = self._commit(actor, "create_service", sid)
-        self.catalog.services[sid] = service
-        return record
+        return self._commit(actor, "create_service", sid, service=service)
 
     def advance_service(
         self, actor: Role, service_id: str, action: str
@@ -536,9 +608,15 @@ class Orchestrator:
                 for service_id in slice.services
             }
             stored = replace(slice, sla=aggregate_sla(slice, service_slas))
-        record = self._commit(actor, "create_slice", slice.id)
-        self.catalog.slices[slice.id] = stored
-        self.catalog.slice_templates[slice.id] = template
+        record = self._commit(
+            actor,
+            "create_slice",
+            slice.id,
+            slice=stored,
+            slice_template=template,
+            customer=self.catalog.customers.get(slice.customer),
+            provider=self.catalog.providers.get(slice.provider),
+        )
         self._check_slice_ready(actor, slice.id)
         return record
 

@@ -238,14 +238,15 @@ class ServiceProfile:
         object.__setattr__(
             self, "degree_of_isolation", IsolationLevel(self.degree_of_isolation)
         )
-        if self.end_to_end_latency <= 0:
-            raise InvalidProfile(
-                f"end_to_end_latency must be > 0, got {self.end_to_end_latency}"
-            )
-        if self.guaranteed_data_rate <= 0:
-            raise InvalidProfile(
-                f"guaranteed_data_rate must be > 0, got {self.guaranteed_data_rate}"
-            )
+        # Comparisons with nan are false, so nan is refused too.
+        for name in ("end_to_end_latency", "guaranteed_data_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidProfile(f"{name} must be > 0 and finite, got {value}")
+        for name in ("user_density", "ue_speed"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidProfile(f"{name} must be finite, got {value}")
         if not 0 < self.service_availability <= 1:
             raise InvalidProfile(
                 f"service_availability must be in (0, 1], got {self.service_availability}"
@@ -316,12 +317,13 @@ class ServiceRequirement:
     demand: ResourceDemand = field(default_factory=ResourceDemand)
 
     def __post_init__(self):
-        if self.latency_budget <= 0:
-            raise ValueError("latency_budget must be > 0")
+        # Comparisons with nan are false, so nan is refused too.
+        for name in ("latency_budget", "data_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
         if not 0 < self.reliability <= 1:
             raise ValueError("reliability must be in (0, 1]")
-        if self.data_rate <= 0:
-            raise ValueError("data_rate must be > 0")
 
 
 @dataclass(frozen=True)

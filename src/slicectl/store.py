@@ -1,20 +1,23 @@
 """File persistence for catalog, inventory, audit log, and plan documents.
 
-One directory holds one deployment: catalog.json (design-time entities,
-where a VF is the digest of its template, and no lifecycle records),
+One directory holds one deployment: audit.log (append-only JSON lines),
 blobs/ (one file per onboarded template, named by its SHA-256, which alone
 holds the VF's components), inventory.yaml (hosts, tenants and links; an
 older build's also holds allocations, and a tenant's use, the sum of its
-allocations, is not stored), audit.log (append-only JSON lines).
-Snapshots are written atomically (temp file, fsync, rename), so an
-interrupted save never corrupts the previous file. A blob is written once,
-before the catalog that refers to it, and never rewritten; reading one
-checks that its SHA-256 is its name. The audit file is the write-ahead
-record of the lifecycle engine and the one store of the lifecycle records
-and the allocations: replay_states, defined in lifecycle and re-exported
-here, folds it into them with apply_event, as the engine does on open and
-with each event it logs, and raises LogDiverged for an ok event that the
-lifecycle table or the inventory refuses.
+allocations, is not stored), and catalog.json (design-time entities,
+where a VF is the digest of its template, and no lifecycle records) where
+save_catalog or an older build wrote one. The audit file is the write-ahead
+record of the lifecycle engine and the one store of what it makes: the
+lifecycle records, the allocations, and the functions, services and slices
+that ok create events carry. replay_states, defined in lifecycle and
+re-exported here, folds it into them with apply_event, onto catalog.json
+as the genesis, as the engine does on open and with each event it logs,
+and raises LogDiverged for an ok event that the lifecycle table or the
+inventory refuses or whose entity differs from the genesis's. Snapshots
+are written atomically (temp file, fsync, rename), so an interrupted save
+never corrupts the previous file. A blob is written once, before the
+event or catalog that names it, and never rewritten; reading one checks
+that its SHA-256 is its name.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -175,16 +178,16 @@ def _encoder(tp: Any) -> _Convert:
         ]
         # A field whose default is None is left out while it is None, so a
         # field added that way keeps the bytes of what was written before.
-        optional = [n for n, _ in fields if tp.__dataclass_fields__[n].default is None]
+        optional = {n for n, _ in fields if tp.__dataclass_fields__[n].default is None}
 
         def encode_fields(obj):
-            raw = {
-                name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-                for name, enc in fields
-            }
-            for name in optional:
-                if raw[name] is None:
-                    del raw[name]
+            raw = {}
+            for name, enc in fields:
+                value = getattr(obj, name)
+                if value is not None:
+                    raw[name] = value if enc is None else enc(value)
+                elif name not in optional:
+                    raw[name] = None
             return raw
 
         return encode_fields
@@ -342,72 +345,71 @@ def _read_blob(directory: Path, digest: str) -> str:
         raise IoFailure(f"{path}: template blob is not UTF-8 text: {exc}") from exc
 
 
+def _write_blobs(directory: Path, texts: Mapping[str, str]) -> None:
+    """Write each text not yet in directory to directory/<its digest>
+    through its own synced temp file, then sync directory once, and its
+    parent too when directory is new, so each is durable before anything
+    that names it. A blob file already there is neither read nor
+    rewritten."""
+    try:
+        created = not directory.is_dir()
+        new = [d for d in texts if created or not (directory / d).exists()]
+        for digest in new:
+            _write_file(directory / digest, texts[digest].encode("utf-8"))
+        if new:
+            _sync_dir(directory)
+            if created:
+                _sync_dir(directory.parent)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {directory}: {exc}") from exc
+
+
 class TemplateBlobs(MutableMapping[str, str]):
-    """A loaded catalog's template texts by SHA-256. A stored text is read
-    from its blob file at each access, so the check runs on every read and
-    no text stays in memory; a text added since the load is held until a
-    save writes it."""
+    """A lab's template texts by SHA-256, one file each in directory. A
+    text is read from its file at each access, so the check runs on every
+    read and no text stays in memory; setting one writes and syncs its file
+    at once, before the event that names it is logged."""
 
     def __init__(self, directory: Path, stored: Iterable[str]):
         self.directory = directory
         self._stored = set(stored)
-        self._added: dict[str, str] = {}
 
     def __getitem__(self, digest: str) -> str:
-        if digest in self._added:
-            return self._added[digest]
         if digest in self._stored:
             return _read_blob(self.directory, digest)
         raise KeyError(digest)
 
     def __contains__(self, digest: object) -> bool:
-        return digest in self._added or digest in self._stored
+        return digest in self._stored
 
     def __setitem__(self, digest: str, text: str) -> None:
-        self._added[digest] = text
+        _write_blobs(self.directory, {digest: text})
+        self._stored.add(digest)
 
     def __delitem__(self, digest: str) -> None:
-        if self._added.pop(digest, None) is None:
-            self._stored.remove(digest)
+        self._stored.remove(digest)
 
     def __iter__(self):
-        return iter(self._stored | self._added.keys())
+        return iter(self._stored)
 
     def __len__(self) -> int:
-        return len(self._stored | self._added.keys())
+        return len(self._stored)
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write the template blobs not yet on disk, then the catalog as one
     line of compact JSON with sorted keys.
 
-    Each new blob goes to blobs/<sha256> beside the catalog through its own
-    synced temp file, and blobs/ is synced once before catalog.json is
-    replaced, so a crash leaves at worst a blob no catalog refers to. A
-    blob file already there is neither read nor rewritten. `indent` would
-    force json's pure-Python encoder, which took about twice as long as
-    the C one on a 1,000-VF catalog."""
+    The blobs go to blobs/ beside the catalog before catalog.json is
+    replaced, so a crash leaves at worst a blob no catalog refers to; a
+    catalog whose blobs are already files there has none to write.
+    `indent` would force json's pure-Python encoder, which took about
+    twice as long as the C one on a 1,000-VF catalog."""
     path = Path(path)
     directory = path.parent / BLOBS_DIR
     blobs = catalog.template_blobs
-    if isinstance(blobs, TemplateBlobs) and blobs.directory == directory:
-        # Only texts added since the load can be new here. A blob file of
-        # the load that has gone since is for status to report, and reading
-        # it would fail this save after its command's audit event.
-        blobs = blobs._added
-    try:
-        created = not directory.is_dir()
-        on_disk = set() if created else set(os.listdir(directory))
-        new = [digest for digest in blobs if digest not in on_disk]
-        for digest in new:
-            _write_file(directory / digest, blobs[digest].encode("utf-8"))
-        if new:
-            _sync_dir(directory)
-            if created:
-                # blobs/ is itself a new entry of the catalog's directory.
-                _sync_dir(path.parent)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {directory}: {exc}") from exc
+    if not (isinstance(blobs, TemplateBlobs) and blobs.directory == directory):
+        _write_blobs(directory, blobs)
     payload = json.dumps(encode(catalog), sort_keys=True, separators=(",", ":"))
     _atomic_write(path, payload + "\n")
 
@@ -419,9 +421,10 @@ def load_catalog(path: str | Path) -> Catalog:
     Versions 1 to 3 also held the lifecycle records, a copy of the fold of
     the audit log, and versions 1 and 2 each VF's compute resources as its
     `components`, a copy of what its template says; both keys are dropped
-    unread and the rest decodes as version 4. A version-1 file also holds
-    its blobs inline. Each is checked against its digest here, and the
-    next save writes them to blobs/ and the catalog as version 4."""
+    unread and the rest decodes as version 4; file_version keeps the
+    file's. A version-1 file also holds its blobs inline. Each is checked
+    against its digest here, and the next save writes them to blobs/ and
+    the catalog as version 4."""
     path = Path(path)
     text = _read_text(path)
     try:
@@ -457,6 +460,7 @@ def load_catalog(path: str | Path) -> Catalog:
                 function.pop("components", None)
         raw["version"] = CATALOG_VERSION
     catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
+    catalog.file_version = version
     if inline is not None:
         catalog.template_blobs = inline
     else:
@@ -529,7 +533,7 @@ class FileAuditLog:
     """Append-only JSON-lines sink enforcing the sequence discipline.
 
     The lifecycle engine calls append before it commits any state change,
-    so after a crash the log is always at least as new as the catalog.
+    so the append is the commit.
     An event is a line that ends in a newline. A final fragment is an append
     that never returned: the first append, or the next after a failed one,
     truncates it.

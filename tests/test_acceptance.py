@@ -62,7 +62,8 @@ def test_demo_activates_slice_a(tmp_path):
     assert sum(e.action == "instantiate_service" for e in events) == 2
     assert sum(e.action == "instantiate_slice" for e in events) == 1
 
-    catalog = Orchestrator(catalog=load_catalog(root / "catalog.json"), log=events).catalog
+    assert not (root / "catalog.json").exists()
+    catalog = Orchestrator(log=events).catalog
     assert catalog.records["slice-a"].state.value == "active"
 
     inventory = load_inventory(root / "inventory.yaml")

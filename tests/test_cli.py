@@ -20,14 +20,17 @@ import yaml
 
 import scenario
 import slicectl
-from slicectl.cli import ENV_CATALOG, main, run
-from slicectl.model import ResourceDemand
+from slicectl.cli import ENV_CATALOG, _open_engine, main, run
+from slicectl.infra import build_testbed
+from slicectl.lifecycle import Catalog, Orchestrator, Role
+from slicectl.model import ResourceDemand, VendorSoftwareProduct
 from slicectl.store import (
+    FileAuditLog,
     encode,
     load_audit,
-    load_catalog,
     load_inventory,
     replay_states,
+    save_catalog,
     save_inventory,
 )
 
@@ -71,10 +74,19 @@ def root(tmp_path):
 def _lab_bytes(root) -> dict[str, bytes | None]:
     """The bytes of each file a command may write, None for one that is
     absent, so a refused command can be shown to leave them all as they were."""
+    names = ["catalog.json", "audit.log", "inventory.yaml"]
+    if (root / "blobs").is_dir():
+        names += sorted(f"blobs/{path.name}" for path in (root / "blobs").iterdir())
     return {
         name: (root / name).read_bytes() if (root / name).exists() else None
-        for name in ("catalog.json", "audit.log", "inventory.yaml")
+        for name in names
     }
+
+
+def _lab_catalog(root):
+    """The catalog a command opens on root: the log folded onto catalog.json,
+    if there is one."""
+    return _open_engine(root).catalog
 
 
 def seed_service(root, tmp_path) -> None:
@@ -118,6 +130,27 @@ BAD_DESCRIPTORS = [
         ),
         "latency_budget must be > 0",
         id="zero-latency-budget",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"].update(latency_budget=float("nan"))
+        ),
+        "latency_budget must be > 0 and finite, got nan",
+        id="nan-latency-budget",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"].update(data_rate=float("nan"))
+        ),
+        "data_rate must be > 0 and finite, got nan",
+        id="nan-data-rate",
+    ),
+    pytest.param(
+        edited_descriptor(
+            lambda d: d["requirements"]["svc-probe"].update(data_rate=float("inf"))
+        ),
+        "data_rate must be > 0 and finite, got inf",
+        id="infinite-data-rate",
     ),
     pytest.param(
         edited_descriptor(
@@ -322,6 +355,24 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
         assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["onboard-vf", "core_dp.yaml", "--vsp", ""],
+            ["create-service", "Dup", "--vf", "vf-core-cp", "--id", ""],
+        ],
+        ids=["onboard-vf-vsp", "create-service-id"],
+    )
+    def test_empty_id_option_is_usage_and_writes_nothing(self, root, argv):
+        argv = [_fixture(a) if a.endswith(".yaml") else a for a in argv]
+        assert run(argv + ["--catalog", str(root)]).exit_code == 2
+        assert not root.exists()
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        saved = _lab_bytes(root)
+        result = run(argv + ["--as", "designer", "--catalog", str(root)])
+        assert (result.exit_code, result.summary) == (2, "")
+        assert _lab_bytes(root) == saved
 
     @pytest.mark.parametrize("tail", ["0", "-3"])
     def test_audit_tail_below_one_is_usage(self, root, tmp_path, tail):
@@ -649,7 +700,7 @@ class TestWorkflow:
         assert result.summary.startswith(f"IoFailure: {descriptor}: ")
         assert reason in result.summary
         assert _lab_bytes(root) == saved
-        catalog = load_catalog(root / "catalog.json")
+        catalog = _lab_catalog(root)
         assert "slice-p" not in catalog.slices
         assert "c-new" not in catalog.customers
         assert run(["status", "slice-p", "--catalog", str(root)]).exit_code == 1
@@ -698,6 +749,33 @@ class TestWorkflow:
                 "NetworkSlice field profile: ",
                 id="negative-latency",
             ),
+            pytest.param(
+                lambda d: d["profile"].update(end_to_end_latency=float("nan")),
+                "InvalidProfile",
+                "NetworkSlice field profile: end_to_end_latency must be > 0 and"
+                " finite, got nan",
+                id="nan-latency",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(guaranteed_data_rate=float("nan")),
+                "InvalidProfile",
+                "NetworkSlice field profile: guaranteed_data_rate must be > 0 and"
+                " finite, got nan",
+                id="nan-data-rate",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(end_to_end_latency=float("inf")),
+                "InvalidProfile",
+                "NetworkSlice field profile: end_to_end_latency must be > 0 and"
+                " finite, got inf",
+                id="infinite-latency",
+            ),
+            pytest.param(
+                lambda d: d["profile"].update(user_density=float("nan")),
+                "InvalidProfile",
+                "NetworkSlice field profile: user_density must be finite, got nan",
+                id="nan-user-density",
+            ),
         ],
     )
     def test_descriptor_refused_by_a_slice_rule_names_the_file(
@@ -713,7 +791,7 @@ class TestWorkflow:
             f"{error}: {descriptor}: bad slice descriptor: "
         )
         assert reason in result.summary
-        assert "slice-p" not in load_catalog(root / "catalog.json").slices
+        assert "slice-p" not in _lab_catalog(root).slices
         assert _lab_bytes(root) == saved
 
     @pytest.mark.parametrize(
@@ -739,14 +817,14 @@ class TestWorkflow:
         first = tmp_path / "slice-p.yaml"
         first.write_text(yaml.safe_dump(descriptor_doc()))
         assert run(["create-slice", str(first), "--catalog", str(root)]).exit_code == 0
-        before = load_catalog(root / "catalog.json")
+        before = _lab_catalog(root)
         # The same sections again change nothing, and are accepted.
         same = tmp_path / "slice-q.yaml"
         same.write_text(yaml.safe_dump(descriptor_doc(slice_id="slice-q")))
         assert run(["create-slice", str(same), "--catalog", str(root)]).exit_code == 0
-        after = load_catalog(root / "catalog.json")
+        after = _lab_catalog(root)
         assert (after.customers, after.providers) == (before.customers, before.providers)
-        saved = (root / "catalog.json").read_bytes()
+        saved = _lab_bytes(root)
 
         doc = descriptor_doc(slice_id="slice-r")
         doc[section].update(edit)
@@ -756,7 +834,7 @@ class TestWorkflow:
         assert result.exit_code == 1
         assert result.summary.startswith(f"IoFailure: {changed}: bad slice descriptor: ")
         assert reason in result.summary
-        assert (root / "catalog.json").read_bytes() == saved
+        assert _lab_bytes(root) == saved
 
     @pytest.mark.parametrize("argv", DENIED_COMMANDS)
     def test_denied_command_saves_nothing(self, root, tmp_path, argv):
@@ -770,17 +848,15 @@ class TestWorkflow:
         doc = descriptor_doc(slice_id="slice-q")
         doc["slice"]["customer"] = "c-new"
         (tmp_path / "slice-q.yaml").write_text(yaml.safe_dump(doc))
-        saved = {
-            name: (root / name).read_bytes()
-            for name in ("catalog.json", "inventory.yaml")
-        }
+        saved = _lab_bytes(root)
+        del saved["audit.log"]
         events = load_audit(root / "audit.log")
 
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         result = run(argv + ["--catalog", str(root)])
         assert result.exit_code == 1
         assert result.summary.startswith("RoleDenied")
-        assert {name: (root / name).read_bytes() for name in saved} == saved
+        assert {name: _lab_bytes(root)[name] for name in saved} == saved
         after = load_audit(root / "audit.log")
         assert after[:-1] == events
         assert after[-1].outcome.value == "denied"
@@ -811,10 +887,8 @@ class TestWorkflow:
         infra = load_inventory(root / "inventory.yaml")
         infra.allocate("tenant-cp", "svc-squatter", ResourceDemand(vcpu=5))
         save_inventory(infra, root / "inventory.yaml")
-        saved = {
-            name: (root / name).read_bytes()
-            for name in ("catalog.json", "inventory.yaml")
-        }
+        saved = _lab_bytes(root)
+        del saved["audit.log"]
         result = run(
             [
                 "instantiate-slice",
@@ -831,7 +905,7 @@ class TestWorkflow:
         assert result.exit_code == 1
         assert result.summary.startswith("PartialFailure")
         assert "svc-probe" in result.summary
-        assert {name: (root / name).read_bytes() for name in saved} == saved
+        assert {name: _lab_bytes(root)[name] for name in saved} == saved
         trail = [(e.action, e.outcome.value) for e in load_audit(root / "audit.log")]
         assert trail[-2:] == [
             ("instantiate_service", "failed"),
@@ -866,14 +940,15 @@ class TestWorkflow:
         seed_service(root, tmp_path)
         template = tmp_path / "half.yaml"
         template.write_text(scenario.minimal_template(name="half", vcpu=0.5))
-        saved = (root / "catalog.json").read_bytes()
+        saved = _lab_bytes(root)
+        del saved["audit.log"]
         events = load_audit(root / "audit.log")
         result = run(
             ["onboard-vf", str(template), "--vsp", "vsp-lab", "--catalog", str(root)]
         )
         assert result.exit_code == 1
         assert result.summary.startswith("MissingSizing")
-        assert (root / "catalog.json").read_bytes() == saved
+        assert {name: _lab_bytes(root)[name] for name in saved} == saved
         after = load_audit(root / "audit.log")
         assert after[:-1] == events
         assert (after[-1].action, after[-1].outcome.value) == ("onboard_vf", "failed")
@@ -885,7 +960,8 @@ class TestWorkflow:
         assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
         assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
         (root / "inventory.yaml").unlink()
-        saved = (root / "catalog.json").read_bytes()
+        saved = _lab_bytes(root)
+        del saved["audit.log"]
         result = run(
             [
                 "instantiate-slice",
@@ -899,8 +975,7 @@ class TestWorkflow:
         assert result.exit_code == 1
         assert result.summary.startswith("UnknownEntity")
         assert "init-testbed" in result.summary
-        assert (root / "catalog.json").read_bytes() == saved
-        assert not (root / "inventory.yaml").exists()
+        assert {name: _lab_bytes(root)[name] for name in saved} == saved
         last = load_audit(root / "audit.log")[-1]
         assert (last.action, last.outcome.value) == ("instantiate_slice", "failed")
 
@@ -937,9 +1012,10 @@ class TestDemo:
             assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         finally:
             os.umask(old)
-        names = ["catalog.json", "inventory.yaml", "plan-slice-a.yaml", "audit.log"]
+        names = ["inventory.yaml", "plan-slice-a.yaml", "audit.log"]
         files = [root / name for name in names] + list((root / "blobs").iterdir())
-        assert len(files) == 6
+        assert len(files) == 5
+        assert not (root / "catalog.json").exists()
         modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in files}
         assert modes == dict.fromkeys(modes, mode)
 
@@ -947,17 +1023,16 @@ class TestDemo:
         roots = [tmp_path / "one", tmp_path / "two"]
         for r in roots:
             assert run(["demo", "slice-a", "--catalog", str(r)]).exit_code == 0
-        snapshots = [(r / "catalog.json").read_text() for r in roots]
-        assert snapshots[0] == snapshots[1]
+        assert not any((r / "catalog.json").exists() for r in roots)
+        blobs = [
+            {name: data for name, data in _lab_bytes(r).items() if "blobs/" in name}
+            for r in roots
+        ]
+        assert blobs[0] == blobs[1] and len(blobs[0]) == 2
         traces = []
         for r in roots:
             events = load_audit(r / "audit.log")
-            traces.append(
-                [
-                    (e.sequence_no, e.actor.value, e.action, e.subject, e.outcome.value)
-                    for e in events
-                ]
-            )
+            traces.append([{**encode(e), "timestamp": None} for e in events])
         assert traces[0] == traces[1]
         assert len(traces[0]) == 17
 
@@ -1034,7 +1109,8 @@ class TestDemo:
 
     def test_service_listing_a_function_twice_is_refused_and_audited(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        catalog = (root / "catalog.json").read_bytes()
+        saved = _lab_bytes(root)
+        del saved["audit.log"]
         argv = ["create-service", "Dup", "--vf", "vf-core-cp", "--vf", "vf-core-cp"]
         result = run(argv + ["--catalog", str(root)])
         assert result.exit_code == 1, result.summary
@@ -1045,12 +1121,11 @@ class TestDemo:
             "Dup",
             "failed",
         )
-        assert (root / "catalog.json").read_bytes() == catalog
+        assert {name: _lab_bytes(root)[name] for name in saved} == saved
 
     def test_vendor_product_registered_twice_is_refused_and_saves_nothing(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        names = ("catalog.json", "audit.log")
-        before = [(root / name).read_bytes() for name in names]
+        before = _lab_bytes(root)
         argv = ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-clone"]
         argv += ["--vendor", "GreyOp Networks", "--product", "Core CP"]
         result = run(argv + ["--version", "1.0.0", "--catalog", str(root)])
@@ -1058,7 +1133,7 @@ class TestDemo:
         assert "('GreyOp Networks', 'Core CP', (1, 0, 0)) already registered" in (
             result.summary
         )
-        assert [(root / name).read_bytes() for name in names] == before
+        assert _lab_bytes(root) == before
 
     def test_status_reports_whether_the_log_agrees(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
@@ -1082,7 +1157,11 @@ class TestDemo:
         assert short.detail["tenants"]["tenant-dp"]["used"] == (0, 0, 0, 0)
         assert short.detail["tenants"]["tenant-cp"]["used"] == (5, 8192, 40, 8)
 
-        # Without its last five events, create_slice on, slice-a has no record.
+        # A genesis still can disagree with the log: with catalog.json saved
+        # from the whole log, and the log without its last five events,
+        # create_slice on, slice-a has no record.
+        log.write_text("".join(lines))
+        save_catalog(_lab_catalog(root), root / "catalog.json")
         log.write_text("".join(lines[:-5]))
         shorter = run(["status", "--catalog", str(root)])
         assert shorter.exit_code == 1
@@ -1146,7 +1225,7 @@ def _problems(root) -> list[str]:
 class TestStatusChecks:
     def test_tampered_blob_file_is_named(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        digest = load_catalog(root / "catalog.json").functions["vf-core-dp"].template_ref
+        digest = _lab_catalog(root).functions["vf-core-dp"].template_ref
         with open(root / "blobs" / digest, "ab") as handle:
             handle.write(b" ")
         assert _problems(root) == [
@@ -1156,7 +1235,7 @@ class TestStatusChecks:
 
     def test_missing_blob_file_is_named(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        digest = load_catalog(root / "catalog.json").functions["vf-core-cp"].template_ref
+        digest = _lab_catalog(root).functions["vf-core-cp"].template_ref
         (root / "blobs" / digest).unlink()
         (problem,) = _problems(root)
         assert problem.startswith(f"vf-core-cp: cannot read {root / 'blobs' / digest}")
@@ -1433,11 +1512,24 @@ def _fixture(name: str) -> str:
     return str(ilr.files("slicectl") / "fixtures" / name)
 
 
-def _crash_in_the_catalog_save(monkeypatch) -> None:
-    def crash(catalog, path):
-        raise OSError("simulated crash in the catalog save")
+def _crash_after_the_last_append(monkeypatch, root) -> list[dict]:
+    """Cut the next command right after its last audit append: every
+    lifecycle command's last step is _record_result, which now raises.
+    Returns the lab's bytes after each append, so a test can show that
+    nothing was written between the last append and the cut."""
+    appended = []
+    append = FileAuditLog.append
 
-    monkeypatch.setattr("slicectl.cli.save_catalog", crash)
+    def spy(self, event):
+        append(self, event)
+        appended.append(_lab_bytes(root))
+
+    def crash(*args, **kwargs):
+        raise OSError("simulated crash after the last append")
+
+    monkeypatch.setattr(FileAuditLog, "append", spy)
+    monkeypatch.setattr("slicectl.cli._record_result", crash)
+    return appended
 
 
 # The README's flow on a fresh lab, which TestCrashes cuts at one command.
@@ -1490,14 +1582,153 @@ def _use_by_the_log(root) -> dict[str, tuple[int, ...]]:
     return use
 
 
+def _seeded_lab(root, vfs: int = 12) -> None:
+    """A lab laid out as the benchmark's cli-catalog seeds one: an engine in
+    process logs its onboard and certify events to audit.log, then
+    catalog.json and inventory.yaml are saved from it, so the genesis and
+    the log carry the same entities."""
+    root.mkdir()
+    engine = Orchestrator(
+        build_testbed(),
+        catalog=Catalog(),
+        audit_sink=FileAuditLog(root / "audit.log").append,
+    )
+    engine.register_vsp(
+        VendorSoftwareProduct(
+            id="vsp-seed", vendor_name="Seed", product_name="seed", version=(1, 0, 0)
+        )
+    )
+    for index in range(vfs):
+        text = scenario.minimal_template(name=f"seed-{index}")
+        vf = engine.onboard_vf(Role.DESIGNER, "vsp-seed", text).subject
+        if index % 2 == 0:
+            engine.certify_vf(Role.TESTER, vf)
+    save_catalog(engine.catalog, root / "catalog.json")
+    save_inventory(engine.infra, root / "inventory.yaml")
+
+
+def _status(root) -> tuple[int, dict]:
+    result = run(["status", "--json", "--catalog", str(root)])
+    return result.exit_code, result.detail
+
+
+class TestGenesis:
+    """catalog.json is a genesis: read if it is there, rewritten by no
+    command but a format 1 to 3 one's conversion, and not needed, since the
+    log's create events carry every entity a command makes."""
+
+    def test_readme_flow_writes_no_catalog(self, root):
+        for argv in _FLOW:
+            result = _flow_step(root, argv)
+            assert result.exit_code == 0, (argv, result.summary)
+            assert not (root / "catalog.json").exists(), argv
+            code, detail = _status(root)
+            assert code == 0 and detail["log"]["agrees"], (argv, detail)
+        catalog = _lab_catalog(root)
+        assert sorted(catalog.functions) == ["vf-core-cp", "vf-core-dp"]
+        assert sorted(catalog.services) == ["svc-core-cp", "svc-core-dp"]
+        assert catalog.slices["slice-a"].sla.committed_latency == 10.0
+        assert sorted(catalog.customers) == ["c-companyx"]
+        assert catalog.vsps["vsp-core-cp"].owned_resources == {"vf-core-cp"}
+
+    def test_genesis_and_log_with_the_same_entities_open_as_the_log_alone(
+        self, root, tmp_path
+    ):
+        """The benchmark's layout opens as its log alone does, and a README
+        pass gives the same exit codes and status at every step on both."""
+        _seeded_lab(root)
+        bare = tmp_path / "bare"
+        shutil.copytree(root, bare)
+        (bare / "catalog.json").unlink()
+        genesis = (root / "catalog.json").read_bytes()
+        assert _status(root) == _status(bare)
+        assert _status(root)[0] == 0
+        assert _lab_catalog(root) == _lab_catalog(bare)
+        vsp = _lab_catalog(bare).vsps["vsp-seed"]
+        assert len(vsp.owned_resources) == 12
+        for argv in _FLOW[1:]:
+            results = [_flow_step(lab, argv) for lab in (root, bare)]
+            assert [r.exit_code for r in results] == [0, 0], argv
+            for result in results:
+                result.detail.pop("plan_file", None)  # a path in its lab
+            assert results[0].detail == results[1].detail
+            assert _status(root) == _status(bare), argv
+        assert (root / "catalog.json").read_bytes() == genesis
+        assert not (bare / "catalog.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw["vsps"]["vsp-seed"].update(vendor_name="Other"),
+            lambda raw: raw["functions"]["vf-seed-3"].update(template_ref="0" * 64),
+        ],
+        ids=["vsp-vendor", "function-template"],
+    )
+    def test_genesis_entity_that_differs_from_the_log_diverges(self, root, edit):
+        _seeded_lab(root)
+        path = root / "catalog.json"
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        saved = _lab_bytes(root)
+        for argv in (["status"], ["certify-vf", "vf-seed-1"]):
+            refused = run(argv + ["--catalog", str(root)])
+            assert refused.exit_code == 1, refused.summary
+            assert refused.summary.startswith("LogDiverged: audit event ")
+            assert "differs from the catalog's" in refused.summary
+        assert _lab_bytes(root) == saved
+        assert run(["audit", "--catalog", str(root)]).exit_code == 0
+
+    @pytest.mark.parametrize(
+        "catalog",
+        ["catalog.json", "v2/catalog.json", "v3/catalog.json", "v4/catalog.json"],
+    )
+    def test_golden_genesis_converts_once_then_stays_put(self, root, tmp_path, catalog):
+        """The first write converts an older golden catalog to the version-4
+        golden; from then on, and on the version-4 golden from the start,
+        every lifecycle command leaves the file's bytes and inode alone."""
+        _golden_lab(root, catalog)
+        template = tmp_path / "probe.yaml"
+        template.write_text(scenario.minimal_template())
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(descriptor_doc()))
+        path = root / "catalog.json"
+        kept = (path.read_bytes(), path.stat().st_ino)
+        steps = [
+            ["teardown-slice", "slice-a", "--as", "operator"],
+            ["onboard-vf", str(template), "--vsp", "vsp-lab"],
+            ["certify-vf", "vf-probe"],
+            ["create-service", "probe", "--vf", "vf-probe"],
+            *([f"{step}-service", "svc-probe"] for step in _ADVANCE),
+            ["create-slice", str(descriptor)],
+            ["place-slice", "slice-p"],
+            ["instantiate-slice", "slice-p", "--plan", str(root / "plan-slice-p.yaml")],
+            ["teardown-slice", "slice-p", "--as", "operator"],
+        ]
+        for number, argv in enumerate(steps):
+            result = run(argv + ["--catalog", str(root)])
+            assert result.exit_code == 0, (argv, result.summary)
+            if number == 0 and catalog != "v4/catalog.json":
+                assert path.read_bytes() == (GOLDEN / "v4/catalog.json").read_bytes()
+                kept = (path.read_bytes(), path.stat().st_ino)
+            assert (path.read_bytes(), path.stat().st_ino) == kept, argv
+        code, detail = _status(root)
+        assert code == 0 and detail["log"]["agrees"], detail
+        assert detail["records"]["slice-p"]["state"] == "terminated"
+
+
 class TestCrashes:
-    """A crash after a command's events are logged and before catalog.json
-    is saved: the log holds the command, the catalog does not."""
+    """A crash right after a command's last audit append. Each ok event
+    carries what it creates and a blob is a file before its event, so the
+    lab the crash leaves is the lab the whole command leaves."""
 
     @pytest.mark.parametrize(
         "crashed",
         [
+            _FLOW[2],
             ["certify-vf", "vf-core-dp"],
+            _FLOW[6],
+            _FLOW[7],
             ["test-service", "svc-core-dp"],
             ["approve-service", "svc-core-dp"],
             ["distribute-service", "svc-core-dp"],
@@ -1507,24 +1738,29 @@ class TestCrashes:
         ids=lambda argv: argv[0],
     )
     def test_crash_in_a_command_that_changes_only_the_log(
-        self, root, monkeypatch, crashed
+        self, root, tmp_path, monkeypatch, crashed
     ):
-        """Such a command's catalog.json is the one it opened, so the lab
-        after the crash is the lab after the command: status agrees, and
+        """status agrees with the log, shows the records, entities and each
+        tenant's use that the command run whole leaves on another lab, and
         each tenant's use is what the log allocates."""
+        whole = tmp_path / "whole"
         at = _FLOW.index(crashed)
-        for argv in _FLOW[:at]:
-            result = _flow_step(root, argv)
-            assert result.exit_code == 0, result.summary
+        for lab in (root, whole):
+            for argv in _FLOW[:at]:
+                result = _flow_step(lab, argv)
+                assert result.exit_code == 0, result.summary
+        assert _flow_step(whole, crashed).exit_code == 0
         logged = len(load_audit(root / "audit.log"))
-        _crash_in_the_catalog_save(monkeypatch)
+        appended = _crash_after_the_last_append(monkeypatch, root)
         assert _flow_step(root, crashed).exit_code == 3
         monkeypatch.undo()
+        assert _lab_bytes(root) == appended[-1]
         events = load_audit(root / "audit.log")
         assert crashed[0].replace("-", "_") in {e.action for e in events[logged:]}
-        status = run(["status", "--catalog", str(root)])
+        status = run(["status", "--json", "--catalog", str(root)])
         assert status.exit_code == 0, status.summary
         assert "audit log: agrees with the catalog" in status.summary.splitlines()
+        assert status.detail == run(["status", "--catalog", str(whole)]).detail
         assert status.detail["records"] == {
             subject: {"kind": r.kind.value, "state": r.state.value}
             for subject, r in replay_states(events).items()
@@ -1532,14 +1768,16 @@ class TestCrashes:
         assert {
             tenant: shown["used"] for tenant, shown in status.detail["tenants"].items()
         } == _use_by_the_log(root)
+        assert _lab_catalog(root) == _lab_catalog(whole)
 
     def test_crash_inside_instantiate_slice(self, root, monkeypatch):
         for argv in _FLOW[:-2]:
             result = _flow_step(root, argv)
             assert result.exit_code == 0, result.summary
-        _crash_in_the_catalog_save(monkeypatch)
+        appended = _crash_after_the_last_append(monkeypatch, root)
         assert _flow_step(root, _FLOW[-2]).exit_code == 3
         monkeypatch.undo()
+        assert _lab_bytes(root) == appended[-1]
         status = run(["status", "--catalog", str(root)])
         assert status.exit_code == 0, status.summary
         assert "  slice-a: active" in status.summary.splitlines()
@@ -1554,22 +1792,25 @@ class TestCrashes:
         assert "tenant-cp on host-cp: used 0/6 vcpu" in after.summary
 
     def test_crash_inside_onboard_vf_then_a_retry(self, root, monkeypatch):
+        """The crashed onboard left its VF whole, blob and function, so the
+        retry onboards the same template as a third VF and status agrees."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         argv = ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-core-dp"]
         argv += ["--catalog", str(root)]
-        _crash_in_the_catalog_save(monkeypatch)
+        appended = _crash_after_the_last_append(monkeypatch, root)
         assert run(argv).exit_code == 3
         monkeypatch.undo()
+        assert _lab_bytes(root) == appended[-1]
         retry = run(argv)
         assert retry.exit_code == 0, retry.summary
         assert retry.detail["vf"] == "vf-core-dp-3"
         replay_states(load_audit(root / "audit.log"))
         status = run(["status", "--catalog", str(root)])
-        assert status.exit_code == 1
-        assert (
-            "audit log: differs from the catalog on vf-core-dp-2"
-            in status.summary.splitlines()
-        )
+        assert status.exit_code == 0, status.summary
+        assert "audit log: agrees with the catalog" in status.summary.splitlines()
+        assert "  vf-core-dp-2: draft" in status.summary.splitlines()
+        vsp = _lab_catalog(root).vsps["vsp-core-dp"]
+        assert vsp.owned_resources == {"vf-core-dp", "vf-core-dp-2", "vf-core-dp-3"}
 
 
 def _child_env() -> dict[str, str]:

@@ -874,11 +874,13 @@ class TestReplay:
         match = f"audit event {bad.sequence_no}: {re.escape(reason)}$"
         with pytest.raises(LogDiverged, match=match):
             replay_states(engine.events + [bad])
-        records = replay_states(engine.events)
-        before = copy.deepcopy(records)
+        catalog = Catalog()
+        replay_states(engine.events, catalog=catalog)
+        before = copy.deepcopy(catalog)
         with pytest.raises(LogDiverged, match=match):
-            apply_event(records, bad)
-        assert records == before == engine.catalog.records
+            apply_event(catalog, bad)
+        assert catalog == before
+        assert catalog.records == engine.catalog.records
 
 
 class TestPlanDocuments:
