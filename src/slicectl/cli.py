@@ -6,12 +6,12 @@ reproducible through library calls. State lives in one catalog directory
 (audit.log, blobs/, inventory.yaml, and any catalog.json that save_catalog
 or an older build left) selected with --catalog or the SLICECTL_CATALOG
 environment variable; the lifecycle records, the allocations and the
-entities the engine creates are the fold of audit.log onto catalog.json,
-made when a command opens the engine, and a log the fold refuses makes
-every such command exit 1. So a lifecycle command appends to audit.log
-and writes each new template blob before its event, and rewrites nothing:
-catalog.json is a genesis that only its conversion from format 1 to 3
-rewrites, and inventory.yaml is written by init-testbed and demo. Mutating
+entities the engine creates or registers are the fold of audit.log onto
+catalog.json, made when a command opens the engine, and a log the fold
+refuses makes every such command exit 1. So a lifecycle command appends to
+audit.log and writes each new template blob before its event, and
+rewrites nothing: catalog.json is a read-only genesis in any format, and
+inventory.yaml is written by init-testbed and demo alone. Mutating
 commands hold an exclusive advisory lock on the directory for the
 command's duration, and status and audit a shared one.
 
@@ -25,7 +25,8 @@ import contextlib
 import fcntl
 import json
 import os
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -72,7 +73,7 @@ from .store import (
     load_plan,
     relabel,
     replay_states,
-    save_catalog,
+    save_catalog,  # no command calls it; it stays importable from here
     save_inventory,
     save_plan,
     _load_yaml,
@@ -133,39 +134,37 @@ def _locked(root: Path, operation: int = fcntl.LOCK_EX):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _open_engine(root: Path, *, write: bool = False) -> Orchestrator:
+def _open_engine(root: Path) -> Orchestrator:
     """The engine on root's files, continuing the audit log it loaded: the
-    log folded onto catalog.json, the genesis, if there is one. For a
-    write, a genesis of format 1 to 3 is first saved as format 4, the one
-    rewrite it gets, so that every blob is a file before an event names
-    it. The catalog's blobs are then the files that it and the log name."""
+    log folded onto catalog.json, the genesis, if there is one, which is
+    read and never written. The catalog's blobs are the genesis's (inline
+    in a format-1 file, files otherwise), then the files in blobs/ that
+    the log names, where a new onboard writes its own."""
     catalog_path = root / CATALOG_FILE
     catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
-    if write and catalog.file_version != catalog.version:
-        save_catalog(catalog, catalog_path)
-        catalog.file_version = catalog.version
     inventory_path = root / INVENTORY_FILE
     infra = load_inventory(inventory_path) if inventory_path.exists() else None
     audit_path = root / AUDIT_FILE
     events = load_audit(audit_path) if audit_path.exists() else []
     sink = FileAuditLog(audit_path, expected_next=len(events) + 1)
     engine = Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
-    if catalog.file_version != 1:  # a version-1 genesis holds its blobs inline
-        refs = {f.template_ref for f in catalog.functions.values()} - {None}
-        catalog.template_blobs = TemplateBlobs(root / BLOBS_DIR, refs)
+    genesis = catalog.template_blobs
+    refs = {f.template_ref for f in catalog.functions.values()} - {None}
+    logged = TemplateBlobs(root / BLOBS_DIR, refs - genesis.keys())
+    catalog.template_blobs = ChainMap(logged, genesis)
     return engine
 
 
 @contextlib.contextmanager
 def _engine_for(args):
     """The state path of every lifecycle command: lock the catalog
-    directory and open the engine on it for a write. The command's audit
-    events are all it stores: each ok create event carries its entity, and
-    a blob is a file before its event, so a command cut after any append
-    leaves the lab as its log says. No file is rewritten afterwards."""
+    directory and open the engine on it. The command's audit events are
+    all it stores: each ok event carries the entities it creates or is the
+    first to need, and a blob is a file before its event, so a command cut
+    after any append leaves the lab as its log says. No file is rewritten."""
     root = _resolve_root(args)
     with _locked(root):
-        yield _open_engine(root, write=True)
+        yield _open_engine(root)
 
 
 def _record_result(record, summary: str, **detail) -> CommandResult:
@@ -288,15 +287,12 @@ def _cmd_lint_template(args) -> CommandResult:
 def _cmd_onboard_vf(args) -> CommandResult:
     with _engine_for(args) as engine:
         text = _read_text(args.template)
-        if args.vsp not in engine.catalog.vsps:
-            engine.register_vsp(
-                VendorSoftwareProduct(
-                    id=args.vsp,
-                    vendor_name=args.vendor,
-                    product_name=args.product or args.vsp,
-                    version=args.version,
-                )
-            )
+        vsp = engine.catalog.vsps.get(args.vsp) or VendorSoftwareProduct(
+            args.vsp, "unknown-vendor", args.vsp, (1, 0, 0)
+        )
+        given = {k: getattr(args, k) for k in ("vendor_name", "product_name", "version")}
+        given = {k: v for k, v in given.items() if v is not None}
+        engine.register_vsp(replace(vsp, **given))
         record = engine.onboard_vf(Role(args.role), args.vsp, text)
     return _record_result(
         record,
@@ -604,7 +600,7 @@ def _cmd_demo(args) -> CommandResult:
                     1, f"demo needs a fresh catalog directory, found {root / name}"
                 )
         save_inventory(build_testbed(), root / INVENTORY_FILE)  # the log allocates
-        engine = _open_engine(root, write=True)
+        engine = _open_engine(root)
         engine.register_vsp(
             VendorSoftwareProduct(
                 id="vsp-core-cp",
@@ -746,11 +742,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vsp", type=_entity_id, required=True, help="vendor software product id"
     )
-    p.add_argument("--vendor", default="unknown-vendor", help="vendor name")
-    p.add_argument("--product", default=None, help="product name")
-    p.add_argument(
-        "--version", type=_version, default="1.0.0", help="product version X.Y.Z"
-    )
+    # Not given by default: a new VSP is unknown-vendor, its id and 1.0.0,
+    # and register_vsp refuses a value that differs from a known VSP's.
+    p.add_argument("--vendor", dest="vendor_name", help="vendor name")
+    p.add_argument("--product", dest="product_name", help="product name")
+    p.add_argument("--version", type=_version, help="product version X.Y.Z")
     p.set_defaults(handler=_cmd_onboard_vf)
 
     p = sub.add_parser(

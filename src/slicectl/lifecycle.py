@@ -13,7 +13,10 @@ LogDiverged. The log is the one store of the entities an engine creates:
 an ok onboard_vf, create_service or create_slice event carries what the
 fold needs to build its function, service or slice, so the fold writes the
 catalog's entities as it writes the records, onto the catalog the engine
-was opened with. The log is the one store of the allocations too: with an
+was opened with, its genesis. Registration does not write the catalog:
+the engine holds a VSP, customer or provider until the first ok event that
+needs it carries it, so the catalog is always the fold of genesis and log.
+The log is the one store of the allocations too: with an
 Infrastructure, the fold allocates what an ok instantiate_service event
 carries and releases what an ok terminate_service's subject holds, so
 capacity moves only after its event is logged. Slice-level operations add
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import operator
 import time
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
@@ -179,6 +183,9 @@ _MEMBER_REFUSAL_CODES = frozenset({VIOLATION_ISOLATION, VIOLATION_OVERFLOW})
 # The advance_service steps; each logs f"{step}_service".
 _ADVANCE_STEPS = ("test", "approve", "distribute")
 
+# What makes a vendor software product one: no two VSPs may share it.
+_product = operator.attrgetter("vendor_name", "product_name", "version")
+
 
 @dataclass(frozen=True, slots=True)
 class AuditEvent:
@@ -192,9 +199,10 @@ class AuditEvent:
     # What an ok event carries for the fold; None on every other event, and
     # on an older build's, whose entities are in catalog.json alone:
     # instantiate_service its tenant and demand; onboard_vf its VSP and
-    # template digest, and the VSP itself on the first onboard under it;
-    # create_service its service; create_slice its slice, with the SLA, and
-    # the slice's template, customer and provider.
+    # template digest; create_service its service; create_slice its slice,
+    # with the SLA, and the slice's template. An onboard_vf carries its VSP,
+    # and a create_slice its customer and provider, where the engine holds
+    # them registered and no event has carried them yet.
     tenant: str | None = None
     demand: ResourceDemand | None = None
     vsp: str | None = None
@@ -223,8 +231,9 @@ class LifecycleRecord:
 
 @dataclass
 class Catalog:
-    """Design-time entity store: what catalog.json holds, if anything, with
-    the audit log's entities folded in by the engine that opens it.
+    """Design-time entity store: the genesis, what catalog.json holds, if
+    anything, with the audit log's entities folded in by the engine that
+    opens it.
 
     records are the lifecycle records, the fold of the audit log: the
     engine sets them when it opens, and they are not in the snapshot."""
@@ -241,9 +250,6 @@ class Catalog:
     # Template texts by SHA-256. Not in the snapshot: the store writes each
     # once as its own file, and a loaded catalog reads them from there.
     template_blobs: MutableMapping[str, str] = field(default_factory=dict, init=False)
-    # The version of the file the catalog was read from; a write converts
-    # an older one.
-    file_version: int = field(default=CATALOG_VERSION, init=False, compare=False)
 
 
 def check_transition(
@@ -272,17 +278,13 @@ def check_transition(
 def _carried(catalog: Catalog, event: AuditEvent) -> list[tuple[dict, str, object]]:
     """Each entity an ok create event carries, as (catalog table, key,
     entity), refused with ValueError where the catalog holds another under
-    that key; a VSP is compared without the owned_resources that the fold
-    adds to. A slice's template, customer and provider ride with it."""
-    subject, vsp = event.subject, event.new_vsp
-    carried = []
+    that key. A slice's template, customer and provider ride with it."""
+    subject, carried = event.subject, []
     if event.template_ref is not None:
         function = NetworkFunction(subject, FunctionKind.VIRTUAL, event.template_ref)
         carried.append((catalog.functions, subject, function))
-    if vsp is not None:
-        if vsp.id in catalog.vsps:
-            vsp = replace(vsp, owned_resources=catalog.vsps[vsp.id].owned_resources)
-        carried.append((catalog.vsps, vsp.id, vsp))
+    if event.new_vsp is not None:
+        carried.append((catalog.vsps, event.new_vsp.id, event.new_vsp))
     if event.service is not None:
         carried.append((catalog.services, subject, event.service))
     if event.slice is not None:
@@ -304,17 +306,14 @@ def apply_event(
     catalog: Catalog,
     event: AuditEvent,
     infra: Infrastructure | None = None,
-    owned: dict[str, set[str]] | None = None,
 ) -> LifecycleRecord | None:
     """Fold one audit event into the catalog, and into infra when given.
 
     An ok event creates or moves its subject's record through
     check_transition and appends itself to the history. A create event
     writes the entities it carries into the catalog, where one already
-    there, as catalog.json holds it, must be equal; an onboarded VF joins
-    its VSP's owned_resources, or owned, for replay_states to add in one
-    step. In infra, an ok event allocates the demand it carries on its
-    tenant, and a terminate_service releases all its subject holds. An ok
+    there, as catalog.json holds it, must be equal. In infra, an ok event
+    allocates the demand it carries on its tenant, and a terminate_service releases all its subject holds. An ok
     event that TRANSITIONS or infra refuses, whose entity differs from the
     catalog's, or whose action is unknown, raises LogDiverged and changes
     nothing. Denied and failed events change nothing. Returns the record
@@ -335,13 +334,6 @@ def apply_event(
         raise LogDiverged(f"{where}: {exc}") from exc
     for table, key, entity in carried:
         table[key] = entity
-    vsp = catalog.vsps.get(event.vsp)
-    if vsp is not None and event.subject not in vsp.owned_resources:
-        if owned is None:
-            owns = vsp.owned_resources | {event.subject}
-            catalog.vsps[vsp.id] = replace(vsp, owned_resources=owns)
-        else:
-            owned.setdefault(vsp.id, set()).add(event.subject)
     if infra is not None and event.action == "terminate_service":
         for allocation in list(infra.allocations.values()):
             if allocation.service == event.subject:
@@ -366,25 +358,13 @@ def replay_states(
 
     Denied and failed events change nothing by design. An ok event that
     TRANSITIONS, the table the live checks read, does not allow raises
-    LogDiverged. Each VSP's owned_resources grows once, after the fold, so
-    the fold stays linear in the log.
+    LogDiverged.
     """
     catalog = Catalog() if catalog is None else catalog
     catalog.records = {}
-    owned: dict[str, set[str]] = {}
     for event in events:
-        apply_event(catalog, event, infra, owned)
-    for vsp_id, vfs in owned.items():
-        vsp = catalog.vsps[vsp_id]
-        catalog.vsps[vsp_id] = replace(vsp, owned_resources=vsp.owned_resources | vfs)
+        apply_event(catalog, event, infra)
     return catalog.records
-
-
-def _register(table: dict, entity) -> None:
-    """Add entity under its id; other fields under a known id are refused."""
-    known = table.setdefault(entity.id, entity)
-    if known != entity:
-        raise ValueError(f"{entity} differs from the registered {known}")
 
 
 class Orchestrator:
@@ -411,27 +391,38 @@ class Orchestrator:
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}
+        self._held: dict[str, dict] = {"customers": {}, "providers": {}, "vsps": {}}
 
-    # -- registration (catalog plumbing, no lifecycle records) -------------
+    # -- registration (held for an event to carry, no lifecycle records) ----
+
+    def _register(self, table: str, entity, refusal: type[Exception] = ValueError):
+        """Hold entity under its id; other fields under an id the catalog
+        or the engine knows are refused."""
+        known = getattr(self.catalog, table).get(entity.id)
+        known = known or self._held[table].setdefault(entity.id, entity)
+        if known != entity:
+            raise refusal(f"{entity} differs from the registered {known}")
+
+    def _unlogged(self, table: str, entity_id: str):
+        """The entity held under entity_id that no event has carried, or None."""
+        if entity_id in getattr(self.catalog, table):
+            return None
+        return self._held[table].get(entity_id)
 
     def register_customer(self, customer: Customer) -> None:
-        _register(self.catalog.customers, customer)
+        self._register("customers", customer)
 
     def register_provider(self, provider: SliceProvider) -> None:
-        _register(self.catalog.providers, provider)
+        self._register("providers", provider)
 
     def register_vsp(self, vsp: VendorSoftwareProduct) -> None:
-        triple = (vsp.vendor_name, vsp.product_name, vsp.version)
-        for other in self.catalog.vsps.values():
-            if other.id != vsp.id and (
-                other.vendor_name,
-                other.product_name,
-                other.version,
-            ) == triple:
+        triple = _product(vsp)
+        for other in (*self.catalog.vsps.values(), *self._held["vsps"].values()):
+            if other.id != vsp.id and _product(other) == triple:
                 raise DuplicateEntry(
                     f"vsp (vendor, product, version) {triple!r} already registered"
                 )
-        self.catalog.vsps[vsp.id] = vsp
+        self._register("vsps", vsp, DuplicateEntry)
 
     # -- audit plumbing -----------------------------------------------------
 
@@ -513,12 +504,12 @@ class Orchestrator:
         drift from what was validated. The function is that blob's digest:
         its components are the template's compute resources, and footprints
         read them from the blob, so the catalog holds no copy of them. The
-        event carries the VSP and the digest, and the VSP itself when
-        nothing has been onboarded under it yet.
+        event carries the VSP and the digest, and the VSP itself when it is
+        registered and no event has carried it yet.
         """
         with self._attempt(actor, "onboard_vf", vsp_id):
-            vsp = self.catalog.vsps.get(vsp_id)
-            if vsp is None:
+            new_vsp = self._unlogged("vsps", vsp_id)
+            if new_vsp is None and vsp_id not in self.catalog.vsps:
                 raise UnknownEntity(f"unknown vendor software product {vsp_id!r}")
             doc = parse_template(template_text)
             report = merge_reports(
@@ -532,9 +523,8 @@ class Orchestrator:
         self.catalog.template_blobs[digest] = template_text
         self._footprint_cache[digest] = footprint
         vf_id = self._fresh_id(f"vf-{_slug(doc.name)}")
-        first = None if vsp.owned_resources else vsp
         return self._commit(
-            actor, "onboard_vf", vf_id, vsp=vsp_id, template_ref=digest, new_vsp=first
+            actor, "onboard_vf", vf_id, vsp=vsp_id, template_ref=digest, new_vsp=new_vsp
         )
 
     def certify_vf(self, actor: Role, vf_id: str) -> LifecycleRecord:
@@ -614,8 +604,8 @@ class Orchestrator:
             slice.id,
             slice=stored,
             slice_template=template,
-            customer=self.catalog.customers.get(slice.customer),
-            provider=self.catalog.providers.get(slice.provider),
+            customer=self._unlogged("customers", slice.customer),
+            provider=self._unlogged("providers", slice.provider),
         )
         self._check_slice_ready(actor, slice.id)
         return record

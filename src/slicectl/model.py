@@ -138,13 +138,13 @@ class SliceProvider:
 
 @dataclass(frozen=True)
 class VendorSoftwareProduct:
-    """Vendor-owned product under which network functions are onboarded."""
+    """A vendor's product, under which network functions are onboarded;
+    which functions those are, each onboard_vf event says by its vsp."""
 
     id: str
     vendor_name: str
     product_name: str
     version: tuple[int, int, int]
-    owned_resources: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not self.id:
@@ -155,7 +155,6 @@ class VendorSoftwareProduct:
         ):
             raise ValueError(f"version must be a triple of ints >= 0, got {version!r}")
         object.__setattr__(self, "version", version)
-        object.__setattr__(self, "owned_resources", frozenset(self.owned_resources))
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,19 @@ holds the VF's components), inventory.yaml (hosts, tenants and links; an
 older build's also holds allocations, and a tenant's use, the sum of its
 allocations, is not stored), and catalog.json (design-time entities,
 where a VF is the digest of its template, and no lifecycle records) where
-save_catalog or an older build wrote one. The audit file is the write-ahead
-record of the lifecycle engine and the one store of what it makes: the
-lifecycle records, the allocations, and the functions, services and slices
-that ok create events carry. replay_states, defined in lifecycle and
-re-exported here, folds it into them with apply_event, onto catalog.json
-as the genesis, as the engine does on open and with each event it logs,
-and raises LogDiverged for an ok event that the lifecycle table or the
-inventory refuses or whose entity differs from the genesis's. Snapshots
-are written atomically (temp file, fsync, rename), so an interrupted save
-never corrupts the previous file. A blob is written once, before the
-event or catalog that names it, and never rewritten; reading one checks
-that its SHA-256 is its name.
+save_catalog or an older build wrote one. catalog.json is the genesis: it
+is read, in any of formats 1 to 4, and never rewritten by a command. The
+audit file is the write-ahead record of the lifecycle engine and the one
+store of what it makes: the lifecycle records, the allocations, and the
+functions, services, slices and registered entities that ok events carry.
+replay_states, defined in lifecycle and re-exported here, folds it into
+them with apply_event, onto the genesis, as the engine does on open and
+with each event it logs, and raises LogDiverged for an ok event that the
+lifecycle table or the inventory refuses or whose entity differs from the
+genesis's. Snapshots are written atomically (temp file, fsync, rename), so
+an interrupted save never corrupts the previous file. A blob is written
+once, before the event or catalog that names it, and never rewritten;
+reading one checks that its SHA-256 is its name.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -27,9 +28,11 @@ shape check: it refuses keys that name no field, a mapping or list that is
 something else, and a scalar whose type is not its hint's (text, true or
 false, a whole number, a number; a boolean is never a number), naming each
 field, key and index on the way down, and it names them on an enum or
-constructor's refusal too. It calls the constructors, so every invariant
-check runs on load. _decode_file reports a file that does not decode as
-IoFailure naming the file as corrupt.
+constructor's refusal too. A field an older build stored and this one
+derives instead is dropped unread, in any version, through one table,
+_RETIRED. It calls the constructors, so every invariant check runs on
+load. _decode_file reports a file that does not decode as IoFailure naming
+the file as corrupt; a file that is not UTF-8 text is IoFailure too.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import yaml
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import CATALOG_VERSION, AuditEvent, Catalog, replay_states
+from .model import VendorSoftwareProduct
 from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
@@ -106,11 +110,20 @@ def _atomic_write(path: Path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _read_text(path: Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_yaml(path: Path) -> object:
@@ -150,6 +163,14 @@ _SCALARS: dict[Any, tuple[tuple[type, ...], str]] = {
 
 # What a constructor or a converter raises for a value it refuses.
 _REFUSALS = (TypeError, ValueError, SliceError)
+
+# Keys that older builds wrote and this one does not keep: each is a copy of
+# what the log or other fields say (the VFs onboarded under a VSP; the sum
+# of a tenant's allocations), dropped unread wherever it appears.
+_RETIRED: dict[type, frozenset[str]] = {
+    VendorSoftwareProduct: frozenset({"owned_resources"}),
+    Tenant: frozenset({"used"}),
+}
 
 
 def relabel(exc: Exception, label: str) -> Exception:
@@ -222,6 +243,7 @@ def _decoder(tp: Any) -> _Convert:
             for f in dataclasses.fields(tp)
             if f.init
         }
+        retired = _RETIRED.get(tp, frozenset())
 
         def decode_fields(raw):
             # Keys absent from the file take the field default; a key that
@@ -234,6 +256,8 @@ def _decoder(tp: Any) -> _Convert:
             kwargs = {}
             for name, value in raw.items():
                 if name not in fields:
+                    if name in retired:
+                        continue
                     raise ValueError(f"{tp.__name__} has no field {name!r}")
                 scalar, dec = fields[name]
                 if scalar is not None:
@@ -334,10 +358,7 @@ def _read_blob(directory: Path, digest: str) -> str:
     """The template text in directory/digest, refused unless the file's
     SHA-256 is its name."""
     path = directory / digest
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    data = _read_bytes(path)
     _check_blob(path, digest, data)
     try:
         return data.decode("utf-8")
@@ -402,14 +423,11 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
     The blobs go to blobs/ beside the catalog before catalog.json is
     replaced, so a crash leaves at worst a blob no catalog refers to; a
-    catalog whose blobs are already files there has none to write.
-    `indent` would force json's pure-Python encoder, which took about
-    twice as long as the C one on a 1,000-VF catalog."""
+    blob file already there is not read. `indent` would force json's
+    pure-Python encoder, which took about twice as long as the C one on a
+    1,000-VF catalog."""
     path = Path(path)
-    directory = path.parent / BLOBS_DIR
-    blobs = catalog.template_blobs
-    if not (isinstance(blobs, TemplateBlobs) and blobs.directory == directory):
-        _write_blobs(directory, blobs)
+    _write_blobs(path.parent / BLOBS_DIR, catalog.template_blobs)
     payload = json.dumps(encode(catalog), sort_keys=True, separators=(",", ":"))
     _atomic_write(path, payload + "\n")
 
@@ -421,10 +439,9 @@ def load_catalog(path: str | Path) -> Catalog:
     Versions 1 to 3 also held the lifecycle records, a copy of the fold of
     the audit log, and versions 1 and 2 each VF's compute resources as its
     `components`, a copy of what its template says; both keys are dropped
-    unread and the rest decodes as version 4; file_version keeps the
-    file's. A version-1 file also holds its blobs inline. Each is checked
-    against its digest here, and the next save writes them to blobs/ and
-    the catalog as version 4."""
+    unread and the rest decodes as version 4. A version-1 file also holds
+    its blobs inline: each is checked against its digest here and served
+    from memory, and save_catalog would write them to blobs/."""
     path = Path(path)
     text = _read_text(path)
     try:
@@ -460,7 +477,6 @@ def load_catalog(path: str | Path) -> Catalog:
                 function.pop("components", None)
         raw["version"] = CATALOG_VERSION
     catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
-    catalog.file_version = version
     if inline is not None:
         catalog.template_blobs = inline
     else:
@@ -494,16 +510,9 @@ def save_inventory(infra: Infrastructure, path: str | Path) -> None:
 
 def load_inventory(path: str | Path) -> Infrastructure:
     """The infrastructure in path, each stored allocation taken through
-    Infrastructure.hold, so a tenant's use is the sum of its allocations.
-    Older builds also stored that sum as each tenant's `used`; the key is
-    dropped unread."""
+    Infrastructure.hold, so a tenant's use is the sum of its allocations."""
     where = f"{path}: corrupt inventory"
-    raw = _load_yaml(Path(path))
-    tenants = raw.get("tenants") if isinstance(raw, dict) else None
-    for tenant in tenants if isinstance(tenants, list) else ():
-        if isinstance(tenant, dict):
-            tenant.pop("used", None)
-    doc = _decode_file(InventoryDocument, raw, where)
+    doc = _decode_file(InventoryDocument, _load_yaml(Path(path)), where)
     infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
     try:
         for host in doc.hosts:
@@ -580,16 +589,16 @@ def _drop_fragment(handle) -> None:
 
 def load_audit(path: str | Path) -> list[AuditEvent]:
     """Load and validate the audit log: contiguous sequence from 1. A
-    final fragment without a newline is not an event and is left out."""
-    text = _read_text(Path(path))
+    final fragment without a newline is not an event and is left out,
+    whatever its bytes; each line is decoded as UTF-8 on its own."""
     events: list[AuditEvent] = []
-    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+    for lineno, line in enumerate(_read_bytes(path).split(b"\n")[:-1], start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}: corrupt audit record"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise IoFailure(f"{where}: {exc}") from exc
         events.append(_decode_file(AuditEvent, raw, where))
     for position, event in enumerate(events, start=1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from importlib import resources
 
@@ -12,7 +13,7 @@ from slicectl.infra import (
     Tenant,
     build_testbed,
 )
-from slicectl.lifecycle import Orchestrator, Role
+from slicectl.lifecycle import Catalog, Orchestrator, Role, replay_states
 from slicectl.model import (
     NetworkSlice,
     ResourceDemand,
@@ -60,6 +61,17 @@ def register_vsp(engine: Orchestrator, vsp_id: str = "vsp-lab") -> str:
         )
     )
     return vsp_id
+
+
+def assert_live_is_the_fold(engine: Orchestrator, genesis: Catalog | None = None):
+    """engine's catalog, entities and records, is the fold of genesis (an
+    empty catalog by default, consumed here) and engine.events."""
+    fold = Catalog() if genesis is None else genesis
+    replay_states(engine.events, catalog=fold)
+    for field in dataclasses.fields(Catalog):
+        if field.name not in ("version", "template_blobs"):
+            live, folded = getattr(engine.catalog, field.name), getattr(fold, field.name)
+            assert live == folded, field.name
 
 
 def onboard_certified(engine: Orchestrator, vsp_id: str, text: str) -> str:

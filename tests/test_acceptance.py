@@ -21,11 +21,13 @@ from slicectl.errors import IoFailure, PartialFailure, PlanInvalid, SliceError
 from slicectl.infra import build_testbed
 from slicectl.lifecycle import Catalog, Orchestrator, Role
 from slicectl.model import (
+    Customer,
     NetworkSlice,
     ResourceDemand,
     ServiceProfile,
     ServiceRequirement,
     Sla,
+    SliceProvider,
     aggregate_sla,
     make_slice_template,
 )
@@ -259,6 +261,11 @@ FUZZ_REQUIREMENT = ServiceRequirement(
 def _storm(rng: random.Random, text: str) -> None:
     engine = Orchestrator(build_testbed(), catalog=Catalog())
     scenario.register_vsp(engine)
+    engine.register_customer(Customer(id="c-lab", name="Lab"))
+    engine.register_provider(
+        SliceProvider(id="p-lab", name="Lab", administrative_domains={"core"})
+    )
+    scenario.assert_live_is_the_fold(engine)
     vfs: list[str] = []
     services: list[str] = []
     slices: list[str] = []
@@ -294,24 +301,30 @@ def _storm(rng: random.Random, text: str) -> None:
     depth = rng.randint(0, 8)
     if depth >= 1:
         vfs.append(engine.onboard_vf(Role.DESIGNER, "vsp-lab", text).subject)
+        scenario.assert_live_is_the_fold(engine)
     if depth >= 2:
         engine.certify_vf(Role.TESTER, vfs[0])
+        scenario.assert_live_is_the_fold(engine)
     if depth >= 3:
         services.append(
             engine.create_service(Role.DESIGNER, "fz0", [vfs[0]]).subject
         )
+        scenario.assert_live_is_the_fold(engine)
     for offset, (action, actor) in enumerate(
         (("test", Role.TESTER), ("approve", Role.GOVERNOR), ("distribute", Role.OPERATOR))
     ):
         if depth >= 4 + offset:
             engine.advance_service(actor, services[0], action)
+            scenario.assert_live_is_the_fold(engine)
     if depth >= 7:
         slc, template = make_slice((services[0],))
         slices.append(engine.create_slice(Role.DESIGNER, slc, template).subject)
+        scenario.assert_live_is_the_fold(engine)
     if depth >= 8:
         engine.instantiate_slice(
             Role.OPERATOR, slices[0], engine.plan_slice(slices[0])
         )
+        scenario.assert_live_is_the_fold(engine)
 
     def op_onboard():
         vfs.append(
@@ -374,6 +387,7 @@ def _storm(rng: random.Random, text: str) -> None:
             rng.choice(ops)()
         except SliceError:
             pass  # rejected operations are legal outcomes, audited as such
+        scenario.assert_live_is_the_fold(engine)
 
     events = engine.events
     assert [e.sequence_no for e in events] == list(range(1, len(events) + 1))
@@ -393,7 +407,9 @@ def _storm(rng: random.Random, text: str) -> None:
 
 def test_random_operations_keep_invariants():
     """10000 random operation storms: the audit sequence stays gap-free,
-    replays to the live records exactly, and usage stays conserved."""
+    replays to the live records exactly, and usage stays conserved; after
+    every step, registrations included, the live catalog's entities and
+    records are the fold of the log."""
     text = scenario.minimal_template()
     for index in range(10_000):
         _storm(random.Random(97_000 + index), text)

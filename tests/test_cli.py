@@ -20,6 +20,7 @@ import yaml
 
 import scenario
 import slicectl
+from slicectl import cli, store
 from slicectl.cli import ENV_CATALOG, _open_engine, main, run
 from slicectl.infra import build_testbed
 from slicectl.lifecycle import Catalog, Orchestrator, Role
@@ -28,6 +29,7 @@ from slicectl.store import (
     FileAuditLog,
     encode,
     load_audit,
+    load_catalog,
     load_inventory,
     replay_states,
     save_catalog,
@@ -256,6 +258,11 @@ BAD_DESCRIPTORS = [
         "NetworkSlice field name must be text, got 5",
         id="number-name-without-id",
     ),
+    pytest.param(
+        edited_descriptor(lambda d: None).encode() + b"# \xff\n",
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+        id="not-utf8",
+    ),
 ]
 
 # Every command that saves state, under a role its gate denies. {tmp} is
@@ -390,6 +397,48 @@ class TestExitCodes:
         assert result.summary.startswith("internal error")
         machine = run(["init-testbed", "--json", "--catalog", str(root)])
         assert (machine.exit_code, machine.machine) == (3, True)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["lint-template", "{tmp}/bad.yaml"], "bad.yaml"),
+            (["onboard-vf", "{tmp}/bad.yaml", "--vsp", "vsp-core-cp"], "bad.yaml"),
+            (["instantiate-slice", "slice-a", "--plan", "{tmp}/bad.yaml"], "bad.yaml"),
+            (["status"], "audit.log"),
+            (["status"], "inventory.yaml"),
+            (["status"], "catalog.json"),
+            (["certify-vf", "vf-core-cp"], "audit.log"),
+        ],
+        ids=[
+            "lint-template",
+            "onboard-vf",
+            "instantiate-slice-plan",
+            "status-audit-line",
+            "status-inventory",
+            "status-catalog",
+            "certify-vf-audit-line",
+        ],
+    )
+    def test_input_that_is_not_utf8_is_refused(self, root, tmp_path, argv, name):
+        """A template, plan or lab file holding byte 0xff is refused with
+        exit 1 naming the file, and every lab file stays as it was."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        (tmp_path / "bad.yaml").write_bytes(
+            Path(_fixture("core_cp.yaml")).read_bytes() + b"# \xff\n"
+        )
+        if name == "audit.log":
+            with open(root / name, "ab") as handle:
+                handle.write(b'{"sequence_no": 18, "subject": "\xff"}\n')
+        elif name != "bad.yaml":
+            path = root / name
+            path.write_bytes((path.read_bytes() if path.exists() else b"") + b"\xff")
+        saved = _lab_bytes(root)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        result = run(argv + ["--catalog", str(root)])
+        assert result.exit_code == 1, result.summary
+        assert result.summary.startswith("IoFailure: "), result.summary
+        assert name in result.summary and "can't decode byte 0xff" in result.summary
+        assert _lab_bytes(root) == saved
 
     def test_environment_variable_selects_the_catalog(self, root, monkeypatch):
         monkeypatch.setenv(ENV_CATALOG, str(root))
@@ -694,7 +743,7 @@ class TestWorkflow:
         seed_service(root, tmp_path)
         saved = _lab_bytes(root)
         descriptor = tmp_path / "slice.yaml"
-        descriptor.write_text(text)
+        descriptor.write_bytes(text if isinstance(text, bytes) else text.encode())
         result = run(["create-slice", str(descriptor), "--catalog", str(root)])
         assert result.exit_code == 1
         assert result.summary.startswith(f"IoFailure: {descriptor}: ")
@@ -1135,6 +1184,36 @@ class TestDemo:
         )
         assert _lab_bytes(root) == before
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--vendor", "Totally Different", "--version", "9.9.9"],
+            ["--product", "Core CP 2"],
+            ["--version", "1.0.1"],
+        ],
+        ids=["vendor-and-version", "product", "version"],
+    )
+    def test_onboard_options_that_differ_from_the_lab_vsp_are_refused(
+        self, root, options
+    ):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        before = _lab_bytes(root)
+        argv = ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-core-cp"]
+        result = run(argv + options + ["--catalog", str(root)])
+        assert result.exit_code == 1, result.summary
+        assert result.summary.startswith("DuplicateEntry: VendorSoftwareProduct(")
+        assert "differs from the registered" in result.summary
+        assert _lab_bytes(root) == before
+
+    def test_onboard_options_that_match_the_lab_vsp_are_accepted(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        argv = ["onboard-vf", _fixture("core_dp.yaml"), "--vsp", "vsp-core-cp"]
+        argv += ["--vendor", "GreyOp Networks", "--product", "Core CP"]
+        result = run(argv + ["--version", "1.0.0", "--catalog", str(root)])
+        assert result.exit_code == 0, result.summary
+        onboarded = load_audit(root / "audit.log")[-1]
+        assert (onboarded.vsp, onboarded.new_vsp) == ("vsp-core-cp", None)
+
     def test_status_reports_whether_the_log_agrees(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         agrees = run(["status", "--catalog", str(root)])
@@ -1204,7 +1283,7 @@ def _golden_lab(root, catalog: str = "v4/catalog.json") -> None:
     and the golden audit log, whose events carry none."""
     source = (GOLDEN / catalog).parent
     root.mkdir()
-    shutil.copy(GOLDEN / catalog, root)
+    shutil.copy(GOLDEN / catalog, root / "catalog.json")
     if (source / "blobs").is_dir():
         shutil.copytree(source / "blobs", root / "blobs")
     for name in ("inventory.yaml", "audit.log"):
@@ -1300,20 +1379,34 @@ class TestStatusChecks:
         assert status.exit_code == 0, status.summary
         assert status.detail["problems"] == []
 
-    def test_older_lab_converts_on_its_next_write(self, root):
+    def test_older_lab_converts_on_its_next_write(self, root, tmp_path, monkeypatch):
+        """A format-1 lab opens, and its next write converts it in memory:
+        the engine holds the fold of the genesis and the log, which saves
+        as the version-4 golden with each inline blob as a file. The lab's
+        own catalog.json keeps its bytes and inode, and gets no blobs/."""
         _golden_lab(root, "catalog.json")
         before = run(["status", "--catalog", str(root)])
         assert before.exit_code == 0, before.summary
         assert not (root / "blobs").exists()
+        path = root / "catalog.json"
+        kept = (path.read_bytes(), path.stat().st_ino)
+        opened = _opened_engines(monkeypatch)
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
-        text = (root / "catalog.json").read_text()
+        assert (path.read_bytes(), path.stat().st_ino) == kept
+        assert not (root / "blobs").exists()
+        scenario.assert_live_is_the_fold(opened[-1], _genesis(root))
+        converted = tmp_path / "converted" / "catalog.json"
+        converted.parent.mkdir()
+        save_catalog(opened[-1].catalog, converted)
+        text = converted.read_text()
+        assert text == (GOLDEN / "v4/catalog.saved.json").read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         raw = json.loads(text)
         assert raw["version"] == 4 and "template_blobs" not in raw
         assert "records" not in raw
         assert not any("components" in f for f in raw["functions"].values())
-        blobs = sorted((root / "blobs").iterdir())
+        blobs = sorted((converted.parent / "blobs").iterdir())
         assert [p.name for p in blobs] == sorted(
             json.loads((GOLDEN / "catalog.json").read_text())["template_blobs"]
         )
@@ -1323,16 +1416,27 @@ class TestStatusChecks:
         assert after.exit_code == 0, after.summary
         assert "audit log: agrees with the catalog" in after.summary
 
-    def test_version_2_lab_converts_on_its_next_write(self, root):
-        """A format-2 lab opens, and its next write drops the components
-        that format 2 copied out of each template, and the records; the
-        blobs stay."""
+    def test_version_2_lab_converts_on_its_next_write(self, root, tmp_path, monkeypatch):
+        """A format-2 lab opens, and its next write's engine drops the
+        components that format 2 copied out of each template, and the
+        records; it saves as the version-4 golden. The lab's catalog.json
+        and blobs stay as they were."""
         _golden_lab(root, "v2/catalog.json")
         before = run(["status", "--catalog", str(root)])
         assert before.exit_code == 0, before.summary
+        saved = _lab_bytes(root)
+        opened = _opened_engines(monkeypatch)
         argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
         assert run(argv).exit_code == 0
-        raw = json.loads((root / "catalog.json").read_text())
+        after_write = _lab_bytes(root)
+        assert after_write.pop("audit.log") != saved.pop("audit.log")
+        assert after_write == saved
+        scenario.assert_live_is_the_fold(opened[-1], _genesis(root))
+        converted = tmp_path / "converted" / "catalog.json"
+        converted.parent.mkdir()
+        save_catalog(opened[-1].catalog, converted)
+        assert converted.read_bytes() == (GOLDEN / "v4/catalog.saved.json").read_bytes()
+        raw = json.loads(converted.read_text())
         assert raw["version"] == 4 and "records" not in raw
         assert not any("components" in f for f in raw["functions"].values())
         after = run(["status", "--catalog", str(root)])
@@ -1612,27 +1716,55 @@ def _status(root) -> tuple[int, dict]:
     return result.exit_code, result.detail
 
 
-class TestGenesis:
-    """catalog.json is a genesis: read if it is there, rewritten by no
-    command but a format 1 to 3 one's conversion, and not needed, since the
-    log's create events carry every entity a command makes."""
+def _opened_engines(monkeypatch) -> list[Orchestrator]:
+    """Each engine a command opens from now on, kept as the command leaves
+    it: the live engine of that command."""
+    opened = []
+    real = cli._open_engine
 
-    def test_readme_flow_writes_no_catalog(self, root):
+    def open_engine(root):
+        opened.append(real(root))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_open_engine", open_engine)
+    return opened
+
+
+def _genesis(root):
+    """A fresh load of root's catalog.json, or None where there is none."""
+    path = root / "catalog.json"
+    return load_catalog(path) if path.exists() else None
+
+
+class TestGenesis:
+    """catalog.json is a genesis: read if it is there, in any format,
+    rewritten by no command, and not needed, since the log's events carry
+    every entity a command makes or registers. After every command, the
+    catalog the command leaves is the fold of the genesis and the log."""
+
+    def test_readme_flow_writes_no_catalog(self, root, monkeypatch):
+        opened = _opened_engines(monkeypatch)
         for argv in _FLOW:
             result = _flow_step(root, argv)
             assert result.exit_code == 0, (argv, result.summary)
             assert not (root / "catalog.json").exists(), argv
+            for engine in opened:  # none for lint-template
+                scenario.assert_live_is_the_fold(engine)
             code, detail = _status(root)
+            opened.clear()
             assert code == 0 and detail["log"]["agrees"], (argv, detail)
         catalog = _lab_catalog(root)
         assert sorted(catalog.functions) == ["vf-core-cp", "vf-core-dp"]
         assert sorted(catalog.services) == ["svc-core-cp", "svc-core-dp"]
         assert catalog.slices["slice-a"].sla.committed_latency == 10.0
         assert sorted(catalog.customers) == ["c-companyx"]
-        assert catalog.vsps["vsp-core-cp"].owned_resources == {"vf-core-cp"}
+        # A VSP onboard-vf registers takes its defaults where no option is given.
+        assert catalog.vsps["vsp-core-cp"] == VendorSoftwareProduct(
+            "vsp-core-cp", "unknown-vendor", "vsp-core-cp", (1, 0, 0)
+        )
 
     def test_genesis_and_log_with_the_same_entities_open_as_the_log_alone(
-        self, root, tmp_path
+        self, root, tmp_path, monkeypatch
     ):
         """The benchmark's layout opens as its log alone does, and a README
         pass gives the same exit codes and status at every step on both."""
@@ -1644,10 +1776,17 @@ class TestGenesis:
         assert _status(root) == _status(bare)
         assert _status(root)[0] == 0
         assert _lab_catalog(root) == _lab_catalog(bare)
-        vsp = _lab_catalog(bare).vsps["vsp-seed"]
-        assert len(vsp.owned_resources) == 12
+        # The first onboard carried the VSP; each names it.
+        onboards = [e for e in load_audit(bare / "audit.log") if e.vsp is not None]
+        assert [e.vsp for e in onboards] == ["vsp-seed"] * 12
+        assert onboards[0].new_vsp == _lab_catalog(bare).vsps["vsp-seed"]
+        assert not any(e.new_vsp for e in onboards[1:])
+        opened = _opened_engines(monkeypatch)
         for argv in _FLOW[1:]:
-            results = [_flow_step(lab, argv) for lab in (root, bare)]
+            results = []
+            for lab in (root, bare):
+                results.append(_flow_step(lab, argv))
+                scenario.assert_live_is_the_fold(opened[-1], _genesis(lab))
             assert [r.exit_code for r in results] == [0, 0], argv
             for result in results:
                 result.detail.pop("plan_file", None)  # a path in its lab
@@ -1681,19 +1820,34 @@ class TestGenesis:
 
     @pytest.mark.parametrize(
         "catalog",
-        ["catalog.json", "v2/catalog.json", "v3/catalog.json", "v4/catalog.json"],
+        [
+            "catalog.json",
+            "catalog.compact.json",
+            "v2/catalog.json",
+            "v3/catalog.json",
+            "v4/catalog.json",
+        ],
     )
-    def test_golden_genesis_converts_once_then_stays_put(self, root, tmp_path, catalog):
-        """The first write converts an older golden catalog to the version-4
-        golden; from then on, and on the version-4 golden from the start,
-        every lifecycle command leaves the file's bytes and inode alone."""
+    def test_golden_genesis_stays_put(self, root, tmp_path, monkeypatch, catalog):
+        """Eleven lifecycle commands on each golden lab leave catalog.json's
+        bytes and inode alone and write no catalog.json at all; status
+        agrees after each. A version-1 genesis serves its blobs inline,
+        so blobs/ holds only the new onboard's."""
         _golden_lab(root, catalog)
         template = tmp_path / "probe.yaml"
         template.write_text(scenario.minimal_template())
+        digest = hashlib.sha256(template.read_bytes()).hexdigest()
         descriptor = tmp_path / "slice.yaml"
         descriptor.write_text(yaml.safe_dump(descriptor_doc()))
         path = root / "catalog.json"
         kept = (path.read_bytes(), path.stat().st_ino)
+        blobs = root / "blobs"
+        genesis_blobs = {p.name for p in blobs.iterdir()} if blobs.is_dir() else set()
+        written = []
+        real_write = store._write_file
+        monkeypatch.setattr(
+            store, "_write_file", lambda p, d: (written.append(p.name), real_write(p, d))
+        )
         steps = [
             ["teardown-slice", "slice-a", "--as", "operator"],
             ["onboard-vf", str(template), "--vsp", "vsp-lab"],
@@ -1705,16 +1859,31 @@ class TestGenesis:
             ["instantiate-slice", "slice-p", "--plan", str(root / "plan-slice-p.yaml")],
             ["teardown-slice", "slice-p", "--as", "operator"],
         ]
-        for number, argv in enumerate(steps):
+        for argv in steps:
             result = run(argv + ["--catalog", str(root)])
             assert result.exit_code == 0, (argv, result.summary)
-            if number == 0 and catalog != "v4/catalog.json":
-                assert path.read_bytes() == (GOLDEN / "v4/catalog.json").read_bytes()
-                kept = (path.read_bytes(), path.stat().st_ino)
             assert (path.read_bytes(), path.stat().st_ino) == kept, argv
+            code, detail = _status(root)
+            assert code == 0 and detail["log"]["agrees"], (argv, detail)
+        assert "catalog.json" not in written
+        assert {p.name for p in blobs.iterdir()} == genesis_blobs | {digest}
+        assert detail["records"]["slice-p"]["state"] == "terminated"
+        assert detail["records"]["slice-a"]["state"] == "terminated"
+
+    def test_log_an_older_build_wrote_opens(self, root):
+        """golden/log-only is a demo lab an older build wrote, with no
+        catalog.json: each onboard_vf event that carries a VSP gives it an
+        empty owned_resources, a key this build drops unread."""
+        shutil.copytree(GOLDEN / "log-only", root)
+        assert (root / "audit.log").read_text().count('"owned_resources": []') == 2
         code, detail = _status(root)
         assert code == 0 and detail["log"]["agrees"], detail
-        assert detail["records"]["slice-p"]["state"] == "terminated"
+        assert detail["records"]["slice-a"]["state"] == "active"
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        code, detail = _status(root)
+        assert code == 0 and detail["records"]["slice-a"]["state"] == "terminated"
+        assert sorted(_lab_catalog(root).vsps) == ["vsp-core-cp", "vsp-core-dp"]
 
 
 class TestCrashes:
@@ -1809,8 +1978,10 @@ class TestCrashes:
         assert status.exit_code == 0, status.summary
         assert "audit log: agrees with the catalog" in status.summary.splitlines()
         assert "  vf-core-dp-2: draft" in status.summary.splitlines()
-        vsp = _lab_catalog(root).vsps["vsp-core-dp"]
-        assert vsp.owned_resources == {"vf-core-dp", "vf-core-dp-2", "vf-core-dp-3"}
+        events = load_audit(root / "audit.log")
+        onboards = [e for e in events if e.vsp == "vsp-core-dp"]
+        assert [e.subject for e in onboards] == [f"vf-core-dp{n}" for n in ("", "-2", "-3")]
+        assert [e.new_vsp is None for e in onboards] == [False, True, True]
 
 
 def _child_env() -> dict[str, str]:

@@ -11,6 +11,7 @@ import pytest
 import oracles
 import scenario
 from slicectl.errors import (
+    DuplicateEntry,
     EmptyService,
     InvalidTransition,
     MissingSizing,
@@ -34,11 +35,13 @@ from slicectl.lifecycle import (
     VfState,
 )
 from slicectl.model import (
+    Customer,
     FunctionKind,
     IsolationLevel,
     NetworkFunction,
     NetworkService,
     ResourceDemand,
+    SliceProvider,
     VendorSoftwareProduct,
 )
 from slicectl.placement import (
@@ -284,8 +287,11 @@ class TestVfOnboarding:
             {"get_resource": "mme_management_port"},
             {"get_resource": "mme_lte_ctl_port"},
         ]
-        vsp = self.engine.catalog.vsps["vsp-lab"]
-        assert "vf-core-cp" in vsp.owned_resources
+        # The event names the VF's VSP, and carries the VSP itself, since no
+        # event has before.
+        onboarded = self.engine.events[-1]
+        assert (onboarded.vsp, onboarded.new_vsp.id) == ("vsp-lab", "vsp-lab")
+        assert onboarded.new_vsp == self.engine.catalog.vsps["vsp-lab"]
         # An engine opened on the catalog has no footprint cached: it
         # parses the blob.
         self.engine.certify_vf(Role.TESTER, "vf-core-cp")
@@ -308,6 +314,82 @@ class TestVfOnboarding:
         with pytest.raises(InvalidTransition, match="certified"):
             self.engine.certify_vf(Role.TESTER, "vf-probe")
         assert self.engine.events[-1].outcome is Outcome.FAILED
+
+
+def _vsp(vsp_id: str = "v", vendor: str = "A") -> VendorSoftwareProduct:
+    return VendorSoftwareProduct(vsp_id, vendor, "p", (1, 0, 0))
+
+
+class TestRegistration:
+    """A registered VSP, customer or provider is held by the engine, apart
+    from the catalog, until the first ok event that needs it carries it;
+    the catalog stays the fold of the log at every step."""
+
+    def test_reregistration_changes_neither_the_catalog_nor_the_fold(self):
+        engine = Orchestrator(build_testbed())
+        engine.register_vsp(_vsp(vendor="A"))
+        scenario.assert_live_is_the_fold(engine)
+        assert engine.catalog.vsps == {}
+        engine.onboard_vf(Role.DESIGNER, "v", scenario.minimal_template())
+        with pytest.raises(DuplicateEntry, match="differs from the registered"):
+            engine.register_vsp(_vsp(vendor="B"))
+        engine.register_customer(Customer(id="c", name="C"))
+        scenario.assert_live_is_the_fold(engine)
+        assert engine.catalog.vsps["v"].vendor_name == "A"
+        assert engine.catalog.customers == {}
+
+    def test_held_entity_refuses_other_fields_under_its_id(self):
+        engine = Orchestrator(build_testbed())
+        engine.register_vsp(_vsp(vendor="A"))
+        engine.register_vsp(_vsp(vendor="A"))  # the same again is accepted
+        with pytest.raises(DuplicateEntry, match="differs from the registered"):
+            engine.register_vsp(_vsp(vendor="B"))
+        with pytest.raises(DuplicateEntry, match="already registered"):
+            engine.register_vsp(_vsp("w", vendor="A"))
+        engine.register_customer(Customer(id="c", name="C"))
+        with pytest.raises(ValueError, match="differs from the registered"):
+            engine.register_customer(Customer(id="c", name="Renamed"))
+        provider = SliceProvider(id="p", name="P", administrative_domains={"core"})
+        engine.register_provider(provider)
+        with pytest.raises(ValueError, match="differs from the registered"):
+            engine.register_provider(replace(provider, administrative_domains={"x"}))
+        assert engine.events == []
+        scenario.assert_live_is_the_fold(engine)
+
+    def test_only_the_first_event_that_needs_an_entity_carries_it(self):
+        engine = scenario.slice_a_engine()
+        onboards = [e for e in engine.events if e.action == "onboard_vf"]
+        assert [e.new_vsp.id for e in onboards] == ["vsp-core-cp", "vsp-core-dp"]
+        # The scenario registers slice-a's provider, and not its customer.
+        (created,) = [e for e in engine.events if e.action == "create_slice"]
+        assert (created.customer, created.provider.id) == (None, "p-greyop")
+        scenario.assert_live_is_the_fold(engine)
+
+        engine.onboard_vf(Role.DESIGNER, "vsp-core-cp", scenario.minimal_template())
+        assert engine.events[-1].new_vsp is None
+        slc = replace(engine.catalog.slices["slice-a"], id="slice-b", sla=None)
+        template = replace(engine.catalog.slice_templates["slice-a"], slice_id="slice-b")
+        engine.create_slice(Role.DESIGNER, slc, template)
+        created = [e for e in engine.events if e.action == "create_slice"][-1]
+        assert (created.subject, created.customer, created.provider) == (
+            "slice-b",
+            None,
+            None,
+        )
+        scenario.assert_live_is_the_fold(engine)
+
+    def test_a_reopened_engine_registers_what_its_catalog_holds(self):
+        """The VSP is in the reopened catalog, so registering it again is
+        accepted, and its next onboard does not carry it."""
+        engine = scenario.slice_a_engine()
+        reopened = Orchestrator(build_testbed(), log=list(engine.events))
+        vsp = engine.catalog.vsps["vsp-core-dp"]
+        reopened.register_vsp(vsp)
+        with pytest.raises(DuplicateEntry):
+            reopened.register_vsp(replace(vsp, version=(2, 0, 0)))
+        reopened.onboard_vf(Role.DESIGNER, "vsp-core-dp", scenario.minimal_template())
+        assert reopened.events[-1].new_vsp is None
+        scenario.assert_live_is_the_fold(reopened)
 
 
 class TestServiceWorkflow:

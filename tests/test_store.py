@@ -28,7 +28,7 @@ from slicectl.errors import (
     SequenceGap,
     SliceError,
 )
-from slicectl.infra import build_testbed
+from slicectl.infra import Tenant, build_testbed
 from slicectl.lifecycle import (
     AuditEvent,
     Catalog,
@@ -66,13 +66,19 @@ from slicectl.store import (
 # in version 2, each blob a file named by its SHA-256, and each VF's compute
 # resources copied in as its components. v3/ is the same catalog in
 # version 3, a VF its id, kind and template digest. Versions 1 to 3 hold the
-# lifecycle records. v4/ is the same catalog as this build writes it:
-# version 4, without records, which are the fold of the audit log.
+# lifecycle records. v4/ is the same catalog in version 4, without records,
+# which are the fold of the audit log. Every one of them lists the VFs under
+# each VSP as its owned_resources, which this build drops unread, since each
+# onboard_vf event names its VSP; v4/catalog.saved.json is the catalog as
+# this build writes it, without that key. log-only/ is a lab without
+# catalog.json, as `slicectl demo slice-a` wrote it when the log's events
+# first carried their entities: each VSP in them still holds owned_resources.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
 # inventory.yaml stores each tenant's use as `used`, as older builds did;
 # this is the same inventory as this build writes it, without that key.
 SAVED_INVENTORY = "inventory.saved.yaml"
+SAVED_CATALOG = "v4/catalog.saved.json"
 
 
 def _requirement(raw: dict) -> dict:
@@ -685,6 +691,25 @@ class TestAuditLog:
             ):
                 load_audit(path)
 
+    def test_retired_keys_are_dropped_unread(self, tmp_path):
+        """owned_resources, which a VSP carried in an older build's log and
+        catalogs, and `used`, which an older build's tenants held, are
+        dropped unread; a key that is only like one is still refused."""
+        vsp = VendorSoftwareProduct("vsp-x", "V", "P", (1, 0, 0))
+        stored = {**encode(vsp), "owned_resources": ["vf-a", "vf-b"]}
+        assert decode(VendorSoftwareProduct, stored) == vsp
+        carried = replace(event(1, "onboard_vf", "vf-a"), vsp="vsp-x", new_vsp=vsp)
+        path = tmp_path / "audit.log"
+        raw = encode(carried)
+        assert list(raw["new_vsp"]) == ["id", "vendor_name", "product_name", "version"]
+        raw["new_vsp"]["owned_resources"] = []
+        path.write_text(json.dumps(raw) + "\n")
+        assert load_audit(path) == [carried]
+        tenant = encode(build_testbed().tenants["tenant-cp"])
+        assert decode(Tenant, {**tenant, "used": "anything"}) == decode(Tenant, tenant)
+        with pytest.raises(ValueError, match="has no field 'owned_resource'"):
+            decode(VendorSoftwareProduct, {**encode(vsp), "owned_resource": []})
+
     def test_misspelt_key_is_refused(self, tmp_path):
         path = tmp_path / "audit.log"
         raw = encode(event(1))
@@ -728,15 +753,20 @@ class TestAuditLog:
         assert second["demand"] == {"vcpu": 2, "ram": 0, "storage": 0, "ports": 0}
         assert load_audit(path) == [event(1), held]
 
-    @pytest.mark.parametrize("kept", [0, 1, 40, -2, -1], ids=lambda k: f"kept{k}")
+    @pytest.mark.parametrize(
+        "kept",
+        [0, 1, 40, -2, -1, b"\x00\xff\xfe"],
+        ids=lambda k: f"kept{k}" if isinstance(k, int) else "not-utf8",
+    )
     def test_final_fragment_is_not_an_event(self, tmp_path, kept):
         """An event is a line that ends in a newline: a load leaves a final
-        fragment out, and the next append truncates it before it writes."""
+        fragment out, whatever its bytes, and the next append truncates it
+        before it writes."""
         path = tmp_path / "audit.log"
         FileAuditLog(path).append(event(1))
         whole = path.read_bytes()
         torn = json.dumps(encode(event(2, "onboard_vf"))).encode() + b"\n"
-        path.write_bytes(whole + torn[:kept])
+        path.write_bytes(whole + (kept if isinstance(kept, bytes) else torn[:kept]))
         assert load_audit(path) == [event(1)]
         FileAuditLog(path).append(event(2))
         line = json.dumps(encode(event(2))).encode() + b"\n"
@@ -944,7 +974,7 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": "v4/catalog.json", "inventory.yaml": SAVED_INVENTORY}
+_SAVED_AS = {"catalog.json": SAVED_CATALOG, "inventory.yaml": SAVED_INVENTORY}
 
 
 def _rewrite_audit(source, target):
@@ -963,13 +993,13 @@ def _rewrite_audit(source, target):
 )
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
-    its own bytes, except that the golden catalogs of older builds, the two
-    version-1 ones, the version-2 and the version-3 one, are saved as the
-    version-4 golden catalog and blob files, and the golden inventory,
-    whose tenants hold `used`, as the inventory without it; each of those
-    saves as itself."""
+    its own bytes, except that the golden catalogs, the two version-1 ones
+    and those of versions 2 to 4, whose VSPs hold owned_resources, are saved
+    as the saved catalog beside the version-4 golden blob files, and the
+    golden inventory, whose tenants hold `used`, as the inventory without
+    it; each of those saves as itself."""
     saved = _SAVED_AS.get(name, name)
-    older = (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json")
+    older = (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json", "v4/catalog.json")
     sources = older if name == "catalog.json" else (name,)
     for source in dict.fromkeys((*sources, saved)):
         target = tmp_path / source.replace("/", "-") / name
@@ -993,13 +1023,13 @@ def test_golden_blob_files_are_named_by_their_hash():
 
 
 def _converts_to_the_version_4_golden(tmp_path, source):
-    """The catalog in source loads, saves as the version-4 golden files,
-    and those load back as the same catalog; opened on the golden log, it
-    holds that log's fold as its records."""
+    """The catalog in source loads, saves as the version-4 saved catalog and
+    the golden blob files, and those load back as the same catalog; opened
+    on the golden log, it holds that log's fold as its records."""
     catalog = load_catalog(GOLDEN / source)
     path = tmp_path / "catalog.json"
     save_catalog(catalog, path)
-    assert path.read_bytes() == (GOLDEN / "v4" / "catalog.json").read_bytes()
+    assert path.read_bytes() == (GOLDEN / SAVED_CATALOG).read_bytes()
     assert _blob_files(tmp_path) == _blob_files(GOLDEN / "v4")
     again = load_catalog(path)
     assert isinstance(again.template_blobs, TemplateBlobs)
