@@ -121,7 +121,9 @@ def _locked(root: Path, operation: int = fcntl.LOCK_EX):
     """Advisory lock on root: exclusive for a command that writes, so one
     writer runs at a time, and shared (LOCK_SH) for one that only reads, so
     it never sees a writer's files half saved. A read of a directory that
-    does not exist takes no lock and creates nothing."""
+    does not exist takes no lock and creates nothing; a file is refused."""
+    if root.exists() and not root.is_dir():
+        raise IoFailure(f"{root}: not a directory")
     if operation == fcntl.LOCK_SH and not root.is_dir():
         yield
         return
@@ -426,8 +428,8 @@ def _lab_problems(engine: Orchestrator) -> list[str]:
     """What the lab's files break, apart from the log: a function's template
     blob that is missing or whose SHA-256 is not its name, an instantiated
     service that holds no allocation, and an allocation held by a catalog
-    service that is not instantiated. An allocation for a service the
-    catalog does not know is not judged."""
+    service that is not instantiated, named by its demand and tenant. An
+    allocation for a service the catalog does not know is not judged."""
     catalog = engine.catalog
     problems = []
     for function in sorted(catalog.functions.values(), key=lambda f: f.id):
@@ -440,10 +442,7 @@ def _lab_problems(engine: Orchestrator) -> list[str]:
                 )
         except IoFailure as exc:
             problems.append(f"{function.id}: {exc}")
-    held: dict[str, list[str]] = {}
-    allocations = engine.infra.allocations.values() if engine.infra else ()
-    for allocation in allocations:
-        held.setdefault(allocation.service, []).append(allocation.id)
+    held = engine.infra.allocations if engine.infra else {}
     instantiated = {
         r.subject
         for r in catalog.records.values()
@@ -454,8 +453,10 @@ def _lab_problems(engine: Orchestrator) -> list[str]:
     for service_id in sorted(held.keys() & catalog.services.keys() - instantiated):
         record = catalog.records.get(service_id)
         state = record.state.value if record else "unrecorded"
+        allocation = held[service_id]
         problems.append(
-            f"{service_id} is {state} but holds {', '.join(sorted(held[service_id]))}"
+            f"{service_id} is {state} but holds {allocation.demand}"
+            f" on {allocation.tenant}"
         )
     return problems
 

@@ -25,7 +25,7 @@ class InvalidProfile(SliceError, ValueError):
 
 
 class DuplicateEntry(SliceError, ValueError):
-    """One entry given twice: a service's function, or a vendor product."""
+    """One entry given twice, or registered again with other fields."""
 
 
 class UnknownService(SliceError):
@@ -99,7 +99,7 @@ class InsufficientCapacity(SliceError):
 
 
 class UnknownAllocation(SliceError):
-    """Release was asked for an allocation id that is not held."""
+    """Release was asked for a service that holds no allocation."""
 
 
 class Unreachable(SliceError):

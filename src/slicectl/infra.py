@@ -2,9 +2,10 @@
 
 Hosts carry capacity, tenants carry quotas and usage, physical links carry
 latency. This is the offered-capability side of placement: allocation is
-plain bookkeeping, where a tenant's use is the sum of its live allocations
-(hold, the one path that takes capacity for allocate and for a loaded
-inventory alike, adds one; release takes it away), and inter-tenant
+plain bookkeeping, where a service holds at most one allocation and a
+tenant's use is the sum of its live allocations (hold, the one path that
+takes capacity for allocate and for a loaded inventory alike, adds one;
+release takes a service's away), and inter-tenant
 latency is the shortest path over the physical links. The host adjacency
 is built once per topology, with each link latency as a whole number on
 one shared power-of-two scale, so a path's latency is summed exactly and
@@ -90,7 +91,6 @@ class PhysicalLink:
 
 @dataclass(frozen=True)
 class Allocation:
-    id: str
     tenant: str
     service: str
     demand: ResourceDemand
@@ -101,8 +101,8 @@ class Infrastructure:
     hosts: dict[str, Host] = field(default_factory=dict)
     tenants: dict[str, Tenant] = field(default_factory=dict)
     links: dict[str, PhysicalLink] = field(default_factory=dict)
+    # What each service holds, by service id.
     allocations: dict[str, Allocation] = field(default_factory=dict)
-    next_allocation_id: int = 1
     # Built on first use and cleared whenever the topology changes: the
     # weighted neighbour map, and the shortest latencies from each source
     # host already asked about.
@@ -245,36 +245,31 @@ class Infrastructure:
 
     def hold(self, allocation: Allocation) -> None:
         """Record allocation and add its demand to its tenant's use. An
-        unknown tenant, an id already held and a demand past the quota are
-        refused, in that order, and the refusal changes nothing."""
+        unknown tenant, a service that already holds one and a demand past
+        the quota are refused, in that order, and the refusal changes
+        nothing."""
         refusal = self.capacity_refusal(
             allocation.tenant, allocation.service, allocation.demand
         )
-        if allocation.id in self.allocations:
-            raise ValueError(f"allocation {allocation.id!r} is already held")
+        if allocation.service in self.allocations:
+            raise ValueError(f"service {allocation.service!r} already holds one")
         if refusal is not None:
             raise InsufficientCapacity(refusal)
-        self.allocations[allocation.id] = allocation
+        self.allocations[allocation.service] = allocation
         tenant = self.tenants[allocation.tenant]
         tenant.used = tenant.used + allocation.demand
 
     def allocate(
         self, tenant_id: str, service_id: str, demand: ResourceDemand
     ) -> Allocation:
-        allocation = Allocation(
-            id=f"alloc-{self.next_allocation_id}",
-            tenant=tenant_id,
-            service=service_id,
-            demand=demand,
-        )
+        allocation = Allocation(tenant_id, service_id, demand)
         self.hold(allocation)
-        self.next_allocation_id += 1
         return allocation
 
-    def release(self, allocation_id: str) -> None:
-        allocation = self.allocations.pop(allocation_id, None)
+    def release(self, service_id: str) -> None:
+        allocation = self.allocations.pop(service_id, None)
         if allocation is None:
-            raise UnknownAllocation(f"allocation {allocation_id!r} is not held")
+            raise UnknownAllocation(f"service {service_id!r} holds no allocation")
         tenant = self.tenants[allocation.tenant]
         tenant.used = tenant.used - allocation.demand
 

@@ -313,11 +313,12 @@ def apply_event(
     check_transition and appends itself to the history. A create event
     writes the entities it carries into the catalog, where one already
     there, as catalog.json holds it, must be equal. In infra, an ok event
-    allocates the demand it carries on its tenant, and a terminate_service releases all its subject holds. An ok
-    event that TRANSITIONS or infra refuses, whose entity differs from the
-    catalog's, or whose action is unknown, raises LogDiverged and changes
-    nothing. Denied and failed events change nothing. Returns the record
-    the event moved, or None.
+    allocates the demand it carries on its tenant, and a terminate_service
+    releases what its subject holds, if anything. An ok event that
+    TRANSITIONS or infra refuses, whose entity differs from the catalog's,
+    or whose action is unknown, raises LogDiverged and changes nothing.
+    Denied and failed events change nothing. Returns the record the event
+    moved, or None.
     """
     if event.outcome is not Outcome.OK:
         return None
@@ -335,9 +336,8 @@ def apply_event(
     for table, key, entity in carried:
         table[key] = entity
     if infra is not None and event.action == "terminate_service":
-        for allocation in list(infra.allocations.values()):
-            if allocation.service == event.subject:
-                infra.release(allocation.id)
+        if event.subject in infra.allocations:
+            infra.release(event.subject)
     _, state = TRANSITIONS[event.action]
     if record is None:
         record = records[event.subject] = LifecycleRecord(
@@ -395,13 +395,13 @@ class Orchestrator:
 
     # -- registration (held for an event to carry, no lifecycle records) ----
 
-    def _register(self, table: str, entity, refusal: type[Exception] = ValueError):
+    def _register(self, table: str, entity):
         """Hold entity under its id; other fields under an id the catalog
-        or the engine knows are refused."""
+        or the engine knows are refused with DuplicateEntry."""
         known = getattr(self.catalog, table).get(entity.id)
         known = known or self._held[table].setdefault(entity.id, entity)
         if known != entity:
-            raise refusal(f"{entity} differs from the registered {known}")
+            raise DuplicateEntry(f"{entity} differs from the registered {known}")
 
     def _unlogged(self, table: str, entity_id: str):
         """The entity held under entity_id that no event has carried, or None."""
@@ -422,7 +422,7 @@ class Orchestrator:
                 raise DuplicateEntry(
                     f"vsp (vendor, product, version) {triple!r} already registered"
                 )
-        self._register("vsps", vsp, DuplicateEntry)
+        self._register("vsps", vsp)
 
     # -- audit plumbing -----------------------------------------------------
 

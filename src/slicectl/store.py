@@ -29,10 +29,10 @@ something else, and a scalar whose type is not its hint's (text, true or
 false, a whole number, a number; a boolean is never a number), naming each
 field, key and index on the way down, and it names them on an enum or
 constructor's refusal too. A field an older build stored and this one
-derives instead is dropped unread, in any version, through one table,
-_RETIRED. It calls the constructors, so every invariant check runs on
-load. _decode_file reports a file that does not decode as IoFailure naming
-the file as corrupt; a file that is not UTF-8 text is IoFailure too.
+derives instead or no longer needs is dropped unread, in any version,
+through one table, _RETIRED. It calls the constructors, so every invariant
+check runs on load. _decode_file reports a file that does not decode as
+IoFailure naming the file as corrupt; text that is not UTF-8 is too.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import json
 import mmap
 import operator
 import os
-import re
 import types
 import typing
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
@@ -164,12 +163,14 @@ _SCALARS: dict[Any, tuple[tuple[type, ...], str]] = {
 # What a constructor or a converter raises for a value it refuses.
 _REFUSALS = (TypeError, ValueError, SliceError)
 
-# Keys that older builds wrote and this one does not keep: each is a copy of
-# what the log or other fields say (the VFs onboarded under a VSP; the sum
-# of a tenant's allocations), dropped unread wherever it appears.
+# Keys that older builds wrote and this one does not keep, dropped unread
+# wherever they appear: a copy of what the log or other fields say (the VFs
+# onboarded under a VSP; a tenant's use), or an id this build no longer
+# needs (an allocation's, now keyed by its service, and its counter).
 _RETIRED: dict[type, frozenset[str]] = {
     VendorSoftwareProduct: frozenset({"owned_resources"}),
     Tenant: frozenset({"used"}),
+    Allocation: frozenset({"id"}),
 }
 
 
@@ -490,30 +491,34 @@ def load_catalog(path: str | Path) -> Catalog:
 
 @dataclasses.dataclass(frozen=True)
 class InventoryDocument:
-    """inventory.yaml: each entity kind as a list sorted by id."""
+    """inventory.yaml: each entity kind as a list sorted by id; only an
+    older build wrote allocations."""
 
     hosts: tuple[Host, ...] = ()
     tenants: tuple[Tenant, ...] = ()
     links: tuple[PhysicalLink, ...] = ()
-    allocations: tuple[Allocation, ...] = ()
-    next_allocation_id: int = 1
+    allocations: tuple[Allocation, ...] | None = None
+
+
+_RETIRED[InventoryDocument] = frozenset({"next_allocation_id"})
 
 
 def save_inventory(infra: Infrastructure, path: str | Path) -> None:
+    """Write infra's hosts, tenants and links, never its allocations."""
     entities = {
         kind: sorted(getattr(infra, kind).values(), key=operator.attrgetter("id"))
-        for kind in ("hosts", "tenants", "links", "allocations")
+        for kind in ("hosts", "tenants", "links")
     }
-    doc = InventoryDocument(**entities, next_allocation_id=infra.next_allocation_id)
+    doc = InventoryDocument(**entities)
     _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
 
 
 def load_inventory(path: str | Path) -> Infrastructure:
-    """The infrastructure in path, each stored allocation taken through
-    Infrastructure.hold, so a tenant's use is the sum of its allocations."""
+    """The infrastructure in path; Infrastructure.hold takes each
+    allocation an older build stored, so use is the sum of allocations."""
     where = f"{path}: corrupt inventory"
     doc = _decode_file(InventoryDocument, _load_yaml(Path(path)), where)
-    infra = Infrastructure(next_allocation_id=doc.next_allocation_id)
+    infra = Infrastructure()
     try:
         for host in doc.hosts:
             infra.add_host(host)
@@ -521,15 +526,8 @@ def load_inventory(path: str | Path) -> Infrastructure:
             infra.add_tenant(tenant)
         for link in doc.links:
             infra.add_link(link)
-        for allocation in doc.allocations:
+        for allocation in doc.allocations or ():
             infra.hold(allocation)
-            # allocate would mint this id again and replace the allocation.
-            minted = re.fullmatch(r"alloc-(0|-?[1-9][0-9]*)", allocation.id)
-            if minted and int(minted[1]) >= doc.next_allocation_id:
-                raise ValueError(
-                    f"allocation {allocation.id!r} is not below"
-                    f" next_allocation_id {doc.next_allocation_id}"
-                )
     except (ValueError, SliceError) as exc:
         raise IoFailure(f"{where}: {exc}") from exc
     return infra

@@ -496,8 +496,9 @@ def test_sla_composition_properties():
 
 
 def test_catalog_round_trip_and_interrupted_save(tmp_path, monkeypatch):
-    """Catalog and inventory reload equal on the activated demo state, and a
-    crash before the atomic rename leaves the previous files readable."""
+    """Catalog and inventory, reopened on the audit log, reload equal on the
+    activated demo state, and a crash before the atomic rename leaves the
+    previous files as they were."""
     engine = scenario.slice_a_engine()
     engine.instantiate_slice(
         Role.OPERATOR, "slice-a", engine.plan_slice("slice-a")
@@ -506,10 +507,15 @@ def test_catalog_round_trip_and_interrupted_save(tmp_path, monkeypatch):
     inventory_path = tmp_path / "inventory.yaml"
     save_catalog(engine.catalog, catalog_path)
     save_inventory(engine.infra, inventory_path)
-    reopened = Orchestrator(catalog=load_catalog(catalog_path), log=engine.events)
+    reopened = Orchestrator(
+        load_inventory(inventory_path),
+        catalog=load_catalog(catalog_path),
+        log=list(engine.events),
+    )
     assert reopened.catalog == engine.catalog
-    saved = catalog_path.read_bytes()
-    assert load_inventory(inventory_path) == engine.infra
+    assert reopened.infra == engine.infra
+    assert reopened.infra.tenants["tenant-cp"].used.vcpu > 0
+    saved = catalog_path.read_bytes(), inventory_path.read_bytes()
 
     import os as real_os
 
@@ -528,6 +534,6 @@ def test_catalog_round_trip_and_interrupted_save(tmp_path, monkeypatch):
         save_inventory(engine.infra, inventory_path)
     monkeypatch.undo()
 
-    assert catalog_path.read_bytes() == saved
+    assert (catalog_path.read_bytes(), inventory_path.read_bytes()) == saved
     load_catalog(catalog_path)
-    assert load_inventory(inventory_path).tenants["tenant-cp"].used.vcpu > 0
+    assert load_inventory(inventory_path) == build_testbed()

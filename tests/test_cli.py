@@ -440,6 +440,26 @@ class TestExitCodes:
         assert name in result.summary and "can't decode byte 0xff" in result.summary
         assert _lab_bytes(root) == saved
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["status"], ["audit"], ["certify-vf", "vf-core-cp"], ["init-testbed"]],
+        ids=["status", "audit", "certify-vf", "init-testbed"],
+    )
+    def test_catalog_that_is_a_file_is_refused(self, tmp_path, argv):
+        """--catalog naming a regular file exits 1 for a read and a write
+        alike, and leaves the file as it was; a missing directory still
+        reads as an empty lab."""
+        path = tmp_path / "afile"
+        path.write_bytes(b"not a lab\n")
+        result = run(argv + ["--catalog", str(path)])
+        assert result.exit_code == 1, result.summary
+        assert result.summary == f"IoFailure: {path}: not a directory"
+        assert path.read_bytes() == b"not a lab\n"
+        if argv[0] in ("status", "audit"):
+            missing = run(argv + ["--catalog", str(tmp_path / "missing")])
+            assert missing.exit_code == 0, missing.summary
+            assert not (tmp_path / "missing").exists()
+
     def test_environment_variable_selects_the_catalog(self, root, monkeypatch):
         monkeypatch.setenv(ENV_CATALOG, str(root))
         assert run(["init-testbed"]).exit_code == 0
@@ -881,7 +901,9 @@ class TestWorkflow:
         changed.write_text(yaml.safe_dump(doc))
         result = run(["create-slice", str(changed), "--catalog", str(root)])
         assert result.exit_code == 1
-        assert result.summary.startswith(f"IoFailure: {changed}: bad slice descriptor: ")
+        assert result.summary.startswith(
+            f"DuplicateEntry: {changed}: bad slice descriptor: "
+        )
         assert reason in result.summary
         assert _lab_bytes(root) == saved
 
@@ -933,9 +955,7 @@ class TestWorkflow:
         assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
         assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
         # Drift after planning: the planned tenant fills up.
-        infra = load_inventory(root / "inventory.yaml")
-        infra.allocate("tenant-cp", "svc-squatter", ResourceDemand(vcpu=5))
-        save_inventory(infra, root / "inventory.yaml")
+        _hold_in_inventory(root, "svc-squatter", "tenant-cp", vcpu=5)
         saved = _lab_bytes(root)
         del saved["audit.log"]
         result = run(
@@ -1126,7 +1146,7 @@ class TestDemo:
         """demo writes a fresh testbed; allocations live in the audit log."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         inventory = (root / "inventory.yaml").read_bytes()
-        assert yaml.safe_load(inventory)["allocations"] == []
+        assert list(yaml.safe_load(inventory)) == ["hosts", "tenants", "links"]
         assert all("used" not in t for t in yaml.safe_load(inventory)["tenants"])
         descriptor = tmp_path / "slice-b.yaml"
         descriptor.write_text(
@@ -1290,6 +1310,17 @@ def _golden_lab(root, catalog: str = "v4/catalog.json") -> None:
         shutil.copy(GOLDEN / name, root)
 
 
+def _hold_in_inventory(root, service: str, tenant: str, vcpu: int) -> None:
+    """Add to root's inventory.yaml an allocation of vcpu for service on
+    tenant, as an older build stored one; every command holds it."""
+    path = root / "inventory.yaml"
+    raw = yaml.safe_load(path.read_text())
+    demand = {"vcpu": vcpu, "ram": 0, "storage": 0, "ports": 0}
+    allocation = {"tenant": tenant, "service": service, "demand": demand}
+    raw.setdefault("allocations", []).append(allocation)
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+
+
 def _problems(root) -> list[str]:
     """status's reasons for root, after checking it exits 1 with them."""
     result = run(["status", "--catalog", str(root)])
@@ -1363,21 +1394,45 @@ class TestStatusChecks:
         with open(log, "a") as handle:
             handle.writelines(json.dumps(encode(e)) + "\n" for e in appended)
         held = load_inventory(root / "inventory.yaml").allocations
-        assert sorted(held) == ["alloc-1", "alloc-2"]
+        assert sorted(held) == ["svc-core-cp", "svc-core-dp"]
         status = run(["status", "--catalog", str(root)])
         assert status.exit_code == 0, status.summary
         assert "tenant-cp on host-cp: used 0/6 vcpu" in status.summary
         assert "  slice-a: terminated" in status.summary.splitlines()
         assert status.detail["problems"] == []
 
-    def test_allocations_of_unknown_services_are_not_judged(self, root):
+    def test_saving_the_live_inventory_keeps_the_lab(self, root):
+        """The inventory saved from an engine whose services hold capacity
+        is the topology alone, so the log's fold allocates it once, not on
+        top of a saved copy, and a teardown gives it all back."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        infra = load_inventory(root / "inventory.yaml")
-        infra.allocate("tenant-orch", "svc-squatter", ResourceDemand(vcpu=1))
-        save_inventory(infra, root / "inventory.yaml")
+        save_inventory(_open_engine(root).infra, root / "inventory.yaml")
         status = run(["status", "--catalog", str(root)])
         assert status.exit_code == 0, status.summary
+        assert "tenant-cp on host-cp: used 5/6 vcpu" in status.summary
+        argv = ["teardown-slice", "slice-a", "--as", "operator", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "tenant-cp on host-cp: used 0/6 vcpu" in after.summary
+
+    def test_allocations_of_unknown_services_are_not_judged(self, root):
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        _hold_in_inventory(root, "svc-squatter", "tenant-orch", vcpu=1)
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        assert "tenant-orch on host-orch: used 1/2 vcpu" in status.summary
         assert status.detail["problems"] == []
+
+    def test_a_service_that_is_not_instantiated_but_holds_is_named(self, root, tmp_path):
+        """An older inventory's allocation for a catalog service that the
+        log never instantiated: the problem names what it holds, and where."""
+        seed_service(root, tmp_path)
+        _hold_in_inventory(root, "svc-probe", "tenant-orch", vcpu=1)
+        assert _problems(root) == [
+            "svc-probe is distributed but holds"
+            " ResourceDemand(vcpu=1, ram=0, storage=0, ports=0) on tenant-orch"
+        ]
 
     def test_older_lab_converts_on_its_next_write(self, root, tmp_path, monkeypatch):
         """A format-1 lab opens, and its next write converts it in memory:
@@ -1475,7 +1530,7 @@ class TestStatusChecks:
         status = run(["status", "--catalog", str(root)])
         assert status.exit_code == 1
         assert (
-            f"{path}: corrupt inventory: allocation 'alloc-1' is already held"
+            f"{path}: corrupt inventory: service 'svc-core-cp' already holds one"
             in status.summary
         )
 

@@ -81,7 +81,7 @@ class TestConstruction:
                 used=ResourceDemand(2),
             )
         raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
-        # tenant-cp holds 5 of its 6 vcpu through alloc-1 already.
+        # tenant-cp holds 5 of its 6 vcpu for svc-core-cp already.
         raw["allocations"].append(
             {
                 "id": "alloc-0",
@@ -297,7 +297,7 @@ class TestAllocation:
         infra = build_testbed()
         first = infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
         second = infra.allocate("tenant-cp", "svc-y", ResourceDemand(1, 512, 4, 1))
-        assert first.id != second.id
+        assert infra.allocations == {"svc-x": first, "svc-y": second}
         assert infra.tenants["tenant-cp"].used.as_tuple() == (3, 1536, 12, 3)
         assert oracles.recompute_used(infra)["tenant-cp"] == (3, 1536, 12, 3)
 
@@ -311,24 +311,30 @@ class TestAllocation:
 
     def test_release_returns_capacity(self):
         infra = build_testbed()
-        held = infra.allocate("tenant-dp", "svc-x", ResourceDemand(2, 1024, 8, 2))
-        infra.release(held.id)
+        infra.allocate("tenant-dp", "svc-x", ResourceDemand(2, 1024, 8, 2))
+        infra.release("svc-x")
+        assert not infra.allocations
         assert infra.tenants["tenant-dp"].used.as_tuple() == (0, 0, 0, 0)
         assert oracles.recompute_used(infra)["tenant-dp"] == (0, 0, 0, 0)
 
     def test_held_id_is_refused_and_changes_nothing(self):
+        """An allocation is known by the service that holds it, and a
+        service lands on one tenant: a second one for it is refused."""
         infra = build_testbed()
         held = infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
         before = infra.usage_snapshot()
-        with pytest.raises(ValueError, match="allocation 'alloc-1' is already held"):
-            infra.hold(Allocation(held.id, "tenant-dp", "svc-y", ResourceDemand(1)))
+        with pytest.raises(ValueError, match="service 'svc-x' already holds one"):
+            infra.hold(Allocation("tenant-dp", "svc-x", ResourceDemand(1)))
+        with pytest.raises(ValueError, match="service 'svc-x' already holds one"):
+            infra.allocate("tenant-cp", "svc-x", ResourceDemand(1))
         assert infra.usage_snapshot() == before
-        assert infra.allocations == {held.id: held}
+        assert infra.allocations == {"svc-x": held}
 
     def test_release_unknown_allocation(self):
         infra = build_testbed()
-        with pytest.raises(UnknownAllocation):
-            infra.release("alloc-404")
+        infra.allocate("tenant-cp", "svc-x", ResourceDemand(1))
+        with pytest.raises(UnknownAllocation, match="service 'svc-y' holds no allocation"):
+            infra.release("svc-y")
 
     def test_free_is_quota_minus_used(self):
         infra = build_testbed()

@@ -705,8 +705,9 @@ class TestSliceExecution:
     def test_best_effort_with_every_member_refused_raises(self):
         engine = isolated_slice_engine(IsolationLevel.DEDICATED_TENANT)
         plan = engine.plan_slice("slice-iso")
-        for tenant_id in ("tenant-cp", "tenant-dp"):
-            engine.infra.allocate(tenant_id, "svc-squatter", ResourceDemand(vcpu=1))
+        squatters = {"svc-squatter-cp": "tenant-cp", "svc-squatter-dp": "tenant-dp"}
+        for service_id, tenant_id in squatters.items():
+            engine.infra.allocate(tenant_id, service_id, ResourceDemand(vcpu=1))
         before = states_of(engine)
         with pytest.raises(PartialFailure) as info:
             engine.instantiate_slice(
@@ -717,8 +718,7 @@ class TestSliceExecution:
             "tenant 'tenant-cp' already hosts another service"
         )
         assert states_of(engine) == before
-        held = {a.service for a in engine.infra.allocations.values()}
-        assert held == {"svc-squatter"}
+        assert engine.infra.allocations.keys() == squatters.keys()
         failed = [
             (e.action, e.subject)
             for e in engine.events

@@ -75,8 +75,10 @@ from slicectl.store import (
 # first carried their entities: each VSP in them still holds owned_resources.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_V1 = ("catalog.json", "catalog.compact.json")
-# inventory.yaml stores each tenant's use as `used`, as older builds did;
-# this is the same inventory as this build writes it, without that key.
+# inventory.yaml stores each tenant's use as `used`, and slice-a's two
+# allocations, each with an id, and the counter that minted the ids, as
+# older builds did; this is the same inventory as this build writes it: the
+# hosts, tenants and links alone.
 SAVED_INVENTORY = "inventory.saved.yaml"
 SAVED_CATALOG = "v4/catalog.saved.json"
 
@@ -451,14 +453,15 @@ class TestCatalogSnapshots:
 
 class TestInventorySnapshots:
     def test_round_trip_with_live_allocations(self, tmp_path):
+        """The allocations are the audit log's fold: an inventory saved
+        while services hold capacity stores the topology alone."""
         infra = build_testbed()
         infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
         infra.allocate("tenant-dp", "svc-y", ResourceDemand(1, 512, 4, 1))
         path = tmp_path / "inventory.yaml"
         save_inventory(infra, path)
-        loaded = load_inventory(path)
-        assert loaded == infra
-        assert loaded.next_allocation_id == infra.next_allocation_id
+        assert list(yaml.safe_load(path.read_text())) == ["hosts", "tenants", "links"]
+        assert load_inventory(path) == build_testbed()
 
     def test_stored_use_gives_way_to_the_allocations(self, tmp_path):
         """Older builds stored each tenant's use as `used`; whatever it says,
@@ -481,7 +484,7 @@ class TestInventorySnapshots:
         infra.allocate("tenant-cp", "svc-core-cp", ResourceDemand(5, 8192, 40, 8))
         infra.allocate("tenant-dp", "svc-core-dp", ResourceDemand(3, 5120, 30, 4))
         assert load_inventory(GOLDEN / "inventory.yaml") == infra
-        assert load_inventory(GOLDEN / SAVED_INVENTORY) == infra
+        assert load_inventory(GOLDEN / SAVED_INVENTORY) == build_testbed()
 
     def test_non_finite_link_latency_is_refused(self, tmp_path):
         path = tmp_path / "inventory.yaml"
@@ -572,41 +575,55 @@ class TestInventorySnapshots:
         ):
             load_inventory(path)
 
-    def test_stale_allocation_counter_is_refused(self, tmp_path):
-        """allocate would mint alloc-1 again and replace the held one."""
-        path = tmp_path / "inventory.yaml"
+    @pytest.mark.parametrize(
+        "ids, counter",
+        [
+            (("alloc-1", "alloc-2"), 1),
+            (("alloc-01", "alloc-02"), 1),
+            ((None, None), None),
+        ],
+        ids=["stale-counter", "unminted-ids", "no-ids"],
+    )
+    def test_allocation_ids_and_counter_are_dropped(
+        self, tmp_path, ids, counter
+    ):
+        """An older build gave each stored allocation an id and stored the
+        counter that minted them; whatever they say, each allocation is
+        held under its service, and the next one allocates beside them."""
         raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
-        assert raw["allocations"][0]["id"] == "alloc-1"
-        raw["next_allocation_id"] = 1
-        path.write_text(yaml.safe_dump(raw, sort_keys=False))
-        with pytest.raises(
-            IoFailure,
-            match="corrupt inventory: allocation 'alloc-1' is not below"
-            " next_allocation_id 1$",
-        ):
-            load_inventory(path)
-
-    def test_allocation_ids_allocate_cannot_mint_are_left_alone(self, tmp_path):
+        for entry, allocation_id in zip(raw["allocations"], ids):
+            if allocation_id is None:
+                del entry["id"]
+            else:
+                entry["id"] = allocation_id
+        raw.pop("next_allocation_id")
+        if counter is not None:
+            raw["next_allocation_id"] = counter
         path = tmp_path / "inventory.yaml"
-        raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
-        for entry in raw["allocations"]:
-            entry["id"] = entry["id"].replace("alloc-", "alloc-0")
-        raw["next_allocation_id"] = 1
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         infra = load_inventory(path)
-        assert infra.allocate("tenant-orch", "svc-x", ResourceDemand(1, 1, 1, 1)).id == (
-            "alloc-1"
-        )
-        assert len(infra.allocations) == len(raw["allocations"]) + 1
+        assert infra == load_inventory(GOLDEN / "inventory.yaml")
+        assert sorted(infra.allocations) == ["svc-core-cp", "svc-core-dp"]
+        infra.allocate("tenant-orch", "svc-x", ResourceDemand(1, 1, 1, 1))
+        assert sorted(infra.allocations) == ["svc-core-cp", "svc-core-dp", "svc-x"]
 
     def test_use_is_not_saved_and_loads_as_whole_numbers(self, tmp_path):
+        """No tenant's use is written, and the use an older inventory's
+        allocations make loads as whole numbers."""
         infra = build_testbed()
         infra.allocate("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2))
-        infra.allocate("tenant-cp", "svc-y", ResourceDemand(1, 512, 4, 1))
         path = tmp_path / "inventory.yaml"
         save_inventory(infra, path)
         raw = yaml.safe_load(path.read_text())
         assert all("used" not in tenant for tenant in raw["tenants"])
+        raw["allocations"] = [
+            {"tenant": "tenant-cp", "service": service, "demand": demand}
+            for service, demand in (
+                ("svc-x", {"vcpu": 2, "ram": 1024, "storage": 8, "ports": 2}),
+                ("svc-y", {"vcpu": 1, "ram": 512, "storage": 4, "ports": 1}),
+            )
+        ]
+        path.write_text(yaml.safe_dump(raw))
         used = load_inventory(path).tenants["tenant-cp"].used
         assert used.as_tuple() == (3, 1536, 12, 3)
         assert all(type(value) is int for value in used.as_tuple())
@@ -635,17 +652,19 @@ class TestInventorySnapshots:
             load_inventory(path)
 
     def test_duplicated_allocation_id_is_refused(self, tmp_path):
-        """A second alloc-1 would replace the first and leave tenant-cp's
-        use without the allocation that makes it."""
+        """An allocation is known by the service that holds it: a second
+        one for svc-core-cp, on another tenant and under another id, would
+        replace the first and leave tenant-cp's use without the allocation
+        that makes it."""
         raw = yaml.safe_load((GOLDEN / "inventory.yaml").read_text())
-        ghost = dict(raw["allocations"][0], service="svc-ghost")
-        raw["allocations"].append(ghost)
+        twin = dict(raw["allocations"][1], id="alloc-9", service="svc-core-cp")
+        raw["allocations"].append(twin)
         path = tmp_path / "inventory.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         with pytest.raises(
             IoFailure,
             match=re.escape(
-                f"{path}: corrupt inventory: allocation 'alloc-1' is already held"
+                f"{path}: corrupt inventory: service 'svc-core-cp' already holds one"
             )
             + "$",
         ):
@@ -771,6 +790,27 @@ class TestAuditLog:
         FileAuditLog(path).append(event(2))
         line = json.dumps(encode(event(2))).encode() + b"\n"
         assert path.read_bytes() == whole + line
+
+    def test_last_line_cut_at_every_byte_offset(self, tmp_path, monkeypatch):
+        """The golden demo log with its last line cut after each of its
+        bytes, the final newline alone included: a load gives the complete
+        prefix, and the next append truncates the fragment and lands at the
+        last line's sequence number, which gives back the whole log byte
+        for byte. fsync is skipped; it decides nothing here."""
+        monkeypatch.setattr(store.os, "fsync", lambda fd: None)
+        whole = (GOLDEN / "log-only" / "audit.log").read_bytes()
+        keep = whole.rstrip(b"\n").rfind(b"\n") + 1
+        prefix, last_line = whole[:keep], whole[keep:]
+        events = load_audit(GOLDEN / "log-only" / "audit.log")
+        last = events[-1]
+        assert last.sequence_no == len(events) and last.demand is not None
+        path = tmp_path / "audit.log"
+        for cut in range(len(last_line)):
+            path.write_bytes(prefix + last_line[:cut])
+            assert load_audit(path) == events[:-1], cut
+            FileAuditLog(path).append(last)
+            assert path.read_bytes() == whole, cut
+            assert len(load_audit(path)) == len(events), cut
 
     def test_bad_line_before_the_last_is_refused(self, tmp_path):
         """A torn line that ends in a newline is corruption, not a fragment."""
@@ -996,8 +1036,8 @@ def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     its own bytes, except that the golden catalogs, the two version-1 ones
     and those of versions 2 to 4, whose VSPs hold owned_resources, are saved
     as the saved catalog beside the version-4 golden blob files, and the
-    golden inventory, whose tenants hold `used`, as the inventory without
-    it; each of those saves as itself."""
+    golden inventory, whose tenants hold `used` and which holds
+    allocations, as its topology alone; each of those saves as itself."""
     saved = _SAVED_AS.get(name, name)
     older = (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json", "v4/catalog.json")
     sources = older if name == "catalog.json" else (name,)
