@@ -121,8 +121,9 @@ def _locked(root: Path, operation: int = fcntl.LOCK_EX):
     """Advisory lock on root: exclusive for a command that writes, so one
     writer runs at a time, and shared (LOCK_SH) for one that only reads, so
     it never sees a writer's files half saved. A read of a directory that
-    does not exist takes no lock and creates nothing; a file is refused."""
-    if root.exists() and not root.is_dir():
+    does not exist takes no lock and creates nothing. A file is refused,
+    and so is a path below one, judged by the nearest path that exists."""
+    if not next(p for p in (root, *root.parents) if p.exists()).is_dir():
         raise IoFailure(f"{root}: not a directory")
     if operation == fcntl.LOCK_SH and not root.is_dir():
         yield
@@ -136,14 +137,18 @@ def _locked(root: Path, operation: int = fcntl.LOCK_EX):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
+def _genesis(root: Path) -> Catalog:
+    """root's catalog.json, read and never written, or an empty catalog."""
+    path = root / CATALOG_FILE
+    return load_catalog(path) if path.exists() else Catalog()
+
+
 def _open_engine(root: Path) -> Orchestrator:
     """The engine on root's files, continuing the audit log it loaded: the
-    log folded onto catalog.json, the genesis, if there is one, which is
-    read and never written. The catalog's blobs are the genesis's (inline
-    in a format-1 file, files otherwise), then the files in blobs/ that
-    the log names, where a new onboard writes its own."""
-    catalog_path = root / CATALOG_FILE
-    catalog = load_catalog(catalog_path) if catalog_path.exists() else Catalog()
+    log folded onto the genesis. The catalog's blobs are the genesis's
+    (inline in a format-1 file, files otherwise), then the files in blobs/
+    that the log names, where a new onboard writes its own."""
+    catalog = _genesis(root)
     inventory_path = root / INVENTORY_FILE
     infra = load_inventory(inventory_path) if inventory_path.exists() else None
     audit_path = root / AUDIT_FILE
@@ -539,7 +544,7 @@ def _cmd_audit(args) -> CommandResult:
     if args.tail is not None:
         events = events[-args.tail :]
     lines = [
-        f"{e.sequence_no:>4}  {e.outcome.value:<7} {e.actor_id:<10}"
+        f"{e.sequence_no:>4}  {e.outcome.value:<7} {e.actor.value:<10}"
         f" {e.action:<30} {e.subject}"
         for e in events
     ]
@@ -560,13 +565,14 @@ def _cmd_init_testbed(args) -> CommandResult:
             return CommandResult(
                 1, f"{inventory_path} already exists; pass --force to replace it"
             )
-        # The fold raises LogDiverged for an allocation a fresh inventory cannot
-        # hold; one an older build kept in inventory.yaml has no demand logged.
+        # The fold onto the genesis raises LogDiverged where every command's
+        # would, or for an allocation a fresh inventory cannot hold; one an
+        # older build kept in inventory.yaml has no demand logged.
         audit_path = root / AUDIT_FILE
         events = load_audit(audit_path) if audit_path.exists() else []
         lost = sorted(
             r.subject
-            for r in replay_states(events, build_testbed()).values()
+            for r in replay_states(events, build_testbed(), _genesis(root)).values()
             if r.state is ServiceState.INSTANTIATED
             and events[r.history[-1] - 1].demand is None
         )

@@ -86,8 +86,6 @@ from .template import (
     validate_template,
 )
 
-CATALOG_VERSION = 4
-
 
 class Role(str, Enum):
     SUPERUSER = "superuser"
@@ -191,7 +189,6 @@ _product = operator.attrgetter("vendor_name", "product_name", "version")
 class AuditEvent:
     sequence_no: int
     actor: Role
-    actor_id: str
     action: str
     subject: str
     timestamp: float
@@ -238,7 +235,6 @@ class Catalog:
     records are the lifecycle records, the fold of the audit log: the
     engine sets them when it opens, and they are not in the snapshot."""
 
-    version: int = CATALOG_VERSION
     customers: dict[str, Customer] = field(default_factory=dict)
     providers: dict[str, SliceProvider] = field(default_factory=dict)
     vsps: dict[str, VendorSoftwareProduct] = field(default_factory=dict)
@@ -439,7 +435,6 @@ class Orchestrator:
         event = AuditEvent(
             sequence_no=last.sequence_no + 1 if last else 1,
             actor=actor,
-            actor_id=actor.value,
             action=action,
             subject=subject,
             timestamp=now,
@@ -581,10 +576,6 @@ class Orchestrator:
         self, actor: Role, slice: NetworkSlice, template: SliceTemplate
     ) -> LifecycleRecord:
         """Register a slice with its template; derives and attaches the SLA."""
-        if template.slice_id != slice.id:
-            raise ValueError(
-                f"template belongs to {template.slice_id!r}, not {slice.id!r}"
-            )
         with self._attempt(actor, "create_slice", slice.id):
             check_transition(self.catalog.records, "create_slice", slice.id)
             for service_id in slice.services:

@@ -264,11 +264,9 @@ class ServiceProfile:
 class Sla:
     """Committed contract values; composed per slice from service entries."""
 
-    slice_id: str
     committed_latency: float
     committed_availability: float
     committed_data_rate: float
-    penalties: str = ""
 
     def __post_init__(self):
         if self.committed_latency <= 0:
@@ -327,25 +325,19 @@ class ServiceRequirement:
 
 @dataclass(frozen=True)
 class SliceTemplate:
-    """Technical descriptor mapping a slice to per-service guarantees.
+    """Technical descriptor mapping a slice to per-service guarantees; the
+    slice it belongs to is the one it is filed under.
 
     Build instances through make_slice_template, which checks coverage and
     the profile against the slice; direct construction only validates
     field-local invariants.
     """
 
-    slice_id: str
     per_service_requirements: Mapping[str, ServiceRequirement]
-    template_refs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
             self, "per_service_requirements", dict(self.per_service_requirements)
-        )
-        object.__setattr__(
-            self,
-            "template_refs",
-            {k: tuple(v) for k, v in dict(self.template_refs).items()},
         )
 
 
@@ -367,7 +359,7 @@ def make_slice_template(
             raise UnknownService(
                 f"template entry {service_id!r} is not a member of slice {slice.id!r}"
             )
-    template = SliceTemplate(slice.id, dict(requirements))
+    template = SliceTemplate(requirements)
     aggregate_sla(slice, {s: derive_service_sla(template, s) for s in requirements})
     return template
 
@@ -389,7 +381,6 @@ def derive_service_sla(template: SliceTemplate, service: str) -> Sla:
             f"service {service!r} has no entry in the slice template"
         )
     return Sla(
-        slice_id=template.slice_id,
         committed_latency=entry.latency_budget,
         committed_availability=entry.reliability,
         committed_data_rate=entry.data_rate,
@@ -444,7 +435,6 @@ def aggregate_sla(slice: NetworkSlice, service_slas: Mapping[str, Sla]) -> Sla:
             f" {profile.guaranteed_data_rate} Mbit/s"
         )
     return Sla(
-        slice_id=slice.id,
         committed_latency=latency,
         committed_availability=availability,
         committed_data_rate=data_rate,

@@ -56,11 +56,12 @@ import yaml
 
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
-from .lifecycle import CATALOG_VERSION, AuditEvent, Catalog, replay_states
-from .model import VendorSoftwareProduct
+from .lifecycle import AuditEvent, Catalog, replay_states
+from .model import Sla, SliceTemplate, VendorSoftwareProduct
 from .placement import Assignment, PlacementPlan
 
 CATALOG_FILE = "catalog.json"
+CATALOG_VERSION = 4
 INVENTORY_FILE = "inventory.yaml"
 AUDIT_FILE = "audit.log"
 
@@ -164,13 +165,16 @@ _SCALARS: dict[Any, tuple[tuple[type, ...], str]] = {
 _REFUSALS = (TypeError, ValueError, SliceError)
 
 # Keys that older builds wrote and this one does not keep, dropped unread
-# wherever they appear: a copy of what the log or other fields say (the VFs
-# onboarded under a VSP; a tenant's use), or an id this build no longer
-# needs (an allocation's, now keyed by its service, and its counter).
+# wherever they appear: a copy of what the log or other fields say (a VSP's
+# VFs, a tenant's use, an event's role, its slice's id), an id this build
+# no longer needs (an allocation's and its counter), or what nothing set.
 _RETIRED: dict[type, frozenset[str]] = {
     VendorSoftwareProduct: frozenset({"owned_resources"}),
     Tenant: frozenset({"used"}),
     Allocation: frozenset({"id"}),
+    AuditEvent: frozenset({"actor_id"}),
+    SliceTemplate: frozenset({"slice_id", "template_refs"}),
+    Sla: frozenset({"slice_id", "penalties"}),
 }
 
 
@@ -419,8 +423,8 @@ class TemplateBlobs(MutableMapping[str, str]):
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write the template blobs not yet on disk, then the catalog as one
-    line of compact JSON with sorted keys.
+    """Write the template blobs not yet on disk, then the catalog, with
+    its format's version, as one line of compact JSON with sorted keys.
 
     The blobs go to blobs/ beside the catalog before catalog.json is
     replaced, so a crash leaves at worst a blob no catalog refers to; a
@@ -429,13 +433,15 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     1,000-VF catalog."""
     path = Path(path)
     _write_blobs(path.parent / BLOBS_DIR, catalog.template_blobs)
-    payload = json.dumps(encode(catalog), sort_keys=True, separators=(",", ":"))
+    raw = {"version": CATALOG_VERSION, **encode(catalog)}
+    payload = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     _atomic_write(path, payload + "\n")
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """The catalog in path; its template_blobs read blobs/ beside it, and
-    its records are empty until an engine folds the audit log into them.
+    its records are empty until an engine folds the audit log into them,
+    and the file's version, checked here, is not kept.
 
     Versions 1 to 3 also held the lifecycle records, a copy of the fold of
     the audit log, and versions 1 and 2 each VF's compute resources as its
@@ -454,7 +460,7 @@ def load_catalog(path: str | Path) -> Catalog:
         ) from exc
     if not isinstance(raw, dict):
         raise IoFailure(f"{path}: catalog root must be an object")
-    version = raw.get("version")
+    version = raw.pop("version", None)
     # true == 1 and 2.0 == 2 in Python, so the type is checked first.
     if type(version) is not int or not 1 <= version <= CATALOG_VERSION:
         raise SchemaMismatch(
@@ -476,7 +482,6 @@ def load_catalog(path: str | Path) -> Catalog:
         for function in functions.values() if isinstance(functions, dict) else ():
             if isinstance(function, dict):
                 function.pop("components", None)
-        raw["version"] = CATALOG_VERSION
     catalog = _decode_file(Catalog, raw, f"{path}: corrupt catalog")
     if inline is not None:
         catalog.template_blobs = inline

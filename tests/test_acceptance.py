@@ -419,10 +419,9 @@ def chain_oracle(entries: list[tuple[str, str, str]]) -> tuple[Fraction, ...]:
     return oracles.compose_sla_exact(entries, chain=True)
 
 
-def _sla(slice_id: str, entry: tuple[float, float, float]) -> Sla:
+def _sla(entry: tuple[float, float, float]) -> Sla:
     latency, availability, rate = entry
     return Sla(
-        slice_id=slice_id,
         committed_latency=latency,
         committed_availability=availability,
         committed_data_rate=rate,
@@ -445,7 +444,7 @@ def _compose(entries: list[tuple[float, float, float]], chain: bool) -> Sla:
         chain_order=chain,
     )
     return aggregate_sla(
-        slc, {m: _sla("slice-x", entry) for m, entry in zip(members, entries)}
+        slc, {m: _sla(entry) for m, entry in zip(members, entries)}
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import hashlib
 import json
@@ -446,15 +447,17 @@ class TestExitCodes:
         ids=["status", "audit", "certify-vf", "init-testbed"],
     )
     def test_catalog_that_is_a_file_is_refused(self, tmp_path, argv):
-        """--catalog naming a regular file exits 1 for a read and a write
-        alike, and leaves the file as it was; a missing directory still
-        reads as an empty lab."""
+        """--catalog naming a regular file, or a path below one, exits 1
+        for a read and a write alike, and leaves the file as it was and
+        creates nothing; a missing directory still reads as an empty lab."""
         path = tmp_path / "afile"
         path.write_bytes(b"not a lab\n")
-        result = run(argv + ["--catalog", str(path)])
-        assert result.exit_code == 1, result.summary
-        assert result.summary == f"IoFailure: {path}: not a directory"
-        assert path.read_bytes() == b"not a lab\n"
+        for catalog in (path, path / "sub"):
+            result = run(argv + ["--catalog", str(catalog)])
+            assert result.exit_code == 1, result.summary
+            assert result.summary == f"IoFailure: {catalog}: not a directory"
+            assert path.read_bytes() == b"not a lab\n"
+            assert list(tmp_path.iterdir()) == [path]
         if argv[0] in ("status", "audit"):
             missing = run(argv + ["--catalog", str(tmp_path / "missing")])
             assert missing.exit_code == 0, missing.summary
@@ -1666,6 +1669,61 @@ class TestTornAppend:
         after = load_audit(log)
         assert after[:-1] == events and after[-1].outcome.value == "denied"
 
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_full_disk_during_an_append(self, root, monkeypatch, failing):
+        """A full disk stores part of the line, then the append's write or
+        its fsync fails with ENOSPC: the command exits 1 with IoFailure, a
+        reload gives the complete prefix, and the next append truncates the
+        fragment before it writes its own line."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        whole, events = log.read_bytes(), load_audit(log)
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                if failing == "write":
+                    raise full
+                return len(data)
+
+        def fsync(fd):
+            raise full
+
+        monkeypatch.setattr(store, "open", lambda *a: FullDisk(open(*a)), raising=False)
+        if failing == "fsync":
+            monkeypatch.setattr(store.os, "fsync", fsync)
+        denied = ["certify-vf", "vf-core-cp", "--as", "designer", "--catalog", str(root)]
+        refused = run(denied)
+        monkeypatch.undo()
+        assert refused.exit_code == 1, refused.summary
+        assert refused.summary == (
+            f"IoFailure: cannot append to {log}:"
+            f" [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        )
+        torn = log.read_bytes()
+        assert torn.startswith(whole) and len(torn) > len(whole)
+        assert load_audit(log) == events
+        assert run(denied).summary.startswith("RoleDenied")
+        line = log.read_bytes()[len(whole) :]
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        after = load_audit(log)
+        assert after[:-1] == events and after[-1].outcome.value == "denied"
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
+
 
 def _fixture(name: str) -> str:
     return str(ilr.files("slicectl") / "fixtures" / name)
@@ -1859,13 +1917,16 @@ class TestGenesis:
         ids=["vsp-vendor", "function-template"],
     )
     def test_genesis_entity_that_differs_from_the_log_diverges(self, root, edit):
+        """Every command that folds the log, init-testbed's check included,
+        refuses the lab, and every lab file keeps its bytes."""
         _seeded_lab(root)
         path = root / "catalog.json"
         raw = json.loads(path.read_text())
         edit(raw)
         path.write_text(json.dumps(raw))
         saved = _lab_bytes(root)
-        for argv in (["status"], ["certify-vf", "vf-seed-1"]):
+        assert saved["inventory.yaml"] is not None
+        for argv in (["status"], ["certify-vf", "vf-seed-1"], ["init-testbed", "--force"]):
             refused = run(argv + ["--catalog", str(root)])
             assert refused.exit_code == 1, refused.summary
             assert refused.summary.startswith("LogDiverged: audit event ")

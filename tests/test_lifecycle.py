@@ -42,6 +42,7 @@ from slicectl.model import (
     NetworkService,
     ResourceDemand,
     SliceProvider,
+    SliceTemplate,
     VendorSoftwareProduct,
 )
 from slicectl.placement import (
@@ -75,7 +76,7 @@ def isolated_slice_engine(isolation: IsolationLevel) -> Orchestrator:
             sla=None,
             profile=replace(slc.profile, degree_of_isolation=isolation),
         ),
-        replace(engine.catalog.slice_templates["slice-a"], slice_id="slice-iso"),
+        engine.catalog.slice_templates["slice-a"],
     )
     return engine
 
@@ -368,7 +369,7 @@ class TestRegistration:
         engine.onboard_vf(Role.DESIGNER, "vsp-core-cp", scenario.minimal_template())
         assert engine.events[-1].new_vsp is None
         slc = replace(engine.catalog.slices["slice-a"], id="slice-b", sla=None)
-        template = replace(engine.catalog.slice_templates["slice-a"], slice_id="slice-b")
+        template = engine.catalog.slice_templates["slice-a"]
         engine.create_slice(Role.DESIGNER, slc, template)
         created = [e for e in engine.events if e.action == "create_slice"][-1]
         assert (created.subject, created.customer, created.provider) == (
@@ -436,23 +437,22 @@ class TestServiceWorkflow:
 
 
 class TestSliceWorkflow:
-    def test_template_must_belong_to_the_slice(self):
+    def test_a_template_is_filed_under_the_slice_it_comes_with(self):
+        """A template names no slice: create_slice files it under its slice,
+        and one without an entry for a member fails, logged."""
         engine = scenario.slice_a_engine()
         slc = engine.catalog.slices["slice-a"]
-        foreign = engine.catalog.slice_templates["slice-a"]
-        events_before = len(engine.events)
-        other = slc.__class__(
-            id="slice-b",
-            name="B",
-            customer=slc.customer,
-            provider=slc.provider,
-            services=slc.services,
-            profile=slc.profile,
-        )
-        with pytest.raises(ValueError, match="belongs to"):
-            engine.create_slice(Role.DESIGNER, other, foreign)
-        # Argument mismatch is a programming error: nothing is audited.
-        assert len(engine.events) == events_before
+        template = engine.catalog.slice_templates["slice-a"]
+        other = replace(slc, id="slice-b", name="B", sla=None)
+        engine.create_slice(Role.DESIGNER, other, template)
+        assert engine.catalog.slice_templates["slice-b"] == template
+        assert engine.catalog.slices["slice-b"].sla == slc.sla
+        entry = template.per_service_requirements["svc-core-cp"]
+        partial = SliceTemplate({"svc-core-cp": entry})
+        with pytest.raises(UnknownService, match="'svc-core-dp' has no entry"):
+            engine.create_slice(Role.DESIGNER, replace(other, id="slice-c"), partial)
+        assert engine.events[-1].outcome is Outcome.FAILED
+        assert "slice-c" not in engine.catalog.slice_templates
 
     def test_members_must_be_catalog_services(self):
         engine = Orchestrator(build_testbed())
@@ -864,11 +864,7 @@ class TestSliceExecution:
             chained, id="slice-b", sla=None, chain_order=False
         )
         template = engine.catalog.slice_templates["slice-a"]
-        engine.create_slice(
-            Role.DESIGNER,
-            side_by_side,
-            replace(template, slice_id="slice-b"),
-        )
+        engine.create_slice(Role.DESIGNER, side_by_side, template)
         with pytest.raises(PlanInvalid, match="chain order"):
             engine.plan_slice("slice-b")
 

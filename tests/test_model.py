@@ -167,9 +167,9 @@ class TestProfileAndSla:
 
     def test_sla_bounds(self):
         with pytest.raises(ValueError):
-            Sla("s", committed_latency=0, committed_availability=0.9, committed_data_rate=1)
+            Sla(committed_latency=0, committed_availability=0.9, committed_data_rate=1)
         with pytest.raises(ValueError):
-            Sla("s", committed_latency=1, committed_availability=0, committed_data_rate=1)
+            Sla(committed_latency=1, committed_availability=0, committed_data_rate=1)
 
 
 class TestSliceAssembly:
@@ -212,7 +212,7 @@ class TestSliceAssembly:
         slc = slice_of(("svc-a", "svc-b"), chain_order=False)
         entry = ServiceRequirement(latency_budget=9.0, reliability=0.999, data_rate=100.0)
         template = make_slice_template(slc, {"svc-a": entry, "svc-b": entry})
-        assert template.slice_id == slc.id
+        assert template.per_service_requirements == {"svc-a": entry, "svc-b": entry}
 
     @pytest.mark.parametrize(
         "chain_order, budget, reliability, rate, reason",
@@ -254,8 +254,8 @@ class TestSlaComposition:
             service_availability=0.98,
         )
         slas = {
-            "svc-a": Sla(slc.id, 3.0, 0.99, 100.0),
-            "svc-b": Sla(slc.id, 2.0, 0.999, 50.0),
+            "svc-a": Sla(3.0, 0.99, 100.0),
+            "svc-b": Sla(2.0, 0.999, 50.0),
         }
         composed = aggregate_sla(slc, slas)
         exact = oracles.compose_sla_exact(
@@ -268,8 +268,8 @@ class TestSlaComposition:
     def test_profile_violations_raise(self):
         slc = slice_of(("svc-a", "svc-b"), end_to_end_latency=4.0)
         slas = {
-            "svc-a": Sla(slc.id, 3.0, 0.999, 100.0),
-            "svc-b": Sla(slc.id, 2.0, 0.999, 100.0),
+            "svc-a": Sla(3.0, 0.999, 100.0),
+            "svc-b": Sla(2.0, 0.999, 100.0),
         }
         with pytest.raises(SlaViolatesProfile, match="latency"):
             aggregate_sla(slc, slas)
@@ -278,18 +278,18 @@ class TestSlaComposition:
             aggregate_sla(
                 slc,
                 {
-                    "svc-a": Sla(slc.id, 1.0, 0.99, 100.0),
-                    "svc-b": Sla(slc.id, 1.0, 0.99, 100.0),
+                    "svc-a": Sla(1.0, 0.99, 100.0),
+                    "svc-b": Sla(1.0, 0.99, 100.0),
                 },
             )
         slc = slice_of(("svc-a",), guaranteed_data_rate=100.0)
         with pytest.raises(SlaViolatesProfile, match="data rate"):
-            aggregate_sla(slc, {"svc-a": Sla(slc.id, 1.0, 0.999, 80.0)})
+            aggregate_sla(slc, {"svc-a": Sla(1.0, 0.999, 80.0)})
 
     def test_missing_member_sla_raises(self):
         slc = slice_of(("svc-a", "svc-b"))
         with pytest.raises(MissingServiceSla, match="svc-b"):
-            aggregate_sla(slc, {"svc-a": Sla(slc.id, 1.0, 0.999, 100.0)})
+            aggregate_sla(slc, {"svc-a": Sla(1.0, 0.999, 100.0)})
 
 
 entry_values = st.tuples(
@@ -312,7 +312,7 @@ def _loose_slice(count: int, chain: bool) -> NetworkSlice:
 
 def _slas(slc: NetworkSlice, entries) -> dict[str, Sla]:
     return {
-        service: Sla(slc.id, latency, availability, rate)
+        service: Sla(latency, availability, rate)
         for service, (latency, availability, rate) in zip(slc.services, entries)
     }
 

@@ -11,7 +11,7 @@ import json
 import os
 import re
 import stat
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +37,7 @@ from slicectl.lifecycle import (
     Role,
     apply_event,
 )
-from slicectl.model import ResourceDemand, VendorSoftwareProduct
+from slicectl.model import Customer, ResourceDemand, Sla, VendorSoftwareProduct
 from slicectl.placement import Assignment, PlacementPlan
 from slicectl.store import (
     FileAuditLog,
@@ -69,8 +69,12 @@ from slicectl.store import (
 # lifecycle records. v4/ is the same catalog in version 4, without records,
 # which are the fold of the audit log. Every one of them lists the VFs under
 # each VSP as its owned_resources, which this build drops unread, since each
-# onboard_vf event names its VSP; v4/catalog.saved.json is the catalog as
-# this build writes it, without that key. log-only/ is a lab without
+# onboard_vf event names its VSP, and each slice's template and SLA repeat
+# the slice's id and hold the template_refs and penalties that nothing ever
+# set; v4/catalog.saved.json is the catalog as this build writes it, without
+# those keys. Every event of audit.log and log-only/audit.log repeats its
+# role as actor_id; audit.saved.log is audit.log as this build writes it,
+# without that key. log-only/ is a lab without
 # catalog.json, as `slicectl demo slice-a` wrote it when the log's events
 # first carried their entities: each VSP in them still holds owned_resources.
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,11 +105,25 @@ def reopened_catalog(path, events) -> Catalog:
     return Orchestrator(catalog=load_catalog(path), log=events).catalog
 
 
+def _entities(value):
+    """Each dataclass instance in value's stored fields, value included."""
+    if is_dataclass(value):
+        yield value
+        for f in fields(value):
+            if f.init:
+                yield from _entities(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _entities(item)
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            yield from _entities(item)
+
+
 def event(seq: int, action: str = "certify_vf", subject: str = "vf-x") -> AuditEvent:
     return AuditEvent(
         sequence_no=seq,
         actor=Role.TESTER,
-        actor_id="tester",
         action=action,
         subject=subject,
         timestamp=float(seq),
@@ -712,8 +730,10 @@ class TestAuditLog:
 
     def test_retired_keys_are_dropped_unread(self, tmp_path):
         """owned_resources, which a VSP carried in an older build's log and
-        catalogs, and `used`, which an older build's tenants held, are
-        dropped unread; a key that is only like one is still refused."""
+        catalogs, `used`, which an older build's tenants held, and an older
+        event's actor_id and its slice's template and SLA's slice_id,
+        template_refs and penalties, are dropped unread; a key that is only
+        like one is still refused."""
         vsp = VendorSoftwareProduct("vsp-x", "V", "P", (1, 0, 0))
         stored = {**encode(vsp), "owned_resources": ["vf-a", "vf-b"]}
         assert decode(VendorSoftwareProduct, stored) == vsp
@@ -728,6 +748,57 @@ class TestAuditLog:
         assert decode(Tenant, {**tenant, "used": "anything"}) == decode(Tenant, tenant)
         with pytest.raises(ValueError, match="has no field 'owned_resource'"):
             decode(VendorSoftwareProduct, {**encode(vsp), "owned_resource": []})
+        created = next(e for e in active_engine().events if e.action == "create_slice")
+        created = replace(created, sequence_no=1)
+        raw = encode(created)
+        raw["actor_id"] = raw["actor"]
+        raw["slice_template"].update(slice_id="slice-a", template_refs={})
+        raw["slice"]["sla"].update(slice_id="slice-a", penalties="")
+        path.write_text(json.dumps(raw) + "\n")
+        assert load_audit(path) == [created]
+        with pytest.raises(ValueError, match="has no field 'penalty'"):
+            decode(Sla, {**encode(created.slice.sla), "penalty": ""})
+
+    def test_no_retired_key_names_a_field(self):
+        for cls, keys in store._RETIRED.items():
+            assert not keys & {f.name for f in fields(cls) if f.init}, cls
+
+    def test_no_stored_class_writes_a_retired_key(self):
+        """Fully populated, the catalog, an event with every field set, an
+        inventory with allocations and a plan encode no retired key in any
+        of their entities, and those entities take in every class that has
+        retired keys."""
+        engine = active_engine()
+        catalog = engine.catalog
+        catalog.customers["c-x"] = Customer("c-x", "X")
+        assert all(getattr(catalog, f.name) for f in fields(Catalog) if f.init)
+        carried = {
+            f.name: next(
+                (getattr(e, f.name) for e in engine.events if getattr(e, f.name)),
+                None,
+            )
+            for f in fields(AuditEvent)
+            if f.default is None
+        }
+        carried["customer"] = catalog.customers["c-x"]
+        full = replace(engine.events[0], **carried)
+        assert None not in (getattr(full, f.name) for f in fields(full))
+        infra = engine.infra
+        inventory = InventoryDocument(
+            hosts=tuple(infra.hosts.values()),
+            tenants=tuple(infra.tenants.values()),
+            links=tuple(infra.links.values()),
+            allocations=tuple(infra.allocations.values()),
+        )
+        held = tuple(Assignment(s, a.tenant) for s, a in infra.allocations.items())
+        document = PlanDocument(slice="slice-a", assignments=held)
+        seen = set()
+        for root in (catalog, full, inventory, document):
+            for entity in _entities(root):
+                seen.add(type(entity))
+                retired = store._RETIRED.get(type(entity), frozenset())
+                assert not retired & encode(entity).keys(), entity
+        assert store._RETIRED.keys() <= seen
 
     def test_misspelt_key_is_refused(self, tmp_path):
         path = tmp_path / "audit.log"
@@ -762,7 +833,6 @@ class TestAuditLog:
         assert list(first) == list(encode(event(1))) == [
             "sequence_no",
             "actor",
-            "actor_id",
             "action",
             "subject",
             "timestamp",
@@ -795,8 +865,9 @@ class TestAuditLog:
         """The golden demo log with its last line cut after each of its
         bytes, the final newline alone included: a load gives the complete
         prefix, and the next append truncates the fragment and lands at the
-        last line's sequence number, which gives back the whole log byte
-        for byte. fsync is skipped; it decides nothing here."""
+        last line's sequence number, which gives back the complete prefix
+        and that line as this build writes it, without actor_id, byte for
+        byte. fsync is skipped; it decides nothing here."""
         monkeypatch.setattr(store.os, "fsync", lambda fd: None)
         whole = (GOLDEN / "log-only" / "audit.log").read_bytes()
         keep = whole.rstrip(b"\n").rfind(b"\n") + 1
@@ -804,13 +875,15 @@ class TestAuditLog:
         events = load_audit(GOLDEN / "log-only" / "audit.log")
         last = events[-1]
         assert last.sequence_no == len(events) and last.demand is not None
+        rewritten = prefix + json.dumps(encode(last)).encode() + b"\n"
+        assert rewritten[keep:] == last_line.replace(b', "actor_id": "operator"', b"")
         path = tmp_path / "audit.log"
         for cut in range(len(last_line)):
             path.write_bytes(prefix + last_line[:cut])
             assert load_audit(path) == events[:-1], cut
             FileAuditLog(path).append(last)
-            assert path.read_bytes() == whole, cut
-            assert len(load_audit(path)) == len(events), cut
+            assert path.read_bytes() == rewritten, cut
+            assert load_audit(path) == events, cut
 
     def test_bad_line_before_the_last_is_refused(self, tmp_path):
         """A torn line that ends in a newline is corruption, not a fragment."""
@@ -1014,7 +1087,11 @@ class TestPlanDocuments:
 
 
 # The golden file a golden file is saved as, where that is another file.
-_SAVED_AS = {"catalog.json": SAVED_CATALOG, "inventory.yaml": SAVED_INVENTORY}
+_SAVED_AS = {
+    "catalog.json": SAVED_CATALOG,
+    "inventory.yaml": SAVED_INVENTORY,
+    "audit.log": "audit.saved.log",
+}
 
 
 def _rewrite_audit(source, target):
@@ -1034,10 +1111,12 @@ def _rewrite_audit(source, target):
 def test_saved_files_keep_their_bytes(tmp_path, name, rewrite):
     """Each golden file, loaded and saved, gives the bytes this build writes:
     its own bytes, except that the golden catalogs, the two version-1 ones
-    and those of versions 2 to 4, whose VSPs hold owned_resources, are saved
-    as the saved catalog beside the version-4 golden blob files, and the
-    golden inventory, whose tenants hold `used` and which holds
-    allocations, as its topology alone; each of those saves as itself."""
+    and those of versions 2 to 4, whose VSPs hold owned_resources and whose
+    slice template and SLA hold slice_id, are saved as the saved catalog
+    beside the version-4 golden blob files, the golden inventory, whose
+    tenants hold `used` and which holds allocations, as its topology alone,
+    and the golden log, whose events hold actor_id, as the saved log; each
+    of those saves as itself."""
     saved = _SAVED_AS.get(name, name)
     older = (*GOLDEN_V1, "v2/catalog.json", "v3/catalog.json", "v4/catalog.json")
     sources = older if name == "catalog.json" else (name,)
@@ -1168,12 +1247,14 @@ def _golden_engine():
 )
 def test_compact_catalog_holds_what_the_indented_one_held(tmp_path, engine):
     """The compact file parses to the same document as the indented JSON
-    that older builds wrote for the same catalog, and loads back equal."""
+    that older builds wrote for the same catalog, with its format's version,
+    and loads back equal."""
     engine = engine()
     catalog = engine.catalog
     path = tmp_path / "catalog.json"
     save_catalog(catalog, path)
-    indented = json.dumps(encode(catalog), indent=2, sort_keys=True)
+    raw = {"version": store.CATALOG_VERSION, **encode(catalog)}
+    indented = json.dumps(raw, indent=2, sort_keys=True)
     assert json.loads(path.read_text()) == json.loads(indented)
     assert reopened_catalog(path, engine.events) == catalog
     for digest, text in catalog.template_blobs.items():
