@@ -45,6 +45,7 @@ from .model import (
     Customer,
     NetworkSlice,
     ServiceRequirement,
+    Severity,
     SliceProvider,
     SliceTemplate,
     VendorSoftwareProduct,
@@ -53,7 +54,6 @@ from .model import (
 )
 from .placement import (
     PlacementPlan,
-    Severity,
     Violation,
     offered_capabilities,
     verify_plan,
@@ -73,7 +73,7 @@ from .store import (
     load_plan,
     relabel,
     replay_states,
-    save_catalog,  # no command calls it; it stays importable from here
+    save_catalog,  # no command calls it; bench/spans.py wraps cli.save_catalog
     save_inventory,
     save_plan,
     _load_yaml,

@@ -60,6 +60,7 @@ from .model import (
     NetworkService,
     NetworkSlice,
     ResourceDemand,
+    Severity,
     SliceProvider,
     SliceTemplate,
     VendorSoftwareProduct,
@@ -78,7 +79,6 @@ from .placement import (
     verify_plan,
 )
 from .template import (
-    Severity,
     merge_reports,
     parse_template,
     resource_footprint,

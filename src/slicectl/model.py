@@ -51,6 +51,13 @@ class IsolationLevel(str, Enum):
     DEDICATED_HOST = "dedicated_host"
 
 
+class Severity(str, Enum):
+    """Weight of a lint finding or a plan violation; any error rejects."""
+
+    ERROR = "error"
+    WARNING = "warning"
+
+
 @dataclass(frozen=True)
 class ResourceDemand:
     """Whole numbers of vCPUs, MiB of RAM, GiB of storage, and ports."""

@@ -45,11 +45,11 @@ from .model import (
     IsolationLevel,
     NetworkSlice,
     ResourceDemand,
+    Severity,
     SliceTemplate,
     compose_latency,
     latency_refusal,
 )
-from .template import Severity
 
 
 # Up to this many service-tenant pairs the exact search is cheap; above it
@@ -641,7 +641,7 @@ def verify_plan(
                 )
         else:  # every hop has a path
             e2e = compose_latency(slice, hops)
-            if abs(e2e - plan.e2e_latency) > EPSILON:
+            if not abs(e2e - plan.e2e_latency) <= EPSILON:  # a nan mismatches too
                 violations.append(
                     Violation(
                         code=VIOLATION_LATENCY_MISMATCH,

@@ -546,9 +546,11 @@ class FileAuditLog:
 
     The lifecycle engine calls append before it commits any state change,
     so the append is the commit.
-    An event is a line that ends in a newline. A final fragment is an append
-    that never returned: the first append, or the next after a failed one,
-    truncates it.
+    An event is a line that ends in a newline. An append that fails cuts
+    the file back to where it started, so a failed append commits nothing.
+    A final fragment is an append that never returned, or one whose cut
+    failed too: the first append, or the next after a failed one, truncates
+    it.
     """
 
     def __init__(self, path: str | Path, *, expected_next: int | None = None):
@@ -564,17 +566,23 @@ class FileAuditLog:
             raise SequenceGap(
                 f"expected sequence {self._next}, got {event.sequence_no}"
             )
-        line = json.dumps(encode(event))
+        line = json.dumps(encode(event)).encode("utf-8") + b"\n"
+        start = None
         try:
             with open(self.path, "a+b") as handle:
                 if not self._tail_checked:
                     _drop_fragment(handle)
                     self._tail_checked = True
-                handle.write(line.encode("utf-8") + b"\n")
+                start = handle.seek(0, os.SEEK_END)
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
+            # The handle is closed, so no buffered byte can land after the cut.
             self._tail_checked = False
+            if start is not None:
+                with contextlib.suppress(OSError):
+                    os.truncate(self.path, start)
             raise IoFailure(f"cannot append to {self.path}: {exc}") from exc
         self._next += 1
 

@@ -24,12 +24,11 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 
 import yaml
 
 from .errors import DanglingReference, MissingSizing, TemplateSyntaxError
-from .model import ResourceDemand
+from .model import ResourceDemand, Severity
 
 
 # External kind strings are contractual and matched bit-exactly.
@@ -52,11 +51,6 @@ RULE_FORBIDDEN_KIND = "forbidden-kind"
 RULE_NAME_PATTERN = "name-pattern"
 RULE_VF_STRUCTURE = "vf-structure"
 RULE_ENV_LIMIT = "env-limit"
-
-
-class Severity(str, Enum):
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)

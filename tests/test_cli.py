@@ -984,6 +984,26 @@ class TestWorkflow:
             ("instantiate_slice", "failed"),
         ]
 
+    def test_plan_that_records_nan_latency_is_rejected(self, root, tmp_path):
+        seed_service(root, tmp_path)
+        descriptor = tmp_path / "slice.yaml"
+        descriptor.write_text(yaml.safe_dump(descriptor_doc()))
+        assert run(["create-slice", str(descriptor), "--catalog", str(root)]).exit_code == 0
+        assert run(["place-slice", "slice-p", "--catalog", str(root)]).exit_code == 0
+        plan = root / "plan-slice-p.yaml"
+        doc = yaml.safe_load(plan.read_text())
+        doc["e2e_latency"] = float("nan")
+        plan.write_text(yaml.safe_dump(doc))
+        assert "e2e_latency: .nan" in plan.read_text()
+        events = load_audit(root / "audit.log")
+        argv = ["instantiate-slice", "slice-p", "--plan", str(plan), "--as", "operator"]
+        result = run(argv + ["--catalog", str(root)])
+        assert result.exit_code == 1
+        assert result.summary == "PlanInvalid: plan rejected: latency_mismatch"
+        after = load_audit(root / "audit.log")
+        assert after[:-1] == events
+        assert (after[-1].action, after[-1].outcome.value) == ("instantiate_slice", "failed")
+
     def test_infeasible_placement_reports_cleanly(self, root, tmp_path):
         seed_service(root, tmp_path)
         descriptor = tmp_path / "big.yaml"
@@ -1605,9 +1625,10 @@ class TestStatusChecks:
 
 
 class TestTornAppend:
-    """An event is a line that ends in a newline. A final fragment is an
-    append that never returned: every command leaves it out, and the next
-    that appends truncates it first."""
+    """An event is a line that ends in a newline. A failed append cuts the
+    log back to its bytes. A final fragment is an append that never
+    returned: every command leaves it out, and the next that appends
+    truncates it first."""
 
     def test_cut_last_line(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
@@ -1635,12 +1656,12 @@ class TestTornAppend:
 
     def test_short_append_in_a_child_process(self, root):
         """A child whose file size limit stops its append part way through
-        the line, as a full disk would: it exits 1, and the next command
-        works."""
+        the line, as a full disk would: it exits 1, its append cuts the log
+        back to its bytes, and the next command works."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         log = root / "audit.log"
-        events = load_audit(log)
-        limit = log.stat().st_size + 100
+        whole, events = log.read_bytes(), load_audit(log)
+        limit = len(whole) + 100
         code = (
             "import resource, signal, sys\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
@@ -1658,7 +1679,7 @@ class TestTornAppend:
         )
         assert child.returncode == 1, child.stdout + child.stderr
         assert child.stdout.startswith(f"IoFailure: cannot append to {log}: ")
-        assert log.stat().st_size == limit
+        assert log.read_bytes() == whole
         assert run(["status", "--catalog", str(root)]).exit_code == 0
         assert run(["audit", "--catalog", str(root)]).detail["events"] == [
             encode(e) for e in events
@@ -1669,13 +1690,18 @@ class TestTornAppend:
         after = load_audit(log)
         assert after[:-1] == events and after[-1].outcome.value == "denied"
 
-    @pytest.mark.parametrize("failing", ["write", "fsync"])
-    def test_full_disk_during_an_append(self, root, monkeypatch, failing):
-        """A full disk stores part of the line, then the append's write or
-        its fsync fails with ENOSPC: the command exits 1 with IoFailure, a
-        reload gives the complete prefix, and the next append truncates the
-        fragment before it writes its own line."""
-        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+    @pytest.mark.parametrize(
+        "failing, kept",
+        [("write", "half"), ("fsync", "half"), ("fsync", "whole")],
+        ids=["write", "fsync", "fsync-after-the-whole-line"],
+    )
+    def test_full_disk_during_an_append(self, root, monkeypatch, failing, kept):
+        """A full disk stores part or all of the line, then the append's
+        write or its fsync fails with ENOSPC: the command exits 1 with
+        IoFailure, the append cuts the log back to its bytes, so nothing is
+        committed, and the same command then succeeds."""
+        for argv in _FLOW[:3]:
+            assert _flow_step(root, argv).exit_code == 0
         log = root / "audit.log"
         whole, events = log.read_bytes(), load_audit(log)
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -1694,7 +1720,7 @@ class TestTornAppend:
                 return getattr(self.handle, name)
 
             def write(self, data):
-                self.handle.write(data[: len(data) // 2])
+                self.handle.write(data[: len(data) // 2] if kept == "half" else data)
                 self.handle.flush()
                 if failing == "write":
                     raise full
@@ -1706,23 +1732,24 @@ class TestTornAppend:
         monkeypatch.setattr(store, "open", lambda *a: FullDisk(open(*a)), raising=False)
         if failing == "fsync":
             monkeypatch.setattr(store.os, "fsync", fsync)
-        denied = ["certify-vf", "vf-core-cp", "--as", "designer", "--catalog", str(root)]
-        refused = run(denied)
+        certify = ["certify-vf", "vf-core-cp", "--as", "tester", "--catalog", str(root)]
+        refused = run(certify)
         monkeypatch.undo()
         assert refused.exit_code == 1, refused.summary
         assert refused.summary == (
             f"IoFailure: cannot append to {log}:"
             f" [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         )
-        torn = log.read_bytes()
-        assert torn.startswith(whole) and len(torn) > len(whole)
-        assert load_audit(log) == events
-        assert run(denied).summary.startswith("RoleDenied")
+        assert log.read_bytes() == whole
+        status = run(["status", "vf-core-cp", "--catalog", str(root)])
+        assert status.summary == "vf-core-cp: vf in state draft", status.summary
+        assert run(certify).exit_code == 0
         line = log.read_bytes()[len(whole) :]
         assert line.endswith(b"\n") and line.count(b"\n") == 1
         after = load_audit(log)
-        assert after[:-1] == events and after[-1].outcome.value == "denied"
-        assert run(["status", "--catalog", str(root)]).exit_code == 0
+        assert after[:-1] == events and after[-1].action == "certify_vf"
+        status = run(["status", "vf-core-cp", "--catalog", str(root)])
+        assert status.summary == "vf-core-cp: vf in state certified", status.summary
 
 
 def _fixture(name: str) -> str:
@@ -1747,6 +1774,20 @@ def _crash_after_the_last_append(monkeypatch, root) -> list[dict]:
     monkeypatch.setattr(FileAuditLog, "append", spy)
     monkeypatch.setattr("slicectl.cli._record_result", crash)
     return appended
+
+
+def _crash_after_append(monkeypatch, count: int) -> None:
+    """Cut the next command right after its count-th audit append."""
+    appended = []
+    append = FileAuditLog.append
+
+    def cut(self, event):
+        append(self, event)
+        appended.append(event)
+        if len(appended) == count:
+            raise OSError(f"simulated crash after append {count}")
+
+    monkeypatch.setattr(FileAuditLog, "append", cut)
 
 
 # The README's flow on a fresh lab, which TestCrashes cuts at one command.
@@ -2075,6 +2116,39 @@ class TestCrashes:
         assert after.exit_code == 0, after.summary
         assert "audit log: agrees with the catalog" in after.summary.splitlines()
         assert "tenant-cp on host-cp: used 0/6 vcpu" in after.summary
+
+    @pytest.mark.parametrize(
+        "cut, count",
+        [(_FLOW[-2], 1), (_FLOW[-2], 2), (_FLOW[-1], 1), (_FLOW[-1], 2)],
+        ids=lambda arg: arg[0] if isinstance(arg, list) else f"after-append-{arg}",
+    )
+    def test_teardown_mends_a_cut_between_appends(self, root, monkeypatch, cut, count):
+        """instantiate-slice and teardown-slice each append three events. A
+        cut after an earlier one leaves a lab that teardown-slice mends:
+        the slice is terminated, every member that was instantiated is
+        terminated, one never instantiated stays distributed, and no tenant
+        holds anything."""
+        for argv in _FLOW[: _FLOW.index(cut)]:
+            result = _flow_step(root, argv)
+            assert result.exit_code == 0, result.summary
+        logged = len(load_audit(root / "audit.log"))
+        _crash_after_append(monkeypatch, count)
+        assert _flow_step(root, cut).exit_code == 3
+        monkeypatch.undo()
+        events = load_audit(root / "audit.log")
+        assert len(events) == logged + count
+        instantiated = {e.subject for e in events if e.action == "instantiate_service"}
+
+        down = _flow_step(root, _FLOW[-1])
+        assert down.exit_code == 0, down.summary
+        status = run(["status", "--json", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        records = status.detail["records"]
+        assert records["slice-a"]["state"] == "terminated"
+        for member in ("svc-core-cp", "svc-core-dp"):
+            held = "terminated" if member in instantiated else "distributed"
+            assert records[member]["state"] == held, member
+        assert not any(any(shown["used"]) for shown in status.detail["tenants"].values())
 
     def test_crash_inside_onboard_vf_then_a_retry(self, root, monkeypatch):
         """The crashed onboard left its VF whole, blob and function, so the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import random
 from dataclasses import replace
 
@@ -703,15 +704,17 @@ class TestVerifyPlan:
         assert VIOLATION_SLICE_MISMATCH in codes
 
     def test_latency_mismatch(self):
-        plan = PlacementPlan(
-            "slice-t",
-            (Assignment("svc-a", "t-a"), Assignment("svc-b", "t-b")),
-            0.25,
-            True,
-        )
-        ok, codes = self.codes(plan)
-        assert not ok
-        assert VIOLATION_LATENCY_MISMATCH in codes
+        # nan compares unequal to every latency, so it must not pass for one.
+        for recorded in (0.25, math.inf, math.nan):
+            plan = PlacementPlan(
+                "slice-t",
+                (Assignment("svc-a", "t-a"), Assignment("svc-b", "t-b")),
+                recorded,
+                True,
+            )
+            ok, codes = self.codes(plan)
+            assert not ok, recorded
+            assert VIOLATION_LATENCY_MISMATCH in codes, recorded
 
     def test_latency_exceeded(self):
         self.slc = two_service_slice(end_to_end_latency=0.5)

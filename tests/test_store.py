@@ -900,8 +900,9 @@ class TestAuditLog:
         self, tmp_path, monkeypatch
     ):
         """A short write, as a full disk or a file size limit makes one,
-        stores part of the line and then fails; the same log's next append
-        truncates that part first."""
+        stores part of the line and then fails. The append cuts that part
+        off; where the cut fails too, the same log's next append truncates
+        the part first."""
 
         class ShortWrite:
             def __init__(self, handle):
@@ -928,6 +929,14 @@ class TestAuditLog:
         monkeypatch.setattr(
             store, "open", lambda *args: ShortWrite(open(*args)), raising=False
         )
+        with pytest.raises(IoFailure, match="cannot append to .*File too large"):
+            log.append(event(2))
+        assert path.read_bytes() == whole
+
+        def truncate(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(store.os, "truncate", truncate)
         with pytest.raises(IoFailure, match="cannot append to .*File too large"):
             log.append(event(2))
         monkeypatch.undo()
