@@ -10,8 +10,9 @@ entities the engine creates or registers are the fold of audit.log onto
 catalog.json, made when a command opens the engine, and a log the fold
 refuses makes every such command exit 1. So a lifecycle command appends to
 audit.log and writes each new template blob before its event, and
-rewrites nothing: catalog.json is a read-only genesis in any format, and
-inventory.yaml is written by init-testbed and demo alone. Mutating
+rewrites nothing but checkpoint.json, derived state that lets a later
+command fold only the log's tail: catalog.json is a read-only genesis in
+any format, and inventory.yaml is written by init-testbed and demo alone. Mutating
 commands hold an exclusive advisory lock on the directory for the
 command's duration, and status and audit a shared one.
 
@@ -39,8 +40,16 @@ from .errors import (
     SliceError,
     TemplateSyntaxError,
 )
-from .infra import build_testbed
-from .lifecycle import ArtifactKind, Catalog, Orchestrator, Role, ServiceState
+from .infra import Infrastructure, build_testbed
+from .lifecycle import (
+    ArtifactKind,
+    AuditEvent,
+    Catalog,
+    Orchestrator,
+    Role,
+    ServiceState,
+    SliceState,
+)
 from .model import (
     Customer,
     NetworkSlice,
@@ -62,18 +71,24 @@ from .store import (
     AUDIT_FILE,
     BLOBS_DIR,
     CATALOG_FILE,
+    CHECKPOINT_FILE,
     INVENTORY_FILE,
     FileAuditLog,
     TemplateBlobs,
+    checkpoint_fold,
     decode,
     encode,
+    fragment_bytes,
     load_audit,
     load_catalog,
+    load_checkpoint,
     load_inventory,
     load_plan,
+    read_checkpoint,
     relabel,
     replay_states,
     save_catalog,  # no command calls it; bench/spans.py wraps cli.save_catalog
+    save_checkpoint,
     save_inventory,
     save_plan,
     _load_yaml,
@@ -143,23 +158,71 @@ def _genesis(root: Path) -> Catalog:
     return load_catalog(path) if path.exists() else Catalog()
 
 
-def _open_engine(root: Path) -> Orchestrator:
-    """The engine on root's files, continuing the audit log it loaded: the
-    log folded onto the genesis. The catalog's blobs are the genesis's
-    (inline in a format-1 file, files otherwise), then the files in blobs/
-    that the log names, where a new onboard writes its own."""
-    catalog = _genesis(root)
+def _lab_files(root: Path) -> tuple[Catalog, Infrastructure | None, list[AuditEvent]]:
+    """root's genesis, inventory and whole audit log, read from their files."""
     inventory_path = root / INVENTORY_FILE
-    infra = load_inventory(inventory_path) if inventory_path.exists() else None
     audit_path = root / AUDIT_FILE
-    events = load_audit(audit_path) if audit_path.exists() else []
-    sink = FileAuditLog(audit_path, expected_next=len(events) + 1)
-    engine = Orchestrator(infra, catalog=catalog, audit_sink=sink.append, log=events)
+    return (
+        _genesis(root),
+        load_inventory(inventory_path) if inventory_path.exists() else None,
+        load_audit(audit_path) if audit_path.exists() else [],
+    )
+
+
+def _open_engine(root: Path) -> Orchestrator:
+    """The engine on root's files, continuing the audit log: the log folded
+    onto the genesis, or, where root's checkpoint matches its files, the
+    log's events after the checkpoint folded onto the fold it holds."""
+    resumed = load_checkpoint(root)
+    if resumed is None:
+        return _engine_on(root, *_lab_files(root))
+    return _engine_on(root, *resumed)
+
+
+def _engine_on(
+    root: Path,
+    catalog: Catalog,
+    infra: Infrastructure | None,
+    events: list[AuditEvent],
+    after: tuple[int, float] | None = None,
+) -> Orchestrator:
+    """The engine that folds events onto catalog and infra, after the
+    first after[0] events where after is given, and logs to root's
+    audit.log. The catalog's blobs are the genesis's (inline in a format-1
+    file, files otherwise), then the files in blobs/ that the log names,
+    where a new onboard writes its own."""
+    numbered = after[0] if after else 0
+    sink = FileAuditLog(root / AUDIT_FILE, expected_next=numbered + len(events) + 1)
+    engine = Orchestrator(
+        infra, catalog=catalog, audit_sink=sink.append, log=events, after=after
+    )
     genesis = catalog.template_blobs
     refs = {f.template_ref for f in catalog.functions.values()} - {None}
     logged = TemplateBlobs(root / BLOBS_DIR, refs - genesis.keys())
     catalog.template_blobs = ChainMap(logged, genesis)
     return engine
+
+
+# A command that had to fold at least this many events to open the lab
+# writes a checkpoint when it ends. Below it, decoding and folding the
+# events costs less than writing one: see CHANGES.md for the measurement.
+CHECKPOINT_MIN_EVENTS = 400
+
+
+def _save_checkpoint(root: Path, engine: Orchestrator) -> None:
+    """Write root's checkpoint from engine, the fold of the whole log. A
+    genesis that serves its blobs from memory, as format 1 does, gets none,
+    since a checkpoint's catalog reads them from blobs/. A failed write
+    changes nothing that the command reports."""
+    genesis = engine.catalog.template_blobs.maps[-1]
+    if isinstance(genesis, dict) and genesis:
+        return
+    last = engine.events[-1]
+    fold = checkpoint_fold(
+        engine.catalog, engine.infra, (last.sequence_no, last.timestamp)
+    )
+    with contextlib.suppress(IoFailure):
+        save_checkpoint(root, fold)
 
 
 @contextlib.contextmanager
@@ -168,10 +231,23 @@ def _engine_for(args):
     directory and open the engine on it. The command's audit events are
     all it stores: each ok event carries the entities it creates or is the
     first to need, and a blob is a file before its event, so a command cut
-    after any append leaves the lab as its log says. No file is rewritten."""
+    after any append leaves the lab as its log says. No file is rewritten
+    but the checkpoint, which a command that ends without an error writes
+    after its last append when it opened the lab from at least
+    CHECKPOINT_MIN_EVENTS events. A final fragment that the command's
+    first append drops is noted in args.dropped_fragment, its size."""
     root = _resolve_root(args)
+    audit_path = root / AUDIT_FILE
     with _locked(root):
-        yield _open_engine(root)
+        engine = _open_engine(root)
+        folded, fragment = len(engine.events), fragment_bytes(audit_path)
+        try:
+            yield engine
+        finally:
+            if fragment and not fragment_bytes(audit_path):
+                args.dropped_fragment = fragment
+        if folded >= CHECKPOINT_MIN_EVENTS:
+            _save_checkpoint(root, engine)
 
 
 def _record_result(record, summary: str, **detail) -> CommandResult:
@@ -463,14 +539,68 @@ def _lab_problems(engine: Orchestrator) -> list[str]:
             f"{service_id} is {state} but holds {allocation.demand}"
             f" on {allocation.tenant}"
         )
+    return problems + _half_done_slices(catalog, instantiated)
+
+
+def _half_done_slices(catalog: Catalog, instantiated: set[str]) -> list[str]:
+    """A slice that a command cut between its appends left half done: one
+    active with a member that is not instantiated, or partially
+    instantiated with none that is, which teardown-slice releases, or one
+    terminated with a member still instantiated, which teardown-slice, which
+    needs a live slice, cannot release."""
+    problems = []
+    for slice_id, slc in sorted(catalog.slices.items()):
+        state = catalog.records[slice_id].state if slice_id in catalog.records else None
+        live = [s for s in slc.services if s in instantiated]
+        idle = [s for s in slc.services if s not in instantiated]
+        if (state is SliceState.ACTIVE and idle) or (
+            state is SliceState.PARTIALLY_INSTANTIATED and not live
+        ):
+            problems.append(
+                f"{slice_id} is {state.value} but {', '.join(idle)}"
+                f" {'is' if len(idle) == 1 else 'are'} not instantiated;"
+                f" run teardown-slice {slice_id} --as operator"
+            )
+        elif state is SliceState.TERMINATED and live:
+            problems.append(
+                f"{slice_id} is terminated but {', '.join(live)}"
+                f" {'is' if len(live) == 1 else 'are'} still instantiated"
+            )
     return problems
+
+
+def _refold(root: Path) -> tuple[Orchestrator, dict | None]:
+    """status's open: the engine on root's whole log folded onto the
+    genesis, as every command would fold it without a checkpoint, and what
+    that fold says of root's checkpoint, None where there is none. A
+    checkpoint whose tags match root's files is compared, in plain-data
+    form, with the fold of the log through the event it covers, so no
+    second catalog is decoded."""
+    catalog, infra, events = _lab_files(root)
+    if not (root / CHECKPOINT_FILE).exists():
+        return _engine_on(root, catalog, infra, events), None
+    found = read_checkpoint(root)
+    if found is None:
+        return _engine_on(root, catalog, infra, events), {"state": "stale"}
+    fold, log, offset = found
+    through = sum(1 for line in log[:offset].split(b"\n") if line.strip())
+    replay_states(events[:through], infra, catalog)
+    last = events[through - 1] if through else None
+    after = (last.sequence_no, last.timestamp) if last else (0, 0.0)
+    agrees = checkpoint_fold(catalog, infra, after) == fold
+    checkpoint = {"state": "agrees" if agrees else "differs", "through": through}
+    return _engine_on(root, catalog, infra, events[through:], after), checkpoint
 
 
 def _cmd_status(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root, fcntl.LOCK_SH):
-        engine = _open_engine(root)
-        problems = [] if args.subject else _lab_problems(engine)
+        if args.subject:
+            engine = _open_engine(root)
+        else:
+            engine, checkpoint = _refold(root)
+            problems = _lab_problems(engine)
+            fragment = fragment_bytes(root / AUDIT_FILE)
     catalog = engine.catalog
     if args.subject:
         record = catalog.records.get(args.subject)
@@ -530,6 +660,24 @@ def _cmd_status(args) -> CommandResult:
     problem = f"differs from the catalog on {', '.join(differ)}" if differ else None
     lines.append(f"audit log: {problem or 'agrees with the catalog'}")
     detail["log"] = {"agrees": problem is None, "problem": problem}
+    if fragment:
+        lines.append(
+            f"audit log: ends in a {fragment}-byte fragment that the next write drops"
+        )
+        detail["log"]["fragment_bytes"] = fragment
+    if checkpoint is not None:
+        detail["checkpoint"] = checkpoint
+        state, through = checkpoint["state"], checkpoint.get("through")
+        if state == "stale":
+            lines.append("checkpoint: stale, ignored")
+        else:
+            verb = "agrees with" if state == "agrees" else "differs from"
+            lines.append(f"checkpoint: {verb} the log through event {through}")
+        if state == "differs":
+            problems.append(
+                f"{CHECKPOINT_FILE} differs from the fold of the log through"
+                f" event {through}; delete it"
+            )
     lines.extend(f"problem: {reason}" for reason in problems)
     detail["problems"] = problems
     code = 0 if problem is None and not problems else 1
@@ -878,6 +1026,10 @@ def run(argv: list[str] | None = None) -> CommandResult:
         )
     except Exception as exc:  # the CLI boundary must map bugs to exit 3
         result = CommandResult(3, f"internal error: {type(exc).__name__}: {exc}")
+    dropped = getattr(args, "dropped_fragment", 0)
+    if dropped:
+        result.summary += f"\naudit log: dropped its {dropped}-byte final fragment"
+        result.detail = {**(result.detail or {}), "dropped_fragment_bytes": dropped}
     result.machine = args.json
     return result
 

@@ -37,6 +37,7 @@ import time
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DuplicateEntry,
@@ -363,13 +364,27 @@ def replay_states(
     return catalog.records
 
 
+class _Mark(NamedTuple):
+    """Where a log that an engine continues stands before its first event."""
+
+    sequence_no: int
+    timestamp: float
+
+
 class Orchestrator:
     """Serialized command interface over one catalog and its infrastructure.
 
     engine.events starts as log, the audit log the engine is opened on, and
     each new event continues it: the next number, at a later instant. The
     catalog's records are set to the fold of log, which allocates in infra
-    too, so an engine opened on a log the fold refuses raises LogDiverged."""
+    too, so an engine opened on a log the fold refuses raises LogDiverged.
+
+    An engine can also start part way through a log, as one opened from a
+    checkpoint does: after=(n, t) says that catalog, with its records, and
+    infra already hold the fold of the log's first n events, the last of
+    them at instant t. log is then the events after the n-th, folded on
+    top, and the engine's next event is numbered after the last of them.
+    An engine keeps no files; the store writes any checkpoint."""
 
     def __init__(
         self,
@@ -379,11 +394,17 @@ class Orchestrator:
         audit_sink: Callable[[AuditEvent], None] | None = None,
         log: list[AuditEvent] | None = None,
         clock: Callable[[], float] = time.time,
+        after: tuple[int, float] | None = None,
     ):
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
         self.events: list[AuditEvent] = log if log is not None else []
-        replay_states(self.events, infra, self.catalog)
+        if after is None:
+            replay_states(self.events, infra, self.catalog)
+        else:
+            for event in self.events:
+                apply_event(self.catalog, event, infra)
+        self._after = None if after is None else _Mark(*after)
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}
@@ -426,7 +447,7 @@ class Orchestrator:
         self, actor: Role, action: str, subject: str, outcome: Outcome, **held
     ) -> AuditEvent:
         actor = Role(actor)
-        last = self.events[-1] if self.events else None
+        last = self.events[-1] if self.events else self._after
         floor = last.timestamp if last else 0.0
         now = self._clock()
         # Wall clocks may stall or step back; the log's instants must not.

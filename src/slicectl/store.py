@@ -15,7 +15,10 @@ replay_states, defined in lifecycle and re-exported here, folds it into
 them with apply_event, onto the genesis, as the engine does on open and
 with each event it logs, and raises LogDiverged for an ok event that the
 lifecycle table or the inventory refuses or whose entity differs from the
-genesis's. Snapshots are written atomically (temp file, fsync, rename), so
+genesis's. checkpoint.json, where a command wrote one, is derived state:
+the fold of the other three files through a byte offset of the log, read
+only while the SHA-256 tags it holds match them, so deleting it changes
+nothing. Snapshots are written atomically (temp file, fsync, rename), so
 an interrupted save never corrupts the previous file. A blob is written
 once, before the event or catalog that names it, and never rewritten;
 reading one checks that its SHA-256 is its name.
@@ -56,7 +59,16 @@ import yaml
 
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
-from .lifecycle import AuditEvent, Catalog, replay_states
+from .lifecycle import (
+    ArtifactKind,
+    AuditEvent,
+    Catalog,
+    LifecycleRecord,
+    ServiceState,
+    SliceState,
+    VfState,
+    replay_states,
+)
 from .model import Sla, SliceTemplate, VendorSoftwareProduct
 from .placement import Assignment, PlacementPlan
 
@@ -508,13 +520,18 @@ class InventoryDocument:
 _RETIRED[InventoryDocument] = frozenset({"next_allocation_id"})
 
 
-def save_inventory(infra: Infrastructure, path: str | Path) -> None:
-    """Write infra's hosts, tenants and links, never its allocations."""
+def _inventory_document(infra: Infrastructure) -> InventoryDocument:
+    """infra's hosts, tenants and links, each sorted by id."""
     entities = {
         kind: sorted(getattr(infra, kind).values(), key=operator.attrgetter("id"))
         for kind in ("hosts", "tenants", "links")
     }
-    doc = InventoryDocument(**entities)
+    return InventoryDocument(**entities)
+
+
+def save_inventory(infra: Infrastructure, path: str | Path) -> None:
+    """Write infra's hosts, tenants and links, never its allocations."""
+    doc = _inventory_document(infra)
     _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
 
 
@@ -523,6 +540,10 @@ def load_inventory(path: str | Path) -> Infrastructure:
     allocation an older build stored, so use is the sum of allocations."""
     where = f"{path}: corrupt inventory"
     doc = _decode_file(InventoryDocument, _load_yaml(Path(path)), where)
+    return _infrastructure(doc, where)
+
+
+def _infrastructure(doc: InventoryDocument, where: str) -> Infrastructure:
     infra = Infrastructure()
     try:
         for host in doc.hosts:
@@ -587,23 +608,54 @@ class FileAuditLog:
         self._next += 1
 
 
-def _drop_fragment(handle) -> None:
-    """Truncate handle's file to just after its last newline; rfind reads
-    the mapped file from its end, so a log that ends in one costs a page."""
+def _events_end(handle) -> tuple[int, int]:
+    """The size of handle's file and the offset just after its last
+    newline; rfind reads the mapped file from its end, so a log that ends
+    in one costs a page."""
     size = handle.seek(0, os.SEEK_END)
-    if size:
-        with mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ) as data:
-            keep = data.rfind(b"\n") + 1
-        if keep != size:
-            handle.truncate(keep)
+    if not size:
+        return 0, 0
+    with mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ) as data:
+        return size, data.rfind(b"\n") + 1
+
+
+def _drop_fragment(handle) -> None:
+    """Truncate handle's file to just after its last newline."""
+    size, keep = _events_end(handle)
+    if keep != size:
+        handle.truncate(keep)
+
+
+def fragment_bytes(path: str | Path) -> int:
+    """The size of the final fragment of the audit log in path, the bytes
+    after its last newline, which the next append drops; 0 for a log that
+    ends in a newline or is absent."""
+    try:
+        with open(path, "rb") as handle:
+            size, keep = _events_end(handle)
+    except FileNotFoundError:
+        return 0
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return size - keep
 
 
 def load_audit(path: str | Path) -> list[AuditEvent]:
     """Load and validate the audit log: contiguous sequence from 1. A
     final fragment without a newline is not an event and is left out,
     whatever its bytes; each line is decoded as UTF-8 on its own."""
+    return _decode_log(path, _read_bytes(path))
+
+
+def _decode_log(
+    path: str | Path, data: bytes, offset: int = 0, first: int = 1
+) -> list[AuditEvent]:
+    """The events of log data from byte offset on, which is 0 or just after
+    a newline, numbered from first; errors name the lines as load_audit
+    names them."""
     events: list[AuditEvent] = []
-    for lineno, line in enumerate(_read_bytes(path).split(b"\n")[:-1], start=1):
+    start = data.count(b"\n", 0, offset) + 1
+    for lineno, line in enumerate(data[offset:].split(b"\n")[:-1], start=start):
         if not line.strip():
             continue
         where = f"{path}:{lineno}: corrupt audit record"
@@ -612,13 +664,128 @@ def load_audit(path: str | Path) -> list[AuditEvent]:
         except ValueError as exc:  # not UTF-8, or not JSON
             raise IoFailure(f"{where}: {exc}") from exc
         events.append(_decode_file(AuditEvent, raw, where))
-    for position, event in enumerate(events, start=1):
+    for position, event in enumerate(events, start=first):
         if event.sequence_no != position:
             raise SequenceGap(
                 f"{path}: expected sequence {position}, found"
                 f" {event.sequence_no}"
             )
     return events
+
+
+# -- checkpoint ---------------------------------------------------------------
+#
+# checkpoint.json is derived state, never the commit: the fold of a lab's
+# genesis, inventory and audit log through a byte offset of the log, tagged
+# with the SHA-256 of each of the three files as that fold read them. It is
+# used only while every tag matches, so a file that is missing, torn, stale
+# or garbage reads as no checkpoint, and deleting it changes nothing.
+
+CHECKPOINT_FILE = "checkpoint.json"
+
+_STATES = {
+    ArtifactKind.VF: VfState,
+    ArtifactKind.SERVICE: ServiceState,
+    ArtifactKind.SLICE: SliceState,
+}
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(_read_bytes(path)).hexdigest() if path.exists() else "none"
+
+
+def _tags(root: Path, log: memoryview) -> dict:
+    """What a checkpoint of root's files through the log bytes log is
+    tagged with."""
+    return {
+        "log_bytes": len(log),
+        "log_sha256": hashlib.sha256(log).hexdigest(),
+        "catalog_sha256": _digest(root / CATALOG_FILE),
+        "inventory_sha256": _digest(root / INVENTORY_FILE),
+    }
+
+
+def checkpoint_fold(
+    catalog: Catalog, infra: Infrastructure | None, last: tuple[int, float]
+) -> dict:
+    """The plain-data form of a fold, as a checkpoint holds it: catalog's
+    entities and records, infra's topology and allocations, and the number
+    and instant of the last event folded."""
+    inventory, allocations = None, []
+    if infra is not None:
+        inventory = encode(_inventory_document(infra))
+        held = sorted(infra.allocations.values(), key=operator.attrgetter("service"))
+        allocations = [encode(allocation) for allocation in held]
+    return {
+        "catalog": encode(catalog),
+        "records": {
+            subject: [r.kind.value, r.state.value, r.history]
+            for subject, r in catalog.records.items()
+        },
+        "inventory": inventory,
+        "allocations": allocations,
+        "last": list(last),
+    }
+
+
+def save_checkpoint(root: Path, fold: dict) -> None:
+    """Write fold, the fold of root's files as they are now, as root's
+    checkpoint: it covers the audit log through its last newline, so never
+    a final fragment, and fold must hold that line's event last."""
+    log = _read_bytes(root / AUDIT_FILE)
+    covered = memoryview(log)[: log.rfind(b"\n") + 1]
+    payload = {"tags": _tags(root, covered), "fold": fold}
+    _atomic_write(root / CHECKPOINT_FILE, json.dumps(payload, separators=(",", ":")))
+
+
+def read_checkpoint(root: Path) -> tuple[dict, bytes, int] | None:
+    """root's checkpoint as plain data, with the audit log's bytes and the
+    offset in them that it covers, or None where the file is absent, does
+    not parse, or has a tag that does not match root's files."""
+    try:
+        raw = json.loads(_read_bytes(root / CHECKPOINT_FILE))
+        fold, tags = raw["fold"], raw["tags"]
+        offset = tags["log_bytes"]
+        audit = root / AUDIT_FILE
+        log = _read_bytes(audit) if audit.exists() else b""
+        if type(offset) is not int or _tags(root, memoryview(log)[:offset]) != tags:
+            return None
+    except (IoFailure, ValueError, LookupError, TypeError):
+        return None
+    return fold, log, offset
+
+
+def load_checkpoint(
+    root: Path,
+) -> tuple[Catalog, Infrastructure | None, list[AuditEvent], tuple[int, float]] | None:
+    """root's lab opened from its checkpoint: the fold it holds, the events
+    of the audit log after it, and the number and instant of its last
+    event. None where read_checkpoint finds none, or where the fold does
+    not decode. The events after it decode and are checked as load_audit's
+    are, and raise as they would."""
+    found = read_checkpoint(root)
+    if found is None:
+        return None
+    fold, log, offset = found
+    try:
+        catalog = decode(Catalog, fold["catalog"])
+        for subject, (kind, state, history) in fold["records"].items():
+            kind = ArtifactKind(kind)
+            record = LifecycleRecord(subject, kind, _STATES[kind](state), history)
+            catalog.records[subject] = record
+        infra = None
+        if fold["inventory"] is not None:
+            doc = decode(InventoryDocument, fold["inventory"])
+            allocations = decode(tuple[Allocation, ...], fold["allocations"])
+            where = f"{root / CHECKPOINT_FILE}: corrupt checkpoint"
+            infra = _infrastructure(dataclasses.replace(doc, allocations=allocations), where)
+        sequence_no, timestamp = fold["last"]
+        if type(sequence_no) is not int or type(timestamp) not in (int, float):
+            return None
+    except (LookupError, TypeError, ValueError, SliceError):
+        return None
+    events = _decode_log(root / AUDIT_FILE, log, offset, sequence_no + 1)
+    return catalog, infra, events, (sequence_no, timestamp)
 
 
 # -- plan documents -----------------------------------------------------------

@@ -1270,11 +1270,13 @@ class TestDemo:
         # Without its last event the log leaves svc-core-dp distributed, and
         # the allocation that event carried is gone with it: each catalog
         # entity still has a record, and what is held is what is recorded.
+        # The active slice with a member that is not instantiated is the one
+        # problem, and teardown-slice is its fix.
         log.write_text("".join(lines[:-1]))
         short = run(["status", "--catalog", str(root)])
-        assert short.exit_code == 0, short.summary
+        assert short.exit_code == 1, short.summary
         assert "audit log: agrees with the catalog" in short.summary
-        assert short.detail["problems"] == []
+        assert short.detail["problems"] == [_HALF_DONE]
         assert short.detail["records"]["svc-core-dp"]["state"] == "distributed"
         assert short.detail["tenants"]["tenant-dp"]["used"] == (0, 0, 0, 0)
         assert short.detail["tenants"]["tenant-cp"]["used"] == (5, 8192, 40, 8)
@@ -1344,6 +1346,14 @@ def _hold_in_inventory(root, service: str, tenant: str, vcpu: int) -> None:
     path.write_text(yaml.safe_dump(raw, sort_keys=False))
 
 
+# What status says of slice-a when instantiate-slice was cut before its
+# last append, svc-core-dp's instantiate_service.
+_HALF_DONE = (
+    "slice-a is active but svc-core-dp is not instantiated;"
+    " run teardown-slice slice-a --as operator"
+)
+
+
 def _problems(root) -> list[str]:
     """status's reasons for root, after checking it exits 1 with them."""
     result = run(["status", "--catalog", str(root)])
@@ -1356,6 +1366,60 @@ def _problems(root) -> list[str]:
 
 
 class TestStatusChecks:
+    @pytest.mark.parametrize(
+        "kept, partial, problems",
+        [
+            (
+                15,
+                True,
+                [
+                    "slice-a is partially_instantiated but svc-core-cp, svc-core-dp"
+                    " are not instantiated; run teardown-slice slice-a --as operator"
+                ],
+            ),
+            (16, True, []),
+            (
+                18,
+                False,
+                [
+                    "slice-a is terminated but svc-core-cp, svc-core-dp are still"
+                    " instantiated"
+                ],
+            ),
+        ],
+        ids=["partial-with-none", "partial-with-one", "terminated-with-both"],
+    )
+    def test_half_done_slices_are_named(self, root, kept, partial, problems):
+        """The demo log, its slice's event made partially_instantiate_slice
+        or a teardown_slice added after its last event, kept through event
+        kept. A slice partially instantiated with no member instantiated is
+        named with teardown-slice as its fix; one with a member instantiated
+        is what --best-effort makes. A terminated slice whose members are
+        still instantiated is named without a fix: teardown-slice needs a
+        live slice."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        last = {k: v for k, v in events[-1].items() if k not in ("tenant", "demand")}
+        events.append(
+            dict(
+                last,
+                sequence_no=18,
+                timestamp=last["timestamp"] + 1,
+                action="teardown_slice",
+                subject="slice-a",
+            )
+        )
+        if partial:
+            events[14]["action"] = "partially_instantiate_slice"
+        log.write_text("".join(json.dumps(e) + "\n" for e in events[:kept]))
+        if problems:
+            assert _problems(root) == problems
+        else:
+            status = run(["status", "--catalog", str(root)])
+            assert status.exit_code == 0, status.summary
+            assert "  slice-a: partially_instantiated" in status.summary.splitlines()
+
     def test_tampered_blob_file_is_named(self, root):
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         digest = _lab_catalog(root).functions["vf-core-dp"].template_ref
@@ -1641,18 +1705,52 @@ class TestTornAppend:
         # 1 leaves the line's first byte, last - 1 all of it but its newline.
         for kept in (1, 2, last // 2, last - 2, last - 1):
             log.write_bytes(prefix + whole[-last:][:kept])
-            status = run(["status", "--catalog", str(root)])
-            assert status.exit_code == 0, (kept, status.summary)
+            # The torn line is svc-core-dp's instantiate_service: the slice it
+            # leaves half done, not the fragment, is status's one problem.
+            assert _problems(root) == [_HALF_DONE], kept
             audit = run(["audit", "--catalog", str(root)])
             assert audit.exit_code == 0
             assert audit.detail["events"] == [encode(e) for e in events]
             assert len(audit.summary.splitlines()) == len(events)
             refused = run(denied)
             assert refused.summary.startswith("RoleDenied"), refused.summary
-            assert run(["status", "--catalog", str(root)]).exit_code == 0
+            assert _problems(root) == [_HALF_DONE], kept
             after = load_audit(log)
             assert after[:-1] == events and after[-1].outcome.value == "denied"
             assert log.read_bytes().startswith(prefix)
+
+    def test_fragment_is_reported_and_so_is_its_drop(self, root):
+        """On test_cut_last_line's lab, status names the fragment's size
+        without changing its exit code, and the command that drops it, with
+        its first append, says so in its summary and in --json, whether it
+        is denied or succeeds; then no command names one."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        log = root / "audit.log"
+        whole = log.read_bytes()
+        last = len(whole.splitlines(keepends=True)[-1])
+        kept = last // 2
+        denied = ["certify-vf", "vf-core-cp", "--as", "designer", "--json"]
+        teardown = ["teardown-slice", "slice-a", "--as", "operator", "--json"]
+        for argv, code in ((denied, 1), (teardown, 0)):
+            log.write_bytes(log.read_bytes() + whole[-last:][:kept])
+            status = run(["status", "--catalog", str(root)])
+            line = f"audit log: ends in a {kept}-byte fragment that the next write drops"
+            assert line in status.summary.splitlines()
+            assert status.detail["log"]["fragment_bytes"] == kept
+            assert status.exit_code == 0, status.summary
+            dropped = run(argv + ["--catalog", str(root)])
+            assert dropped.exit_code == code, dropped.summary
+            note = f"audit log: dropped its {kept}-byte final fragment"
+            assert dropped.summary.splitlines()[-1] == note
+            assert dropped.detail["dropped_fragment_bytes"] == kept
+            assert log.read_bytes().endswith(b"\n")
+            status = run(["status", "--catalog", str(root)])
+            assert "fragment" not in status.summary
+            assert "fragment_bytes" not in status.detail["log"]
+        again = run(denied + ["--catalog", str(root)])
+        assert "fragment" not in again.summary
+        assert "dropped_fragment_bytes" not in again.detail
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
 
     def test_short_append_in_a_child_process(self, root):
         """A child whose file size limit stops its append part way through
@@ -2124,10 +2222,11 @@ class TestCrashes:
     )
     def test_teardown_mends_a_cut_between_appends(self, root, monkeypatch, cut, count):
         """instantiate-slice and teardown-slice each append three events. A
-        cut after an earlier one leaves a lab that teardown-slice mends:
-        the slice is terminated, every member that was instantiated is
-        terminated, one never instantiated stays distributed, and no tenant
-        holds anything."""
+        cut after an earlier one leaves an active slice with a member that
+        is not instantiated, which status names with its fix, and a lab
+        that teardown-slice mends: the slice is terminated, every member
+        that was instantiated is terminated, one never instantiated stays
+        distributed, and no tenant holds anything."""
         for argv in _FLOW[: _FLOW.index(cut)]:
             result = _flow_step(root, argv)
             assert result.exit_code == 0, result.summary
@@ -2138,6 +2237,18 @@ class TestCrashes:
         events = load_audit(root / "audit.log")
         assert len(events) == logged + count
         instantiated = {e.subject for e in events if e.action == "instantiate_service"}
+        records = replay_states(events)
+        idle = [
+            member
+            for member in ("svc-core-cp", "svc-core-dp")
+            if records[member].state.value != "instantiated"
+        ]
+        assert records["slice-a"].state.value == "active" and idle
+        verb = "is" if len(idle) == 1 else "are"
+        assert _problems(root) == [
+            f"slice-a is active but {', '.join(idle)} {verb} not instantiated;"
+            " run teardown-slice slice-a --as operator"
+        ]
 
         down = _flow_step(root, _FLOW[-1])
         assert down.exit_code == 0, down.summary
@@ -2172,6 +2283,281 @@ class TestCrashes:
         onboards = [e for e in events if e.vsp == "vsp-core-dp"]
         assert [e.subject for e in onboards] == [f"vf-core-dp{n}" for n in ("", "-2", "-3")]
         assert [e.new_vsp is None for e in onboards] == [False, True, True]
+
+
+# The labs whose commands must not depend on a checkpoint: each golden lab
+# an older build left, and one made as the benchmark makes its lab, whose
+# log is long enough for a command to write a checkpoint of it.
+_LABS = [
+    "catalog.json",
+    "catalog.compact.json",
+    "v2/catalog.json",
+    "v3/catalog.json",
+    "v4/catalog.json",
+    "log-only",
+    "generated",
+]
+
+
+@pytest.fixture(scope="module")
+def generated_lab(tmp_path_factory):
+    """A _seeded_lab with at least CHECKPOINT_MIN_EVENTS events."""
+    root = tmp_path_factory.mktemp("generated") / "lab"
+    _seeded_lab(root, vfs=-(-2 * cli.CHECKPOINT_MIN_EVENTS // 3))
+    assert len(load_audit(root / "audit.log")) >= cli.CHECKPOINT_MIN_EVENTS
+    return root
+
+
+def _make_lab(root, lab: str, generated) -> None:
+    if lab == "generated":
+        shutil.copytree(generated, root)
+    elif lab == "log-only":
+        shutil.copytree(GOLDEN / "log-only", root)
+    else:
+        _golden_lab(root, lab)
+
+
+def _write_checkpoint(root) -> bool:
+    """Write root's checkpoint as a command that ends does; whether it did:
+    a version-1 genesis, which holds its blobs inline, gets none."""
+    cli._save_checkpoint(root, _open_engine(root))
+    return (root / "checkpoint.json").exists()
+
+
+def _reindent_catalog(root) -> None:
+    path = root / "catalog.json"
+    if path.exists():
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+
+
+def _cut_log(root) -> None:
+    lines = (root / "audit.log").read_bytes().splitlines(keepends=True)
+    (root / "audit.log").write_bytes(b"".join(lines[:-1]))
+
+
+def _tear_checkpoint(share: float):
+    def tear(root) -> None:
+        path = root / "checkpoint.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: max(1, min(len(data) - 1, int(len(data) * share)))])
+
+    return tear
+
+
+# Changes to a lab, made the same way on a lab that has a checkpoint and on
+# one that never had one.
+_CHANGES = {
+    "none": lambda root: None,
+    "log-cut": _cut_log,
+    "init-testbed": lambda root: run(["init-testbed", "--force", "--catalog", str(root)]),
+    "catalog-edit": _reindent_catalog,
+}
+
+
+def _delete_checkpoint(root) -> None:
+    (root / "checkpoint.json").unlink()
+
+
+# (change to the lab, what then happens to its checkpoint).
+_CHECKPOINT_CASES = [
+    ("none", None),
+    ("none", _delete_checkpoint),
+    ("none", _tear_checkpoint(0.0)),
+    ("none", _tear_checkpoint(0.5)),
+    ("none", _tear_checkpoint(1.0)),
+    ("log-cut", None),
+    ("init-testbed", None),
+    ("catalog-edit", None),
+]
+
+
+def _comparable(argv: list[str], result) -> tuple:
+    """A command's exit code and output, less what may differ between two
+    runs or says what status found of a checkpoint: its line and key, and
+    each audit event's instant."""
+    summary = [
+        line for line in result.summary.splitlines() if not line.startswith("checkpoint:")
+    ]
+    detail = dict(result.detail or {})
+    detail.pop("checkpoint", None)
+    if "events" in detail:
+        detail["events"] = [
+            {k: v for k, v in e.items() if k != "timestamp"} for e in detail["events"]
+        ]
+    return argv[0], result.exit_code, summary, detail
+
+
+def _checkpoint_run(root, monkeypatch, min_events: int) -> list[tuple]:
+    """The README flow, status --json and audit --tail 20 --json on root,
+    with commands writing a checkpoint from min_events folded events."""
+    monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", min_events)
+    steps = [*_FLOW, ["status", "--json"], ["audit", "--tail", "20", "--json"]]
+    return [_comparable(argv, _flow_step(root, argv)) for argv in steps]
+
+
+class TestCheckpoint:
+    """checkpoint.json is derived state: whether it is there, deleted, torn
+    or made stale, no command's exit code or output changes."""
+
+    @pytest.mark.parametrize("lab", _LABS)
+    def test_commands_do_not_depend_on_the_checkpoint(
+        self, root, monkeypatch, generated_lab, lab
+    ):
+        """Each case runs the same commands on the same lab, changed the
+        same way, as one that never had a checkpoint: with the checkpoint
+        as a command leaves it, deleted, torn at its first byte, its middle
+        and its last, or made stale by a cut of the log below it, by
+        init-testbed --force or by an edit of catalog.json. Every ok
+        command there rewrites it once it has folded an event."""
+        never = {}
+        for change, _ in _CHECKPOINT_CASES:
+            if change not in never:
+                shutil.rmtree(root, ignore_errors=True)
+                _make_lab(root, lab, generated_lab)
+                _CHANGES[change](root)
+                never[change] = _checkpoint_run(root, monkeypatch, 10**9)
+                assert not (root / "checkpoint.json").exists()
+        for change, damage in _CHECKPOINT_CASES:
+            shutil.rmtree(root, ignore_errors=True)
+            _make_lab(root, lab, generated_lab)
+            written = _write_checkpoint(root)
+            assert written == (lab not in ("catalog.json", "catalog.compact.json"))
+            if not written:
+                assert _checkpoint_run(root, monkeypatch, 1) == never[change]
+                assert not (root / "checkpoint.json").exists()
+                break
+            inventory = (root / "inventory.yaml").read_bytes()
+            _CHANGES[change](root)
+            if damage is not None:
+                damage(root)
+            # A file that is gone reads as none; one torn or tagged with
+            # files that have changed since, as stale.
+            stale = damage is not None or change in ("log-cut", "catalog-edit")
+            if change == "init-testbed":
+                stale = (root / "inventory.yaml").read_bytes() != inventory
+            if lab == "log-only" and change == "catalog-edit":
+                stale = False  # it has no catalog.json
+            state = "stale" if stale else "agrees"
+            if damage is _delete_checkpoint:
+                state = None
+            found = _status(root)[1].get("checkpoint")
+            assert (found or {}).get("state") == state, (change, found)
+            assert _checkpoint_run(root, monkeypatch, 1) == never[change], change
+
+    def test_a_long_lab_opens_from_its_first_writers_checkpoint(
+        self, root, monkeypatch, generated_lab
+    ):
+        """status, a denied command and a lab below CHECKPOINT_MIN_EVENTS
+        write none; the first ok command on a long log writes one, after
+        its last append, and the next opens from it, reading neither
+        catalog.json, inventory.yaml nor the log through a full load, and
+        does not rewrite it."""
+        shutil.copytree(generated_lab, root)
+        read = []
+        for name in ("load_audit", "load_catalog", "load_inventory"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda path, real=real, name=name: (read.append(name), real(path))[1]
+            )
+        checkpoint = root / "checkpoint.json"
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
+        denied = run(["certify-vf", "vf-seed-1", "--as", "designer", "--catalog", str(root)])
+        assert denied.exit_code == 1 and not checkpoint.exists()
+        read.clear()
+        certified = run(["certify-vf", "vf-seed-1", "--as", "tester", "--catalog", str(root)])
+        assert certified.exit_code == 0, certified.summary
+        assert sorted(read) == ["load_audit", "load_catalog", "load_inventory"]
+        events = load_audit(root / "audit.log")
+        saved = json.loads(checkpoint.read_text())
+        assert saved["tags"]["log_bytes"] == (root / "audit.log").stat().st_size
+        assert saved["fold"]["last"] == [events[-1].sequence_no, events[-1].timestamp]
+        kept = checkpoint.read_bytes()
+        read.clear()
+        opened = _opened_engines(monkeypatch)
+        argv = ["certify-vf", "vf-seed-3", "--as", "tester", "--catalog", str(root)]
+        assert run(argv).exit_code == 0
+        assert read == [] and opened[0].events == load_audit(root / "audit.log")[-1:]
+        assert checkpoint.read_bytes() == kept
+        status = run(["status", "--catalog", str(root)])
+        assert status.exit_code == 0, status.summary
+        line = f"checkpoint: agrees with the log through event {len(events)}"
+        assert line in status.summary.splitlines()
+        assert status.detail["checkpoint"] == {"state": "agrees", "through": len(events)}
+
+        demo = root.parent / "demo"
+        assert run(["demo", "slice-a", "--catalog", str(demo)]).exit_code == 0
+        for argv in _FLOW[-1:]:
+            assert _flow_step(demo, argv).exit_code == 0
+        assert sorted(p.name for p in demo.iterdir()) == [
+            ".lock",
+            "audit.log",
+            "blobs",
+            "inventory.yaml",
+            "plan-slice-a.yaml",
+        ]
+
+    def test_checkpoint_that_differs_from_the_fold_is_a_problem(self, root):
+        """A checkpoint whose tags match but whose fold is not the log's is
+        named by status, with deleting it as the fix."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _write_checkpoint(root)
+        path = root / "checkpoint.json"
+        raw = json.loads(path.read_text())
+        raw["fold"]["records"]["slice-a"][1] = "terminated"
+        path.write_text(json.dumps(raw))
+        assert _problems(root) == [
+            "checkpoint.json differs from the fold of the log through event 17;"
+            " delete it"
+        ]
+        status = run(["status", "--catalog", str(root)])
+        assert "checkpoint: differs from the log through event 17" in status.summary
+        path.unlink()
+        after = run(["status", "--catalog", str(root)])
+        assert after.exit_code == 0, after.summary
+        assert "checkpoint" not in after.summary and "checkpoint" not in after.detail
+
+    @pytest.mark.parametrize("failing", ["_write_file", "replace", "_sync_dir"])
+    def test_failed_checkpoint_write_changes_nothing_reported(
+        self, root, tmp_path, monkeypatch, failing
+    ):
+        """ENOSPC from the checkpoint's temp file, its rename or its
+        directory's sync: the command's exit code and output are those of a
+        run whose write succeeds, audit.log keeps the bytes of its last
+        append, and no temp file is left."""
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fail(*args, **kwargs):
+            raise full
+
+        real_save = store.save_checkpoint
+
+        def save_on_a_full_disk(lab, fold):
+            with monkeypatch.context() as patch:
+                patch.setattr(store.os if failing == "replace" else store, failing, fail)
+                real_save(lab, fold)
+
+        monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", 1)
+        outputs = []
+        for lab, faulty in ((tmp_path / "clean", False), (root, True)):
+            assert run(["demo", "slice-a", "--catalog", str(lab)]).exit_code == 0
+            appended = []
+            if faulty:
+                monkeypatch.setattr(cli, "save_checkpoint", save_on_a_full_disk)
+                spy = FileAuditLog.append
+                monkeypatch.setattr(
+                    FileAuditLog,
+                    "append",
+                    lambda self, event: (spy(self, event), appended.append(_lab_bytes(lab))),
+                )
+            result = _flow_step(lab, _FLOW[-1])
+            outputs.append((result.exit_code, result.summary, result.detail))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert (tmp_path / "clean" / "checkpoint.json").exists()
+        assert (root / "checkpoint.json").exists() == (failing == "_sync_dir")
+        assert _lab_bytes(root) == appended[-1]
+        assert not [p.name for p in root.iterdir() if p.name.endswith(".tmp")]
+        monkeypatch.undo()
+        assert run(["status", "--catalog", str(root)]).exit_code == 0
 
 
 def _child_env() -> dict[str, str]:

@@ -26,6 +26,7 @@ from slicectl.errors import (
 from slicectl.infra import build_testbed
 from slicectl.lifecycle import (
     ArtifactKind,
+    Catalog,
     Orchestrator,
     Outcome,
     PERMISSIONS,
@@ -115,6 +116,35 @@ class TestAuditPlumbing:
         assert event.sequence_no == 7
         assert event.timestamp == math.nextafter(last.timestamp, math.inf)
         assert event.actor is Role.DESIGNER
+
+    @pytest.mark.parametrize("split", [0, 1, 10, 14])
+    def test_engine_continues_after_a_folded_prefix(self, split):
+        """An engine opened with after=(n, t) on a catalog and an inventory
+        that hold the fold of a log's first n events, the last at instant
+        t, and on the events after them, holds what an engine opened on the
+        whole log holds, and numbers and stamps its next event as that one
+        does, even with no event after the n-th."""
+        log = scenario.slice_a_engine().events
+        assert len(log) == 14
+        stepped_back = lambda: log[-1].timestamp - 60.0  # noqa: E731
+        whole = Orchestrator(build_testbed(), log=list(log), clock=stepped_back)
+        catalog, infra = Catalog(), build_testbed()
+        replay_states(log[:split], infra, catalog)
+        mark = log[split - 1] if split else None
+        after = (mark.sequence_no, mark.timestamp) if mark else (0, 0.0)
+        resumed = Orchestrator(
+            infra, catalog=catalog, log=log[split:], after=after, clock=stepped_back
+        )
+        assert resumed.events == log[split:]
+        for field in ("functions", "services", "slices", "records", "vsps"):
+            assert getattr(resumed.catalog, field) == getattr(whole.catalog, field)
+        assert resumed.infra == whole.infra
+        for engine in (whole, resumed):
+            scenario.register_vsp(engine)
+            engine.onboard_vf(Role.DESIGNER, "vsp-lab", scenario.minimal_template())
+        assert resumed.events[-1] == whole.events[-1]
+        assert whole.events[-1].sequence_no == 15
+        assert whole.events[-1].timestamp == math.nextafter(log[-1].timestamp, math.inf)
 
     def test_empty_log_starts_at_one_after_instant_zero(self):
         engine = Orchestrator(clock=lambda: 0.0)

@@ -44,14 +44,18 @@ from slicectl.store import (
     InventoryDocument,
     PlanDocument,
     TemplateBlobs,
+    checkpoint_fold,
     decode,
     encode,
     load_audit,
     load_catalog,
+    load_checkpoint,
     load_inventory,
     load_plan,
+    read_checkpoint,
     replay_states,
     save_catalog,
+    save_checkpoint,
     save_inventory,
     save_plan,
 )
@@ -952,6 +956,129 @@ class TestAuditLog:
                 handle.write(json.dumps(encode(event(seq))) + "\n")
         with pytest.raises(SequenceGap, match="expected sequence 2"):
             load_audit(path)
+
+
+def _checkpointed_lab(root) -> Orchestrator:
+    """root holding active_engine's log and the testbed inventory, and a
+    checkpoint of their fold; returns the engine."""
+    engine = active_engine()
+    sink = FileAuditLog(root / "audit.log")
+    for logged in engine.events:
+        sink.append(logged)
+    save_inventory(build_testbed(), root / "inventory.yaml")
+    last = engine.events[-1]
+    fold = checkpoint_fold(engine.catalog, engine.infra, (last.sequence_no, last.timestamp))
+    save_checkpoint(root, fold)
+    return engine
+
+
+def _edit_checkpoint(root, edit) -> None:
+    path = root / "checkpoint.json"
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+
+
+class TestCheckpoint:
+    def test_round_trip(self, tmp_path):
+        engine = _checkpointed_lab(tmp_path)
+        catalog, infra, events, after = load_checkpoint(tmp_path)
+        last = engine.events[-1]
+        assert (events, after) == ([], (last.sequence_no, last.timestamp))
+        for field in fields(Catalog):
+            if field.name != "template_blobs":
+                name = field.name
+                assert getattr(catalog, name) == getattr(engine.catalog, name), name
+        assert infra == engine.infra and infra.allocations
+
+    def test_checkpoint_never_covers_a_fragment(self, tmp_path):
+        """A checkpoint saved over a log that ends in a fragment covers the
+        events before it; the append that drops the fragment keeps the
+        checkpoint, and its event is the one after it."""
+        engine = active_engine()
+        log = FileAuditLog(tmp_path / "audit.log")
+        for logged in engine.events:
+            log.append(logged)
+        whole = (tmp_path / "audit.log").read_bytes()
+        (tmp_path / "audit.log").write_bytes(whole + b'{"sequence_no": 18')
+        last = engine.events[-1]
+        fold = checkpoint_fold(engine.catalog, None, (last.sequence_no, last.timestamp))
+        save_checkpoint(tmp_path, fold)
+        saved = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert saved["tags"]["log_bytes"] == len(whole)
+        assert load_checkpoint(tmp_path)[2] == []
+        following = replace(event(len(engine.events) + 1), timestamp=last.timestamp + 1)
+        FileAuditLog(tmp_path / "audit.log").append(following)
+        assert (tmp_path / "audit.log").read_bytes().startswith(whole)
+        assert load_checkpoint(tmp_path)[2] == [following]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda root: (root / "checkpoint.json").unlink(),
+            lambda root: (root / "checkpoint.json").write_text("{}"),
+            lambda root: (root / "checkpoint.json").write_text("[]"),
+            lambda root: (root / "checkpoint.json").write_bytes(b"\xff\xfe\x00"),
+            lambda root: (root / "checkpoint.json").write_bytes(
+                (root / "checkpoint.json").read_bytes()[:-1]
+            ),
+            lambda root: _edit_checkpoint(
+                root, lambda raw: raw["tags"].update(log_bytes="0")
+            ),
+            lambda root: (root / "audit.log").write_bytes(
+                (root / "audit.log").read_bytes().rstrip(b"\n").rsplit(b"\n", 1)[0]
+                + b"\n"
+            ),
+            lambda root: (root / "audit.log").write_bytes(
+                (root / "audit.log").read_bytes().replace(b'"tester"', b'"Tester"', 1)
+            ),
+            lambda root: (root / "audit.log").unlink(),
+            lambda root: (root / "inventory.yaml").write_text(
+                (root / "inventory.yaml").read_text() + "\n"
+            ),
+            lambda root: (root / "inventory.yaml").unlink(),
+            lambda root: save_catalog(Catalog(), root / "catalog.json"),
+        ],
+        ids=[
+            "absent",
+            "no-tags",
+            "not-an-object",
+            "not-utf8",
+            "torn",
+            "offset-not-a-number",
+            "log-cut",
+            "log-edited",
+            "log-removed",
+            "inventory-edited",
+            "inventory-removed",
+            "catalog-added",
+        ],
+    )
+    def test_checkpoint_that_does_not_match_reads_as_none(self, tmp_path, damage):
+        _checkpointed_lab(tmp_path)
+        assert load_checkpoint(tmp_path) is not None
+        damage(tmp_path)
+        assert read_checkpoint(tmp_path) is None
+        assert load_checkpoint(tmp_path) is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw["fold"]["catalog"].update(functions=5),
+            lambda raw: raw["fold"]["records"]["slice-a"].__setitem__(1, "gone"),
+            lambda raw: raw["fold"].update(last=[1]),
+            lambda raw: raw["fold"].update(last=[1, "now"]),
+            lambda raw: raw["fold"]["allocations"].append(raw["fold"]["allocations"][0]),
+            lambda raw: raw["fold"].pop("inventory"),
+        ],
+        ids=["functions", "record-state", "last", "instant", "allocation", "inventory"],
+    )
+    def test_fold_that_does_not_decode_reads_as_none(self, tmp_path, edit):
+        """Tags that match cannot make a fold that does not decode count."""
+        _checkpointed_lab(tmp_path)
+        _edit_checkpoint(tmp_path, edit)
+        assert read_checkpoint(tmp_path) is not None
+        assert load_checkpoint(tmp_path) is None
 
 
 class TestReplay:
