@@ -2,19 +2,21 @@
 
 Thin shell over the library: each subcommand delegates to exactly one
 lifecycle, placement, or template operation, so anything the CLI can do is
-reproducible through library calls. State lives in one catalog directory
-(audit.log, blobs/, inventory.yaml, and any catalog.json that save_catalog
-or an older build left) selected with --catalog or the SLICECTL_CATALOG
-environment variable; the lifecycle records, the allocations and the
-entities the engine creates or registers are the fold of audit.log onto
-catalog.json, made when a command opens the engine, and a log the fold
-refuses makes every such command exit 1. So a lifecycle command appends to
-audit.log and writes each new template blob before its event, and
-rewrites nothing but checkpoint.json, derived state that lets a later
-command fold only the log's tail: catalog.json is a read-only genesis in
-any format, and inventory.yaml is written by init-testbed and demo alone. Mutating
-commands hold an exclusive advisory lock on the directory for the
-command's duration, and status and audit a shared one.
+reproducible through library calls; status prints lifecycle.lab_problems of
+the fold, and adds what the files alone show: whether the log explains the
+catalog, a torn tail, and the checkpoint. State lives in one catalog
+directory (audit.log, blobs/, inventory.yaml, and any catalog.json that
+save_catalog or an older build left) selected with --catalog or the
+SLICECTL_CATALOG environment variable; the lifecycle records, the
+allocations and the entities the engine creates or registers are the fold
+of audit.log onto catalog.json, made when a command opens the engine, and a
+log the fold refuses makes every such command exit 1. So a lifecycle
+command appends to audit.log and writes each new template blob before its
+event, and rewrites nothing but checkpoint.json, derived state that lets a
+later command fold only the log's tail: catalog.json is a read-only genesis
+in any format, and inventory.yaml is written by init-testbed and demo
+alone. Mutating commands hold an exclusive advisory lock on the directory
+for the command's duration, and status and audit a shared one.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -48,7 +50,7 @@ from .lifecycle import (
     Orchestrator,
     Role,
     ServiceState,
-    SliceState,
+    lab_problems,
 )
 from .model import (
     Customer,
@@ -505,70 +507,6 @@ def _cmd_teardown_slice(args) -> CommandResult:
     return _record_result(record, f"slice {record.subject} is now {record.state.value}")
 
 
-def _lab_problems(engine: Orchestrator) -> list[str]:
-    """What the lab's files break, apart from the log: a function's template
-    blob that is missing or whose SHA-256 is not its name, an instantiated
-    service that holds no allocation, and an allocation held by a catalog
-    service that is not instantiated, named by its demand and tenant. An
-    allocation for a service the catalog does not know is not judged."""
-    catalog = engine.catalog
-    problems = []
-    for function in sorted(catalog.functions.values(), key=lambda f: f.id):
-        if function.template_ref is None:
-            continue
-        try:
-            if catalog.template_blobs.get(function.template_ref) is None:
-                problems.append(
-                    f"{function.id}: no template blob {function.template_ref[:12]}"
-                )
-        except IoFailure as exc:
-            problems.append(f"{function.id}: {exc}")
-    held = engine.infra.allocations if engine.infra else {}
-    instantiated = {
-        r.subject
-        for r in catalog.records.values()
-        if r.state is ServiceState.INSTANTIATED
-    }
-    for service_id in sorted(instantiated - held.keys()):
-        problems.append(f"{service_id} is instantiated but holds no allocation")
-    for service_id in sorted(held.keys() & catalog.services.keys() - instantiated):
-        record = catalog.records.get(service_id)
-        state = record.state.value if record else "unrecorded"
-        allocation = held[service_id]
-        problems.append(
-            f"{service_id} is {state} but holds {allocation.demand}"
-            f" on {allocation.tenant}"
-        )
-    return problems + _half_done_slices(catalog, instantiated)
-
-
-def _half_done_slices(catalog: Catalog, instantiated: set[str]) -> list[str]:
-    """A slice that a command cut between its appends left half done: one
-    active with a member that is not instantiated, or partially
-    instantiated with none that is, which teardown-slice releases, or one
-    terminated with a member still instantiated, which teardown-slice, which
-    needs a live slice, cannot release."""
-    problems = []
-    for slice_id, slc in sorted(catalog.slices.items()):
-        state = catalog.records[slice_id].state if slice_id in catalog.records else None
-        live = [s for s in slc.services if s in instantiated]
-        idle = [s for s in slc.services if s not in instantiated]
-        if (state is SliceState.ACTIVE and idle) or (
-            state is SliceState.PARTIALLY_INSTANTIATED and not live
-        ):
-            problems.append(
-                f"{slice_id} is {state.value} but {', '.join(idle)}"
-                f" {'is' if len(idle) == 1 else 'are'} not instantiated;"
-                f" run teardown-slice {slice_id} --as operator"
-            )
-        elif state is SliceState.TERMINATED and live:
-            problems.append(
-                f"{slice_id} is terminated but {', '.join(live)}"
-                f" {'is' if len(live) == 1 else 'are'} still instantiated"
-            )
-    return problems
-
-
 def _refold(root: Path) -> tuple[Orchestrator, dict | None]:
     """status's open: the engine on root's whole log folded onto the
     genesis, as every command would fold it without a checkpoint, and what
@@ -599,7 +537,7 @@ def _cmd_status(args) -> CommandResult:
             engine = _open_engine(root)
         else:
             engine, checkpoint = _refold(root)
-            problems = _lab_problems(engine)
+            problems = lab_problems(engine.catalog, engine.infra)
             fragment = fragment_bytes(root / AUDIT_FILE)
     catalog = engine.catalog
     if args.subject:

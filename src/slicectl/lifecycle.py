@@ -25,6 +25,9 @@ member before it logs one, so there is nothing to undo, and teardown.
 Instantiation judges members with verify_plan's placement.member_refusals:
 isolation_refusal, the solver's rule, and Infrastructure.capacity_refusal,
 allocate's check. tests/oracles.py is the independent check of both.
+lab_problems, a pure function of a fold, names what it breaks of the lab's
+promises, among them which member states each live or terminated slice
+state needs; status prints what it returns.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .errors import (
     DuplicateEntry,
     EmptyService,
     InvalidTransition,
+    IoFailure,
     LogDiverged,
     PartialFailure,
     PlanInvalid,
@@ -362,6 +366,53 @@ def replay_states(
     for event in events:
         apply_event(catalog, event, infra)
     return catalog.records
+
+
+def lab_problems(catalog: Catalog, infra: Infrastructure | None) -> list[str]:
+    """What a fold breaks of the lab's promises, one reason each: a missing
+    or tampered template blob; an instantiated service without an
+    allocation, or a catalog service that holds one but is not
+    instantiated; a slice a cut between appends left active with a member
+    not instantiated, or partially instantiated with none, which
+    teardown-slice mends; a terminated slice with a member instantiated."""
+    problems = []
+    for function in sorted(catalog.functions.values(), key=lambda f: f.id):
+        ref = function.template_ref
+        try:
+            if ref is not None and catalog.template_blobs.get(ref) is None:
+                problems.append(f"{function.id}: no template blob {ref[:12]}")
+        except IoFailure as exc:
+            problems.append(f"{function.id}: {exc}")
+    held = infra.allocations if infra is not None else {}
+    instantiated = {
+        r.subject for r in catalog.records.values() if r.state is ServiceState.INSTANTIATED
+    }
+    for service_id in sorted(instantiated - held.keys()):
+        problems.append(f"{service_id} is instantiated but holds no allocation")
+    for service_id in sorted(held.keys() & catalog.services.keys() - instantiated):
+        record, allocation = catalog.records.get(service_id), held[service_id]
+        problems.append(
+            f"{service_id} is {record.state.value if record else 'unrecorded'}"
+            f" but holds {allocation.demand} on {allocation.tenant}"
+        )
+    for slice_id, slc in sorted(catalog.slices.items()):
+        state = catalog.records[slice_id].state if slice_id in catalog.records else None
+        live = [s for s in slc.services if s in instantiated]
+        idle = [s for s in slc.services if s not in instantiated]
+        if (state is SliceState.ACTIVE and idle) or (
+            state is SliceState.PARTIALLY_INSTANTIATED and not live
+        ):
+            problems.append(
+                f"{slice_id} is {state.value} but {', '.join(idle)}"
+                f" {'is' if len(idle) == 1 else 'are'} not instantiated;"
+                f" run teardown-slice {slice_id} --as operator"
+            )
+        elif state is SliceState.TERMINATED and live:
+            problems.append(
+                f"{slice_id} is terminated but {', '.join(live)}"
+                f" {'is' if len(live) == 1 else 'are'} still instantiated"
+            )
+    return problems
 
 
 class _Mark(NamedTuple):

@@ -233,7 +233,14 @@ def _encoder(tp: Any) -> _Convert:
         return lambda member: member.value
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):
-        # The value's own type picks the member: None, Sla, VfState, ...
+        members = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        if len(members) == 1:  # X | None: a value that is not None is an X
+            enc = _encoder(members[0])
+            if enc is None:
+                return None
+            return lambda value: None if value is None else enc(value)
+
+        # Of several members, the value's own type picks: VfState, SliceState, ...
         def encode_member(value):
             enc = _encoder(type(value))
             return value if enc is None else enc(value)
@@ -508,8 +515,8 @@ def load_catalog(path: str | Path) -> Catalog:
 
 @dataclasses.dataclass(frozen=True)
 class InventoryDocument:
-    """inventory.yaml: each entity kind as a list sorted by id; only an
-    older build wrote allocations."""
+    """inventory.yaml: each entity kind as a list sorted by id. Only an
+    older build wrote allocations there; a checkpoint's copy holds them."""
 
     hosts: tuple[Host, ...] = ()
     tenants: tuple[Tenant, ...] = ()
@@ -677,9 +684,10 @@ def _decode_log(
 #
 # checkpoint.json is derived state, never the commit: the fold of a lab's
 # genesis, inventory and audit log through a byte offset of the log, tagged
-# with the SHA-256 of each of the three files as that fold read them. It is
-# used only while every tag matches, so a file that is missing, torn, stale
-# or garbage reads as no checkpoint, and deleting it changes nothing.
+# with its format and the SHA-256 of each of the three files as that fold
+# read them. It is used only while every tag matches, so a file that is
+# missing, torn, stale or garbage reads as no checkpoint, and deleting it
+# changes nothing.
 
 CHECKPOINT_FILE = "checkpoint.json"
 
@@ -698,6 +706,8 @@ def _tags(root: Path, log: memoryview) -> dict:
     """What a checkpoint of root's files through the log bytes log is
     tagged with."""
     return {
+        # Format 1, untagged, kept the allocations beside the inventory.
+        "format": 2,
         "log_bytes": len(log),
         "log_sha256": hashlib.sha256(log).hexdigest(),
         "catalog_sha256": _digest(root / CATALOG_FILE),
@@ -709,13 +719,13 @@ def checkpoint_fold(
     catalog: Catalog, infra: Infrastructure | None, last: tuple[int, float]
 ) -> dict:
     """The plain-data form of a fold, as a checkpoint holds it: catalog's
-    entities and records, infra's topology and allocations, and the number
-    and instant of the last event folded."""
-    inventory, allocations = None, []
+    entities and records, infra's topology with its allocations, and the
+    number and instant of the last event folded."""
+    inventory = None
     if infra is not None:
-        inventory = encode(_inventory_document(infra))
         held = sorted(infra.allocations.values(), key=operator.attrgetter("service"))
-        allocations = [encode(allocation) for allocation in held]
+        doc = dataclasses.replace(_inventory_document(infra), allocations=tuple(held))
+        inventory = encode(doc)
     return {
         "catalog": encode(catalog),
         "records": {
@@ -723,7 +733,6 @@ def checkpoint_fold(
             for subject, r in catalog.records.items()
         },
         "inventory": inventory,
-        "allocations": allocations,
         "last": list(last),
     }
 
@@ -771,18 +780,17 @@ def load_checkpoint(
         catalog = decode(Catalog, fold["catalog"])
         for subject, (kind, state, history) in fold["records"].items():
             kind = ArtifactKind(kind)
+            history = decode(list[int], history)
             record = LifecycleRecord(subject, kind, _STATES[kind](state), history)
             catalog.records[subject] = record
         infra = None
         if fold["inventory"] is not None:
             doc = decode(InventoryDocument, fold["inventory"])
-            allocations = decode(tuple[Allocation, ...], fold["allocations"])
-            where = f"{root / CHECKPOINT_FILE}: corrupt checkpoint"
-            infra = _infrastructure(dataclasses.replace(doc, allocations=allocations), where)
+            infra = _infrastructure(doc, f"{root / CHECKPOINT_FILE}: corrupt checkpoint")
         sequence_no, timestamp = fold["last"]
         if type(sequence_no) is not int or type(timestamp) not in (int, float):
             return None
-    except (LookupError, TypeError, ValueError, SliceError):
+    except (AttributeError, LookupError, TypeError, ValueError, SliceError):
         return None
     events = _decode_log(root / AUDIT_FILE, log, offset, sequence_no + 1)
     return catalog, infra, events, (sequence_no, timestamp)

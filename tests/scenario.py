@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Sequence
 from importlib import resources
 
 from slicectl.infra import (
@@ -13,7 +14,7 @@ from slicectl.infra import (
     Tenant,
     build_testbed,
 )
-from slicectl.lifecycle import Catalog, Orchestrator, Role, replay_states
+from slicectl.lifecycle import Catalog, Orchestrator, Role, lab_problems, replay_states
 from slicectl.model import (
     NetworkSlice,
     ResourceDemand,
@@ -63,15 +64,19 @@ def register_vsp(engine: Orchestrator, vsp_id: str = "vsp-lab") -> str:
     return vsp_id
 
 
-def assert_live_is_the_fold(engine: Orchestrator, genesis: Catalog | None = None):
+def assert_live_is_the_fold(
+    engine: Orchestrator, genesis: Catalog | None = None, problems: Sequence[str] = ()
+):
     """engine's catalog, entities and records, is the fold of genesis (an
-    empty catalog by default, consumed here) and engine.events."""
+    empty catalog by default, consumed here) and engine.events, and the lab
+    keeps its promises but for problems, what lab_problems names of it."""
     fold = Catalog() if genesis is None else genesis
     replay_states(engine.events, catalog=fold)
     for field in dataclasses.fields(Catalog):
         if field.name not in ("version", "template_blobs"):
             live, folded = getattr(engine.catalog, field.name), getattr(fold, field.name)
             assert live == folded, field.name
+    assert lab_problems(engine.catalog, engine.infra) == list(problems)
 
 
 def onboard_certified(engine: Orchestrator, vsp_id: str, text: str) -> str:

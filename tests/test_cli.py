@@ -2516,6 +2516,30 @@ class TestCheckpoint:
         assert after.exit_code == 0, after.summary
         assert "checkpoint" not in after.summary and "checkpoint" not in after.detail
 
+    def test_checkpoint_whose_history_does_not_decode_is_ignored(self, root, tmp_path):
+        """A checkpoint whose tags match but whose record history is not a
+        list of whole numbers reads as none: teardown-slice gives what it
+        gives with the checkpoint deleted, not an internal error, and status
+        still names the checkpoint."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _write_checkpoint(root)
+        path = root / "checkpoint.json"
+        raw = json.loads(path.read_text())
+        raw["fold"]["records"]["slice-a"][2] = "x"
+        path.write_text(json.dumps(raw))
+        deleted = tmp_path / "deleted"
+        shutil.copytree(root, deleted)
+        (deleted / "checkpoint.json").unlink()
+        argv = ["teardown-slice", "slice-a", "--as", "operator"]
+        results = [_flow_step(lab, argv) for lab in (root, deleted)]
+        assert results[0].exit_code == 0, results[0].summary
+        assert _comparable(argv, results[0]) == _comparable(argv, results[1])
+        assert _status(deleted)[0] == 0
+        assert _problems(root) == [
+            "checkpoint.json differs from the fold of the log through event 17;"
+            " delete it"
+        ]
+
     @pytest.mark.parametrize("failing", ["_write_file", "replace", "_sync_dir"])
     def test_failed_checkpoint_write_changes_nothing_reported(
         self, root, tmp_path, monkeypatch, failing

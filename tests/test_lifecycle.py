@@ -411,7 +411,9 @@ class TestRegistration:
 
     def test_a_reopened_engine_registers_what_its_catalog_holds(self):
         """The VSP is in the reopened catalog, so registering it again is
-        accepted, and its next onboard does not carry it."""
+        accepted, and its next onboard does not carry it. The engine is
+        reopened on the log alone, so the blobs of the VFs it onboarded
+        before are missing."""
         engine = scenario.slice_a_engine()
         reopened = Orchestrator(build_testbed(), log=list(engine.events))
         vsp = engine.catalog.vsps["vsp-core-dp"]
@@ -420,7 +422,11 @@ class TestRegistration:
             reopened.register_vsp(replace(vsp, version=(2, 0, 0)))
         reopened.onboard_vf(Role.DESIGNER, "vsp-core-dp", scenario.minimal_template())
         assert reopened.events[-1].new_vsp is None
-        scenario.assert_live_is_the_fold(reopened)
+        missing = [
+            f"{vf}: no template blob {engine.catalog.functions[vf].template_ref[:12]}"
+            for vf in ("vf-core-cp", "vf-core-dp")
+        ]
+        scenario.assert_live_is_the_fold(reopened, problems=missing)
 
 
 class TestServiceWorkflow:

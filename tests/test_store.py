@@ -28,7 +28,7 @@ from slicectl.errors import (
     SequenceGap,
     SliceError,
 )
-from slicectl.infra import Tenant, build_testbed
+from slicectl.infra import Allocation, Tenant, build_testbed
 from slicectl.lifecycle import (
     AuditEvent,
     Catalog,
@@ -484,6 +484,23 @@ class TestInventorySnapshots:
         save_inventory(infra, path)
         assert list(yaml.safe_load(path.read_text())) == ["hosts", "tenants", "links"]
         assert load_inventory(path) == build_testbed()
+
+    def test_optional_field_encodes_through_its_type(self):
+        """A field hinted X | None encodes a value through X's encoder, so
+        a tuple of allocations is plain data that JSON and YAML can write
+        and that decodes back; None is left out."""
+        held = (Allocation("tenant-cp", "svc-x", ResourceDemand(2, 1024, 8, 2)),)
+        raw = encode(InventoryDocument(allocations=held))
+        assert raw["allocations"] == [
+            {
+                "tenant": "tenant-cp",
+                "service": "svc-x",
+                "demand": {"vcpu": 2, "ram": 1024, "storage": 8, "ports": 2},
+            }
+        ]
+        assert yaml.safe_load(yaml.safe_dump(raw)) == json.loads(json.dumps(raw))
+        assert decode(InventoryDocument, raw).allocations == held
+        assert "allocations" not in encode(InventoryDocument())
 
     def test_stored_use_gives_way_to_the_allocations(self, tmp_path):
         """Older builds stored each tenant's use as `used`; whatever it says,
@@ -979,6 +996,14 @@ def _edit_checkpoint(root, edit) -> None:
     path.write_text(json.dumps(raw))
 
 
+def _first_format(raw) -> None:
+    """raw as the first checkpoint format held it: no format tag, and the
+    allocations beside the inventory document, which must never read as a
+    fold without allocations."""
+    del raw["tags"]["format"]
+    raw["fold"]["allocations"] = raw["fold"]["inventory"].pop("allocations")
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         engine = _checkpointed_lab(tmp_path)
@@ -990,6 +1015,12 @@ class TestCheckpoint:
                 name = field.name
                 assert getattr(catalog, name) == getattr(engine.catalog, name), name
         assert infra == engine.infra and infra.allocations
+        # The inventory document carries the allocations, as the codec
+        # encodes them; format 1 kept them in a key of their own.
+        saved = json.loads((tmp_path / "checkpoint.json").read_text())
+        held = sorted(engine.infra.allocations.values(), key=lambda a: a.service)
+        assert saved["fold"]["inventory"]["allocations"] == [encode(a) for a in held]
+        assert sorted(saved["fold"]) == ["catalog", "inventory", "last", "records"]
 
     def test_checkpoint_never_covers_a_fragment(self, tmp_path):
         """A checkpoint saved over a log that ends in a fragment covers the
@@ -1038,6 +1069,7 @@ class TestCheckpoint:
             ),
             lambda root: (root / "inventory.yaml").unlink(),
             lambda root: save_catalog(Catalog(), root / "catalog.json"),
+            lambda root: _edit_checkpoint(root, _first_format),
         ],
         ids=[
             "absent",
@@ -1052,6 +1084,7 @@ class TestCheckpoint:
             "inventory-edited",
             "inventory-removed",
             "catalog-added",
+            "first-format",
         ],
     )
     def test_checkpoint_that_does_not_match_reads_as_none(self, tmp_path, damage):
@@ -1068,10 +1101,27 @@ class TestCheckpoint:
             lambda raw: raw["fold"]["records"]["slice-a"].__setitem__(1, "gone"),
             lambda raw: raw["fold"].update(last=[1]),
             lambda raw: raw["fold"].update(last=[1, "now"]),
-            lambda raw: raw["fold"]["allocations"].append(raw["fold"]["allocations"][0]),
+            lambda raw: raw["fold"]["inventory"]["allocations"].append(
+                raw["fold"]["inventory"]["allocations"][0]
+            ),
             lambda raw: raw["fold"].pop("inventory"),
+            lambda raw: raw["fold"]["records"]["slice-a"].__setitem__(2, "x"),
+            lambda raw: raw["fold"]["records"]["slice-a"][2].append("x"),
+            lambda raw: raw["fold"]["records"]["slice-a"][2].append(True),
+            lambda raw: raw["fold"].update(records=[]),
         ],
-        ids=["functions", "record-state", "last", "instant", "allocation", "inventory"],
+        ids=[
+            "functions",
+            "record-state",
+            "last",
+            "instant",
+            "allocation",
+            "inventory",
+            "history-text",
+            "history-item-text",
+            "history-item-bool",
+            "records-list",
+        ],
     )
     def test_fold_that_does_not_decode_reads_as_none(self, tmp_path, edit):
         """Tags that match cannot make a fold that does not decode count."""
@@ -1079,6 +1129,7 @@ class TestCheckpoint:
         _edit_checkpoint(tmp_path, edit)
         assert read_checkpoint(tmp_path) is not None
         assert load_checkpoint(tmp_path) is None
+
 
 
 class TestReplay:
