@@ -13,10 +13,13 @@ of audit.log onto catalog.json, made when a command opens the engine, and a
 log the fold refuses makes every such command exit 1. So a lifecycle
 command appends to audit.log and writes each new template blob before its
 event, and rewrites nothing but checkpoint.json, derived state that lets a
-later command fold only the log's tail: catalog.json is a read-only genesis
-in any format, and inventory.yaml is written by init-testbed and demo
-alone. Mutating commands hold an exclusive advisory lock on the directory
-for the command's duration, and status and audit a shared one.
+later command fold only the log's tail, from the event after the last that
+the log says it covers: catalog.json is a read-only genesis in any format,
+and inventory.yaml is written by init-testbed and demo alone; demo refuses
+a directory that holds any of the three. Mutating commands hold an
+exclusive advisory lock on the directory for the command's duration, and
+status and audit a shared one. Every command takes --catalog and --json;
+only one that a role acts in takes --as.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -186,14 +189,14 @@ def _engine_on(
     catalog: Catalog,
     infra: Infrastructure | None,
     events: list[AuditEvent],
-    after: tuple[int, float] | None = None,
+    after: AuditEvent | None = None,
 ) -> Orchestrator:
-    """The engine that folds events onto catalog and infra, after the
-    first after[0] events where after is given, and logs to root's
-    audit.log. The catalog's blobs are the genesis's (inline in a format-1
-    file, files otherwise), then the files in blobs/ that the log names,
-    where a new onboard writes its own."""
-    numbered = after[0] if after else 0
+    """The engine that folds events onto catalog and infra, which hold the
+    fold of the log through its event after where that is given, and logs
+    to root's audit.log. The catalog's blobs are the genesis's (inline in
+    a format-1 file, files otherwise), then the files in blobs/ that the
+    log names, where a new onboard writes its own."""
+    numbered = after.sequence_no if after else 0
     sink = FileAuditLog(root / AUDIT_FILE, expected_next=numbered + len(events) + 1)
     engine = Orchestrator(
         infra, catalog=catalog, audit_sink=sink.append, log=events, after=after
@@ -219,10 +222,7 @@ def _save_checkpoint(root: Path, engine: Orchestrator) -> None:
     genesis = engine.catalog.template_blobs.maps[-1]
     if isinstance(genesis, dict) and genesis:
         return
-    last = engine.events[-1]
-    fold = checkpoint_fold(
-        engine.catalog, engine.infra, (last.sequence_no, last.timestamp)
-    )
+    fold = checkpoint_fold(engine.catalog, engine.infra)
     with contextlib.suppress(IoFailure):
         save_checkpoint(root, fold)
 
@@ -520,14 +520,12 @@ def _refold(root: Path) -> tuple[Orchestrator, dict | None]:
     found = read_checkpoint(root)
     if found is None:
         return _engine_on(root, catalog, infra, events), {"state": "stale"}
-    fold, log, offset = found
-    through = sum(1 for line in log[:offset].split(b"\n") if line.strip())
+    fold, last = found[:2]
+    through = last.sequence_no
     replay_states(events[:through], infra, catalog)
-    last = events[through - 1] if through else None
-    after = (last.sequence_no, last.timestamp) if last else (0, 0.0)
-    agrees = checkpoint_fold(catalog, infra, after) == fold
+    agrees = checkpoint_fold(catalog, infra) == fold
     checkpoint = {"state": "agrees" if agrees else "differs", "through": through}
-    return _engine_on(root, catalog, infra, events[through:], after), checkpoint
+    return _engine_on(root, catalog, infra, events[through:], last), checkpoint
 
 
 def _cmd_status(args) -> CommandResult:
@@ -687,7 +685,7 @@ def _cmd_init_testbed(args) -> CommandResult:
 def _cmd_demo(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root):
-        for name in (CATALOG_FILE, AUDIT_FILE):
+        for name in (CATALOG_FILE, INVENTORY_FILE, AUDIT_FILE):
             if (root / name).exists():
                 return CommandResult(
                     1, f"demo needs a fresh catalog directory, found {root / name}"
@@ -801,14 +799,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"catalog directory (default: ${ENV_CATALOG})",
     )
     common.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+    # Only a command that a role acts in takes --as.
+    acting = argparse.ArgumentParser(add_help=False, parents=[common])
+    acting.add_argument(
         "--as",
         dest="role",
         choices=sorted(role.value for role in Role),
         default=Role.SUPERUSER.value,
         help="acting role (default: superuser)",
-    )
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable output"
     )
 
     parser = argparse.ArgumentParser(
@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lint_template)
 
     p = sub.add_parser(
-        "onboard-vf", parents=[common], help="onboard a VF template"
+        "onboard-vf", parents=[acting], help="onboard a VF template"
     )
     p.add_argument("template", help="template file")
     p.add_argument(
@@ -843,14 +843,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_onboard_vf)
 
     p = sub.add_parser(
-        "certify-vf", parents=[common], help="certify a draft VF"
+        "certify-vf", parents=[acting], help="certify a draft VF"
     )
     p.add_argument("vf", help="vf id")
     p.set_defaults(handler=_cmd_certify_vf)
 
     p = sub.add_parser(
         "create-service",
-        parents=[common],
+        parents=[acting],
         help="bundle certified VFs into a service",
     )
     p.add_argument("name", help="service display name")
@@ -868,13 +868,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("approve", "approve a tested service"),
         ("distribute", "distribute an approved service"),
     ):
-        p = sub.add_parser(f"{action}-service", parents=[common], help=verb)
+        p = sub.add_parser(f"{action}-service", parents=[acting], help=verb)
         p.add_argument("service", help="service id")
         p.set_defaults(handler=_cmd_advance_service, step=action)
 
     p = sub.add_parser(
         "create-slice",
-        parents=[common],
+        parents=[acting],
         help="create a slice from a descriptor file",
     )
     p.add_argument("descriptor", help="slice descriptor file")
@@ -891,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "instantiate-slice",
-        parents=[common],
+        parents=[acting],
         help="execute a placement plan",
     )
     p.add_argument("slice", help="slice id")
@@ -905,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "teardown-slice",
-        parents=[common],
+        parents=[acting],
         help="terminate a slice and release its resources",
     )
     p.add_argument("slice", help="slice id")

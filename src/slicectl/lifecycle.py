@@ -40,7 +40,6 @@ import time
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (
     DuplicateEntry,
@@ -415,13 +414,6 @@ def lab_problems(catalog: Catalog, infra: Infrastructure | None) -> list[str]:
     return problems
 
 
-class _Mark(NamedTuple):
-    """Where a log that an engine continues stands before its first event."""
-
-    sequence_no: int
-    timestamp: float
-
-
 class Orchestrator:
     """Serialized command interface over one catalog and its infrastructure.
 
@@ -431,10 +423,10 @@ class Orchestrator:
     too, so an engine opened on a log the fold refuses raises LogDiverged.
 
     An engine can also start part way through a log, as one opened from a
-    checkpoint does: after=(n, t) says that catalog, with its records, and
-    infra already hold the fold of the log's first n events, the last of
-    them at instant t. log is then the events after the n-th, folded on
-    top, and the engine's next event is numbered after the last of them.
+    checkpoint does: after=event says that catalog, with its records, and
+    infra already hold the fold of the log through event, its last folded
+    event. log is then the events after it, folded on top, and the engine's
+    next event is numbered and stamped after the last of them.
     An engine keeps no files; the store writes any checkpoint."""
 
     def __init__(
@@ -445,7 +437,7 @@ class Orchestrator:
         audit_sink: Callable[[AuditEvent], None] | None = None,
         log: list[AuditEvent] | None = None,
         clock: Callable[[], float] = time.time,
-        after: tuple[int, float] | None = None,
+        after: AuditEvent | None = None,
     ):
         self.infra = infra
         self.catalog = catalog if catalog is not None else Catalog()
@@ -455,7 +447,7 @@ class Orchestrator:
         else:
             for event in self.events:
                 apply_event(self.catalog, event, infra)
-        self._after = None if after is None else _Mark(*after)
+        self._after = after
         self._sink = audit_sink
         self._clock = clock
         self._footprint_cache: dict[str, ResourceDemand] = {}

@@ -16,10 +16,10 @@ them with apply_event, onto the genesis, as the engine does on open and
 with each event it logs, and raises LogDiverged for an ok event that the
 lifecycle table or the inventory refuses or whose entity differs from the
 genesis's. checkpoint.json, where a command wrote one, is derived state:
-the fold of the other three files through a byte offset of the log, read
-only while the SHA-256 tags it holds match them, so deleting it changes
-nothing. Snapshots are written atomically (temp file, fsync, rename), so
-an interrupted save never corrupts the previous file. A blob is written
+the fold of the other three files through the log line whose event is
+the last folded, read only while the SHA-256 tags it holds match them, so
+deleting it changes nothing. Snapshots are written atomically (temp file,
+fsync, rename), so an interrupted save never corrupts the previous file. A blob is written
 once, before the event or catalog that names it, and never rewritten;
 reading one checks that its SHA-256 is its name.
 
@@ -683,11 +683,12 @@ def _decode_log(
 # -- checkpoint ---------------------------------------------------------------
 #
 # checkpoint.json is derived state, never the commit: the fold of a lab's
-# genesis, inventory and audit log through a byte offset of the log, tagged
-# with its format and the SHA-256 of each of the three files as that fold
-# read them. It is used only while every tag matches, so a file that is
-# missing, torn, stale or garbage reads as no checkpoint, and deleting it
-# changes nothing.
+# genesis, inventory and audit log through a byte offset of the log that
+# ends a line, tagged with its format and the SHA-256 of each of the three
+# files as that fold read them. The line that ends there holds the last
+# event folded, so the log alone says where the fold ends. It is used only
+# while every tag matches, so a file that is missing, torn, stale or
+# garbage reads as no checkpoint, and deleting it changes nothing.
 
 CHECKPOINT_FILE = "checkpoint.json"
 
@@ -706,8 +707,9 @@ def _tags(root: Path, log: memoryview) -> dict:
     """What a checkpoint of root's files through the log bytes log is
     tagged with."""
     return {
-        # Format 1, untagged, kept the allocations beside the inventory.
-        "format": 2,
+        # Format 1, untagged, kept the allocations beside the inventory, and
+        # format 2 a copy of the last event's number and instant in the fold.
+        "format": 3,
         "log_bytes": len(log),
         "log_sha256": hashlib.sha256(log).hexdigest(),
         "catalog_sha256": _digest(root / CATALOG_FILE),
@@ -715,12 +717,9 @@ def _tags(root: Path, log: memoryview) -> dict:
     }
 
 
-def checkpoint_fold(
-    catalog: Catalog, infra: Infrastructure | None, last: tuple[int, float]
-) -> dict:
+def checkpoint_fold(catalog: Catalog, infra: Infrastructure | None) -> dict:
     """The plain-data form of a fold, as a checkpoint holds it: catalog's
-    entities and records, infra's topology with its allocations, and the
-    number and instant of the last event folded."""
+    entities and records, and infra's topology with its allocations."""
     inventory = None
     if infra is not None:
         held = sorted(infra.allocations.values(), key=operator.attrgetter("service"))
@@ -733,24 +732,25 @@ def checkpoint_fold(
             for subject, r in catalog.records.items()
         },
         "inventory": inventory,
-        "last": list(last),
     }
 
 
 def save_checkpoint(root: Path, fold: dict) -> None:
     """Write fold, the fold of root's files as they are now, as root's
     checkpoint: it covers the audit log through its last newline, so never
-    a final fragment, and fold must hold that line's event last."""
+    a final fragment."""
     log = _read_bytes(root / AUDIT_FILE)
     covered = memoryview(log)[: log.rfind(b"\n") + 1]
     payload = {"tags": _tags(root, covered), "fold": fold}
     _atomic_write(root / CHECKPOINT_FILE, json.dumps(payload, separators=(",", ":")))
 
 
-def read_checkpoint(root: Path) -> tuple[dict, bytes, int] | None:
-    """root's checkpoint as plain data, with the audit log's bytes and the
-    offset in them that it covers, or None where the file is absent, does
-    not parse, or has a tag that does not match root's files."""
+def read_checkpoint(root: Path) -> tuple[dict, AuditEvent, bytes, int] | None:
+    """root's checkpoint as plain data, the last event it covers, read from
+    the log, and the log's bytes with the offset in them that it covers.
+    None where the file is absent or does not parse, where a tag does not
+    match root's files, or where the offset does not end a line that holds
+    an event."""
     try:
         raw = json.loads(_read_bytes(root / CHECKPOINT_FILE))
         fold, tags = raw["fold"], raw["tags"]
@@ -759,23 +759,28 @@ def read_checkpoint(root: Path) -> tuple[dict, bytes, int] | None:
         log = _read_bytes(audit) if audit.exists() else b""
         if type(offset) is not int or _tags(root, memoryview(log)[:offset]) != tags:
             return None
-    except (IoFailure, ValueError, LookupError, TypeError):
+        covered = log[:offset]
+        if not covered.endswith(b"\n"):
+            return None
+        line = covered.rstrip().rsplit(b"\n", 1)[-1]
+        last = decode(AuditEvent, json.loads(line.decode("utf-8")))
+    except (SliceError, ValueError, LookupError, TypeError):
         return None
-    return fold, log, offset
+    return fold, last, log, offset
 
 
 def load_checkpoint(
     root: Path,
-) -> tuple[Catalog, Infrastructure | None, list[AuditEvent], tuple[int, float]] | None:
+) -> tuple[Catalog, Infrastructure | None, list[AuditEvent], AuditEvent] | None:
     """root's lab opened from its checkpoint: the fold it holds, the events
-    of the audit log after it, and the number and instant of its last
-    event. None where read_checkpoint finds none, or where the fold does
-    not decode. The events after it decode and are checked as load_audit's
-    are, and raise as they would."""
+    of the audit log after it, and the last event it covers. None where
+    read_checkpoint finds none, or where the fold does not decode. The
+    events after it decode and are checked as load_audit's are, numbered
+    from the one after the last it covers, and raise as they would."""
     found = read_checkpoint(root)
     if found is None:
         return None
-    fold, log, offset = found
+    fold, last, log, offset = found
     try:
         catalog = decode(Catalog, fold["catalog"])
         for subject, (kind, state, history) in fold["records"].items():
@@ -787,13 +792,10 @@ def load_checkpoint(
         if fold["inventory"] is not None:
             doc = decode(InventoryDocument, fold["inventory"])
             infra = _infrastructure(doc, f"{root / CHECKPOINT_FILE}: corrupt checkpoint")
-        sequence_no, timestamp = fold["last"]
-        if type(sequence_no) is not int or type(timestamp) not in (int, float):
-            return None
     except (AttributeError, LookupError, TypeError, ValueError, SliceError):
         return None
-    events = _decode_log(root / AUDIT_FILE, log, offset, sequence_no + 1)
-    return catalog, infra, events, (sequence_no, timestamp)
+    events = _decode_log(root / AUDIT_FILE, log, offset, last.sequence_no + 1)
+    return catalog, infra, events, last
 
 
 # -- plan documents -----------------------------------------------------------

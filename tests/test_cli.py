@@ -32,6 +32,7 @@ from slicectl.store import (
     load_audit,
     load_catalog,
     load_inventory,
+    read_checkpoint,
     replay_states,
     save_catalog,
     save_inventory,
@@ -315,6 +316,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run(["--help"]).exit_code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint-template", "probe.yaml"],
+            ["place-slice", "slice-a"],
+            ["status"],
+            ["audit"],
+            ["init-testbed"],
+            ["demo", "slice-a"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_as_is_usage_where_no_role_acts(self, root, argv):
+        """A command that no role is checked for takes no --as: it is a
+        usage error, and nothing is written."""
+        result = run(argv + ["--as", "operator", "--catalog", str(root)])
+        assert (result.exit_code, result.summary) == (2, "")
+        assert not root.exists()
 
     def test_missing_catalog_directory_is_usage(self, monkeypatch):
         monkeypatch.delenv(ENV_CATALOG, raising=False)
@@ -1094,6 +1114,20 @@ class TestDemo:
         again = run(["demo", "slice-a", "--catalog", str(root)])
         assert again.exit_code == 1
         assert "fresh" in again.summary
+
+    def test_demo_leaves_an_existing_inventory_alone(self, root):
+        """demo refuses a directory that holds an inventory.yaml, as it does
+        one with a catalog or a log, and keeps the file's bytes."""
+        assert run(["init-testbed", "--catalog", str(root)]).exit_code == 0
+        path = root / "inventory.yaml"
+        path.write_text(path.read_text().replace("site: core", "site: edited", 1))
+        kept = _lab_bytes(root)
+        result = run(["demo", "slice-a", "--catalog", str(root)])
+        assert (result.exit_code, result.summary) == (
+            1,
+            f"demo needs a fresh catalog directory, found {path}",
+        )
+        assert _lab_bytes(root) == kept
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_lab_files_follow_the_umask(self, root, umask, mode):
@@ -2470,7 +2504,8 @@ class TestCheckpoint:
         events = load_audit(root / "audit.log")
         saved = json.loads(checkpoint.read_text())
         assert saved["tags"]["log_bytes"] == (root / "audit.log").stat().st_size
-        assert saved["fold"]["last"] == [events[-1].sequence_no, events[-1].timestamp]
+        assert sorted(saved["fold"]) == ["catalog", "inventory", "records"]
+        assert read_checkpoint(root)[1] == events[-1]
         kept = checkpoint.read_bytes()
         read.clear()
         opened = _opened_engines(monkeypatch)
@@ -2539,6 +2574,59 @@ class TestCheckpoint:
             "checkpoint.json differs from the fold of the log through event 17;"
             " delete it"
         ]
+
+    def test_forged_end_is_ignored(self, root, tmp_path):
+        """The log says where a checkpoint's fold ends: a fold that also
+        claims to end at event 5 is not the log's fold, so status names it,
+        and a command numbers its events after the log's last, as it does
+        with the checkpoint deleted."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _write_checkpoint(root)
+        fifth = load_audit(root / "audit.log")[4]
+        path = root / "checkpoint.json"
+        raw = json.loads(path.read_text())
+        raw["fold"]["last"] = [fifth.sequence_no, fifth.timestamp]
+        path.write_text(json.dumps(raw))
+        differs = [
+            "checkpoint.json differs from the fold of the log through event 17;"
+            " delete it"
+        ]
+        assert _problems(root) == differs
+        deleted = tmp_path / "deleted"
+        shutil.copytree(root, deleted)
+        (deleted / "checkpoint.json").unlink()
+        argv = ["teardown-slice", "slice-a", "--as", "operator"]
+        results = [_flow_step(lab, argv) for lab in (root, deleted)]
+        assert results[0].exit_code == 0, results[0].summary
+        assert _comparable(argv, results[0]) == _comparable(argv, results[1])
+        numbers = [e.sequence_no for e in load_audit(root / "audit.log")]
+        assert numbers == list(range(1, 21))
+        assert _problems(root) == differs
+        path.unlink()
+        assert _status(root)[0] == 0
+
+    def test_offset_in_a_line_is_ignored(self, root, tmp_path):
+        """A checkpoint whose tags match but whose offset falls inside a
+        line of the log reads as none: status SUBJECT and teardown-slice
+        give what they give with the checkpoint deleted."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _write_checkpoint(root)
+        log = (root / "audit.log").read_bytes()
+        offset = log.rfind(b"\n", 0, len(log) - 1) + 11
+        path = root / "checkpoint.json"
+        raw = json.loads(path.read_text())
+        raw["tags"].update(
+            log_bytes=offset, log_sha256=hashlib.sha256(log[:offset]).hexdigest()
+        )
+        path.write_text(json.dumps(raw))
+        deleted = tmp_path / "deleted"
+        shutil.copytree(root, deleted)
+        (deleted / "checkpoint.json").unlink()
+        for argv in (["status", "slice-a"], ["teardown-slice", "slice-a", "--as", "operator"]):
+            results = [_flow_step(lab, argv) for lab in (root, deleted)]
+            assert results[0].exit_code == 0, results[0].summary
+            assert _comparable(argv, results[0]) == _comparable(argv, results[1])
+        assert _status(root) == (0, {**_status(deleted)[1], "checkpoint": {"state": "stale"}})
 
     @pytest.mark.parametrize("failing", ["_write_file", "replace", "_sync_dir"])
     def test_failed_checkpoint_write_changes_nothing_reported(

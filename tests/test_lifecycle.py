@@ -119,19 +119,18 @@ class TestAuditPlumbing:
 
     @pytest.mark.parametrize("split", [0, 1, 10, 14])
     def test_engine_continues_after_a_folded_prefix(self, split):
-        """An engine opened with after=(n, t) on a catalog and an inventory
-        that hold the fold of a log's first n events, the last at instant
-        t, and on the events after them, holds what an engine opened on the
-        whole log holds, and numbers and stamps its next event as that one
-        does, even with no event after the n-th."""
+        """An engine opened with after=event on a catalog and an inventory
+        that hold the fold of a log through event, and on the events after
+        it, holds what an engine opened on the whole log holds, and numbers
+        and stamps its next event as that one does, even with no event after
+        it; with after=None, the catalog holds no fold yet."""
         log = scenario.slice_a_engine().events
         assert len(log) == 14
         stepped_back = lambda: log[-1].timestamp - 60.0  # noqa: E731
         whole = Orchestrator(build_testbed(), log=list(log), clock=stepped_back)
         catalog, infra = Catalog(), build_testbed()
         replay_states(log[:split], infra, catalog)
-        mark = log[split - 1] if split else None
-        after = (mark.sequence_no, mark.timestamp) if mark else (0, 0.0)
+        after = log[split - 1] if split else None
         resumed = Orchestrator(
             infra, catalog=catalog, log=log[split:], after=after, clock=stepped_back
         )

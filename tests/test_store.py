@@ -983,9 +983,7 @@ def _checkpointed_lab(root) -> Orchestrator:
     for logged in engine.events:
         sink.append(logged)
     save_inventory(build_testbed(), root / "inventory.yaml")
-    last = engine.events[-1]
-    fold = checkpoint_fold(engine.catalog, engine.infra, (last.sequence_no, last.timestamp))
-    save_checkpoint(root, fold)
+    save_checkpoint(root, checkpoint_fold(engine.catalog, engine.infra))
     return engine
 
 
@@ -994,6 +992,26 @@ def _edit_checkpoint(root, edit) -> None:
     raw = json.loads(path.read_text())
     edit(raw)
     path.write_text(json.dumps(raw))
+
+
+def _cover(where):
+    """A change that retags root's checkpoint to cover the audit log's bytes
+    up to where(log), with a log_sha256 that matches them."""
+
+    def cover(root) -> None:
+        log = (root / "audit.log").read_bytes()
+        offset = where(log)
+        digest = hashlib.sha256(log[:offset]).hexdigest()
+        _edit_checkpoint(
+            root, lambda raw: raw["tags"].update(log_bytes=offset, log_sha256=digest)
+        )
+
+    return cover
+
+
+def _append_to_log(root, line: bytes) -> None:
+    path = root / "audit.log"
+    path.write_bytes(path.read_bytes() + line)
 
 
 def _first_format(raw) -> None:
@@ -1007,9 +1025,8 @@ def _first_format(raw) -> None:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         engine = _checkpointed_lab(tmp_path)
-        catalog, infra, events, after = load_checkpoint(tmp_path)
-        last = engine.events[-1]
-        assert (events, after) == ([], (last.sequence_no, last.timestamp))
+        catalog, infra, events, last = load_checkpoint(tmp_path)
+        assert (events, last) == ([], engine.events[-1])
         for field in fields(Catalog):
             if field.name != "template_blobs":
                 name = field.name
@@ -1020,7 +1037,7 @@ class TestCheckpoint:
         saved = json.loads((tmp_path / "checkpoint.json").read_text())
         held = sorted(engine.infra.allocations.values(), key=lambda a: a.service)
         assert saved["fold"]["inventory"]["allocations"] == [encode(a) for a in held]
-        assert sorted(saved["fold"]) == ["catalog", "inventory", "last", "records"]
+        assert sorted(saved["fold"]) == ["catalog", "inventory", "records"]
 
     def test_checkpoint_never_covers_a_fragment(self, tmp_path):
         """A checkpoint saved over a log that ends in a fragment covers the
@@ -1033,8 +1050,7 @@ class TestCheckpoint:
         whole = (tmp_path / "audit.log").read_bytes()
         (tmp_path / "audit.log").write_bytes(whole + b'{"sequence_no": 18')
         last = engine.events[-1]
-        fold = checkpoint_fold(engine.catalog, None, (last.sequence_no, last.timestamp))
-        save_checkpoint(tmp_path, fold)
+        save_checkpoint(tmp_path, checkpoint_fold(engine.catalog, None))
         saved = json.loads((tmp_path / "checkpoint.json").read_text())
         assert saved["tags"]["log_bytes"] == len(whole)
         assert load_checkpoint(tmp_path)[2] == []
@@ -1070,6 +1086,15 @@ class TestCheckpoint:
             lambda root: (root / "inventory.yaml").unlink(),
             lambda root: save_catalog(Catalog(), root / "catalog.json"),
             lambda root: _edit_checkpoint(root, _first_format),
+            lambda root: _edit_checkpoint(
+                root, lambda raw: raw["tags"].update(format=2)
+            ),
+            _cover(lambda log: log.rfind(b"\n", 0, len(log) - 1) + 11),
+            _cover(lambda log: 0),
+            lambda root: (
+                _append_to_log(root, b'{"sequence_no": 18}\n'),
+                _cover(len)(root),
+            ),
         ],
         ids=[
             "absent",
@@ -1085,6 +1110,10 @@ class TestCheckpoint:
             "inventory-removed",
             "catalog-added",
             "first-format",
+            "second-format",
+            "mid-line",
+            "offset-zero",
+            "bad-last-line",
         ],
     )
     def test_checkpoint_that_does_not_match_reads_as_none(self, tmp_path, damage):
@@ -1099,8 +1128,6 @@ class TestCheckpoint:
         [
             lambda raw: raw["fold"]["catalog"].update(functions=5),
             lambda raw: raw["fold"]["records"]["slice-a"].__setitem__(1, "gone"),
-            lambda raw: raw["fold"].update(last=[1]),
-            lambda raw: raw["fold"].update(last=[1, "now"]),
             lambda raw: raw["fold"]["inventory"]["allocations"].append(
                 raw["fold"]["inventory"]["allocations"][0]
             ),
@@ -1113,8 +1140,6 @@ class TestCheckpoint:
         ids=[
             "functions",
             "record-state",
-            "last",
-            "instant",
             "allocation",
             "inventory",
             "history-text",
