@@ -16,10 +16,12 @@ event, and rewrites nothing but checkpoint.json, derived state that lets a
 later command fold only the log's tail, from the event after the last that
 the log says it covers: catalog.json is a read-only genesis in any format,
 and inventory.yaml is written by init-testbed and demo alone; demo refuses
-a directory that holds any of the three. Mutating commands hold an
-exclusive advisory lock on the directory for the command's duration, and
-status and audit a shared one. Every command takes --catalog and --json;
-only one that a role acts in takes --as.
+a directory that holds any of the three, and opens its engine on the
+testbed it saves. Mutating commands hold an exclusive advisory lock on the
+directory for the command's duration, and status and audit a shared one;
+every command but demo that opens the engine under that lock, place-slice
+included, opens it through _engine_for, which writes the checkpoint. Every
+command takes --catalog and --json; only one that a role acts in takes --as.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -35,8 +37,6 @@ from collections import ChainMap
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from .errors import (
     DanglingReference,
@@ -97,6 +97,7 @@ from .store import (
     save_inventory,
     save_plan,
     _load_yaml,
+    _parse_yaml,
     _read_text,
 )
 from .template import (
@@ -229,15 +230,16 @@ def _save_checkpoint(root: Path, engine: Orchestrator) -> None:
 
 @contextlib.contextmanager
 def _engine_for(args):
-    """The state path of every lifecycle command: lock the catalog
-    directory and open the engine on it. The command's audit events are
-    all it stores: each ok event carries the entities it creates or is the
-    first to need, and a blob is a file before its event, so a command cut
-    after any append leaves the lab as its log says. No file is rewritten
-    but the checkpoint, which a command that ends without an error writes
-    after its last append when it opened the lab from at least
-    CHECKPOINT_MIN_EVENTS events. A final fragment that the command's
-    first append drops is noted in args.dropped_fragment, its size."""
+    """The state path of every lifecycle command and of place-slice: lock
+    the catalog directory and open the engine on it. The command's audit
+    events are all it stores: each ok event carries the entities it creates
+    or is the first to need, and a blob is a file before its event, so a
+    command cut after any append leaves the lab as its log says. Nothing
+    of the lab's state is rewritten but the checkpoint, which a command
+    that ends without an error writes after its last append when it opened
+    the lab from at least CHECKPOINT_MIN_EVENTS events. A final fragment
+    that the command's first append drops is noted in args.dropped_fragment,
+    its size."""
     root = _resolve_root(args)
     audit_path = root / AUDIT_FILE
     with _locked(root):
@@ -417,11 +419,7 @@ def _cmd_create_slice(args) -> CommandResult:
         record,
         f"created slice {record.subject} ({record.state.value}),"
         f" committed latency {sla.committed_latency} ms",
-        sla={
-            "committed_latency": sla.committed_latency,
-            "committed_availability": sla.committed_availability,
-            "committed_data_rate": sla.committed_data_rate,
-        },
+        sla=encode(sla),
     )
 
 
@@ -451,9 +449,7 @@ def _plan_verified(
 
 
 def _cmd_place_slice(args) -> CommandResult:
-    root = _resolve_root(args)
-    with _locked(root):
-        engine = _open_engine(root)
+    with _engine_for(args) as engine:
         plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
             return CommandResult(
@@ -461,7 +457,7 @@ def _cmd_place_slice(args) -> CommandResult:
                 f"no feasible placement for {args.slice}",
                 {"slice": args.slice, "feasible": False},
             )
-        out = Path(args.out) if args.out else root / f"plan-{args.slice}.yaml"
+        out = Path(args.out or _resolve_root(args) / f"plan-{args.slice}.yaml")
         save_plan(plan, out)
     lines = [f"plan for {args.slice}: e2e latency {plan.e2e_latency} ms"]
     for assignment in plan.assignments:
@@ -549,12 +545,7 @@ def _cmd_status(args) -> CommandResult:
         return CommandResult(
             0,
             f"{record.subject}: {record.kind.value} in state {record.state.value}",
-            {
-                "subject": record.subject,
-                "kind": record.kind.value,
-                "state": record.state.value,
-                "history": list(record.history),
-            },
+            encode(record),
         )
     lines = []
     detail: dict = {"records": {}, "tenants": {}}
@@ -654,9 +645,10 @@ def _cmd_init_testbed(args) -> CommandResult:
         # older build kept in inventory.yaml has no demand logged.
         audit_path = root / AUDIT_FILE
         events = load_audit(audit_path) if audit_path.exists() else []
+        infra = build_testbed()
         lost = sorted(
             r.subject
-            for r in replay_states(events, build_testbed(), _genesis(root)).values()
+            for r in replay_states(events, infra, _genesis(root)).values()
             if r.state is ServiceState.INSTANTIATED
             and events[r.history[-1] - 1].demand is None
         )
@@ -667,7 +659,6 @@ def _cmd_init_testbed(args) -> CommandResult:
                 f" {', '.join(lost)}, whose allocations a fresh inventory"
                 f" would drop; tear their slices down first",
             )
-        infra = build_testbed()
         save_inventory(infra, inventory_path)
     return CommandResult(
         0,
@@ -690,8 +681,9 @@ def _cmd_demo(args) -> CommandResult:
                 return CommandResult(
                     1, f"demo needs a fresh catalog directory, found {root / name}"
                 )
-        save_inventory(build_testbed(), root / INVENTORY_FILE)  # the log allocates
-        engine = _open_engine(root)
+        infra = build_testbed()
+        save_inventory(infra, root / INVENTORY_FILE)  # the log allocates
+        engine = _engine_on(root, Catalog(), infra, [])
         engine.register_vsp(
             VendorSoftwareProduct(
                 id="vsp-core-cp",
@@ -726,13 +718,10 @@ def _cmd_demo(args) -> CommandResult:
             engine.advance_service(Role.TESTER, service_id, "test")
             engine.advance_service(Role.GOVERNOR, service_id, "approve")
             engine.advance_service(Role.OPERATOR, service_id, "distribute")
-        slc, template = _slice_from_descriptor(
-            yaml.safe_load(_fixture_text("slice_a.yaml")), engine, "slice_a.yaml"
-        )
+        raw = _parse_yaml(_fixture_text("slice_a.yaml"), "slice_a.yaml")
+        slc, template = _slice_from_descriptor(raw, engine, "slice_a.yaml")
         engine.create_slice(Role.DESIGNER, slc, template)
         plan, _ = _plan_verified(engine, slc.id)
-        if not plan.feasible:
-            return CommandResult(1, f"no feasible placement for {slc.id}")
         record = engine.instantiate_slice(Role.OPERATOR, slc.id, plan)
         save_plan(plan, root / f"plan-{slc.id}.yaml")
 

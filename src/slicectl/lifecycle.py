@@ -3,7 +3,8 @@
 The orchestration engine owns all catalog mutation. Every operation is
 gated by the acting role and records exactly one audit event per outcome
 (ok, denied, failed). Which states each action needs and leads to is one
-table, TRANSITIONS, and check_transition reads it for every live check.
+table, TRANSITIONS, and check_transition reads it for every live check;
+which state enum each artifact kind has is another, STATES.
 The audit log is the one store of the lifecycle records: an engine opened
 on a log folds it into them with replay_states, and Orchestrator._commit,
 the only place an ok event is logged and applied, appends the event first,
@@ -147,11 +148,13 @@ PERMISSIONS: dict[str, frozenset[Role]] = {
     "teardown_slice": frozenset({Role.OPERATOR}),
 }
 
-_KINDS = {
-    VfState: ArtifactKind.VF,
-    ServiceState: ArtifactKind.SERVICE,
-    SliceState: ArtifactKind.SLICE,
+# Each artifact kind's state enum; _KINDS, its inverse, names a state's kind.
+STATES: dict[ArtifactKind, type[Enum]] = {
+    ArtifactKind.VF: VfState,
+    ArtifactKind.SERVICE: ServiceState,
+    ArtifactKind.SLICE: SliceState,
 }
+_KINDS = {states: kind for kind, states in STATES.items()}
 
 # The one lifecycle table, read by the live checks and by replay: action ->
 # (states the action needs, state it leads to); the state's enum names the
@@ -728,13 +731,11 @@ class Orchestrator:
     def plan_slice(self, slice_id: str) -> PlacementPlan:
         """Pure planning over the current infrastructure snapshot; no audit."""
         infra = self._require_infra()
-        slc = self.catalog.slices.get(slice_id)
-        if slc is None:
-            raise UnknownEntity(f"unknown slice {slice_id!r}")
         requirements = self.requirements_for(slice_id)
         offers = offered_capabilities(infra)
         if not offers:
             return PlacementPlan(slice_id, (), 0.0, False)
+        slc = self.catalog.slices[slice_id]
         return plan_placement(slc, requirements, offers, infra)
 
     def instantiate_slice(

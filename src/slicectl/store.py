@@ -18,10 +18,12 @@ lifecycle table or the inventory refuses or whose entity differs from the
 genesis's. checkpoint.json, where a command wrote one, is derived state:
 the fold of the other three files through the log line whose event is
 the last folded, read only while the SHA-256 tags it holds match them, so
-deleting it changes nothing. Snapshots are written atomically (temp file,
-fsync, rename), so an interrupted save never corrupts the previous file. A blob is written
-once, before the event or catalog that names it, and never rewritten;
-reading one checks that its SHA-256 is its name.
+deleting it changes nothing; its records are [kind, state, history] rows,
+each state decoded through lifecycle.STATES. Snapshots are written
+atomically (temp file, fsync, rename), so an interrupted save never
+corrupts the previous file. A blob is written once, before the event or
+catalog that names it, and never rewritten; reading one checks that its
+SHA-256 is its name.
 
 Every file decodes through one codec, encode/decode, driven by the
 dataclasses' type hints: catalog, inventory entities, audit events, plan
@@ -31,11 +33,13 @@ shape check: it refuses keys that name no field, a mapping or list that is
 something else, and a scalar whose type is not its hint's (text, true or
 false, a whole number, a number; a boolean is never a number), naming each
 field, key and index on the way down, and it names them on an enum or
-constructor's refusal too. A field an older build stored and this one
-derives instead or no longer needs is dropped unread, in any version,
-through one table, _RETIRED. It calls the constructors, so every invariant
-check runs on load. _decode_file reports a file that does not decode as
-IoFailure naming the file as corrupt; text that is not UTF-8 is too.
+constructor's refusal too. The YAML this module and the CLI read, from a
+file or a bundled fixture, parses through _parse_yaml. A field an older
+build stored and this one derives instead or no longer needs is dropped
+unread, in any version, through one table, _RETIRED. It calls the
+constructors, so every invariant check runs on load. _decode_file reports
+a file that does not decode as IoFailure naming the file as corrupt; text
+that is not UTF-8 is too.
 """
 
 from __future__ import annotations
@@ -60,13 +64,11 @@ import yaml
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
+    STATES,
     ArtifactKind,
     AuditEvent,
     Catalog,
     LifecycleRecord,
-    ServiceState,
-    SliceState,
-    VfState,
     replay_states,
 )
 from .model import Sla, SliceTemplate, VendorSoftwareProduct
@@ -139,7 +141,12 @@ def _read_text(path: Path) -> str:
 
 
 def _load_yaml(path: Path) -> object:
-    text = _read_text(path)
+    return _parse_yaml(_read_text(path), path)
+
+
+def _parse_yaml(text: str, source: str | Path) -> object:
+    """The document in text, read from source; IoFailure names source and
+    where the text stops being YAML."""
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -147,7 +154,7 @@ def _load_yaml(path: Path) -> object:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             where = f" at line {mark.line + 1} column {mark.column + 1}"
-        raise IoFailure(f"{path}: invalid YAML{where}: {exc}") from exc
+        raise IoFailure(f"{source}: invalid YAML{where}: {exc}") from exc
 
 
 # -- generic codec ------------------------------------------------------------
@@ -692,12 +699,6 @@ def _decode_log(
 
 CHECKPOINT_FILE = "checkpoint.json"
 
-_STATES = {
-    ArtifactKind.VF: VfState,
-    ArtifactKind.SERVICE: ServiceState,
-    ArtifactKind.SLICE: SliceState,
-}
-
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(_read_bytes(path)).hexdigest() if path.exists() else "none"
@@ -727,6 +728,8 @@ def checkpoint_fold(catalog: Catalog, infra: Infrastructure | None) -> dict:
         inventory = encode(doc)
     return {
         "catalog": encode(catalog),
+        # Rows, not encode(record): through the codec this took 2.3 ms, not
+        # 1.2, on bench/wl_cli.seed_catalog's lab; load_checkpoint says more.
         "records": {
             subject: [r.kind.value, r.state.value, r.history]
             for subject, r in catalog.records.items()
@@ -783,10 +786,14 @@ def load_checkpoint(
     fold, last, log, offset = found
     try:
         catalog = decode(Catalog, fold["catalog"])
+        # Rows, not the codec's record mappings: with those this took about
+        # 1.1 ms (15 %) longer on bench/wl_cli.seed_catalog's 1,000-VF lab, a
+        # median minimum of 8.6 ms against 7.5 (6 alternating in-process runs
+        # on a shared 2-core machine), so records stay hand-encoded rows.
         for subject, (kind, state, history) in fold["records"].items():
             kind = ArtifactKind(kind)
             history = decode(list[int], history)
-            record = LifecycleRecord(subject, kind, _STATES[kind](state), history)
+            record = LifecycleRecord(subject, kind, STATES[kind](state), history)
             catalog.records[subject] = record
         infra = None
         if fold["inventory"] is not None:

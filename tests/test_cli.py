@@ -265,6 +265,11 @@ BAD_DESCRIPTORS = [
         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
         id="not-utf8",
     ),
+    pytest.param(
+        yaml.safe_dump([descriptor_doc()]),
+        "bad slice descriptor: the descriptor must be a mapping",
+        id="list-descriptor",
+    ),
 ]
 
 # Every command that saves state, under a role its gate denies. {tmp} is
@@ -1034,6 +1039,23 @@ class TestWorkflow:
         placed = run(["place-slice", "slice-big", "--catalog", str(root)])
         assert placed.exit_code == 1
         assert "no feasible placement" in placed.summary
+
+    def test_placement_without_tenants_is_infeasible(self, root):
+        """An inventory that lists hosts but no tenants offers nothing to
+        place on: place-slice exits 1 and writes no plan."""
+        for argv in _FLOW[:-3]:
+            assert _flow_step(root, argv).exit_code == 0, argv
+        inventory = root / "inventory.yaml"
+        raw = yaml.safe_load(inventory.read_text())
+        assert raw["hosts"] and raw["tenants"]
+        inventory.write_text(yaml.safe_dump({**raw, "tenants": []}))
+        saved = _lab_bytes(root)
+        placed = run(["place-slice", "slice-a", "--catalog", str(root)])
+        assert placed.exit_code == 1
+        assert placed.summary == "no feasible placement for slice-a"
+        assert placed.detail == {"slice": "slice-a", "feasible": False}
+        assert not (root / "plan-slice-a.yaml").exists()
+        assert _lab_bytes(root) == saved
 
     def test_unchained_slice_placement_is_refused(self, root, tmp_path):
         seed_service(root, tmp_path)
@@ -2530,6 +2552,26 @@ class TestCheckpoint:
             "inventory.yaml",
             "plan-slice-a.yaml",
         ]
+
+    def test_place_slice_writes_the_checkpoint_like_every_writer(
+        self, root, monkeypatch
+    ):
+        """place-slice opens the lab as every writer does, so one that
+        folded CHECKPOINT_MIN_EVENTS events leaves a checkpoint when it
+        returns, here with no plan, as slice-a's tenants are full; status
+        finds that it agrees with the log, and the next command opens from
+        it and folds only what comes after."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", 1)
+        placed = _flow_step(root, ["place-slice", "slice-a"])
+        assert placed.summary == "no feasible placement for slice-a"
+        assert placed.exit_code == 1 and (root / "checkpoint.json").exists()
+        code, found = _status(root)
+        assert code == 0 and found["checkpoint"] == {"state": "agrees", "through": 17}
+        opened = _opened_engines(monkeypatch)
+        argv = ["teardown-slice", "slice-a", "--as", "operator"]
+        assert _flow_step(root, argv).exit_code == 0
+        assert opened[0].events == load_audit(root / "audit.log")[17:]
 
     def test_checkpoint_that_differs_from_the_fold_is_a_problem(self, root):
         """A checkpoint whose tags match but whose fold is not the log's is
