@@ -22,6 +22,8 @@ directory for the command's duration, and status and audit a shared one;
 every command but demo that opens the engine under that lock, place-slice
 included, opens it through _engine_for, which writes the checkpoint. Every
 command takes --catalog and --json; only one that a role acts in takes --as.
+A command loads the template parser or the solver only when it runs one,
+as lifecycle does, and PyYAML only when it reads or writes a YAML file.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -33,10 +35,12 @@ import contextlib
 import fcntl
 import json
 import os
+import sys
 from collections import ChainMap
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     DanglingReference,
@@ -54,10 +58,12 @@ from .lifecycle import (
     Role,
     ServiceState,
     lab_problems,
+    lazy_getattr,
 )
 from .model import (
     Customer,
     NetworkSlice,
+    PlacementPlan,
     ServiceRequirement,
     Severity,
     SliceProvider,
@@ -65,12 +71,6 @@ from .model import (
     VendorSoftwareProduct,
     _slug,
     make_slice_template,
-)
-from .placement import (
-    PlacementPlan,
-    Violation,
-    offered_capabilities,
-    verify_plan,
 )
 from .store import (
     AUDIT_FILE,
@@ -100,13 +100,24 @@ from .store import (
     _parse_yaml,
     _read_text,
 )
-from .template import (
-    merge_reports,
-    parse_template,
-    resource_footprint,
-    validate_environment,
-    validate_template,
+
+if TYPE_CHECKING:
+    from .placement import Violation
+
+# lint-template's parser and place-slice's verifier load on first use, and
+# are called through _lazy, as in lifecycle and for the same reason.
+__getattr__ = lazy_getattr(
+    __name__,
+    template=(
+        "merge_reports",
+        "parse_template",
+        "resource_footprint",
+        "validate_environment",
+        "validate_template",
+    ),
+    placement=("offered_capabilities", "verify_plan"),
 )
+_lazy = sys.modules[__name__]
 
 ENV_CATALOG = "SLICECTL_CATALOG"
 
@@ -344,12 +355,12 @@ def _slice_from_descriptor(
 def _cmd_lint_template(args) -> CommandResult:
     """Onboarding's checks in onboarding's order, without the catalog."""
     try:
-        doc = parse_template(_read_text(args.template))
-        report = merge_reports(
-            validate_template(doc), validate_environment(doc.environment)
+        doc = _lazy.parse_template(_read_text(args.template))
+        report = _lazy.merge_reports(
+            _lazy.validate_template(doc), _lazy.validate_environment(doc.environment)
         )
         if report.accepted:
-            resource_footprint(doc)
+            _lazy.resource_footprint(doc)
     except (TemplateSyntaxError, DanglingReference, MissingSizing) as exc:
         return CommandResult(
             1,
@@ -435,10 +446,10 @@ def _plan_verified(
     plan = engine.plan_slice(slice_id)
     if not plan.feasible:
         return plan, []
-    ok, violations = verify_plan(
+    ok, violations = _lazy.verify_plan(
         plan,
         engine.requirements_for(slice_id),
-        offered_capabilities(engine.infra),
+        _lazy.offered_capabilities(engine.infra),
         engine.infra,
         slice=engine.catalog.slices[slice_id],
     )

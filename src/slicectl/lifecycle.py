@@ -28,19 +28,23 @@ isolation_refusal, the solver's rule, and Infrastructure.capacity_refusal,
 allocate's check. tests/oracles.py is the independent check of both.
 lab_problems, a pure function of a fold, names what it breaks of the lab's
 promises, among them which member states each live or terminated slice
-state needs; status prints what it returns.
+state needs; status prints what it returns. The template parser and the
+solver load with the engine's first parse or plan, not with this module.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import math
 import operator
+import sys
 import time
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateEntry,
@@ -64,6 +68,7 @@ from .model import (
     NetworkFunction,
     NetworkService,
     NetworkSlice,
+    PlacementPlan,
     ResourceDemand,
     Severity,
     SliceProvider,
@@ -73,23 +78,51 @@ from .model import (
     aggregate_sla,
     derive_service_sla,
 )
-from .placement import (
-    VIOLATION_ISOLATION,
-    VIOLATION_OVERFLOW,
-    CapabilityRequirement,
-    PlacementPlan,
-    offered_capabilities,
-    plan_placement,
-    required_capabilities,
-    verify_plan,
+
+if TYPE_CHECKING:
+    from .placement import CapabilityRequirement
+
+
+def lazy_getattr(module: str, **sources: tuple[str, ...]):
+    """A module __getattr__ (PEP 562) for module: each name that sources
+    lists under a sibling module is imported from there on its first read
+    and kept in module, so later reads, and a rebinding, find it there."""
+    source_of = {name: source for source, names in sources.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in source_of:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        source = importlib.import_module(f".{source_of[name]}", __package__)
+        value = getattr(source, name)
+        setattr(sys.modules[module], name, value)
+        return value
+
+    return __getattr__
+
+
+# Most commands neither parse a template nor plan, so these load on first
+# use. Code here calls them through _lazy, this module, so that a name
+# rebound on it from outside, as bench/spans.py rebinds them, is the one
+# called.
+__getattr__ = lazy_getattr(
+    __name__,
+    template=(
+        "merge_reports",
+        "parse_template",
+        "resource_footprint",
+        "validate_environment",
+        "validate_template",
+    ),
+    placement=(
+        "VIOLATION_ISOLATION",
+        "VIOLATION_OVERFLOW",
+        "offered_capabilities",
+        "plan_placement",
+        "required_capabilities",
+        "verify_plan",
+    ),
 )
-from .template import (
-    merge_reports,
-    parse_template,
-    resource_footprint,
-    validate_environment,
-    validate_template,
-)
+_lazy = sys.modules[__name__]
 
 
 class Role(str, Enum):
@@ -181,9 +214,6 @@ TRANSITIONS: dict[str, tuple[tuple[Enum, ...], Enum]] = {
         SliceState.TERMINATED,
     ),
 }
-
-# verify_plan's codes for a refused member; its other errors are PlanInvalid.
-_MEMBER_REFUSAL_CODES = frozenset({VIOLATION_ISOLATION, VIOLATION_OVERFLOW})
 
 # The advance_service steps; each logs f"{step}_service".
 _ADVANCE_STEPS = ("test", "approve", "distribute")
@@ -573,13 +603,14 @@ class Orchestrator:
             new_vsp = self._unlogged("vsps", vsp_id)
             if new_vsp is None and vsp_id not in self.catalog.vsps:
                 raise UnknownEntity(f"unknown vendor software product {vsp_id!r}")
-            doc = parse_template(template_text)
-            report = merge_reports(
-                validate_template(doc), validate_environment(doc.environment)
+            doc = _lazy.parse_template(template_text)
+            report = _lazy.merge_reports(
+                _lazy.validate_template(doc),
+                _lazy.validate_environment(doc.environment),
             )
             if not report.accepted:
                 raise TemplateRejected(report)
-            footprint = resource_footprint(doc)
+            footprint = _lazy.resource_footprint(doc)
 
         digest = hashlib.sha256(template_text.encode("utf-8")).hexdigest()
         self.catalog.template_blobs[digest] = template_text
@@ -711,7 +742,7 @@ class Orchestrator:
             text = self.catalog.template_blobs.get(digest)
             if text is None:
                 raise UnknownEntity(f"no template blob {digest!r}")
-            footprint = resource_footprint(parse_template(text))
+            footprint = _lazy.resource_footprint(_lazy.parse_template(text))
             self._footprint_cache[digest] = footprint
         return footprint
 
@@ -726,17 +757,17 @@ class Orchestrator:
             service_id: self.footprint_of_service(service_id)
             for service_id in slc.services
         }
-        return required_capabilities(slc, template, footprints)
+        return _lazy.required_capabilities(slc, template, footprints)
 
     def plan_slice(self, slice_id: str) -> PlacementPlan:
         """Pure planning over the current infrastructure snapshot; no audit."""
         infra = self._require_infra()
         requirements = self.requirements_for(slice_id)
-        offers = offered_capabilities(infra)
+        offers = _lazy.offered_capabilities(infra)
         if not offers:
             return PlacementPlan(slice_id, (), 0.0, False)
         slc = self.catalog.slices[slice_id]
-        return plan_placement(slc, requirements, offers, infra)
+        return _lazy.plan_placement(slc, requirements, offers, infra)
 
     def instantiate_slice(
         self, actor: Role, slice_id: str, plan: PlacementPlan, *, atomic: bool = True
@@ -770,13 +801,15 @@ class Orchestrator:
                     f"member services not distributed: {lagging}"
                 )
             requirements = self.requirements_for(slice_id)
-            _, violations = verify_plan(
-                plan, requirements, offered_capabilities(infra), infra, slice=slc
+            _, violations = _lazy.verify_plan(
+                plan, requirements, _lazy.offered_capabilities(infra), infra, slice=slc
             )
-            refusals = [v for v in violations if v.code in _MEMBER_REFUSAL_CODES]
+            # verify_plan's codes for a refused member; its other errors are
+            # PlanInvalid.
+            member = {_lazy.VIOLATION_ISOLATION, _lazy.VIOLATION_OVERFLOW}
+            refusals = [v for v in violations if v.code in member]
             codes = sorted(
-                {v.code for v in violations if v.severity is Severity.ERROR}
-                - _MEMBER_REFUSAL_CODES
+                {v.code for v in violations if v.severity is Severity.ERROR} - member
             )
             if codes:
                 raise PlanInvalid(f"plan rejected: {', '.join(codes)}")

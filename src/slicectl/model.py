@@ -348,6 +348,32 @@ class SliceTemplate:
         )
 
 
+@dataclass(frozen=True)
+class Assignment:
+    service: str
+    tenant: str
+
+
+@dataclass(frozen=True)
+class PlacementPlan:
+    """The tenant of each of a slice's services, as placement plans it and
+    a plan file holds it; the solver lives in placement."""
+
+    slice_id: str
+    assignments: tuple[Assignment, ...]
+    e2e_latency: float
+    feasible: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignments", tuple(self.assignments))
+
+    def tenant_of(self, service: str) -> str | None:
+        for assignment in self.assignments:
+            if assignment.service == service:
+                return assignment.tenant
+        return None
+
+
 def make_slice_template(
     slice: NetworkSlice,
     requirements: Mapping[str, ServiceRequirement],

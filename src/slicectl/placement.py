@@ -42,8 +42,10 @@ from .errors import MissingFootprint, PlanInvalid, Unreachable
 from .infra import Infrastructure, IsolationClass
 from .model import (
     EPSILON,
+    Assignment,
     IsolationLevel,
     NetworkSlice,
+    PlacementPlan,
     ResourceDemand,
     Severity,
     SliceTemplate,
@@ -89,29 +91,6 @@ class CapabilityOffer:
 
     tenant: str
     free: ResourceDemand
-
-
-@dataclass(frozen=True)
-class Assignment:
-    service: str
-    tenant: str
-
-
-@dataclass(frozen=True)
-class PlacementPlan:
-    slice_id: str
-    assignments: tuple[Assignment, ...]
-    e2e_latency: float
-    feasible: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", tuple(self.assignments))
-
-    def tenant_of(self, service: str) -> str | None:
-        for assignment in self.assignments:
-            if assignment.service == service:
-                return assignment.tenant
-        return None
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ build stored and this one derives instead or no longer needs is dropped
 unread, in any version, through one table, _RETIRED. It calls the
 constructors, so every invariant check runs on load. _decode_file reports
 a file that does not decode as IoFailure naming the file as corrupt; text
-that is not UTF-8 is too.
+that is not UTF-8 is too. PyYAML loads with the first YAML file parsed or
+written, so a command that opens its lab from the checkpoint loads none;
+the plan documents' types live in model, so this module loads no solver.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, TypeVar
 
-import yaml
-
 from .errors import IoFailure, SchemaMismatch, SequenceGap, SliceError
 from .infra import Allocation, Host, Infrastructure, PhysicalLink, Tenant
 from .lifecycle import (
@@ -71,8 +71,7 @@ from .lifecycle import (
     LifecycleRecord,
     replay_states,
 )
-from .model import Sla, SliceTemplate, VendorSoftwareProduct
-from .placement import Assignment, PlacementPlan
+from .model import Assignment, PlacementPlan, Sla, SliceTemplate, VendorSoftwareProduct
 
 CATALOG_FILE = "catalog.json"
 CATALOG_VERSION = 4
@@ -124,18 +123,22 @@ def _atomic_write(path: Path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+# A read error gives its reason alone where it has one: an OSError's own
+# message names the path a second time.
+
+
 def _read_bytes(path: Path) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _read_text(path: Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -147,6 +150,8 @@ def _load_yaml(path: Path) -> object:
 def _parse_yaml(text: str, source: str | Path) -> object:
     """The document in text, read from source; IoFailure names source and
     where the text stops being YAML."""
+    import yaml  # on first use: see the module docstring
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -155,6 +160,13 @@ def _parse_yaml(text: str, source: str | Path) -> object:
         if mark is not None:
             where = f" at line {mark.line + 1} column {mark.column + 1}"
         raise IoFailure(f"{source}: invalid YAML{where}: {exc}") from exc
+
+
+def _dump_yaml(entity: Any) -> str:
+    """entity's plain-data form as a YAML document, fields in their order."""
+    import yaml
+
+    return yaml.safe_dump(encode(entity), sort_keys=False)
 
 
 # -- generic codec ------------------------------------------------------------
@@ -546,7 +558,7 @@ def _inventory_document(infra: Infrastructure) -> InventoryDocument:
 def save_inventory(infra: Infrastructure, path: str | Path) -> None:
     """Write infra's hosts, tenants and links, never its allocations."""
     doc = _inventory_document(infra)
-    _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
+    _atomic_write(Path(path), _dump_yaml(doc))
 
 
 def load_inventory(path: str | Path) -> Infrastructure:
@@ -650,7 +662,7 @@ def fragment_bytes(path: str | Path) -> int:
     except FileNotFoundError:
         return 0
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
     return size - keep
 
 
@@ -762,10 +774,11 @@ def read_checkpoint(root: Path) -> tuple[dict, AuditEvent, bytes, int] | None:
         log = _read_bytes(audit) if audit.exists() else b""
         if type(offset) is not int or _tags(root, memoryview(log)[:offset]) != tags:
             return None
-        covered = log[:offset]
-        if not covered.endswith(b"\n"):
+        if not log.endswith(b"\n", 0, offset):
             return None
-        line = covered.rstrip().rsplit(b"\n", 1)[-1]
+        # The covered log's last line, found and copied alone; a blank one
+        # holds no event, so it reads as none.
+        line = log[log.rfind(b"\n", 0, offset - 1) + 1 : offset]
         last = decode(AuditEvent, json.loads(line.decode("utf-8")))
     except (SliceError, ValueError, LookupError, TypeError):
         return None
@@ -825,7 +838,7 @@ def save_plan(plan: PlacementPlan, path: str | Path) -> None:
     doc = PlanDocument(
         slice=plan.slice_id, e2e_latency=plan.e2e_latency, assignments=plan.assignments
     )
-    _atomic_write(Path(path), yaml.safe_dump(encode(doc), sort_keys=False))
+    _atomic_write(Path(path), _dump_yaml(doc))
 
 
 def load_plan(path: str | Path) -> PlacementPlan:

@@ -13,7 +13,8 @@ written. The onboarding rules are fixed and take no settings:
 validate_template and validate_environment report findings and never
 raise, and resource_footprint then raises MissingSizing for a compute that
 is not sized in whole numbers. Onboarding and lint-template both run these
-three checks, in that order.
+three checks, in that order. PyYAML loads with the first parse, not with
+this module.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-
-import yaml
 
 from .errors import DanglingReference, MissingSizing, TemplateSyntaxError
 from .model import ResourceDemand, Severity
@@ -198,6 +197,8 @@ def parse_template(text: str) -> TemplateDocument:
     Raises DanglingReference when a resource points at an undeclared
     parameter or resource, or when subnet/port wiring does not resolve.
     """
+    import yaml  # on first use: see the module docstring
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

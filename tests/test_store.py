@@ -164,6 +164,21 @@ class TestCatalogSnapshots:
         with pytest.raises(IoFailure, match="cannot read"):
             load_catalog(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "read, name, reason",
+        [
+            (load_catalog, "absent.json", errno.ENOENT),
+            (load_audit, "absent.log", errno.ENOENT),
+            (store.fragment_bytes, "", errno.EISDIR),
+        ],
+        ids=["text", "bytes", "audit-tail"],
+    )
+    def test_a_read_error_names_its_path_once(self, tmp_path, read, name, reason):
+        path = tmp_path / name
+        with pytest.raises(IoFailure) as caught:
+            read(path)
+        assert str(caught.value) == f"cannot read {path}: {os.strerror(reason)}"
+
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text("[1, 2]\n")
@@ -1095,6 +1110,7 @@ class TestCheckpoint:
                 _append_to_log(root, b'{"sequence_no": 18}\n'),
                 _cover(len)(root),
             ),
+            lambda root: (_append_to_log(root, b"\n"), _cover(len)(root)),
         ],
         ids=[
             "absent",
@@ -1114,6 +1130,7 @@ class TestCheckpoint:
             "mid-line",
             "offset-zero",
             "bad-last-line",
+            "blank-last-line",
         ],
     )
     def test_checkpoint_that_does_not_match_reads_as_none(self, tmp_path, damage):
