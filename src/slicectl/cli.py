@@ -20,7 +20,8 @@ a directory that holds any of the three, and opens its engine on the
 testbed it saves. Mutating commands hold an exclusive advisory lock on the
 directory for the command's duration, and status and audit a shared one;
 every command but demo that opens the engine under that lock, place-slice
-included, opens it through _engine_for, which writes the checkpoint. Every
+included, opens it through _engine_for, which rewrites the checkpoint once
+the log after it holds as many bytes as the checkpoint does. Every
 command takes --catalog and --json; only one that a role acts in takes --as.
 A command loads the template parser or the solver only when it runs one,
 as lifecycle does, and PyYAML only when it reads or writes a YAML file.
@@ -186,14 +187,16 @@ def _lab_files(root: Path) -> tuple[Catalog, Infrastructure | None, list[AuditEv
     )
 
 
-def _open_engine(root: Path) -> Orchestrator:
+def _open_engine(root: Path) -> tuple[Orchestrator, bool]:
     """The engine on root's files, continuing the audit log: the log folded
     onto the genesis, or, where root's checkpoint matches its files, the
-    log's events after the checkpoint folded onto the fold it holds."""
+    log's events after the checkpoint folded onto the fold it holds; and
+    whether a writer is due to rewrite the checkpoint, always so with none."""
     resumed = load_checkpoint(root)
     if resumed is None:
-        return _engine_on(root, *_lab_files(root))
-    return _engine_on(root, *resumed)
+        return _engine_on(root, *_lab_files(root)), True
+    *lab, due = resumed
+    return _engine_on(root, *lab), due
 
 
 def _engine_on(
@@ -220,12 +223,6 @@ def _engine_on(
     return engine
 
 
-# A command that had to fold at least this many events to open the lab
-# writes a checkpoint when it ends. Below it, decoding and folding the
-# events costs less than writing one: see CHANGES.md for the measurement.
-CHECKPOINT_MIN_EVENTS = 400
-
-
 def _save_checkpoint(root: Path, engine: Orchestrator) -> None:
     """Write root's checkpoint from engine, the fold of the whole log. A
     genesis that serves its blobs from memory, as format 1 does, gets none,
@@ -247,21 +244,21 @@ def _engine_for(args):
     or is the first to need, and a blob is a file before its event, so a
     command cut after any append leaves the lab as its log says. Nothing
     of the lab's state is rewritten but the checkpoint, which a command
-    that ends without an error writes after its last append when it opened
-    the lab from at least CHECKPOINT_MIN_EVENTS events. A final fragment
-    that the command's first append drops is noted in args.dropped_fragment,
-    its size."""
+    that ends without an error writes after its last append when the log
+    bytes its open folded were at least the checkpoint's size, so always on
+    a lab with none. A final fragment that the command's first append drops
+    is noted in args.dropped_fragment, its size."""
     root = _resolve_root(args)
     audit_path = root / AUDIT_FILE
     with _locked(root):
-        engine = _open_engine(root)
-        folded, fragment = len(engine.events), fragment_bytes(audit_path)
+        engine, due = _open_engine(root)
+        fragment = fragment_bytes(audit_path)
         try:
             yield engine
         finally:
             if fragment and not fragment_bytes(audit_path):
                 args.dropped_fragment = fragment
-        if folded >= CHECKPOINT_MIN_EVENTS:
+        if due:
             _save_checkpoint(root, engine)
 
 
@@ -460,6 +457,13 @@ def _plan_verified(
 
 
 def _cmd_place_slice(args) -> CommandResult:
+    root = _resolve_root(args)
+    out = Path(args.out or root / f"plan-{args.slice}.yaml")
+    # The plan must not replace a file of the lab: its log above all.
+    lab, target = root.resolve(), out.resolve()
+    own = (AUDIT_FILE, CATALOG_FILE, INVENTORY_FILE, CHECKPOINT_FILE, ".lock")
+    if target in [lab / name for name in own] or target.is_relative_to(lab / BLOBS_DIR):
+        raise IoFailure(f"{out}: a file of the lab {root}; choose another --out")
     with _engine_for(args) as engine:
         plan, violations = _plan_verified(engine, args.slice)
         if not plan.feasible:
@@ -468,7 +472,6 @@ def _cmd_place_slice(args) -> CommandResult:
                 f"no feasible placement for {args.slice}",
                 {"slice": args.slice, "feasible": False},
             )
-        out = Path(args.out or _resolve_root(args) / f"plan-{args.slice}.yaml")
         save_plan(plan, out)
     lines = [f"plan for {args.slice}: e2e latency {plan.e2e_latency} ms"]
     for assignment in plan.assignments:
@@ -539,7 +542,7 @@ def _cmd_status(args) -> CommandResult:
     root = _resolve_root(args)
     with _locked(root, fcntl.LOCK_SH):
         if args.subject:
-            engine = _open_engine(root)
+            engine = _open_engine(root)[0]
         else:
             engine, checkpoint = _refold(root)
             problems = lab_problems(engine.catalog, engine.infra)

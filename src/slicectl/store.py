@@ -707,7 +707,8 @@ def _decode_log(
 # files as that fold read them. The line that ends there holds the last
 # event folded, so the log alone says where the fold ends. It is used only
 # while every tag matches, so a file that is missing, torn, stale or
-# garbage reads as no checkpoint, and deleting it changes nothing.
+# garbage reads as no checkpoint, and deleting it changes nothing. A writer
+# rewrites it once the log after it holds at least as many bytes as it does.
 
 CHECKPOINT_FILE = "checkpoint.json"
 
@@ -760,14 +761,15 @@ def save_checkpoint(root: Path, fold: dict) -> None:
     _atomic_write(root / CHECKPOINT_FILE, json.dumps(payload, separators=(",", ":")))
 
 
-def read_checkpoint(root: Path) -> tuple[dict, AuditEvent, bytes, int] | None:
+def read_checkpoint(root: Path) -> tuple[dict, AuditEvent, bytes, int, int] | None:
     """root's checkpoint as plain data, the last event it covers, read from
-    the log, and the log's bytes with the offset in them that it covers.
-    None where the file is absent or does not parse, where a tag does not
-    match root's files, or where the offset does not end a line that holds
-    an event."""
+    the log, the log's bytes with the offset in them that it covers, and its
+    size in bytes. None where the file is absent or does not parse, where a
+    tag does not match root's files, or where the offset does not end a
+    line that holds an event."""
     try:
-        raw = json.loads(_read_bytes(root / CHECKPOINT_FILE))
+        data = _read_bytes(root / CHECKPOINT_FILE)
+        raw = json.loads(data)
         fold, tags = raw["fold"], raw["tags"]
         offset = tags["log_bytes"]
         audit = root / AUDIT_FILE
@@ -782,21 +784,22 @@ def read_checkpoint(root: Path) -> tuple[dict, AuditEvent, bytes, int] | None:
         last = decode(AuditEvent, json.loads(line.decode("utf-8")))
     except (SliceError, ValueError, LookupError, TypeError):
         return None
-    return fold, last, log, offset
+    return fold, last, log, offset, len(data)
 
 
 def load_checkpoint(
     root: Path,
-) -> tuple[Catalog, Infrastructure | None, list[AuditEvent], AuditEvent] | None:
+) -> tuple[Catalog, Infrastructure | None, list[AuditEvent], AuditEvent, bool] | None:
     """root's lab opened from its checkpoint: the fold it holds, the events
-    of the audit log after it, and the last event it covers. None where
-    read_checkpoint finds none, or where the fold does not decode. The
-    events after it decode and are checked as load_audit's are, numbered
-    from the one after the last it covers, and raise as they would."""
+    of the audit log after it, the last event it covers, and whether the log
+    after it holds at least its size in bytes, so a writer is due to rewrite
+    it. None where read_checkpoint finds none, or where the fold does not
+    decode. The events after it decode and are checked as load_audit's are,
+    numbered from the one after the last it covers, and raise as they would."""
     found = read_checkpoint(root)
     if found is None:
         return None
-    fold, last, log, offset = found
+    fold, last, log, offset, size = found
     try:
         catalog = decode(Catalog, fold["catalog"])
         # Rows, not the codec's record mappings: with those this took about
@@ -815,7 +818,7 @@ def load_checkpoint(
     except (AttributeError, LookupError, TypeError, ValueError, SliceError):
         return None
     events = _decode_log(root / AUDIT_FILE, log, offset, last.sequence_no + 1)
-    return catalog, infra, events, last
+    return catalog, infra, events, last, len(log) - offset >= size
 
 
 # -- plan documents -----------------------------------------------------------

@@ -14,7 +14,14 @@ from slicectl.infra import (
     Tenant,
     build_testbed,
 )
-from slicectl.lifecycle import Catalog, Orchestrator, Role, lab_problems, replay_states
+from slicectl.lifecycle import (
+    AuditEvent,
+    Catalog,
+    Orchestrator,
+    Role,
+    lab_problems,
+    replay_states,
+)
 from slicectl.model import (
     NetworkSlice,
     ResourceDemand,
@@ -65,13 +72,18 @@ def register_vsp(engine: Orchestrator, vsp_id: str = "vsp-lab") -> str:
 
 
 def assert_live_is_the_fold(
-    engine: Orchestrator, genesis: Catalog | None = None, problems: Sequence[str] = ()
+    engine: Orchestrator,
+    genesis: Catalog | None = None,
+    problems: Sequence[str] = (),
+    events: Sequence[AuditEvent] | None = None,
 ):
     """engine's catalog, entities and records, is the fold of genesis (an
-    empty catalog by default, consumed here) and engine.events, and the lab
-    keeps its promises but for problems, what lab_problems names of it."""
+    empty catalog by default, consumed here) and events, engine.events by
+    default, and the lab keeps its promises but for problems, what
+    lab_problems names of it. An engine opened from a checkpoint holds
+    only the log's tail, so its caller passes the whole log."""
     fold = Catalog() if genesis is None else genesis
-    replay_states(engine.events, catalog=fold)
+    replay_states(engine.events if events is None else events, catalog=fold)
     for field in dataclasses.fields(Catalog):
         if field.name not in ("version", "template_blobs"):
             live, folded = getattr(engine.catalog, field.name), getattr(fold, field.name)

@@ -90,7 +90,7 @@ def _lab_bytes(root) -> dict[str, bytes | None]:
 def _lab_catalog(root):
     """The catalog a command opens on root: the log folded onto catalog.json,
     if there is one."""
-    return _open_engine(root).catalog
+    return _open_engine(root)[0].catalog
 
 
 def seed_service(root, tmp_path) -> None:
@@ -1057,6 +1057,42 @@ class TestWorkflow:
         assert not (root / "plan-slice-a.yaml").exists()
         assert _lab_bytes(root) == saved
 
+    @pytest.mark.parametrize(
+        "out",
+        [
+            "audit.log",
+            "catalog.json",
+            "inventory.yaml",
+            "checkpoint.json",
+            ".lock",
+            "blobs/plan.yaml",
+            "blobs/../audit.log",
+            "link",
+        ],
+    )
+    def test_place_slice_out_refuses_a_file_of_the_lab(self, root, tmp_path, out):
+        """A plan whose --out resolves to one of the lab's own files, or into
+        blobs/, is refused with IoFailure before anything is written, so the
+        log in particular keeps its bytes. link is a path outside the lab
+        whose symlink resolves to audit.log."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _flow_step(root, ["teardown-slice", "slice-a", "--as", "operator"]).exit_code == 0
+        target = root / out
+        if out == "link":
+            target = tmp_path / "plan.yaml"
+            target.symlink_to(root / "audit.log")
+        saved = _lab_bytes(root)
+        checkpoint = (root / "checkpoint.json").read_bytes()
+        lock = (root / ".lock").read_bytes()
+        placed = _flow_step(root, ["place-slice", "slice-a", "--out", str(target)])
+        assert placed.exit_code == 1
+        assert placed.summary.startswith(f"IoFailure: {target}: a file of the lab")
+        assert _lab_bytes(root) == saved
+        assert (root / "checkpoint.json").read_bytes() == checkpoint
+        assert (root / ".lock").read_bytes() == lock
+        assert not (root / "catalog.json").exists()
+        assert _status(root)[0] == 0
+
     def test_unchained_slice_placement_is_refused(self, root, tmp_path):
         seed_service(root, tmp_path)
         doc = descriptor_doc()
@@ -1549,7 +1585,7 @@ class TestStatusChecks:
         is the topology alone, so the log's fold allocates it once, not on
         top of a saved copy, and a teardown gives it all back."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        save_inventory(_open_engine(root).infra, root / "inventory.yaml")
+        save_inventory(_open_engine(root)[0].infra, root / "inventory.yaml")
         status = run(["status", "--catalog", str(root)])
         assert status.exit_code == 0, status.summary
         assert "tenant-cp on host-cp: used 5/6 vcpu" in status.summary
@@ -2031,8 +2067,9 @@ def _opened_engines(monkeypatch) -> list[Orchestrator]:
     real = cli._open_engine
 
     def open_engine(root):
-        opened.append(real(root))
-        return opened[-1]
+        engine, due = real(root)
+        opened.append(engine)
+        return engine, due
 
     monkeypatch.setattr(cli, "_open_engine", open_engine)
     return opened
@@ -2057,7 +2094,7 @@ class TestGenesis:
             assert result.exit_code == 0, (argv, result.summary)
             assert not (root / "catalog.json").exists(), argv
             for engine in opened:  # none for lint-template
-                scenario.assert_live_is_the_fold(engine)
+                scenario.assert_live_is_the_fold(engine, events=load_audit(root / "audit.log"))
             code, detail = _status(root)
             opened.clear()
             assert code == 0 and detail["log"]["agrees"], (argv, detail)
@@ -2094,7 +2131,8 @@ class TestGenesis:
             results = []
             for lab in (root, bare):
                 results.append(_flow_step(lab, argv))
-                scenario.assert_live_is_the_fold(opened[-1], _genesis(lab))
+                whole = load_audit(lab / "audit.log")
+                scenario.assert_live_is_the_fold(opened[-1], _genesis(lab), events=whole)
             assert [r.exit_code for r in results] == [0, 0], argv
             for result in results:
                 result.detail.pop("plan_file", None)  # a path in its lab
@@ -2342,8 +2380,7 @@ class TestCrashes:
 
 
 # The labs whose commands must not depend on a checkpoint: each golden lab
-# an older build left, and one made as the benchmark makes its lab, whose
-# log is long enough for a command to write a checkpoint of it.
+# an older build left, and one made as the benchmark makes its lab.
 _LABS = [
     "catalog.json",
     "catalog.compact.json",
@@ -2357,10 +2394,8 @@ _LABS = [
 
 @pytest.fixture(scope="module")
 def generated_lab(tmp_path_factory):
-    """A _seeded_lab with at least CHECKPOINT_MIN_EVENTS events."""
     root = tmp_path_factory.mktemp("generated") / "lab"
-    _seeded_lab(root, vfs=-(-2 * cli.CHECKPOINT_MIN_EVENTS // 3))
-    assert len(load_audit(root / "audit.log")) >= cli.CHECKPOINT_MIN_EVENTS
+    _seeded_lab(root)
     return root
 
 
@@ -2376,7 +2411,7 @@ def _make_lab(root, lab: str, generated) -> None:
 def _write_checkpoint(root) -> bool:
     """Write root's checkpoint as a command that ends does; whether it did:
     a version-1 genesis, which holds its blobs inline, gets none."""
-    cli._save_checkpoint(root, _open_engine(root))
+    cli._save_checkpoint(root, _open_engine(root)[0])
     return (root / "checkpoint.json").exists()
 
 
@@ -2408,6 +2443,17 @@ _CHANGES = {
     "init-testbed": lambda root: run(["init-testbed", "--force", "--catalog", str(root)]),
     "catalog-edit": _reindent_catalog,
 }
+
+
+_CREATE_SERVICE = [
+    "create-service", "X", "--vf", "vf-core-cp", "--id", "svc-x", "--as", "designer"
+]
+
+
+def _tail_bytes(root) -> int:
+    """The bytes of root's audit log after the offset its checkpoint covers."""
+    covered = json.loads((root / "checkpoint.json").read_text())["tags"]["log_bytes"]
+    return (root / "audit.log").stat().st_size - covered
 
 
 def _delete_checkpoint(root) -> None:
@@ -2443,12 +2489,16 @@ def _comparable(argv: list[str], result) -> tuple:
     return argv[0], result.exit_code, summary, detail
 
 
-def _checkpoint_run(root, monkeypatch, min_events: int) -> list[tuple]:
+def _checkpoint_run(root, keep: bool) -> list[tuple]:
     """The README flow, status --json and audit --tail 20 --json on root,
-    with commands writing a checkpoint from min_events folded events."""
-    monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", min_events)
+    with checkpoint.json deleted after each command unless keep is true."""
     steps = [*_FLOW, ["status", "--json"], ["audit", "--tail", "20", "--json"]]
-    return [_comparable(argv, _flow_step(root, argv)) for argv in steps]
+    results = []
+    for argv in steps:
+        results.append(_comparable(argv, _flow_step(root, argv)))
+        if not keep:
+            (root / "checkpoint.json").unlink(missing_ok=True)
+    return results
 
 
 class TestCheckpoint:
@@ -2456,22 +2506,20 @@ class TestCheckpoint:
     or made stale, no command's exit code or output changes."""
 
     @pytest.mark.parametrize("lab", _LABS)
-    def test_commands_do_not_depend_on_the_checkpoint(
-        self, root, monkeypatch, generated_lab, lab
-    ):
+    def test_commands_do_not_depend_on_the_checkpoint(self, root, generated_lab, lab):
         """Each case runs the same commands on the same lab, changed the
         same way, as one that never had a checkpoint: with the checkpoint
         as a command leaves it, deleted, torn at its first byte, its middle
         and its last, or made stale by a cut of the log below it, by
-        init-testbed --force or by an edit of catalog.json. Every ok
-        command there rewrites it once it has folded an event."""
+        init-testbed --force or by an edit of catalog.json. There each ok
+        command rewrites it as its own rule says."""
         never = {}
         for change, _ in _CHECKPOINT_CASES:
             if change not in never:
                 shutil.rmtree(root, ignore_errors=True)
                 _make_lab(root, lab, generated_lab)
                 _CHANGES[change](root)
-                never[change] = _checkpoint_run(root, monkeypatch, 10**9)
+                never[change] = _checkpoint_run(root, keep=False)
                 assert not (root / "checkpoint.json").exists()
         for change, damage in _CHECKPOINT_CASES:
             shutil.rmtree(root, ignore_errors=True)
@@ -2479,7 +2527,7 @@ class TestCheckpoint:
             written = _write_checkpoint(root)
             assert written == (lab not in ("catalog.json", "catalog.compact.json"))
             if not written:
-                assert _checkpoint_run(root, monkeypatch, 1) == never[change]
+                assert _checkpoint_run(root, keep=True) == never[change]
                 assert not (root / "checkpoint.json").exists()
                 break
             inventory = (root / "inventory.yaml").read_bytes()
@@ -2498,16 +2546,16 @@ class TestCheckpoint:
                 state = None
             found = _status(root)[1].get("checkpoint")
             assert (found or {}).get("state") == state, (change, found)
-            assert _checkpoint_run(root, monkeypatch, 1) == never[change], change
+            assert _checkpoint_run(root, keep=True) == never[change], change
 
     def test_a_long_lab_opens_from_its_first_writers_checkpoint(
         self, root, monkeypatch, generated_lab
     ):
-        """status, a denied command and a lab below CHECKPOINT_MIN_EVENTS
-        write none; the first ok command on a long log writes one, after
-        its last append, and the next opens from it, reading neither
-        catalog.json, inventory.yaml nor the log through a full load, and
-        does not rewrite it."""
+        """status and a denied command write none; the first ok command
+        writes one, after its last append, and the next opens from it,
+        reading neither catalog.json, inventory.yaml nor the log through a
+        full load, and does not rewrite it. On a demo lab, too, the first
+        writer leaves one."""
         shutil.copytree(generated_lab, root)
         read = []
         for name in ("load_audit", "load_catalog", "load_inventory"):
@@ -2549,6 +2597,7 @@ class TestCheckpoint:
             ".lock",
             "audit.log",
             "blobs",
+            "checkpoint.json",
             "inventory.yaml",
             "plan-slice-a.yaml",
         ]
@@ -2556,13 +2605,12 @@ class TestCheckpoint:
     def test_place_slice_writes_the_checkpoint_like_every_writer(
         self, root, monkeypatch
     ):
-        """place-slice opens the lab as every writer does, so one that
-        folded CHECKPOINT_MIN_EVENTS events leaves a checkpoint when it
-        returns, here with no plan, as slice-a's tenants are full; status
-        finds that it agrees with the log, and the next command opens from
-        it and folds only what comes after."""
+        """place-slice opens the lab as every writer does, so the first on
+        a demo lab leaves a checkpoint when it returns, here with no plan,
+        as slice-a's tenants are full; status finds that it agrees with the
+        log, and the next command opens from it and folds only what comes
+        after."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
-        monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", 1)
         placed = _flow_step(root, ["place-slice", "slice-a"])
         assert placed.summary == "no feasible placement for slice-a"
         assert placed.exit_code == 1 and (root / "checkpoint.json").exists()
@@ -2572,6 +2620,53 @@ class TestCheckpoint:
         argv = ["teardown-slice", "slice-a", "--as", "operator"]
         assert _flow_step(root, argv).exit_code == 0
         assert opened[0].events == load_audit(root / "audit.log")[17:]
+
+    def test_the_first_writer_on_a_demo_lab_leaves_a_checkpoint(self, root):
+        """demo writes none; the first ok writer after it, which folded the
+        whole log as there was no checkpoint to open from, leaves one that
+        status finds agrees with the log."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert not (root / "checkpoint.json").exists()
+        assert _flow_step(root, _CREATE_SERVICE).exit_code == 0
+        code, found = _status(root)
+        assert code == 0 and found["checkpoint"] == {"state": "agrees", "through": 18}
+        status = run(["status", "--catalog", str(root)])
+        assert "checkpoint: agrees with the log through event 18" in status.summary
+
+    def test_a_writer_that_folded_less_than_the_checkpoint_keeps_it(self, root):
+        """A writer whose open folded fewer log bytes than the checkpoint
+        holds leaves its bytes as they were."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _write_checkpoint(root)
+        kept = (root / "checkpoint.json").read_bytes()
+        assert _flow_step(root, _CREATE_SERVICE).exit_code == 0
+        assert _tail_bytes(root) < len(kept)
+        assert (root / "checkpoint.json").read_bytes() == kept
+
+    def test_a_writer_rewrites_the_checkpoint_once_the_tail_reaches_its_size(
+        self, root, tmp_path
+    ):
+        """Denied commands write no checkpoint, so their events grow the
+        tail. With the tail one event short of the checkpoint's size, a
+        writer keeps it; once the tail reaches that size, the next writer
+        rewrites it to cover the whole log."""
+        assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
+        assert _flow_step(root, ["teardown-slice", "slice-a", "--as", "operator"]).exit_code == 0
+        path = root / "checkpoint.json"
+        kept = path.read_bytes()
+        denied = ["certify-vf", "vf-core-cp", "--as", "designer"]
+        short = tmp_path / "short"
+        while _tail_bytes(root) < len(kept):
+            shutil.rmtree(short, ignore_errors=True)
+            shutil.copytree(root, short)
+            assert _flow_step(root, denied).exit_code == 1
+        assert path.read_bytes() == kept
+        assert _flow_step(short, _CREATE_SERVICE).exit_code == 0
+        assert (short / "checkpoint.json").read_bytes() == kept
+        assert _flow_step(root, _CREATE_SERVICE).exit_code == 0
+        assert path.read_bytes() != kept
+        assert _tail_bytes(root) == 0
+        assert _status(root)[1]["checkpoint"]["state"] == "agrees"
 
     def test_checkpoint_that_differs_from_the_fold_is_a_problem(self, root):
         """A checkpoint whose tags match but whose fold is not the log's is
@@ -2595,15 +2690,19 @@ class TestCheckpoint:
 
     def test_checkpoint_whose_history_does_not_decode_is_ignored(self, root, tmp_path):
         """A checkpoint whose tags match but whose record history is not a
-        list of whole numbers reads as none: teardown-slice gives what it
-        gives with the checkpoint deleted, not an internal error, and status
-        still names the checkpoint."""
+        list of whole numbers reads as none: status names it, and
+        teardown-slice gives what it gives with the checkpoint deleted, not
+        an internal error, and, having opened from none, rewrites it."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         assert _write_checkpoint(root)
         path = root / "checkpoint.json"
         raw = json.loads(path.read_text())
         raw["fold"]["records"]["slice-a"][2] = "x"
         path.write_text(json.dumps(raw))
+        assert _problems(root) == [
+            "checkpoint.json differs from the fold of the log through event 17;"
+            " delete it"
+        ]
         deleted = tmp_path / "deleted"
         shutil.copytree(root, deleted)
         (deleted / "checkpoint.json").unlink()
@@ -2612,10 +2711,7 @@ class TestCheckpoint:
         assert results[0].exit_code == 0, results[0].summary
         assert _comparable(argv, results[0]) == _comparable(argv, results[1])
         assert _status(deleted)[0] == 0
-        assert _problems(root) == [
-            "checkpoint.json differs from the fold of the log through event 17;"
-            " delete it"
-        ]
+        assert _status(root) == _status(deleted)
 
     def test_forged_end_is_ignored(self, root, tmp_path):
         """The log says where a checkpoint's fold ends: a fold that also
@@ -2650,7 +2746,8 @@ class TestCheckpoint:
     def test_offset_in_a_line_is_ignored(self, root, tmp_path):
         """A checkpoint whose tags match but whose offset falls inside a
         line of the log reads as none: status SUBJECT and teardown-slice
-        give what they give with the checkpoint deleted."""
+        give what they give with the checkpoint deleted, and teardown-slice,
+        having opened from none, rewrites it."""
         assert run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
         assert _write_checkpoint(root)
         log = (root / "audit.log").read_bytes()
@@ -2664,11 +2761,12 @@ class TestCheckpoint:
         deleted = tmp_path / "deleted"
         shutil.copytree(root, deleted)
         (deleted / "checkpoint.json").unlink()
+        assert _status(root) == (0, {**_status(deleted)[1], "checkpoint": {"state": "stale"}})
         for argv in (["status", "slice-a"], ["teardown-slice", "slice-a", "--as", "operator"]):
             results = [_flow_step(lab, argv) for lab in (root, deleted)]
             assert results[0].exit_code == 0, results[0].summary
             assert _comparable(argv, results[0]) == _comparable(argv, results[1])
-        assert _status(root) == (0, {**_status(deleted)[1], "checkpoint": {"state": "stale"}})
+        assert _status(root) == _status(deleted)
 
     @pytest.mark.parametrize("failing", ["_write_file", "replace", "_sync_dir"])
     def test_failed_checkpoint_write_changes_nothing_reported(
@@ -2690,7 +2788,6 @@ class TestCheckpoint:
                 patch.setattr(store.os if failing == "replace" else store, failing, fail)
                 real_save(lab, fold)
 
-        monkeypatch.setattr(cli, "CHECKPOINT_MIN_EVENTS", 1)
         outputs = []
         for lab, faulty in ((tmp_path / "clean", False), (root, True)):
             assert run(["demo", "slice-a", "--catalog", str(lab)]).exit_code == 0

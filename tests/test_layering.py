@@ -60,11 +60,13 @@ def _loaded_by_command(argv: list[str], exit_code: int) -> set[str]:
 
 
 def _demo_lab(root: Path, checkpoint: bool) -> None:
-    """root as demo slice-a leaves it, with checkpoint.json written from
-    its fold where checkpoint is true."""
+    """root as demo slice-a leaves it, and where checkpoint is true, as one
+    ok writer after it leaves it: with checkpoint.json, which the first
+    writer on a lab that has none always writes."""
     assert cli.run(["demo", "slice-a", "--catalog", str(root)]).exit_code == 0
     if checkpoint:
-        cli._save_checkpoint(root, cli._open_engine(root))
+        argv = ["create-service", "X", "--vf", "vf-core-cp", "--id", "svc-x"]
+        assert cli.run([*argv, "--as", "designer", "--catalog", str(root)]).exit_code == 0
         assert (root / "checkpoint.json").exists()
 
 
@@ -109,8 +111,9 @@ def test_importing_loads_no_yaml_parser_or_solver(module):
         (["certify-vf", "vf-core-cp", "--as", "designer"], 1),
         (["audit", "--tail", "5"], 0),
         (["teardown-slice", "slice-a", "--as", "operator"], 0),
+        (["status", "slice-a"], 0),
     ],
-    ids=["certify-vf-denied", "audit", "teardown-slice"],
+    ids=["certify-vf-denied", "audit", "teardown-slice", "status-subject"],
 )
 def test_a_command_from_a_checkpoint_loads_no_yaml_parser_or_solver(
     tmp_path, argv, exit_code

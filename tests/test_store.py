@@ -1040,8 +1040,8 @@ def _first_format(raw) -> None:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         engine = _checkpointed_lab(tmp_path)
-        catalog, infra, events, last = load_checkpoint(tmp_path)
-        assert (events, last) == ([], engine.events[-1])
+        catalog, infra, events, last, due = load_checkpoint(tmp_path)
+        assert (events, last, due) == ([], engine.events[-1], False)
         for field in fields(Catalog):
             if field.name != "template_blobs":
                 name = field.name
