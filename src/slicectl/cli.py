@@ -25,6 +25,11 @@ the log after it holds as many bytes as the checkpoint does. Every
 command takes --catalog and --json; only one that a role acts in takes --as.
 A command loads the template parser or the solver only when it runs one,
 as lifecycle does, and PyYAML only when it reads or writes a YAML file.
+run is the in-process API and never raises; main prints its result and
+returns the exit code. console, the process entry (the slicectl script,
+python -m slicectl.cli), calls main, which has synced every file the
+command wrote, then gc.freeze()s the heap, so that the interpreter's exit
+collects none of it, and exits with main's code.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -34,14 +39,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import gc
 import json
 import os
 import sys
 from collections import ChainMap
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import (
     DanglingReference,
@@ -273,6 +278,8 @@ def _record_result(record, summary: str, **detail) -> CommandResult:
 
 
 def _fixture_text(name: str) -> str:
+    from importlib import resources  # demo alone reads the bundled fixtures
+
     return (
         resources.files("slicectl").joinpath("fixtures").joinpath(name)
     ).read_text(encoding="utf-8")
@@ -990,5 +997,13 @@ def main(argv: list[str] | None = None) -> int:
     return result.exit_code
 
 
+def console() -> NoReturn:
+    """The process entry: main, then the heap frozen, then exit with
+    main's code (see the module docstring)."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

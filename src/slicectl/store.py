@@ -678,18 +678,16 @@ def _decode_log(
 ) -> list[AuditEvent]:
     """The events of log data from byte offset on, which is 0 or just after
     a newline, numbered from first; errors name the lines as load_audit
-    names them."""
+    names them. The line number is counted only for that message."""
     events: list[AuditEvent] = []
-    start = data.count(b"\n", 0, offset) + 1
-    for lineno, line in enumerate(data[offset:].split(b"\n")[:-1], start=start):
+    for index, line in enumerate(data[offset:].split(b"\n")[:-1]):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}: corrupt audit record"
-        try:
-            raw = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise IoFailure(f"{where}: {exc}") from exc
-        events.append(_decode_file(AuditEvent, raw, where))
+        try:  # UTF-8 and JSON refusals are ValueErrors, as decode's can be
+            events.append(decode(AuditEvent, json.loads(line.decode("utf-8"))))
+        except (KeyError, TypeError, ValueError, SliceError) as exc:
+            lineno = data.count(b"\n", 0, offset) + index + 1
+            raise IoFailure(f"{path}:{lineno}: corrupt audit record: {exc}") from exc
     for position, event in enumerate(events, start=first):
         if event.sequence_no != position:
             raise SequenceGap(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -2830,9 +2831,9 @@ def test_cli_import_leaves_networkx_out():
 
 
 def test_cli_as_a_process(tmp_path):
-    """What only a real process shows: the exit code that
-    `raise SystemExit(main())` gives, what is printed where, and --json on
-    stdout. `python -m slicectl.cli` runs the main the entry point calls."""
+    """What only a real process shows: the exit code that console()
+    gives, what is printed where, and --json on stdout. `python -m
+    slicectl.cli` runs the console the entry point calls."""
     lab = tmp_path / "lab"
 
     def slicectl(*argv: str) -> subprocess.CompletedProcess:
@@ -2864,4 +2865,49 @@ def test_cli_as_a_process(tmp_path):
     assert payload["detail"]["records"] == {
         subject: {"kind": r.kind.value, "state": r.state.value}
         for subject, r in replay_states(events).items()
+    }
+
+
+def test_run_and_main_leave_the_collector_as_they_found_it(tmp_path, capsys):
+    """Only the process entry freezes the heap: a command run in process,
+    as tests and bench/cli_child.py run one, changes no collector state."""
+    lab = str(tmp_path / "lab")
+    found = (gc.isenabled(), gc.get_freeze_count())
+    assert run(["demo", "slice-a", "--catalog", lab]).exit_code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == found
+    assert main(["status", "--json", "--catalog", lab]) == 0
+    assert json.loads(capsys.readouterr().out)["exit_code"] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["status", "--json"], ["audit", "--tail", "5", "--json"]],
+    ids=["status", "audit-tail"],
+)
+def test_the_entry_freezes_the_heap_and_prints_what_run_gives(tmp_path, argv):
+    """`python -m slicectl.cli`, run through runpy as -m runs it, with an
+    exit hook that reports whether the heap was frozen by then; its piped
+    --json output parses whole and is run's result."""
+    lab = tmp_path / "lab"
+    assert run(["demo", "slice-a", "--catalog", str(lab)]).exit_code == 0
+    argv = [*argv, "--catalog", str(lab)]
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+        " file=sys.stderr))\n"
+        "runpy.run_module('slicectl.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (child.returncode, child.stderr) == (0, "frozen True\n")
+    result = run(argv)
+    assert json.loads(child.stdout) == {
+        "exit_code": result.exit_code,
+        "summary": result.summary,
+        "detail": json.loads(json.dumps(result.detail, default=str)),
     }

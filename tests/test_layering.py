@@ -31,19 +31,24 @@ FIXTURES = Path(slicectl.__file__).resolve().parent / "fixtures"
 PARSER_AND_SOLVER = {"yaml", "slicectl.template", "slicectl.placement"}
 
 
-def _loaded(module: str, then: str = "") -> set[str]:
-    """The slicectl modules, and yaml if it is there, that importing module
-    and running the statement then in a fresh interpreter loads."""
+def _loaded(
+    module: str,
+    then: str = "",
+    names: tuple[str, ...] = ("slicectl", "yaml"),
+    flags: tuple[str, ...] = (),
+) -> set[str]:
+    """The modules under names, yaml and slicectl by default, that importing
+    module and running the statement then in a fresh interpreter, started
+    with flags, loads."""
     code = (
         "import json, sys\n"
         f"import {module}\n"
         f"{then}\n"
-        "print(json.dumps([m for m in sys.modules"
-        " if m in ('slicectl', 'yaml') or m.startswith('slicectl.')]))\n"
+        f"print(json.dumps([m for m in sys.modules if m.split('.')[0] in {names!r}]))\n"
     )
     package_root = Path(slicectl.__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         check=True,
@@ -52,11 +57,11 @@ def _loaded(module: str, then: str = "") -> set[str]:
     return set(json.loads(result.stdout))
 
 
-def _loaded_by_command(argv: list[str], exit_code: int) -> set[str]:
+def _loaded_by_command(argv: list[str], exit_code: int, **options) -> set[str]:
     """What running the CLI with argv in a fresh interpreter loads; the
-    command must exit with exit_code."""
+    command must exit with exit_code. options are _loaded's names and flags."""
     then = f"assert slicectl.cli.run({argv!r}).exit_code == {exit_code}"
-    return _loaded("slicectl.cli", then)
+    return _loaded("slicectl.cli", then, **options)
 
 
 def _demo_lab(root: Path, checkpoint: bool) -> None:
@@ -121,6 +126,19 @@ def test_a_command_from_a_checkpoint_loads_no_yaml_parser_or_solver(
     _demo_lab(tmp_path, checkpoint=True)
     loaded = _loaded_by_command([*argv, "--catalog", str(tmp_path)], exit_code)
     assert not loaded & PARSER_AND_SOLVER, sorted(loaded & PARSER_AND_SOLVER)
+
+
+def test_a_command_from_a_checkpoint_loads_no_resource_reader(tmp_path):
+    """Only demo reads the bundled fixtures. -S keeps out what a site hook
+    may import into every interpreter, so a bare one shows what is the
+    interpreter's own."""
+    _demo_lab(tmp_path, checkpoint=True)
+    options = {"names": ("importlib",), "flags": ("-S",)}
+    bare = _loaded("sys", **options)
+    argv = ["certify-vf", "vf-core-cp", "--as", "designer", "--catalog", str(tmp_path)]
+    loaded = _loaded_by_command(argv, 1, **options)
+    added = {m for m in loaded - bare if m.startswith("importlib.resources")}
+    assert not added, sorted(added)
 
 
 def test_status_loads_no_template_parser_or_solver(tmp_path):

@@ -1172,6 +1172,19 @@ class TestCheckpoint:
         assert read_checkpoint(tmp_path) is not None
         assert load_checkpoint(tmp_path) is None
 
+    def test_a_corrupt_line_after_it_is_named_by_its_line_number(self, tmp_path):
+        """The log after the checkpoint is decoded alone, but a refusal in
+        it names the line's number in the whole file, as load_audit does;
+        a blank line before it still counts."""
+        _checkpointed_lab(tmp_path)
+        _append_to_log(tmp_path, b'\n{"sequence_no": 18}\n')
+        lines = (tmp_path / "audit.log").read_bytes().count(b"\n")
+        where = f"{tmp_path / 'audit.log'}:{lines}: corrupt audit record: "
+        with pytest.raises(IoFailure, match=re.escape(where)):
+            load_checkpoint(tmp_path)
+        with pytest.raises(IoFailure, match=re.escape(where)):
+            load_audit(tmp_path / "audit.log")
+
 
 
 class TestReplay:
