@@ -26,10 +26,11 @@ command takes --catalog and --json; only one that a role acts in takes --as.
 A command loads the template parser or the solver only when it runs one,
 as lifecycle does, and PyYAML only when it reads or writes a YAML file.
 run is the in-process API and never raises; main prints its result and
-returns the exit code. console, the process entry (the slicectl script,
-python -m slicectl.cli), calls main, which has synced every file the
-command wrote, then gc.freeze()s the heap, so that the interpreter's exit
-collects none of it, and exits with main's code.
+returns the exit code, also when the reader of stdout has gone (the signal
+module's "Note on SIGPIPE"). console, the process entry (the slicectl
+script, python -m slicectl.cli), calls main, which has synced every file
+the command wrote, then gc.freeze()s the heap, so that the interpreter's
+exit collects none of it, and exits with main's code.
 
 Exit codes: 0 ok, 1 validation/denied/infeasible, 2 usage, 3 internal.
 """
@@ -984,16 +985,23 @@ def run(argv: list[str] | None = None) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     result = run(argv)
-    if result.machine:
-        payload: dict = {
-            "exit_code": result.exit_code,
-            "summary": result.summary,
-        }
-        if result.detail is not None:
-            payload["detail"] = result.detail
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    elif result.summary:
-        print(result.summary)
+    try:
+        if result.machine:
+            payload: dict = {
+                "exit_code": result.exit_code,
+                "summary": result.summary,
+            }
+            if result.detail is not None:
+                payload["detail"] = result.detail
+            print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        elif result.summary:
+            print(result.summary)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`). The command's files were synced
+        # before the print, so its code stands; stdout goes to devnull so
+        # that the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

@@ -12,18 +12,21 @@ addressed by index (_flat_state). Latencies come in rows made on demand
 (_latency_rows), and each tenant pair is asked of the infrastructure at
 most once per plan. Greedy asks only for the rows of the tenants it
 places on; the exact search asks for every row, since its bound needs
-each tenant's nearest other tenant. The exact search is a branch and bound
-that tries the nearest tenant first and cuts a branch when its cost plus a
-lower bound on the hops still to come cannot beat the best plan found. The
-bound counts capacity: remaining services that cannot all stay on the
-current tenant must hop away at least once, and each further group that
-no tenant can hold together needs another hop. Among plans of exactly
-equal cost the one first in tenant-id order wins, whatever order the
-search meets them in. The solver plans with isolation_refusal, the one
-isolation rule. Whether a finished plan's members fit is decided in one
-place, member_refusals, which verify_plan and the executor in lifecycle
-share; it asks isolation_refusal and Infrastructure.capacity_refusal and
-none of the solver's flat state, so it checks the plan, not the search.
+each tenant's cost of reaching every other. The exact search is a branch
+and bound that tries the nearest tenant first and cuts a branch when its
+cost plus a lower bound on the hops still to come cannot beat the best plan
+found. The bound is a chain of runs, built once per plan from the back: a
+run is consecutive services that fit together on one tenant's free
+capacity at plan start, each admitted there, an exclusive service alone;
+the remaining services cost at least the cheapest chain of such runs that
+begins by staying on the current tenant, in the room it has left, or by
+hopping away. Among plans of exactly equal cost the one first in
+tenant-id order wins, whatever order the search meets them in. The solver
+plans with isolation_refusal, the one isolation rule. Whether a finished
+plan's members fit is decided in one place, member_refusals, which
+verify_plan and the executor in lifecycle share; it asks isolation_refusal
+and Infrastructure.capacity_refusal and none of the solver's flat state,
+so it checks the plan, not the search.
 tests/oracles.py is the independent check of the rules themselves.
 """
 
@@ -31,11 +34,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import MissingFootprint, PlanInvalid, Unreachable
@@ -281,17 +282,6 @@ def _flat_state(
     )
 
 
-def _fit_columns(
-    demands: list[tuple[int, int, int, int]],
-) -> list[list[int]]:
-    """Per resource field, the running sums of these demands smallest first.
-
-    bisect_right(column, room) is then at least the number of the services
-    that fit together in that much room of the field.
-    """
-    return [list(accumulate(sorted(field))) for field in zip(*demands)]
-
-
 def _solve_exhaustive(
     ordered: list[CapabilityRequirement],
     offers: list[CapabilityOffer],
@@ -303,14 +293,16 @@ def _solve_exhaustive(
 
     From the current tenant c, children are tried nearest-first. A node is
     cut when its cost so far plus a lower bound on the hops still to come
-    exceeds the profile limit or the best cost found. The bound accounts
-    for capacity: if the remaining services cannot all fit on c, the chain
-    leaves c at least once, at no less than c's nearest other tenant; and
-    as no tenant can hold more than k of them, each further run of k
-    services needs one more hop, at no less than the smallest latency
-    between two distinct tenants (0 when two tenants share a host). What
-    still fits on c, and k, are counted per resource field from the
-    remaining demands, smallest first.
+    exceeds the profile limit or the best cost found. The bound is a chain
+    of runs. A run on tenant t is consecutive services that fit together
+    in t's free capacity at plan start, each admitted on t; an exclusive
+    service runs alone. Built from the chain's end, start[t] is the least
+    cost of services i.. when service i starts a run on t, and leave[i][t]
+    is the least over u != t of the hop t -> u plus start[u] for i. Once
+    service d is placed on c, the rest cost at least leave[d + 1][c] (hop
+    now), or leave[j + 1][c] if services d + 1..j fit in c's room left
+    (stay, then hop), or 0 if they reach the chain's end. Capacity only
+    shrinks during the search, so the bound never exceeds a completion.
 
     Ties: the result is the minimum cost and, among exactly equal costs,
     the tuple that comes first in tenant order, which is what a depth-first
@@ -324,27 +316,51 @@ def _solve_exhaustive(
     free, load, placed, locked, demand, exclusive, admissible = _flat_state(
         ordered, offers, infra
     )
-    # The bound needs every tenant's nearest other tenant, so every row.
     latency = [rows(t) for t in range(size)]
-    nearest = [
-        min((hop for t, hop in enumerate(row) if t != c), default=math.inf)
-        for c, row in enumerate(latency)
-    ]
-    any_hop = min(nearest)
     # Reachable tenants from each tenant, nearest first, ties in tenant order.
     by_distance = [
         sorted((t for t in range(size) if row[t] < math.inf), key=row.__getitem__)
         for row in latency
     ]
-    columns = [_fit_columns(demand[index:]) for index in range(leaf + 1)]
-    # The most services from each index on that one tenant could hold, on
-    # the capacity free before the search; it only shrinks with the index.
-    most = [
-        max(min(map(bisect_right, fields, room)) for room in free)
-        for fields in columns
-    ]
-    if not most[-1]:
-        return None  # the last service fits on no tenant
+    # leave[i][t]: the least cost of services i.. when service i - 1 is on t
+    # and service i starts a run on another tenant; 0 once the chain ends.
+    leave = [[0.0] * size for _ in range(leaf + 2)]
+
+    def stay(i: int, t: int, room: tuple[int, ...], least: float) -> float:
+        """least, or leave[j + 1][t] if less, for each j such that shared
+        services i..j fit together on t in room and are admitted there."""
+        r0, r1, r2, r3 = room
+        while i <= leaf and admissible[i][t] and not exclusive[i]:
+            d0, d1, d2, d3 = demand[i]
+            r0, r1, r2, r3 = r0 - d0, r1 - d1, r2 - d2, r3 - d3
+            if r0 < 0 or r1 < 0 or r2 < 0 or r3 < 0:
+                break
+            i += 1
+            if leave[i][t] < least:
+                least = leave[i][t]
+        return least
+
+    for i in range(leaf, -1, -1):
+        # The least cost of services i.. when service i starts a run on t.
+        start = [
+            (
+                leave[i + 1][t]
+                if admissible[i][t] and all(map(operator.le, demand[i], room))
+                else math.inf
+            )
+            if exclusive[i]
+            else stay(i, t, room, math.inf)
+            for t, room in enumerate(free)
+        ]
+        leave[i] = [
+            min(
+                (hop + start[u] for u, hop in enumerate(row) if u != t),
+                default=math.inf,
+            )
+            for t, row in enumerate(latency)
+        ]
+    if min(start) == math.inf:
+        return None  # no chain of runs, so no plan
     ceiling = limit + EPSILON
     origin = [0.0] * size
     best: list[int] = []
@@ -360,10 +376,6 @@ def _solve_exhaustive(
             row, order = latency[current], by_distance[current]
         else:
             row, order = origin, range(size)
-        if depth < leaf:
-            c0, c1, c2, c3 = columns[depth + 1]
-            left = leaf - depth
-            widest = most[depth + 1]
         for t in order:
             cost = partial + row[t]
             if cost > ceiling or cost > best_cost:
@@ -383,18 +395,12 @@ def _solve_exhaustive(
                     best, best_cost = chosen[:], cost
                 chosen.pop()
                 continue
-            fit = min(
-                bisect_right(c0, f0 - n0),
-                bisect_right(c1, f1 - n1),
-                bisect_right(c2, f2 - n2),
-                bisect_right(c3, f3 - n3),
-            )
-            if fit >= left:
-                lower = cost
-            else:
-                runs = (left - fit - 1) // widest + 1
-                bound = nearest[t] if runs == 1 else nearest[t] + (runs - 1) * any_hop
-                lower = cost + bound - EPSILON if bound else cost
+            # Stay on t for the next services that fit in its room, or none.
+            bound = leave[depth + 1][t]
+            if not alone:
+                room = (f0 - n0, f1 - n1, f2 - n2, f3 - n3)
+                bound = stay(depth + 1, t, room, bound)
+            lower = cost + bound - EPSILON if bound else cost
             if lower <= ceiling and (
                 lower < best_cost
                 or (lower == best_cost and chosen <= best[: depth + 1])

@@ -2911,3 +2911,30 @@ def test_the_entry_freezes_the_heap_and_prints_what_run_gives(tmp_path, argv):
         "summary": result.summary,
         "detail": json.loads(json.dumps(result.detail, default=str)),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["audit", "--json"], ["status"], ["certify-vf", "vf-x", "--as", "operator"]],
+    ids=["audit-json", "status", "denied"],
+)
+def test_a_reader_that_left_early_gets_the_commands_code(tmp_path, argv):
+    """`slicectl audit --json | head -c 100`: the child's stdout has no
+    reader by the time it prints. It exits with the code run gives, and
+    prints no traceback."""
+    lab = tmp_path / "lab"
+    assert run(["demo", "slice-a", "--catalog", str(lab)]).exit_code == 0
+    argv = [*argv, "--catalog", str(lab)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "slicectl.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (run(argv).exit_code, "")

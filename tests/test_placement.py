@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import scenario
@@ -486,6 +490,65 @@ class TestPlanPlacement:
         assert 0 < outcomes["feasible"] < 250
         assert outcomes["exclusive"] > 0
         assert outcomes["zero_hop"] > 0
+
+    def test_the_chain_bound_cuts_no_optimal_plan(self):
+        """The exact search's bound, on Hypothesis-drawn constrained
+        instances: the plan is the brute-force optimum, the same assignment
+        and the same e2e_latency to the bit. The draws must reach runs that
+        capacity breaks, an exclusive service mid-chain, unreachable tenant
+        pairs and tenants sharing a host."""
+        seen = Counter()
+
+        @settings(max_examples=300, derandomize=True, database=None)
+        @given(st.integers(min_value=0, max_value=2**32))
+        def check(seed: int) -> None:
+            slc, reqs, offers, infra, info = scenario.random_constrained_instance(
+                random.Random(seed)
+            )
+            services, tenants = info["services"], info["tenants"]
+            free, demands = info["free"], info["demands"]
+
+            def hop(a: str, b: str) -> float:
+                return oracles.shortest_latency(
+                    info["links"], info["host_of"][a], info["host_of"][b]
+                )
+
+            expected = oracles.best_assignment(
+                services, demands, tenants, free, hop, info["limit"],
+                isolation=info["isolation"],
+                occupied=info["occupied"],
+                dedicated_host=info["dedicated_host"],
+            )
+            plan = plan_placement(slc, reqs, offers, infra)
+            if expected is None:
+                assert not plan.feasible
+            else:
+                assert plan.feasible
+                assert plan.e2e_latency == expected[0]
+                assert {a.service: a.tenant for a in plan.assignments} == expected[1]
+            shared = [s for s in services if info["isolation"][s] == "shared"]
+            seen["capacity_break"] += any(
+                all(map(operator.le, demands[a], free[t]))
+                and all(map(operator.le, demands[b], free[t]))
+                and not all(
+                    map(operator.le, map(operator.add, demands[a], demands[b]), free[t])
+                )
+                for a, b in zip(services, services[1:])
+                if a in shared and b in shared
+                for t in tenants
+            )
+            seen["exclusive_mid_chain"] += any(
+                info["isolation"][s] != "shared" for s in services[1:-1]
+            )
+            seen["unreachable"] += any(
+                hop(a, b) == math.inf for a in tenants for b in tenants
+            )
+            seen["shared_host"] += len(set(info["host_of"].values())) < len(tenants)
+            seen["feasible"] += expected is not None
+
+        check()
+        kinds = ("capacity_break", "exclusive_mid_chain", "unreachable", "shared_host")
+        assert all(seen[kind] for kind in kinds) and seen["feasible"], seen
 
 
 class TestVerifyPlan:
